@@ -9,7 +9,11 @@
 //	MUSE_BENCH_GUARD=1 go test -run TestBenchGuard .
 //
 // (or `make bench-guard`); unset, the test skips so the ordinary
-// suite stays fast.
+// suite stays fast. The benchmarks run at GOMAXPROCS=1, the condition
+// the baselines were recorded under, so the verdict does not depend on
+// the machine's core count; the chase's bytes/op at the machine's own
+// GOMAXPROCS (worker pool and its per-worker scratch instances
+// engaged) are printed alongside, unguarded.
 package muse_test
 
 import (
@@ -18,6 +22,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +137,8 @@ func TestBenchGuard(t *testing.T) {
 	if os.Getenv("MUSE_BENCH_GUARD") == "" {
 		t.Skip("set MUSE_BENCH_GUARD=1 to run the instrumentation-overhead guard")
 	}
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
 
 	check := func(name string, got, want int64) {
 		if want == 0 {
@@ -174,17 +181,26 @@ func TestBenchGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := s.NewInstance(0.02)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.Chase(in, ms...); err != nil {
-					b.Fatal(err)
+		bench := func() testing.BenchmarkResult {
+			return testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := chase.Chase(in, ms...); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
+		r := bench()
 		name := "BenchmarkChaseScenario/" + s.Name
 		check(name, r.AllocsPerOp(), chaseBase.Benchmarks[name].AllocsPerOp)
 		checkBytes(name, r.AllocedBytesPerOp(), instBase.Post.Benchmarks[name].BytesPerOp)
+		if procs > 1 {
+			runtime.GOMAXPROCS(procs)
+			rN := bench()
+			runtime.GOMAXPROCS(1)
+			fmt.Printf("bench-guard %-40s %8d bytes/op  (GOMAXPROCS=%d, unguarded)\n", name, rN.AllocedBytesPerOp(), procs)
+		}
 	}
 
 	retrBase := loadBaseline(t, "BENCH_retrieval_baseline.json")

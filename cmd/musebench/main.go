@@ -9,7 +9,6 @@
 //	musebench -scale 0.2 -timeout 100ms   # faster, smaller instances
 //	musebench -nokeys                 # ablation: no key-based reduction
 //	musebench -noreal                 # ablation: synthetic examples only
-//	musebench -parallel 4             # race 4 retrieval partitions per probe
 //
 // The Muse-G table carries two retrieval columns: "indexes" is the
 // number of distinct hash indexes the session's shared index store
@@ -43,7 +42,6 @@ func main() {
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "per-question real-example retrieval budget")
 	noKeys := flag.Bool("nokeys", false, "ablation: disable key-based question reduction")
 	noReal := flag.Bool("noreal", false, "ablation: disable real-example retrieval")
-	parallel := flag.Int("parallel", 0, "race this many retrieval partitions per probe query (0 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	metricsPath := flag.String("metrics", "", "accumulate run metrics and write a snapshot here on exit (- for stdout)")
@@ -116,7 +114,7 @@ func main() {
 	}
 
 	if runG {
-		cfg := bench.MuseGConfig{Scale: scale, Timeout: *timeout, NoKeys: *noKeys, NoReal: *noReal, Parallel: *parallel, Obs: o}
+		cfg := bench.MuseGConfig{Scale: scale, Timeout: *timeout, NoKeys: *noKeys, NoReal: *noReal, Obs: o}
 		var rows []bench.MuseGRow
 		for _, s := range scns {
 			for _, strat := range []designer.Strategy{designer.G1, designer.G2, designer.G3} {

@@ -84,9 +84,6 @@ type MuseGConfig struct {
 	NoKeys bool
 	// NoReal disables real-example retrieval (ablation).
 	NoReal bool
-	// Parallel races that many retrieval partitions per probe query
-	// (0/1 = serial).
-	Parallel int
 	// Obs, when non-nil, accumulates the run's metrics and spans
 	// (threaded through the wizards, the chase and the query engine).
 	Obs *obs.Obs
@@ -114,7 +111,6 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 	}
 	gw := core.NewGroupingWizard(src, in)
 	gw.Timeout = cfg.Timeout
-	gw.Parallel = cfg.Parallel
 	gw.Obs = cfg.Obs
 	if cfg.NoReal {
 		gw.Real = nil

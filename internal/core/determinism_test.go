@@ -1,9 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/query"
 	"muse/internal/scenarios"
@@ -14,18 +20,24 @@ import (
 // probe queries the wizards actually issue (each mapping's canonical
 // tableau, with and without inequalities) must return exactly the
 // matches of the naive reference evaluation (given atom order, full
-// scans, check-all inequalities — the pre-planner semantics), and the
-// planned evaluation must be deterministic run to run.
+// scans, check-all inequalities — the pre-planner semantics), the
+// planned evaluation must be deterministic run to run, and its ordered
+// matches must hash to the recorded golden (so a rewrite of the
+// evaluator cannot change which real example a probe finds first).
 
 // scenarioQueries builds the retrieval queries of a scenario's
 // mappings: the plain assignment query plus, where the mapping has
-// grouping candidates, the two-copy probe query on the first one.
+// grouping candidates, the two-copy probe query on the first one and a
+// probe with the first candidate confirmed. Multi-keyed sources add
+// the key-grouping question and the probes whose key attributes always
+// differ across copies (multiKeyQueries).
 func scenarioQueries(t *testing.T, s *scenarios.Scenario) []*query.Query {
 	t.Helper()
 	set, err := s.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := &GroupingWizard{SrcDeps: s.Src}
 	var qs []*query.Query
 	for _, m := range set.Mappings {
 		if m.Ambiguous() {
@@ -34,12 +46,41 @@ func scenarioQueries(t *testing.T, s *scenarios.Scenario) []*query.Query {
 		tb := newTableau(m, 1)
 		tb.finalize()
 		qs = append(qs, tb.realQuery(nil))
-		if poss := m.Poss(); len(poss) > 0 {
+		poss := m.Poss()
+		if len(poss) > 0 {
 			probe := poss[0]
 			if ptb, ok := buildProbeTableau(m, s.Src, nil, poss[1:], []mapping.Expr{probe}); ok {
 				ptb.finalize()
 				qs = append(qs, ptb.realQuery([]mapping.Expr{probe}))
 			}
+		}
+		if len(poss) > 1 {
+			if ptb, ok := w.probeSetup(m, poss, poss[:1], map[mapping.Expr]bool{}, poss[1], nil); ok {
+				qs = append(qs, ptb.realQuery([]mapping.Expr{poss[1]}))
+			}
+		}
+		qs = append(qs, multiKeyQueries(w, m)...)
+	}
+	return qs
+}
+
+// multiKeyQueries builds the queries of the multi-key protocol (Sec.
+// III-B) when m's source is multi-keyed: the key-grouping question
+// (every key attribute differs across copies) and, for each non-key
+// candidate, the probe whose key attributes always differ.
+func multiKeyQueries(w *GroupingWizard, m *mapping.Mapping) []*query.Query {
+	keyAttrs, rest := keyCovered(m, w.SrcDeps)
+	if !multiKeyed(m, w.SrcDeps) || len(keyAttrs) == 0 {
+		return nil
+	}
+	var qs []*query.Query
+	if tb, ok := buildProbeTableau(m, w.SrcDeps, nil, rest, keyAttrs); ok {
+		tb.finalize()
+		qs = append(qs, tb.realQuery(keyAttrs))
+	}
+	for _, probe := range rest {
+		if tb, ok := w.probeSetup(m, rest, nil, map[mapping.Expr]bool{}, probe, keyAttrs); ok {
+			qs = append(qs, tb.realQuery([]mapping.Expr{probe}))
 		}
 	}
 	return qs
@@ -69,7 +110,93 @@ func ordered(ms []query.Match) string {
 	return s
 }
 
+// matchDigest hashes the ordered matches, tuples and value bindings
+// (variables sorted), into one golden line.
+func matchDigest(ms []query.Match) string {
+	h := sha256.New()
+	var buf []byte
+	for _, m := range ms {
+		for _, t := range m.Tuples {
+			fmt.Fprintf(h, "%s|", t.Key())
+		}
+		vars := make([]string, 0, len(m.Values))
+		for v := range m.Values {
+			vars = append(vars, v)
+		}
+		sort.Strings(vars)
+		for _, v := range vars {
+			buf = instance.AppendValueKey(buf[:0], m.Values[v])
+			fmt.Fprintf(h, "%s=%s|", v, buf)
+		}
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%d %x", len(ms), h.Sum(nil))
+}
+
+// checkPlannedAgainstNaive evaluates each query naively and planned,
+// requires the same match sets and a repeatable planned order, and
+// returns one golden line per query: the digest of its ordered planned
+// matches.
+func checkPlannedAgainstNaive(t *testing.T, name string, in *instance.Instance, qs []*query.Query) []string {
+	t.Helper()
+	store := query.NewIndexStore(in)
+	var digests []string
+	for qi, q := range qs {
+		naive, err := q.Eval(in, query.Options{Naive: true})
+		if err != nil {
+			t.Fatalf("query %d naive: %v", qi, err)
+		}
+		planned, err := q.Eval(in, query.Options{Store: store})
+		if err != nil {
+			t.Fatalf("query %d planned: %v", qi, err)
+		}
+		got, want := canonical(planned), canonical(naive)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: planned %d matches, naive %d", qi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("query %d: match sets differ at %d", qi, i)
+			}
+		}
+		again, err := q.Eval(in, query.Options{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ordered(again) != ordered(planned) {
+			t.Fatalf("query %d: planned evaluation is nondeterministic", qi)
+		}
+		digests = append(digests, fmt.Sprintf("%s q%d %s", name, qi, matchDigest(planned)))
+	}
+	return digests
+}
+
+// TestPlannedEvalMatchesNaiveOnScenarios also pins each suite's lines
+// of testdata/scenario_matches.golden; record the whole file with
+// UPDATE_GOLDEN=1 on an unfiltered run.
 func TestPlannedEvalMatchesNaiveOnScenarios(t *testing.T) {
+	golden := filepath.Join("testdata", "scenario_matches.golden")
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	want := make(map[string][]string)
+	if !update {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with UPDATE_GOLDEN=1 to record)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			name, _, _ := strings.Cut(line, " ")
+			want[name] = append(want[name], line)
+		}
+	}
+	var all []string
+	check := func(t *testing.T, name string, in *instance.Instance, qs []*query.Query) {
+		got := checkPlannedAgainstNaive(t, name, in, qs)
+		all = append(all, got...)
+		if !update && strings.Join(got, "\n") != strings.Join(want[name], "\n") {
+			t.Errorf("ordered planned matches drifted from %s.\n--- got ---\n%s\n--- want ---\n%s",
+				golden, strings.Join(got, "\n"), strings.Join(want[name], "\n"))
+		}
+	}
 	for _, s := range scenarios.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -79,42 +206,41 @@ func TestPlannedEvalMatchesNaiveOnScenarios(t *testing.T) {
 				// a smaller instance keeps the -race run fast.
 				scale = 0.005
 			}
-			in := s.NewInstance(scale)
-			store := query.NewIndexStore(in)
-			for qi, q := range scenarioQueries(t, s) {
-				naive, err := q.Eval(in, query.Options{Naive: true})
-				if err != nil {
-					t.Fatalf("query %d naive: %v", qi, err)
-				}
-				planned, err := q.Eval(in, query.Options{Store: store})
-				if err != nil {
-					t.Fatalf("query %d planned: %v", qi, err)
-				}
-				got, want := canonical(planned), canonical(naive)
-				if len(got) != len(want) {
-					t.Fatalf("query %d: planned %d matches, naive %d", qi, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("query %d: match sets differ at %d", qi, i)
-					}
-				}
-				parallel, err := q.Eval(in, query.Options{Store: store, Parallel: 4})
-				if err != nil {
-					t.Fatalf("query %d parallel: %v", qi, err)
-				}
-				if ordered(parallel) != ordered(planned) {
-					t.Fatalf("query %d: parallel order differs from serial", qi)
-				}
-				again, err := q.Eval(in, query.Options{Store: store})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ordered(again) != ordered(planned) {
-					t.Fatalf("query %d: planned evaluation is nondeterministic", qi)
-				}
-			}
+			check(t, s.Name, s.NewInstance(scale), scenarioQueries(t, s))
 		})
+	}
+	// No Sec. VI source is multi-keyed, so the multi-key protocol's
+	// queries come from Mondial with a second key (name) on Country,
+	// Province and City, added after the mappings are generated.
+	t.Run("MondialTwoKeys", func(t *testing.T) {
+		s := scenarios.Mondial()
+		set, err := s.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range []string{"Country", "Province", "City"} {
+			s.Src.MustAddKey(rel, "name")
+		}
+		w := &GroupingWizard{SrcDeps: s.Src}
+		var qs []*query.Query
+		for _, m := range set.Mappings {
+			if m.Ambiguous() {
+				m = m.Interpretation(make([]int, len(m.OrGroups)))
+			}
+			qs = append(qs, multiKeyQueries(w, m)...)
+		}
+		if len(qs) == 0 {
+			t.Fatal("no multi-key queries on Mondial with two keys")
+		}
+		check(t, "MondialTwoKeys", s.NewInstance(0.02), qs)
+	})
+	if update && !t.Failed() {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

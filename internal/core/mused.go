@@ -30,9 +30,6 @@ type DisambiguationWizard struct {
 	// session (shared with Muse-G when both run in one Session). Left
 	// nil, it is created lazily on the first retrieval.
 	Store *query.IndexStore
-	// Parallel > 1 races that many partitions of each retrieval's
-	// candidate space under the timeout (deterministic results).
-	Parallel int
 	// Ranker, when non-nil, scores each or-group's alternatives
 	// against the real-instance evidence and attaches the rankings to
 	// the question envelope. Advisory only; nil adds no work.
@@ -65,7 +62,7 @@ func (w *DisambiguationWizard) retrieval() query.Options {
 	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
 		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
 	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Parallel: w.Parallel, Obs: w.Obs}
+	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Obs: w.Obs}
 }
 
 // DStats records Muse-D effort, feeding the Sec. VI Muse-D table.

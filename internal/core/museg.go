@@ -45,9 +45,6 @@ type GroupingWizard struct {
 	// Left nil, it is created lazily on the first retrieval; a Session
 	// shares one store between Muse-G and Muse-D.
 	Store *query.IndexStore
-	// Parallel > 1 races that many partitions of each retrieval's
-	// candidate space under the timeout (deterministic results).
-	Parallel int
 	// Ranker, when non-nil, scores each posed question's options
 	// against the real-instance evidence and attaches the ranking to
 	// the question envelope. Purely advisory: it never changes which
@@ -85,7 +82,7 @@ func (w *GroupingWizard) retrieval() query.Options {
 	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
 		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
 	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Parallel: w.Parallel, Obs: w.Obs}
+	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Obs: w.Obs}
 }
 
 // ranker returns the attached scorer with the session's shared index

@@ -75,6 +75,13 @@ func (sh *shortener) value(v Value) string {
 // and one slot slice per tuple, so a scaled scenario build or chase
 // costs two allocations per few hundred tuples, not two per tuple.
 //
+// Blocks grow geometrically: the first holds arenaFirstTuples headers
+// (arenaFirstVals slots) and each refill doubles the size up to
+// arenaBlockTuples (arenaBlockVals). The two-tuples-per-relation
+// examples Muse chases on every question then cost a few hundred bytes
+// rather than a full 64 KB value block, while a large instance reaches
+// the cap after a handful of refills.
+//
 // Arena memory lives exactly as long as the owning Instance: tuples
 // handed out reference the blocks, and the blocks die with the last
 // tuple. Nothing is ever returned to an arena — deduplication happens
@@ -83,16 +90,31 @@ func (sh *shortener) value(v Value) string {
 type arena struct {
 	tuples []Tuple
 	vals   []Value
+	// nextTuples and nextVals size the next refill (0 = first block).
+	nextTuples, nextVals int
 }
 
 const (
+	arenaFirstTuples = 8
+	arenaFirstVals   = 64
 	arenaBlockTuples = 256
 	arenaBlockVals   = 4096
 )
 
+// blockSize returns the size of the block to allocate now, at least
+// need, and advances *next by doubling up to limit.
+func blockSize(next *int, first, limit, need int) int {
+	size := max(*next, first)
+	for size < need {
+		size *= 2
+	}
+	*next = min(2*size, limit)
+	return size
+}
+
 func (a *arena) newTuple() *Tuple {
 	if len(a.tuples) == 0 {
-		a.tuples = make([]Tuple, arenaBlockTuples)
+		a.tuples = make([]Tuple, blockSize(&a.nextTuples, arenaFirstTuples, arenaBlockTuples, 1))
 	}
 	t := &a.tuples[0]
 	a.tuples = a.tuples[1:]
@@ -105,14 +127,14 @@ func (a *arena) newVals(n int) []Value {
 	}
 	if n > len(a.vals) {
 		if n > arenaBlockVals/4 {
-			// A record this wide would waste most of a fresh block on
+			// A record this wide would waste most of a full block on
 			// every refill; give it its own slice.
 			return make([]Value, n)
 		}
 		// The block remainder (< n slots) is abandoned: bounded waste,
 		// and the full capacity is three-index-sliced out below so no
 		// tuple can append into a neighbour's slots.
-		a.vals = make([]Value, arenaBlockVals)
+		a.vals = make([]Value, blockSize(&a.nextVals, arenaFirstVals, arenaBlockVals, n))
 	}
 	v := a.vals[:n:n]
 	a.vals = a.vals[n:]

@@ -9,6 +9,7 @@ import (
 
 	"muse/internal/instance"
 	"muse/internal/nr"
+	"muse/internal/obs"
 )
 
 // crossQueryScenario builds an instance and a deliberately unindexable
@@ -83,5 +84,54 @@ func TestEvalCtxBackgroundUnchanged(t *testing.T) {
 	}
 	if len(plain) != len(withCtx) {
 		t.Fatalf("ctx-threaded Eval returned %d matches, plain %d", len(withCtx), len(plain))
+	}
+}
+
+// cancelOnSecondErr is a context whose Err reports cancellation from
+// its second call on: Eval's fail-fast check passes, and the first
+// poll inside the search aborts. It makes the abort point depend only
+// on how often the search polls, not on timing.
+type cancelOnSecondErr struct {
+	context.Context
+	calls int
+}
+
+func (c *cancelOnSecondErr) Err() error {
+	c.calls++
+	if c.calls >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvalPollsPerCandidate: a level whose candidates all fail to bind
+// never recurses, so the abort poll must advance per candidate
+// examined. Two scans over A, where the inequality rejects every inner
+// candidate, must stop within the first inner scan: at most 3×|A| rows
+// scanned, not one inner scan per outer tuple.
+func TestEvalPollsPerCandidate(t *testing.T) {
+	const n = 4000
+	src := nr.MustCatalog(nr.MustSchema("S", nr.Record(
+		nr.F("A", nr.SetOf(nr.Record(nr.F("id", nr.StringType()), nr.F("k", nr.StringType())))),
+	)))
+	in := instance.New(src)
+	for i := 0; i < n; i++ {
+		in.MustInsertVals("A", "a"+strconv.Itoa(i), "k")
+	}
+	q := &Query{
+		Src: src,
+		Atoms: []Atom{
+			{Var: "x", Set: nr.ParsePath("A"), Bind: map[string]string{"k": "v"}},
+			{Var: "y", Set: nr.ParsePath("A"), Bind: map[string]string{"k": "w"}},
+		},
+		Neq: [][2]string{{"v", "w"}},
+	}
+	o := obs.New()
+	_, err := q.Eval(in, Options{Ctx: &cancelOnSecondErr{Context: context.Background()}, Obs: o})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Eval: err = %v, want context.Canceled", err)
+	}
+	if scanned := o.Reg.Counter(obs.MQueryRowsScanned).Value(); scanned > 3*n {
+		t.Fatalf("aborted Eval scanned %d rows, want at most %d", scanned, 3*n)
 	}
 }

@@ -9,12 +9,17 @@
 // from an IndexStore, shared across a whole design session when the
 // caller passes one (Options.Store), and a cost-based planner orders
 // the atoms by estimated candidate-set size using the store's
-// cardinality and distinct-value statistics.
+// cardinality and distinct-value statistics. Each Eval compiles the
+// plan into a slot-resolved kernel (kernel.go) whose backtracking
+// search reads tuple slots by position and binds variables in an array
+// indexed by variable id, so no name is looked up per candidate tuple.
 //
 // Invariants:
 //
-//   - Results are deterministic and independent of the plan chosen,
-//     the parallelism level, and whether indexes were warm.
+//   - Results are deterministic and independent of whether indexes
+//     were warm; the match order is the order of the plan Explain
+//     shows. The naive reference (Options.Naive) returns the same
+//     match set.
 //   - Options.Timeout and Options.Ctx compose: a lapsed deadline
 //     surfaces as ErrTimeout (the wizards then fall back to synthetic
 //     examples), while a cancelled context surfaces as the context's

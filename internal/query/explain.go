@@ -15,14 +15,14 @@ type Plan struct {
 }
 
 // PlanWith validates the query and plans it against the store's
-// statistics, exactly as Eval would (naive=false). The store must
+// statistics, exactly as Eval would. The store must
 // index the instance the query will run over — statistics drive both
 // the atom order and the tier choices.
 func (q *Query) PlanWith(store *IndexStore) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return &Plan{p: q.plan(store, false)}, nil
+	return &Plan{p: q.plan(store)}, nil
 }
 
 // Costed reports how many atomCost evaluations planning performed.

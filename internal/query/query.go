@@ -3,9 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"muse/internal/instance"
@@ -60,15 +59,10 @@ type Options struct {
 	// is nil (or indexes a different instance) an ephemeral store is
 	// built for this evaluation, restoring the old per-Eval behavior.
 	Store *IndexStore
-	// Parallel > 1 races that many contiguous partitions of the first
-	// atom's candidate set concurrently under the same deadline. The
-	// merged results are deterministic — partitions are concatenated in
-	// candidate order, so (absent a timeout) the output is identical to
-	// the serial evaluation.
-	Parallel int
 	// Naive disables planning and indexing: atoms are evaluated in the
-	// given order by scanning. It is the reference semantics the
-	// planned evaluator is tested against.
+	// given order by a label-keyed nested-loop scan (evalNaive). It is
+	// the reference semantics the planned evaluator is tested against
+	// and shares none of its compiled state.
 	Naive bool
 	// Obs, when non-nil, records planner and evaluation metrics
 	// (atoms costed, tier choices, rows scanned vs. returned) and one
@@ -139,68 +133,76 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 			return nil, err
 		}
 	}
-	store := opt.Store
-	if store == nil || store.Instance() != in {
-		store = NewIndexStore(in)
-	}
 	o := opt.Obs
 	var evalStart time.Time
 	var sp *obs.Span
 	if o != nil {
 		evalStart = time.Now()
 		sp, _ = o.StartCtx(opt.Ctx, obs.SpanQueryEval)
+		o.Counter(obs.MQueryEvals).Inc()
 	}
-	p := q.plan(store, opt.Naive)
+	var out []Match
+	var scanned int64
+	var err error
+	if opt.Naive {
+		if o != nil {
+			o.Counter(obs.MPlanTierNaive).Add(int64(len(q.Atoms)))
+		}
+		out, scanned, err = evalNaive(q, in, opt)
+	} else {
+		out, scanned, err = q.evalPlanned(in, opt, sp)
+	}
+	if o != nil {
+		o.Counter(obs.MQueryRowsScanned).Add(scanned)
+		o.Counter(obs.MQueryRowsReturned).Add(int64(len(out)))
+		o.Histogram(obs.HQueryEvalSeconds).Observe(time.Since(evalStart).Seconds())
+		sp.Attr("atoms", len(q.Atoms)).Attr("matches", len(out)).Attr("scanned", scanned).End()
+	}
+	return out, err
+}
+
+// evalPlanned plans the query, compiles the plan into its
+// slot-resolved kernel, and runs the backtracking search.
+func (q *Query) evalPlanned(in *instance.Instance, opt Options, sp *obs.Span) ([]Match, int64, error) {
+	if err := q.checkLayout(in); err != nil {
+		return nil, 0, err
+	}
+	store := opt.Store
+	if store == nil || store.Instance() != in {
+		store = NewIndexStore(in)
+	}
+	p := q.plan(store)
 	if sp != nil && obs.DetailFromContext(opt.Ctx) {
 		// Expensive diagnostics only when the trace asked for them
 		// (flight-recorder captures): the rendered planner explanation.
 		sp.Attr("explain", (&Plan{p: p}).Explain())
 	}
-	if o != nil {
-		o.Counter(obs.MQueryEvals).Inc()
+	if o := opt.Obs; o != nil {
 		o.Counter(obs.MQueryAtomsCosted).Add(int64(p.costed))
 		for i := range p.plans {
 			o.Counter(tierCounters[p.plans[i].tier]).Inc()
 		}
 	}
-	// Resolve each position's index once per evaluation: candidates()
-	// then probes a plain map, paying no per-probe key rendering or
-	// store lock.
-	for i := range p.plans {
-		if len(p.plans[i].idxAttrs) > 0 {
-			p.plans[i].idx = store.Index(p.plans[i].st, p.plans[i].idxAttrs)
+	e := newEvalState(compile(&p, store, in), in, opt)
+	err := e.search(0)
+	return e.out, e.scanned, err
+}
+
+// checkLayout guards the compiled kernel's slot positions: they are
+// resolved on the query's set types, so an instance of a different
+// catalog must lay its tuples out the same way (the instance's
+// occurrences, not the query's types, decide each tuple's layout).
+func (q *Query) checkLayout(in *instance.Instance) error {
+	if in.Cat == q.Src {
+		return nil
+	}
+	for _, st := range q.resolveTypes() {
+		it := in.Cat.ByPath(st.Path)
+		if it == nil || !slices.Equal(it.Atoms, st.Atoms) || !slices.Equal(it.SetFields, st.SetFields) {
+			return fmt.Errorf("query: set %s of the query's catalog is laid out differently in the instance", st)
 		}
 	}
-	e := &evalState{
-		q: p.q, plan: p, in: in, store: store,
-		values: make(map[string]instance.Value),
-		tuples: make([]*instance.Tuple, len(q.Atoms)),
-		opt:    opt,
-	}
-	if opt.Timeout > 0 {
-		e.deadline = time.Now().Add(opt.Timeout)
-	}
-	var err error
-	if opt.Parallel > 1 && len(q.Atoms) > 0 && !opt.Naive {
-		err = e.searchParallel(opt.Parallel)
-	} else {
-		err = e.search(0)
-	}
-	// Restore the caller's atom order in the reported matches.
-	for mi := range e.out {
-		orig := make([]*instance.Tuple, len(e.out[mi].Tuples))
-		for pos, t := range e.out[mi].Tuples {
-			orig[p.back[pos]] = t
-		}
-		e.out[mi].Tuples = orig
-	}
-	if o != nil {
-		o.Counter(obs.MQueryRowsScanned).Add(e.scanned)
-		o.Counter(obs.MQueryRowsReturned).Add(int64(len(e.out)))
-		o.Histogram(obs.HQueryEvalSeconds).Observe(time.Since(evalStart).Seconds())
-		sp.Attr("atoms", len(q.Atoms)).Attr("matches", len(e.out)).Attr("scanned", e.scanned).End()
-	}
-	return e.out, err
+	return nil
 }
 
 // First returns one match, or ok=false when the query is empty on the
@@ -209,8 +211,8 @@ func (q *Query) First(in *instance.Instance, timeout time.Duration) (Match, bool
 	return q.FirstOpts(in, Options{Timeout: timeout})
 }
 
-// FirstOpts is First with the full option set (shared store, parallel
-// retrieval); opt.Limit is forced to 1.
+// FirstOpts is First with the full option set (shared store, context,
+// metrics); opt.Limit is forced to 1.
 func (q *Query) FirstOpts(in *instance.Instance, opt Options) (Match, bool, error) {
 	opt.Limit = 1
 	ms, err := q.Eval(in, opt)
@@ -235,15 +237,9 @@ type atomPlan struct {
 	// idxAttrs is the canonically-ordered attribute list of the index
 	// to probe; empty means scan.
 	idxAttrs []string
-	// idx is the resolved index for idxAttrs, fetched from the store
-	// once per evaluation.
-	idx map[string][]*instance.Tuple
 	// neq lists the inequality pairs that become fully bound at this
 	// position (pushed down to the earliest such atom).
 	neq [][2]string
-	// checkAllNeq re-checks every bound pair on every bind (naive
-	// reference mode).
-	checkAllNeq bool
 	// tier is the chosen access tier (tier* constants) and cost the
 	// planner's candidate-set estimate at placement time; both feed
 	// Plan.Explain and the muse_plan_tier_* counters.
@@ -252,14 +248,14 @@ type atomPlan struct {
 }
 
 // Access-tier labels, in preference order (Explain and the
-// muse_plan_tier_* counters index by them).
+// muse_plan_tier_* counters index by them). The naive reference has no
+// plan; its atoms count under muse_plan_tier_naive_total.
 const (
 	tierPinnedComposite = iota
 	tierBoundComposite
 	tierBoundSingle
 	tierScan
 	tierNested
-	tierNaive
 )
 
 var tierNames = [...]string{
@@ -268,7 +264,6 @@ var tierNames = [...]string{
 	tierBoundSingle:     "bound-single",
 	tierScan:            "scan",
 	tierNested:          "nested",
-	tierNaive:           "naive-scan",
 }
 
 var tierCounters = [...]string{
@@ -277,7 +272,6 @@ var tierCounters = [...]string{
 	tierBoundSingle:     obs.MPlanTierBoundSingle,
 	tierScan:            obs.MPlanTierScan,
 	tierNested:          obs.MPlanTierNested,
-	tierNaive:           obs.MPlanTierNaive,
 }
 
 // planned is the output of the planner: the reordered query, the
@@ -322,24 +316,9 @@ func (q *Query) resolveTypes() []*nr.SetType {
 // Cost ties break by access tier (pinned composite < bound composite <
 // bound single < scan) and then by original atom position, so the plan
 // is fully deterministic — no map-iteration order is consulted.
-func (q *Query) plan(store *IndexStore, naive bool) planned {
+func (q *Query) plan(store *IndexStore) planned {
 	n := len(q.Atoms)
 	types := q.resolveTypes()
-	if naive {
-		p := planned{q: q, back: make([]int, n), plans: make([]atomPlan, n)}
-		pos := make(map[string]int, n)
-		for i := range q.Atoms {
-			p.back[i] = i
-			pos[q.Atoms[i].Var] = i
-			pp := -1
-			if q.Atoms[i].Parent != "" {
-				pp = pos[q.Atoms[i].Parent]
-			}
-			p.plans[i] = atomPlan{st: types[i], parentPos: pp, checkAllNeq: true, tier: tierNaive}
-		}
-		return p
-	}
-
 	placed := make([]bool, n)
 	boundVars := make(map[string]bool)
 	placedPos := make(map[string]int)
@@ -499,259 +478,4 @@ func pushDownNeq(q *Query, plans []atomPlan) {
 		}
 		plans[pos].neq = append(plans[pos].neq, ne)
 	}
-}
-
-type evalState struct {
-	q        *Query
-	plan     planned
-	in       *instance.Instance
-	store    *IndexStore
-	values   map[string]instance.Value
-	tuples   []*instance.Tuple
-	out      []Match
-	opt      Options
-	deadline time.Time
-	steps    int
-	keyBuf   []byte
-	// scanned counts candidate tuples considered across the whole
-	// search (feeds muse_query_rows_scanned_total).
-	scanned int64
-	// boundStack records value variables in binding order; unbindTo
-	// truncates it to a mark, so backtracking allocates nothing.
-	boundStack []string
-	// first, when non-nil, overrides the first atom's candidate list
-	// (a contiguous partition in parallel mode).
-	first []*instance.Tuple
-	// raceLost reports that a lower partition already filled the match
-	// quota, so this partition's work is moot (parallel mode only).
-	raceLost func() bool
-}
-
-// aborted reports (gated to every 256 steps) whether the search must
-// stop: a lower parallel partition already filled the match quota, the
-// deadline passed (ErrTimeout), or the caller's context was cancelled
-// (ctx.Err()).
-func (e *evalState) aborted() error {
-	e.steps++
-	if e.steps%256 != 0 {
-		return nil
-	}
-	if e.raceLost != nil && e.raceLost() {
-		return ErrTimeout
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		return ErrTimeout
-	}
-	if e.opt.Ctx != nil {
-		if err := e.opt.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *evalState) search(i int) error {
-	if err := e.aborted(); err != nil {
-		return err
-	}
-	if i >= len(e.q.Atoms) {
-		// All atoms matched: inequalities were checked incrementally.
-		m := Match{Tuples: append([]*instance.Tuple{}, e.tuples...), Values: make(map[string]instance.Value, len(e.values))}
-		for k, v := range e.values {
-			m.Values[k] = v
-		}
-		e.out = append(e.out, m)
-		return nil
-	}
-	a := e.q.Atoms[i]
-	cands := e.candidates(i)
-	e.scanned += int64(len(cands))
-	for _, t := range cands {
-		mark := len(e.boundStack)
-		if e.bindTuple(i, a, t) {
-			e.tuples[i] = t
-			if err := e.search(i + 1); err != nil {
-				e.unbindTo(mark)
-				return err
-			}
-			if e.opt.Limit > 0 && len(e.out) >= e.opt.Limit {
-				e.unbindTo(mark)
-				return nil
-			}
-			e.tuples[i] = nil
-		}
-		e.unbindTo(mark)
-	}
-	return nil
-}
-
-// searchParallel races Parallel contiguous partitions of the first
-// atom's candidate set, each explored by a private evaluation state
-// over the shared (concurrency-safe) index store, under the shared
-// deadline. Partition outputs are concatenated in candidate order, so
-// the merged result is the serial result; a partition whose lower
-// neighbors already filled the limit aborts early.
-func (e *evalState) searchParallel(workers int) error {
-	cands := e.candidates(0)
-	if len(cands) == 0 {
-		return nil
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	outs := make([][]Match, workers)
-	errs := make([]error, workers)
-	scans := make([]int64, workers)
-	// quotaFrom is the lowest partition index that filled the limit on
-	// its own; partitions above it stop early (their matches can never
-	// be merged).
-	quotaFrom := atomic.Int64{}
-	quotaFrom.Store(int64(workers))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(cands)/workers, (w+1)*len(cands)/workers
-		clone := &evalState{
-			q: e.q, plan: e.plan, in: e.in, store: e.store,
-			values:   make(map[string]instance.Value),
-			tuples:   make([]*instance.Tuple, len(e.q.Atoms)),
-			opt:      e.opt,
-			deadline: e.deadline,
-			first:    cands[lo:hi],
-		}
-		w := w
-		clone.raceLost = func() bool { return quotaFrom.Load() < int64(w) }
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = clone.search(0)
-			if e.opt.Limit > 0 && len(clone.out) >= e.opt.Limit {
-				for {
-					cur := quotaFrom.Load()
-					if int64(w) >= cur || quotaFrom.CompareAndSwap(cur, int64(w)) {
-						break
-					}
-				}
-			}
-			outs[w] = clone.out
-			scans[w] = clone.scanned
-		}()
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		e.scanned += scans[w]
-	}
-	for w := 0; w < workers; w++ {
-		e.out = append(e.out, outs[w]...)
-		if e.opt.Limit > 0 && len(e.out) >= e.opt.Limit {
-			e.out = e.out[:e.opt.Limit]
-			return nil
-		}
-		if errs[w] != nil {
-			// This partition timed out before the quota was met: report
-			// the deterministic prefix found so far, like the serial
-			// evaluator does.
-			return errs[w]
-		}
-	}
-	return nil
-}
-
-// candidates narrows the tuple pool for atom i following its plan:
-// nested atoms read the occurrence their parent references, indexed
-// atoms probe the store's (possibly composite) hash index with a key
-// composed in a reused buffer, and the rest scan. The returned slice
-// is shared and read-only.
-func (e *evalState) candidates(i int) []*instance.Tuple {
-	if i == 0 && e.first != nil {
-		return e.first
-	}
-	a := e.q.Atoms[i]
-	p := &e.plan.plans[i]
-	if a.Parent != "" {
-		parent := e.tuples[p.parentPos]
-		if parent == nil {
-			return nil
-		}
-		ref, _ := parent.Get(a.Field).(*instance.SetRef)
-		if ref == nil {
-			return nil
-		}
-		occ := e.in.Set(ref)
-		if occ == nil {
-			return nil
-		}
-		return occ.View()
-	}
-	if len(p.idxAttrs) == 0 {
-		return e.in.Top(p.st).View()
-	}
-	buf := e.keyBuf[:0]
-	for _, attr := range p.idxAttrs {
-		v, ok := a.Pin[attr]
-		if !ok {
-			v = e.values[a.Bind[attr]]
-		}
-		buf = instance.AppendValueKey(buf, v)
-		buf = append(buf, '\x05')
-	}
-	e.keyBuf = buf
-	return p.idx[string(buf)]
-}
-
-// bindTuple binds the atom's value variables against tuple t, pushing
-// newly bound variable names onto boundStack, and reports whether the
-// binding (including the inequalities pushed down to this position) is
-// consistent. On failure the stack is already unwound to its state at
-// entry; on success the caller unwinds to its own mark when
-// backtracking.
-func (e *evalState) bindTuple(i int, a Atom, t *instance.Tuple) bool {
-	mark := len(e.boundStack)
-	for attr, want := range a.Pin {
-		if !instance.SameValue(t.Get(attr), want) {
-			return false
-		}
-	}
-	for attr, vvar := range a.Bind {
-		v := t.Get(attr)
-		if v == nil {
-			e.unbindTo(mark)
-			return false
-		}
-		if prev, ok := e.values[vvar]; ok {
-			if !instance.SameValue(prev, v) {
-				e.unbindTo(mark)
-				return false
-			}
-			continue
-		}
-		e.values[vvar] = v
-		e.boundStack = append(e.boundStack, vvar)
-	}
-	p := &e.plan.plans[i]
-	if p.checkAllNeq {
-		// Reference mode: check every pair that happens to be bound.
-		for _, ne := range e.q.Neq {
-			l, lok := e.values[ne[0]]
-			r, rok := e.values[ne[1]]
-			if lok && rok && instance.SameValue(l, r) {
-				e.unbindTo(mark)
-				return false
-			}
-		}
-		return true
-	}
-	for _, ne := range p.neq {
-		if instance.SameValue(e.values[ne[0]], e.values[ne[1]]) {
-			e.unbindTo(mark)
-			return false
-		}
-	}
-	return true
-}
-
-func (e *evalState) unbindTo(mark int) {
-	for i := len(e.boundStack) - 1; i >= mark; i-- {
-		delete(e.values, e.boundStack[i])
-	}
-	e.boundStack = e.boundStack[:mark]
 }

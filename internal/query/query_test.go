@@ -313,3 +313,37 @@ func TestPinSelectsAndIndexes(t *testing.T) {
 		t.Error("pin on unknown attribute accepted")
 	}
 }
+
+// TestEvalCatalogLayout: the planned kernel resolves slot positions on
+// the query's catalog, so a structurally identical catalog object
+// evaluates exactly as the instance's own, while one that lays a set
+// out differently is refused rather than read at the wrong slots.
+func TestEvalCatalogLayout(t *testing.T) {
+	in := compInstance(compCat())
+	want, err := joinQuery(in.Cat).Eval(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := joinQuery(compCat()).Eval(in, Options{})
+	if err != nil {
+		t.Fatalf("identical layout: %v", err)
+	}
+	if orderedMatches(got) != orderedMatches(want) {
+		t.Fatalf("identical layout returned different matches")
+	}
+	swapped := nr.MustCatalog(nr.MustSchema("CompDB", nr.Record(
+		nr.F("Companies", nr.SetOf(nr.Record(
+			nr.F("cname", nr.StringType()),
+			nr.F("cid", nr.IntType()),
+			nr.F("location", nr.StringType()),
+		))),
+		nr.F("Projects", nr.SetOf(nr.Record(
+			nr.F("pid", nr.StringType()),
+			nr.F("pname", nr.StringType()),
+			nr.F("cid", nr.IntType()),
+		))),
+	)))
+	if _, err := joinQuery(swapped).Eval(in, Options{}); err == nil {
+		t.Fatal("a differently laid-out catalog was evaluated; want an error")
+	}
+}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -185,46 +184,6 @@ func TestPlannedMatchesNaive(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelMatchesSerial: partition racing returns byte-identical
-// results to the serial evaluation, with and without a limit.
-func TestParallelMatchesSerial(t *testing.T) {
-	cat := compCat()
-	in := compInstance(cat)
-	for i := 0; i < 40; i++ {
-		in.MustInsertVals("Companies", fmt.Sprintf("9%03d", i), "Para", "XX")
-		in.MustInsertVals("Projects", fmt.Sprintf("pp%03d", i), "P", fmt.Sprintf("9%03d", i))
-	}
-	q := joinQuery(cat)
-	store := NewIndexStore(in)
-	serial, err := q.Eval(in, Options{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) == 0 {
-		t.Fatal("no serial matches; the test instance is broken")
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par, err := q.Eval(in, Options{Store: store, Parallel: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if orderedMatches(par) != orderedMatches(serial) {
-			t.Fatalf("Parallel=%d differs from serial (%d vs %d matches)", workers, len(par), len(serial))
-		}
-	}
-	limited, err := q.Eval(in, Options{Store: store, Limit: 7, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialLimited, err := q.Eval(in, Options{Store: store, Limit: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orderedMatches(limited) != orderedMatches(serialLimited) {
-		t.Fatalf("Parallel+Limit differs from serial+Limit")
 	}
 }
 
