@@ -37,7 +37,7 @@ race-retrieval:
 # The scaled SF2/SF5 benchmark is excluded here (it builds multi-GB
 # instances); bench-scaled-smoke runs its SF2 half on its own.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkChaseScenarioSerial$$|BenchmarkProbeRetrieval' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval' -benchtime=1x .
 
 # Scaled-chase smoke: one SF2 TPCH chase with retained-heap reporting
 # (the "scenario firehose" shape). Catches bit-rot in the scaled
@@ -46,8 +46,8 @@ bench-smoke:
 bench-scaled-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaseScenarioScaled/SF2' -benchtime=1x .
 
-# Cross-check harness: the five differential oracle families (chase,
-# query, wizard, resume, server) over every builtin scenario plus
+# Cross-check harness: the six differential oracle families (chase,
+# query, wizard, resume, server, auto) over every builtin scenario plus
 # seeded mutated and random ones. Deterministic in the seed; exits
 # non-zero with a minimized repro on any disagreement.
 crosscheck:
@@ -250,9 +250,11 @@ musestat-smoke:
 
 # Instrumentation-overhead guard: with obs disabled, chase and warm
 # retrieval allocs/op must stay within the recorded seed baselines
-# (see bench_guard_test.go).
+# (see bench_guard_test.go). It runs on 1 and on 4 cores and must pass
+# on both: the verdict may not depend on the core count.
 bench-guard:
-	MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
+	GOMAXPROCS=1 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
+	GOMAXPROCS=4 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
 
 # Full benchmark sweep with allocation counts; compare against
 # BENCH_baseline.json (chase) and BENCH_retrieval_baseline.json

@@ -60,8 +60,7 @@ func scenarioMappings(b *testing.B, s *scenarios.Scenario) []*mapping.Mapping {
 }
 
 // BenchmarkChaseScenario chases a generated instance of each scenario
-// with its full (disambiguated) mapping set, using the parallel
-// per-mapping chase.
+// with its full (disambiguated) mapping set.
 func BenchmarkChaseScenario(b *testing.B) {
 	for _, s := range scenarios.All() {
 		s := s
@@ -72,26 +71,6 @@ func BenchmarkChaseScenario(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := chase.Chase(in, ms...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChaseScenarioSerial is the single-threaded reference point
-// for BenchmarkChaseScenario: the gap between the two is the
-// parallel-chase speedup.
-func BenchmarkChaseScenarioSerial(b *testing.B) {
-	for _, s := range scenarios.All() {
-		s := s
-		b.Run(s.Name, func(b *testing.B) {
-			ms := scenarioMappings(b, s)
-			in := s.NewInstance(0.02)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.ChaseSerial(in, ms...); err != nil {
 					b.Fatal(err)
 				}
 			}

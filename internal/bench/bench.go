@@ -89,11 +89,6 @@ type MuseGConfig struct {
 	Obs *obs.Obs
 }
 
-// DefaultMuseGConfig mirrors the paper's setup.
-func DefaultMuseGConfig() MuseGConfig {
-	return MuseGConfig{Scale: 1, Timeout: 500 * time.Millisecond}
-}
-
 // RunMuseG designs every grouping function of every mapping of the
 // scenario with a designer who has the given strategy in mind, and
 // reports the Fig. 5 columns.

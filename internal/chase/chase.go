@@ -3,8 +3,6 @@ package chase
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"muse/internal/instance"
 	"muse/internal/mapping"
@@ -16,13 +14,8 @@ import (
 // universal solution: the set union of the tuples produced by chasing
 // src with each mapping (Sec. II, Fig. 2). All mappings must be
 // unambiguous (interpret ambiguous mappings with Muse-D first) and
-// share the same pair of schemas.
-//
-// With multiple mappings and GOMAXPROCS > 1, each mapping is chased
-// into its own scratch instance across a bounded worker pool and the
-// scratch instances are merged in mapping order, so the result is
-// byte-identical to ChaseSerial's while multi-mapping scenarios scale
-// with cores.
+// share the same pair of schemas. The mappings are chased in order
+// into one output instance.
 func Chase(src *instance.Instance, ms ...*mapping.Mapping) (*instance.Instance, error) {
 	return ChaseObs(src, nil, ms...)
 }
@@ -54,62 +47,30 @@ func ChaseCtx(ctx context.Context, src *instance.Instance, o *obs.Obs, ms ...*ma
 	if err != nil {
 		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ms) {
-		workers = len(ms)
-	}
 	sp, ctx := o.StartCtx(ctx, obs.SpanChase)
 	if o != nil {
 		o.Counter(obs.MChaseRuns).Inc()
-		o.Gauge(obs.GChaseWorkers).Set(int64(workers))
+		o.Gauge(obs.GChaseWorkers).Set(1)
 	}
-	defer sp.Attr("mappings", len(ms)).Attr("workers", workers).End()
-	if workers <= 1 {
-		return chaseAll(ctx, src, ms, infos, tgtCat, o)
-	}
-	scratch := make([]*instance.Instance, len(ms))
-	errs := make([]error, len(ms))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range ms {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out := instance.New(tgtCat)
-			if errs[i] = chaseOne(ctx, src, ms[i], infos[i], out, o); errs[i] == nil {
-				scratch[i] = out
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs { // first failure in mapping order, as in the serial chase
-		if err != nil {
+	defer sp.Attr("mappings", len(ms)).End()
+	out := instance.New(tgtCat)
+	for i, m := range ms {
+		if err := chaseOne(ctx, src, m, infos[i], out, o); err != nil {
 			return nil, err
 		}
-	}
-	out := instance.New(tgtCat)
-	for _, sc := range scratch {
-		merge(out, sc)
 	}
 	return out, nil
 }
 
-// ChaseSerial is the single-threaded chase, retained as the
-// deterministic reference implementation (and for benchmarking the
-// parallel path against).
+// ChaseSerial is Chase. It is kept because perfbench's exchange
+// reference calls it by name.
 func ChaseSerial(src *instance.Instance, ms ...*mapping.Mapping) (*instance.Instance, error) {
-	infos, tgtCat, err := prepare(ms)
-	if err != nil {
-		return nil, err
-	}
-	return chaseAll(context.Background(), src, ms, infos, tgtCat, nil)
+	return Chase(src, ms...)
 }
 
 // prepare validates the mapping set and resolves each mapping once,
-// mirroring the serial chase's error order (ambiguity before analysis
-// failure, earliest mapping first).
+// reporting the earliest mapping's error first (ambiguity before
+// analysis failure).
 func prepare(ms []*mapping.Mapping) ([]*mapping.Info, *nr.Catalog, error) {
 	if len(ms) == 0 {
 		return nil, nil, fmt.Errorf("chase: no mappings given")
@@ -132,38 +93,9 @@ func prepare(ms []*mapping.Mapping) ([]*mapping.Info, *nr.Catalog, error) {
 	return infos, tgtCat, nil
 }
 
-func chaseAll(ctx context.Context, src *instance.Instance, ms []*mapping.Mapping, infos []*mapping.Info, tgtCat *nr.Catalog, o *obs.Obs) (*instance.Instance, error) {
-	out := instance.New(tgtCat)
-	for i, m := range ms {
-		if err := chaseOne(ctx, src, m, infos[i], out, o); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// merge set-unions one mapping's scratch result into out. Scratch sets
-// are visited in creation order and tuples in insertion order, so
-// merging the per-mapping results in mapping order reproduces exactly
-// the occurrence and tuple order the serial chase would have produced.
-func merge(out, scratch *instance.Instance) {
-	for _, s := range scratch.AllSets() {
-		dst := out.EnsureSet(s.Type, s.ID)
-		s.Each(func(t *instance.Tuple) bool {
-			dst.Insert(t)
-			return true
-		})
-	}
-}
-
 // MustChase is Chase, panicking on error.
 func MustChase(src *instance.Instance, ms ...*mapping.Mapping) *instance.Instance {
-	return MustChaseObs(src, nil, ms...)
-}
-
-// MustChaseObs is ChaseObs, panicking on error.
-func MustChaseObs(src *instance.Instance, o *obs.Obs, ms ...*mapping.Mapping) *instance.Instance {
-	out, err := ChaseObs(src, o, ms...)
+	out, err := Chase(src, ms...)
 	if err != nil {
 		panic(err)
 	}

@@ -90,11 +90,11 @@ func TestChaseCtxBackgroundIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaseSerial(in, m)
+	b, err := Chase(in, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.StringCompact() != b.StringCompact() {
-		t.Fatal("ChaseCtx(Background) differs from ChaseSerial")
+		t.Fatal("ChaseCtx(Background) differs from Chase")
 	}
 }

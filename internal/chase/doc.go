@@ -9,8 +9,8 @@
 // Invariants:
 //
 //   - Determinism: Chase, ChaseSerial, ChaseObs and ChaseCtx produce
-//     byte-identical instances for the same input, regardless of
-//     worker count.
+//     byte-identical instances for the same input
+//     (testdata/scenario_chase.golden pins them).
 //   - Cancellation: ChaseCtx aborts promptly once its context is
 //     cancelled (the evaluator polls the context on a step counter,
 //     keeping the check off the per-assignment hot path) and returns

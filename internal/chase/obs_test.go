@@ -10,9 +10,8 @@ import (
 )
 
 // TestChaseObsSharedRegistry hammers one Obs bundle from several
-// concurrent chases (each of which may itself fan out per-mapping
-// workers) and checks the counters add up exactly; run under -race it
-// is the chase-side concurrency test of the obs substrate.
+// concurrent chases and checks the counters add up exactly; run under
+// -race it is the chase-side concurrency test of the obs substrate.
 func TestChaseObsSharedRegistry(t *testing.T) {
 	fig := scenarios.NewFigure1(true)
 
@@ -24,6 +23,9 @@ func TestChaseObsSharedRegistry(t *testing.T) {
 	asg := ref.Reg.Get(obs.MChaseAssignments)
 	if tuples == 0 || asg == 0 {
 		t.Fatalf("reference chase recorded tuples=%d assignments=%d, want both > 0", tuples, asg)
+	}
+	if got := ref.Reg.Get(obs.GChaseWorkers); got != 1 {
+		t.Fatalf("chase workers gauge = %d, want 1", got)
 	}
 
 	o := obs.New()

@@ -108,8 +108,6 @@ func (w *GroupingWizard) recordSK(stats SKStats) {
 	r.Counter(obs.MMuseGRealExamples).Add(int64(stats.RealExamples))
 	r.Counter(obs.MMuseGSyntheticExamples).Add(int64(stats.SyntheticExamples))
 	r.Counter(obs.MMuseGExampleTuples).Add(int64(stats.ExampleTuples))
-	r.Counter(obs.MMuseGExampleNanos).Add(int64(stats.ExampleTime))
-	r.Counter(obs.MMuseGChaseNanos).Add(int64(stats.ChaseTime))
 }
 
 // NewGroupingWizard constructs a wizard with the given constraints and
@@ -282,7 +280,6 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 	// answer triggered this probe.
 	sp, pctx := w.Obs.StartCtx(w.context(), obs.SpanMuseGProbe)
 	defer sp.End()
-	chaseStart := time.Now()
 	s1, err := chase.ChaseCtx(pctx, ie, w.Obs, d1)
 	if err != nil {
 		return 0, false, err
@@ -291,7 +288,6 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 	if err != nil {
 		return 0, false, err
 	}
-	stats.ChaseTime += time.Since(chaseStart)
 	if homo.Isomorphic(s1, s2) {
 		if real {
 			// The real example is too coincidental to differentiate the
@@ -300,14 +296,12 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 			real = false
 			stats.RealExamples--
 			stats.SyntheticExamples++
-			chaseStart = time.Now()
 			if s1, err = chase.ChaseCtx(pctx, ie, w.Obs, d1); err != nil {
 				return 0, false, err
 			}
 			if s2, err = chase.ChaseCtx(pctx, ie, w.Obs, d2); err != nil {
 				return 0, false, err
 			}
-			stats.ChaseTime += time.Since(chaseStart)
 		}
 		if homo.Isomorphic(s1, s2) {
 			return 0, true, nil
@@ -371,7 +365,6 @@ func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs,
 	if err != nil {
 		return 0, err
 	}
-	chaseStart := time.Now()
 	s1, err := chase.ChaseCtx(w.context(), ie, w.Obs, d1)
 	if err != nil {
 		return 0, err
@@ -380,7 +373,6 @@ func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs,
 	if err != nil {
 		return 0, err
 	}
-	stats.ChaseTime += time.Since(chaseStart)
 	q := &GroupingQuestion{
 		Kind: QuestionKeyGrouping, Mapping: m, SK: fn,
 		Source: ie, Real: real, Scenario1: s1, Scenario2: s2,

@@ -107,9 +107,6 @@ type SKStats struct {
 	// ExampleTime is the total time spent constructing and retrieving
 	// example instances.
 	ExampleTime time.Duration
-	// ChaseTime is the total time spent chasing the example into the
-	// two scenarios of each question.
-	ChaseTime time.Duration
 	// ExampleTuples is the total tuple count across the obtained
 	// example instances (real and synthetic).
 	ExampleTuples int

@@ -10,11 +10,9 @@ import (
 	"muse/internal/parser"
 )
 
-// CheckChase runs the chase oracle: on every case, ChaseSerial, the
-// parallel Chase (under forced GOMAXPROCS so the worker pool engages
-// even on one core), and NaiveChase must agree — the two production
-// engines byte-identically, the reference up to isomorphism. Panics
-// and error-behavior mismatches count as failures too.
+// CheckChase runs the chase oracle: on every case, Chase and
+// NaiveChase must agree up to isomorphism. Panics and error-behavior
+// mismatches count as failures too.
 func CheckChase(cfg Config) []Failure {
 	cfg = cfg.withDefaults()
 	var fails []Failure
@@ -30,8 +28,7 @@ func CheckChase(cfg Config) []Failure {
 
 // naiveBudget bounds the estimated leaf visits of one NaiveChase call.
 // Generate-and-test is exponential in the generator count, so the
-// reference leg runs on a downsampled instance when a case exceeds it;
-// the optimized engines still cross-check each other at full size.
+// oracle runs on a downsampled instance when a case exceeds it.
 const naiveBudget = 2e6
 
 // naiveCost estimates NaiveChase's leaf visits: per mapping, the
@@ -84,85 +81,45 @@ func naiveSized(c *Case) *Case {
 	return &Case{Name: c.Name + "-cap0", Src: instance.New(c.Src.Cat), Ms: c.Ms}
 }
 
-// checkChaseCase cross-checks one case; nil means agreement.
+// checkChaseCase cross-checks one case, possibly on a downsampled
+// copy; nil means agreement.
 func checkChaseCase(c *Case) *Failure {
-	var ser, par *instance.Instance
-	errSer := guard(func() error { var err error; ser, err = chase.ChaseSerial(c.Src, c.Ms...); return err })
-	var errPar error
-	forceParallel(4, func() {
-		errPar = guard(func() error { var err error; par, err = chase.Chase(c.Src, c.Ms...); return err })
-	})
-	if (errSer == nil) != (errPar == nil) {
+	c = naiveSized(c)
+	var out, ref *instance.Instance
+	errOut := guard(func() error { var err error; out, err = chase.Chase(c.Src, c.Ms...); return err })
+	errRef := guard(func() error { var err error; ref, err = NaiveChase(c.Src, c.Ms...); return err })
+	if (errOut == nil) != (errRef == nil) {
 		return &Failure{
 			Oracle: "chase", Case: c.Name,
-			Detail: fmt.Sprintf("error behavior diverged: serial=%v parallel=%v", errSer, errPar),
+			Detail: fmt.Sprintf("error behavior diverged: chase=%v naive=%v", errOut, errRef),
 			Repro:  reproCase(c),
 		}
 	}
-	if errSer == nil {
-		if ps, ss := par.String(), ser.String(); ps != ss {
-			return &Failure{
-				Oracle: "chase", Case: c.Name,
-				Detail: "parallel Chase and ChaseSerial render differently",
-				Repro:  reproCase(minimizeChase(c, divergeParSer)),
-			}
-		}
-	}
-
-	// Reference leg, possibly on a downsampled copy of the case.
-	nc := naiveSized(c)
-	if nc != c {
-		errSer = guard(func() error { var err error; ser, err = chase.ChaseSerial(nc.Src, nc.Ms...); return err })
-	}
-	var ref *instance.Instance
-	errRef := guard(func() error { var err error; ref, err = NaiveChase(nc.Src, nc.Ms...); return err })
-	if (errSer == nil) != (errRef == nil) {
-		return &Failure{
-			Oracle: "chase", Case: nc.Name,
-			Detail: fmt.Sprintf("error behavior diverged: serial=%v naive=%v", errSer, errRef),
-			Repro:  reproCase(nc),
-		}
-	}
-	if errSer != nil {
+	if errOut != nil {
 		return nil // both agree the input is invalid
 	}
-	c = nc
-	if !homo.Isomorphic(ser, ref) {
-		mc := minimizeChase(c, divergeSerNaive)
-		mSer, _ := chase.ChaseSerial(mc.Src, mc.Ms...)
+	if !homo.Isomorphic(out, ref) {
+		mc := minimizeChase(c, divergeNaive)
+		mOut, _ := chase.Chase(mc.Src, mc.Ms...)
 		mRef, _ := NaiveChase(mc.Src, mc.Ms...)
-		detail := "ChaseSerial and NaiveChase outputs are not isomorphic"
 		repro := reproCase(mc)
-		if mSer != nil && mRef != nil {
-			repro += fmt.Sprintf("--- serial chase ---\n%s--- naive chase ---\n%s", mSer, mRef)
+		if mOut != nil && mRef != nil {
+			repro += fmt.Sprintf("--- chase ---\n%s--- naive chase ---\n%s", mOut, mRef)
 		}
-		return &Failure{Oracle: "chase", Case: c.Name, Detail: detail, Repro: repro}
+		return &Failure{Oracle: "chase", Case: c.Name, Detail: "Chase and NaiveChase outputs are not isomorphic", Repro: repro}
 	}
 	return nil
 }
 
-// divergeParSer reports whether the parallel/serial disagreement still
+// divergeNaive reports whether the chase/naive disagreement still
 // reproduces on the (shrunken) case.
-func divergeParSer(c *Case) bool {
-	ser, errS := chase.ChaseSerial(c.Src, c.Ms...)
-	var par *instance.Instance
-	var errP error
-	forceParallel(4, func() { par, errP = chase.Chase(c.Src, c.Ms...) })
-	if (errS == nil) != (errP == nil) {
-		return true
-	}
-	return errS == nil && par.String() != ser.String()
-}
-
-// divergeSerNaive reports whether the serial/naive disagreement still
-// reproduces on the (shrunken) case.
-func divergeSerNaive(c *Case) bool {
-	ser, errS := chase.ChaseSerial(c.Src, c.Ms...)
+func divergeNaive(c *Case) bool {
+	out, errO := chase.Chase(c.Src, c.Ms...)
 	ref, errR := NaiveChase(c.Src, c.Ms...)
-	if (errS == nil) != (errR == nil) {
+	if (errO == nil) != (errR == nil) {
 		return true
 	}
-	return errS == nil && !homo.Isomorphic(ser, ref)
+	return errO == nil && !homo.Isomorphic(out, ref)
 }
 
 // minimizeChase greedily shrinks the case's source instance while the

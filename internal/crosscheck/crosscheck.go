@@ -98,8 +98,8 @@ func RunAll(cfg Config) []Failure {
 }
 
 // forceParallel raises GOMAXPROCS to at least n for the duration of
-// fn, so the parallel chase and query paths are exercised even on the
-// single-core CI box.
+// fn, so the auto oracle's concurrent work (index building, prefetch
+// workers) really runs in parallel even on a single-core machine.
 func forceParallel(n int, fn func()) {
 	old := runtime.GOMAXPROCS(0)
 	if old < n {

@@ -17,13 +17,13 @@ func testConfig() Config {
 
 // TestNaiveChaseMatchesOnFigures pins the reference evaluator itself:
 // on the hand-built figure scenarios the naive chase must be
-// isomorphic to the optimized serial chase and must itself be a
+// isomorphic to the optimized chase and must itself be a
 // solution witness.
 func TestNaiveChaseMatchesOnFigures(t *testing.T) {
 	for _, c := range BaseCases(0.02)[:6] { // the six figure cases
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			ser, err := chase.ChaseSerial(c.Src, c.Ms...)
+			out, err := chase.Chase(c.Src, c.Ms...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,8 +31,8 @@ func TestNaiveChaseMatchesOnFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !homo.Isomorphic(ser, ref) {
-				t.Fatalf("naive and serial chase are not isomorphic on %s:\nserial:\n%s\nnaive:\n%s", c.Name, ser, ref)
+			if !homo.Isomorphic(out, ref) {
+				t.Fatalf("naive and optimized chase are not isomorphic on %s:\nchase:\n%s\nnaive:\n%s", c.Name, out, ref)
 			}
 			ok, err := chase.IsSolution(c.Src, ref, c.Ms...)
 			if err != nil {
@@ -45,8 +45,8 @@ func TestNaiveChaseMatchesOnFigures(t *testing.T) {
 	}
 }
 
-// TestChaseOracle runs the full chase differential (serial vs parallel
-// vs naive, builtin + mutated + random scenarios) at the test scale.
+// TestChaseOracle runs the full chase differential (chase vs naive,
+// builtin + mutated + random scenarios) at the test scale.
 func TestChaseOracle(t *testing.T) {
 	for _, f := range CheckChase(testConfig()) {
 		t.Errorf("%s", f)

@@ -4,19 +4,24 @@
 // its in-process equivalent, over deterministic seeded inputs
 // (DESIGN.md §10).
 //
-// Four oracle families:
+// Six oracle families:
 //
-//   - chase (CheckChase): Chase vs ChaseSerial (byte-identity) vs
-//     NaiveChase, a from-scratch no-index nested-loop reference
-//     evaluator, compared up to instance isomorphism via internal/homo.
-//   - query (CheckQuery): the cost-based planner (serial, parallel,
-//     Limit, First, Neq pushdown) vs the naive scan evaluator on
-//     generated conjunctive probes.
+//   - chase (CheckChase): Chase vs NaiveChase, a from-scratch no-index
+//     nested-loop reference evaluator, compared up to instance
+//     isomorphism via internal/homo.
+//   - query (CheckQuery): the cost-based planner (full, Limit, First,
+//     Neq pushdown) vs the naive scan evaluator on generated
+//     conjunctive probes.
 //   - wizard (CheckWizard): Stepper dialogs vs Session.Run
 //     byte-identity under seeded valid and invalid answer sequences.
+//   - resume (CheckResume): a dialog rebuilt by replay, in process and
+//     through a reopened WAL store, vs the uninterrupted dialog.
 //   - server (CheckServer): wire sessions vs in-process sessions plus
 //     injected faults — malformed bodies, invalid answers, cancelled
 //     requests, session eviction, concurrent hammering.
+//   - auto (CheckAuto): ranked and unattended runs are deterministic
+//     and the rankings advisory — byte-identical questions with and
+//     without a ranker.
 //
 // Inputs come from the builtin scenarios (Fig. 1, Fig. 4, the four
 // Sec. VI evaluation scenarios) plus two seeded generators: a

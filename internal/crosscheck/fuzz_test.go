@@ -7,8 +7,8 @@ import (
 
 // FuzzMutatedChase drives the chase differential from a fuzzed seed:
 // the figure cases are mutated with the seed's rand stream, a random
-// scenario is drawn from the same stream, and serial, parallel, and
-// naive chase must agree on every one. Any interesting seed the
+// scenario is drawn from the same stream, and the chase and the naive
+// chase must agree on every one. Any interesting seed the
 // fuzzer keeps is a whole family of adversarial instances.
 func FuzzMutatedChase(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 42, 7919} {
@@ -34,8 +34,8 @@ func FuzzMutatedChase(f *testing.F) {
 
 // FuzzRandomQuery drives the query differential from a fuzzed seed:
 // a random scenario instance and a probe are drawn from the seed's
-// rand stream, and the naive scan, the planner, the parallel race,
-// Limit, and First must all agree.
+// rand stream, and the naive scan, the planner, Limit, and First must
+// all agree.
 func FuzzRandomQuery(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 42, 7919} {
 		f.Add(s)

@@ -9,7 +9,7 @@
 //
 //   - Values (Const, Null, SetRef) are immutable and freely shareable;
 //     their canonical keys are cached behind atomic pointers, so
-//     concurrent readers (the parallel chase, server sessions sharing
+//     concurrent readers (prefetch workers, server sessions sharing
 //     one real instance) are race-free.
 //   - Two values are equal iff their Key() strings are equal; tuple
 //     and set identity derive from value keys, never from pointers.

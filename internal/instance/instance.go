@@ -25,8 +25,9 @@ type Tuple struct {
 	vals []Value
 
 	// key caches the canonical encoding; Put invalidates it. The cache
-	// is atomic so read-only sharing across chase workers is race-free
-	// (concurrent mutation via Put is not supported, as before).
+	// is atomic so read-only sharing across goroutines (concurrent
+	// chases, prefetch workers) is race-free; concurrent mutation via
+	// Put is not supported.
 	key atomic.Pointer[string]
 }
 
@@ -215,15 +216,14 @@ type Instance struct {
 	// instance (see compact.go); keyBuf is the reusable scratch the
 	// clone-on-insert path composes tuple keys into. Neither is safe
 	// for concurrent mutation — like Insert itself, the builder-side
-	// API is single-writer (chase workers build into private scratch
-	// instances and merge single-threaded).
+	// API is single-writer.
 	arena   arena
 	keyBuf  []byte
 	scratch map[*nr.SetType]*Tuple // ScratchTuple cache, one per set type
 
 	// intern is the per-instance value intern table (see intern.go).
-	// Unlike the arena it IS concurrency-safe: parallel chase workers
-	// intern source values through the shared input instance.
+	// Unlike the arena it is guarded by a mutex, so interning stays
+	// race-free even if two goroutines call Intern* at once.
 	intern internTable
 }
 
@@ -272,8 +272,8 @@ func (in *Instance) Set(id *SetRef) *SetVal { return in.sets[id.Key()] }
 // Top returns the unique occurrence of a top-level set type. The
 // occurrences of the instance's own catalog are cached at construction
 // so the lookup skips re-minting the SetID; the cache is never written
-// afterwards, keeping concurrent read-only use (the parallel chase)
-// race-free.
+// afterwards, keeping concurrent read-only use (prefetch workers and
+// server sessions sharing one source instance) race-free.
 func (in *Instance) Top(st *nr.SetType) *SetVal {
 	if s, ok := in.tops[st]; ok {
 		return s

@@ -19,79 +19,53 @@ import "sync"
 // Interned values are immutable, like all Values: Intern* clones the
 // caller's argument slice on a table miss, so callers may reuse scratch
 // slices, and nothing handed out by the table may ever be mutated.
-// The table is sharded and each shard has its own mutex, so concurrent
-// interning from parallel chase workers contends only on key-colliding
-// shards. The hit path allocates nothing: keys are composed in pooled
-// buffers and looked up with the compiler's []byte-to-string map
-// optimization.
-
-const internShards = 16
-
-type internShard struct {
-	mu sync.Mutex
-	m  map[string]Value
-}
+// One mutex guards the map and the key buffer. The hit path allocates
+// nothing: keys are composed in the table's own buffer and looked up
+// with the compiler's []byte-to-string map optimization.
 
 type internTable struct {
-	shards [internShards]internShard
+	mu  sync.Mutex
+	m   map[string]Value
+	buf []byte // key scratch, reused under mu
 }
 
-// fnv1a hashes the canonical key for shard selection.
-func fnv1a(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
+// lock locks the table and returns its key buffer, emptied and
+// started with the kind tag.
+func (tb *internTable) lock(kind byte) []byte {
+	tb.mu.Lock()
+	if tb.m == nil {
+		tb.m = make(map[string]Value)
 	}
-	return h
+	return append(tb.buf[:0], kind, 0)
 }
 
-// lock locks and returns the shard owning key.
-func (tb *internTable) lock(key []byte) *internShard {
-	sh := &tb.shards[fnv1a(key)&(internShards-1)]
-	sh.mu.Lock()
-	return sh
+// unlock keeps the (possibly grown) key buffer and unlocks the table.
+func (tb *internTable) unlock(b []byte) {
+	tb.buf = b
+	tb.mu.Unlock()
 }
 
-// size returns the total number of interned values across all shards.
+// size returns the number of interned values.
 func (tb *internTable) size() int {
-	n := 0
-	for i := range tb.shards {
-		sh := &tb.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// internKeyBufs pools scratch buffers for composing intern keys, so
-// interning from many goroutines never allocates a key buffer.
-var internKeyBufs = sync.Pool{
-	New: func() any { b := make([]byte, 0, 128); return &b },
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	return len(tb.m)
 }
 
 // InternConst returns the canonical boxed Const for s. The returned
 // interface value shares one data word per distinct string within the
 // instance, so assigning it to tuple slots never re-boxes.
 func (in *Instance) InternConst(s string) Value {
-	bp := internKeyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], 'c', 0)
-	b = append(b, s...)
-	sh := in.intern.lock(b)
-	v, ok := sh.m[string(b)]
+	tb := &in.intern
+	b := append(tb.lock('c'), s...)
+	v, ok := tb.m[string(b)]
 	if !ok {
-		if sh.m == nil {
-			sh.m = make(map[string]Value)
-		}
 		canon := string(b)
 		// Share the key's bytes: canon is "c\x00" + s.
 		v = Const{S: canon[2:]}
-		sh.m[canon] = v
+		tb.m[canon] = v
 	}
-	sh.mu.Unlock()
-	*bp = b
-	internKeyBufs.Put(bp)
+	tb.unlock(b)
 	return v
 }
 
@@ -115,15 +89,10 @@ func (in *Instance) InternNullShared(fn string, args []Value, owned *[]Value) *N
 }
 
 func (in *Instance) internNull(fn string, args []Value, owned *[]Value) *Null {
-	bp := internKeyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], 'n', 0)
-	b = appendTerm(b, fn, args)
-	sh := in.intern.lock(b)
-	v, ok := sh.m[string(b)]
+	tb := &in.intern
+	b := appendTerm(tb.lock('n'), fn, args)
+	v, ok := tb.m[string(b)]
 	if !ok {
-		if sh.m == nil {
-			sh.m = make(map[string]Value)
-		}
 		retained := args
 		if owned != nil {
 			if *owned == nil {
@@ -136,54 +105,28 @@ func (in *Instance) internNull(fn string, args []Value, owned *[]Value) *Null {
 		canon := string(b)
 		n := &Null{Fn: fn, Args: retained}
 		n.key.Store(&canon)
-		sh.m[canon] = n
+		tb.m[canon] = n
 		v = n
 	}
-	sh.mu.Unlock()
-	*bp = b
-	internKeyBufs.Put(bp)
+	tb.unlock(b)
 	return v.(*Null)
 }
 
 // InternSetRef returns the canonical *SetRef for the SetID term
 // fn(args). Cloning and key pre-storage follow InternNull.
 func (in *Instance) InternSetRef(fn string, args []Value) *SetRef {
-	bp := internKeyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], 's', 0)
-	b = appendTerm(b, fn, args)
-	sh := in.intern.lock(b)
-	v, ok := sh.m[string(b)]
+	tb := &in.intern
+	b := appendTerm(tb.lock('s'), fn, args)
+	v, ok := tb.m[string(b)]
 	if !ok {
-		if sh.m == nil {
-			sh.m = make(map[string]Value)
-		}
 		canon := string(b)
 		s := &SetRef{Fn: fn, Args: cloneArgs(args)}
 		s.key.Store(&canon)
-		sh.m[canon] = s
+		tb.m[canon] = s
 		v = s
 	}
-	sh.mu.Unlock()
-	*bp = b
-	internKeyBufs.Put(bp)
+	tb.unlock(b)
 	return v.(*SetRef)
-}
-
-// InternValue returns the canonical form of an existing value: the
-// shared box for a Const, the canonical pointer for a *Null or
-// *SetRef. Nil stays nil.
-func (in *Instance) InternValue(v Value) Value {
-	switch t := v.(type) {
-	case nil:
-		return nil
-	case Const:
-		return in.InternConst(t.S)
-	case *Null:
-		return in.InternNull(t.Fn, t.Args)
-	case *SetRef:
-		return in.InternSetRef(t.Fn, t.Args)
-	}
-	return v
 }
 
 // Interned returns the number of distinct values in the instance's

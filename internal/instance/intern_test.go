@@ -55,7 +55,7 @@ func TestInternCanonical(t *testing.T) {
 }
 
 // TestInternHitPathAllocs asserts the warm intern path allocates
-// nothing: keys are composed in pooled buffers and the shard map is
+// nothing: keys are composed in the table's own buffer and the map is
 // probed without materializing a string.
 func TestInternHitPathAllocs(t *testing.T) {
 	in := New(compCat())

@@ -145,12 +145,3 @@ func (s *Schema) Resolve(p Path) (*Type, error) {
 	}
 	return t, nil
 }
-
-// MustResolve is Resolve, panicking on error.
-func (s *Schema) MustResolve(p Path) *Type {
-	t, err := s.Resolve(p)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

@@ -10,7 +10,7 @@ const (
 	MChaseTuples      = "muse_chase_tuples_total"      // target tuples emitted (pre-dedup)
 	MChaseNulls       = "muse_chase_nulls_total"       // labeled nulls minted
 	MChaseSetIDs      = "muse_chase_setids_total"      // SetID Skolem terms minted
-	GChaseWorkers     = "muse_chase_workers"           // workers used by the last parallel chase
+	GChaseWorkers     = "muse_chase_workers"           // workers of the last chase: always 1 (the chase is serial)
 
 	// query engine / planner
 	MQueryEvals        = "muse_query_evals_total"         // Eval calls
@@ -39,8 +39,6 @@ const (
 	MMuseGRealExamples      = "muse_museg_real_examples_total"
 	MMuseGSyntheticExamples = "muse_museg_synthetic_examples_total"
 	MMuseGExampleTuples     = "muse_museg_example_tuples_total"
-	MMuseGExampleNanos      = "muse_museg_example_nanos_total" // example construction/retrieval
-	MMuseGChaseNanos        = "muse_museg_chase_nanos_total"   // chasing the two scenarios per question
 
 	// Muse-D (disambiguation wizard)
 	MMuseDQuestions         = "muse_mused_questions_total"

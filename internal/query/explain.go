@@ -25,19 +25,6 @@ func (q *Query) PlanWith(store *IndexStore) (*Plan, error) {
 	return &Plan{p: q.plan(store)}, nil
 }
 
-// Costed reports how many atomCost evaluations planning performed.
-func (p *Plan) Costed() int { return p.p.costed }
-
-// Tiers returns the per-position access-tier labels in execution
-// order (the strings Explain prints in brackets).
-func (p *Plan) Tiers() []string {
-	out := make([]string, len(p.p.plans))
-	for i := range p.p.plans {
-		out[i] = tierNames[p.p.plans[i].tier]
-	}
-	return out
-}
-
 // Explain renders the plan as one line per execution position:
 //
 //  0. e in CompDB.Emps [bound-composite] index(Name,Proj) cost=1.5 (atom 2)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -218,16 +217,6 @@ func buildIndex(set *instance.SetVal, attrs []string) map[string][]*instance.Tup
 	return idx
 }
 
-// ProbeKey composes the lookup key for an Index(st, attrs) probe into
-// buf (reused across probes; the caller passes buf[:0]).
-func ProbeKey(buf []byte, vals []instance.Value) []byte {
-	for _, v := range vals {
-		buf = instance.AppendValueKey(buf, v)
-		buf = append(buf, '\x05')
-	}
-	return buf
-}
-
 // Stats returns the statistics block for the set type, computing it on
 // first use. For top-level sets one pass collects cardinality and
 // per-attribute distinct counts; for nested set types only the
@@ -287,11 +276,4 @@ func collectStats(in *instance.Instance, st *nr.SetType) *SetStats {
 		stats.Occs++
 	}
 	return stats
-}
-
-// sortedAttrs returns a sorted copy of attrs (canonical index order).
-func sortedAttrs(attrs []string) []string {
-	out := append([]string(nil), attrs...)
-	sort.Strings(out)
-	return out
 }

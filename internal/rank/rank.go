@@ -79,12 +79,6 @@ type Scorer struct {
 	Threshold float64
 }
 
-// NewScorer builds a scorer over the source constraints and the
-// session's shared index store (both optional).
-func NewScorer(d *deps.Set, store *query.IndexStore) *Scorer {
-	return &Scorer{Deps: d, Store: store}
-}
-
 // threshold returns the effective decisiveness cutoff.
 func (s *Scorer) threshold() float64 {
 	if s.Threshold > 0 {

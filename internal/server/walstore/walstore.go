@@ -156,9 +156,6 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	return s, stats, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(token string) (string, error) {
 	if !validToken(token) {
 		return "", fmt.Errorf("walstore: invalid token %q", token)

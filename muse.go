@@ -144,16 +144,9 @@ func NewMappingSet(src, tgt *Catalog, ms ...*Mapping) (*MappingSet, error) {
 // --- chase and comparison ---
 
 // Chase chases src with the mappings, producing the canonical
-// universal solution (Fig. 2 of the paper). Multi-mapping chases run
-// each mapping on its own core when available; the output is
-// byte-identical to ChaseSerial's.
+// universal solution (Fig. 2 of the paper): the mappings are chased in
+// order into one output instance.
 func Chase(src *Instance, ms ...*Mapping) (*Instance, error) { return chase.Chase(src, ms...) }
-
-// ChaseSerial is the single-threaded chase, retained as the
-// deterministic reference implementation.
-func ChaseSerial(src *Instance, ms ...*Mapping) (*Instance, error) {
-	return chase.ChaseSerial(src, ms...)
-}
 
 // ChaseObs is Chase with observability: when o is non-nil, chase
 // counters (assignments, tuples, nulls) land in its registry and each
