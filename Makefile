@@ -1,7 +1,9 @@
 # Development targets. `make ci` is the gate every change must pass:
 # vet, build, the full test suite under the race detector, a focused
 # race pass over the retrieval path (concurrent index building in
-# internal/query + the wizards' prefetch workers), benchmark smoke
+# internal/query + the wizards' prefetch workers), a repeated race
+# pass over the instance layer's lazily filled hash and key caches
+# (concurrent reads of one shared instance), benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
 # paying for a full sweep), an observability smoke run (an end-to-end
 # wizard session must produce non-zero metrics and a trace), an
@@ -15,9 +17,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-retrieval bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench
+.PHONY: ci vet build test race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench
 
-ci: vet build race race-retrieval bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
+ci: vet build race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +35,12 @@ race:
 
 race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
+
+# Server sessions and prefetch workers read one source instance at
+# once, and the first Set, Contains or Key on a value fills its hash or
+# key cache. Repeat the concurrent-read tests under the race detector.
+race-instance:
+	$(GO) test -race -count=10 -run 'Concurrent|SharedRegistry' ./internal/instance ./internal/chase
 
 # The scaled SF2/SF5 benchmark is excluded here (it builds multi-GB
 # instances); bench-scaled-smoke runs its SF2 half on its own.

@@ -3,6 +3,7 @@ package chase
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"muse/internal/instance"
 	"muse/internal/mapping"
@@ -103,13 +104,13 @@ func MustChase(src *instance.Instance, ms ...*mapping.Mapping) *instance.Instanc
 }
 
 func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, info *mapping.Info, out *instance.Instance, o *obs.Obs) error {
-	plan, err := planTarget(m, info)
+	e := newEvaluator(src, m, info)
+	e.ctx = ctx
+	plan, err := planTarget(m, info, e)
 	if err != nil {
 		return err
 	}
 	sp, _ := o.StartCtx(ctx, obs.SpanChaseMapping)
-	e := newEvaluator(src, m, info)
-	e.ctx = ctx
 	err = e.each(func(asg assignment) error {
 		return plan.emit(asg, out)
 	})
@@ -124,10 +125,11 @@ func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, i
 	return err
 }
 
-// targetPlan precomputes, for one mapping, how to build the target
-// tuples of an assignment: for every (exists var, attribute) slot,
-// either a source expression, or a Skolem null shared by its equality
-// class; and for every (exists var, set field), the grouping term.
+// targetPlan is one mapping's exists clause compiled against its for
+// clause: how to build the target tuples of an assignment. Every source
+// expression it reads (atom feeds, Skolem and grouping arguments,
+// consistency checks) is resolved to a (generator position, slot) pair
+// once, and every target slot and parent set field to its position.
 //
 // The per-variable plans are slot-aligned with instance.Tuple's
 // compact storage: emit writes each slot by position (PutSlot), into a
@@ -135,29 +137,28 @@ func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, i
 // insert Instance.InsertUnique so only novel tuples ever reach the
 // output arena.
 type targetPlan struct {
-	m    *mapping.Mapping
-	info *mapping.Info
 	// vars holds one slot-aligned build plan per exists variable,
 	// indexed by the variable's position in info.TgtOrder.
 	vars []varPlan
-	// skolemArgs lists the source expressions that parameterize the
-	// nulls minted per assignment (all source atoms, in order).
-	skolemArgs []mapping.Expr
-	// checkGroups maps a target equality-class representative to all
-	// source expressions feeding it (usually one); multiple feeds must
-	// agree at emit time.
-	checkGroups map[mapping.Expr][]mapping.Expr
-	// varPos maps each exists variable to its position in
-	// info.TgtOrder.
-	varPos map[string]int
-	// skArgs and argBuf are per-emit scratch for Skolem/grouping term
-	// arguments; the interners clone them on a table miss, so reuse
-	// across emits is safe. ownedSkArgs is the emit's retained clone of
-	// skArgs, made lazily by the first interner miss and shared by all
-	// nulls of the assignment (reset each emit).
-	skArgs      []instance.Value
-	ownedSkArgs []instance.Value
-	argBuf      []instance.Value
+	// inserts lists the exists generators in declaration order, the
+	// order emit inserts their tuples in.
+	inserts []insertStep
+	// skolemArgs are the source values that parameterize the nulls of
+	// an assignment (all source atoms, in order), and the arguments of
+	// every grouping term over all of them.
+	skolemArgs []slotRef
+	// checks are the consistency groups: source expressions feeding one
+	// target equality class, which must agree for the assignment to
+	// fire. Only groups of two or more are kept.
+	checks [][]slotRef
+	// skVals/skArgs are the assignment's Skolem arguments, hashed once
+	// per emit and retained, on the first intern miss, as one clone
+	// shared by every null and SetID minted over them. termVals/termArgs
+	// serve grouping terms over other arguments, one term at a time.
+	skVals   []instance.Value
+	skArgs   instance.TermArgs
+	termVals []instance.Value
+	termArgs instance.TermArgs
 	// nAsg/nTuples/nNulls/nSetIDs count this chase's work (plain ints:
 	// the plan is private to one chaseOne call); chaseOne flushes them
 	// to the observer's counters once per mapping, keeping atomics off
@@ -174,29 +175,44 @@ type varPlan struct {
 	// on every emit, and InsertUnique copies it on a dedup miss, so it
 	// never escapes.
 	scratch *instance.Tuple
-	// atomSrc[i] is the source expression feeding atom slot i; it is
+	// atomSrc[i] is the source value feeding atom slot i; it is
 	// meaningful only when nullSym[i] is empty, otherwise the slot is
 	// Skolemized with that symbol.
-	atomSrc []mapping.Expr
+	atomSrc []slotRef
 	nullSym []string
-	// setTerm[j] is the grouping term for set-field slot j, and
-	// child[j] the set type its SetID denotes (minted SetIDs
-	// materialize as possibly-empty occurrences).
-	setTerm []mapping.SKTerm
+	// setFn[j] and setArgs[j] are the grouping term for set-field slot
+	// j; a nil setArgs[j] means the term takes the assignment's Skolem
+	// arguments. child[j] is the set type its SetID denotes (minted
+	// SetIDs materialize as possibly-empty occurrences).
+	setFn   []string
+	setArgs [][]slotRef
 	child   []*nr.SetType
 }
 
-func planTarget(m *mapping.Mapping, info *mapping.Info) (*targetPlan, error) {
+// insertStep inserts one exists variable's tuple: into the top-level
+// set, or into the occurrence named by the parent variable's set field
+// (field is that slot, -1 when the field names none).
+type insertStep struct {
+	gen    mapping.Gen
+	v      int
+	parent int
+	field  int
+}
+
+func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPlan, error) {
+	poss := m.Poss()
 	p := &targetPlan{
-		m: m, info: info,
 		vars:       make([]varPlan, len(info.TgtOrder)),
-		skolemArgs: m.Poss(),
-		varPos:     make(map[string]int, len(info.TgtOrder)),
+		skolemArgs: make([]slotRef, len(poss)),
+		skVals:     make([]instance.Value, len(poss)),
 	}
+	for i, x := range poss {
+		p.skolemArgs[i] = e.ref(x)
+	}
+	varPos := make(map[string]int, len(info.TgtOrder))
 	for i, v := range info.TgtOrder {
-		p.varPos[v] = i
+		varPos[v] = i
 	}
-	p.skArgs = make([]instance.Value, len(p.skolemArgs))
 	// Union-find over target atom slots, merged by the exists-satisfy
 	// equalities; where-clause equalities attach source expressions to
 	// classes.
@@ -236,15 +252,16 @@ func planTarget(m *mapping.Mapping, info *mapping.Info) (*targetPlan, error) {
 		vp := &p.vars[vi]
 		vp.st = st
 		vp.scratch = instance.NewTuple(st)
-		vp.atomSrc = make([]mapping.Expr, len(st.Atoms))
+		vp.atomSrc = make([]slotRef, len(st.Atoms))
 		vp.nullSym = make([]string, len(st.Atoms))
-		vp.setTerm = make([]mapping.SKTerm, len(st.SetFields))
+		vp.setFn = make([]string, len(st.SetFields))
+		vp.setArgs = make([][]slotRef, len(st.SetFields))
 		vp.child = make([]*nr.SetType, len(st.SetFields))
 		for i, a := range st.Atoms {
 			slot := mapping.E(v, a)
 			root := find(slot)
 			if srcExpr, ok := classSource[root]; ok {
-				vp.atomSrc[i] = srcExpr
+				vp.atomSrc[i] = e.ref(srcExpr)
 			} else {
 				// One null per equality class per assignment: name the
 				// symbol after the class representative.
@@ -256,7 +273,14 @@ func planTarget(m *mapping.Mapping, info *mapping.Info) (*targetPlan, error) {
 			if sk == nil {
 				return nil, fmt.Errorf("chase: mapping %s has no grouping function for %s.%s (call AddDefaultSKs)", m.Name, v, f)
 			}
-			vp.setTerm[j] = sk.SK
+			vp.setFn[j] = sk.SK.Fn
+			if !slices.Equal(sk.SK.Args, poss) {
+				refs := make([]slotRef, len(sk.SK.Args))
+				for k, x := range sk.SK.Args {
+					refs[k] = e.ref(x)
+				}
+				vp.setArgs[j] = refs
+			}
 			child := st.Child(f)
 			if child == nil {
 				return nil, fmt.Errorf("chase: mapping %s: cannot resolve target set %s.%s", m.Name, st.Path, f)
@@ -264,12 +288,32 @@ func planTarget(m *mapping.Mapping, info *mapping.Info) (*targetPlan, error) {
 			vp.child[j] = child
 		}
 	}
+	for _, g := range m.Exists {
+		s := insertStep{gen: g, v: varPos[g.Var], parent: -1, field: -1}
+		if g.Root == nil {
+			s.parent = varPos[g.Parent]
+			s.field = p.vars[s.parent].st.Slot(g.Field)
+		}
+		p.inserts = append(p.inserts, s)
+	}
 	// Consistency groups: where equalities that share a class must
-	// agree at emit time; record them.
-	p.checkGroups = make(map[mapping.Expr][]mapping.Expr)
+	// agree at emit time; record them in first-appearance order.
+	groups := make(map[mapping.Expr]int)
+	var feeds [][]slotRef
 	for _, q := range m.Where {
 		root := find(q.R)
-		p.checkGroups[root] = append(p.checkGroups[root], q.L)
+		gi, ok := groups[root]
+		if !ok {
+			gi = len(feeds)
+			groups[root] = gi
+			feeds = append(feeds, nil)
+		}
+		feeds[gi] = append(feeds[gi], e.ref(q.L))
+	}
+	for _, f := range feeds {
+		if len(f) >= 2 {
+			p.checks = append(p.checks, f)
+		}
 	}
 	return p, nil
 }
@@ -280,24 +324,21 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 	// Enforce multi-feed consistency: if several source expressions
 	// feed one target slot, the assignment only fires when they agree
 	// (the mapping asserts their equality).
-	for _, feeds := range p.checkGroups {
-		if len(feeds) < 2 {
-			continue
-		}
-		first := eval(asg, feeds[0])
+	for _, feeds := range p.checks {
+		first := feeds[0].of(asg)
 		for _, f := range feeds[1:] {
-			if !instance.SameValue(first, eval(asg, f)) {
+			if !instance.SameValue(first, f.of(asg)) {
 				return nil // unsatisfiable for this assignment: no tuples
 			}
 		}
 	}
-	// Skolem argument values shared by all nulls of this assignment
-	// (scratch slice: the interner clones on a miss).
-	skArgs := p.skArgs
-	for i, e := range p.skolemArgs {
-		skArgs[i] = eval(asg, e)
+	// The Skolem arguments shared by all nulls of this assignment, and
+	// by its grouping terms over all source values: hashed once here,
+	// cloned at most once, by the first term the output has not seen.
+	for i, r := range p.skolemArgs {
+		p.skVals[i] = r.of(asg)
 	}
-	p.ownedSkArgs = nil
+	p.skArgs.Set(p.skVals)
 	// Fill each exists variable's scratch tuple slot by slot. Source-fed
 	// slots copy the source value's interface header (no boxing); minted
 	// nulls and SetIDs go through the output instance's intern table, so
@@ -305,23 +346,27 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 	for vi := range p.vars {
 		vp := &p.vars[vi]
 		t := vp.scratch
-		for i := range vp.atomSrc {
-			if vp.nullSym[i] == "" {
-				t.PutSlot(i, eval(asg, vp.atomSrc[i]))
+		for i, sym := range vp.nullSym {
+			if sym == "" {
+				t.PutSlot(i, vp.atomSrc[i].of(asg))
 			} else {
-				t.PutSlot(i, out.InternNullShared(vp.nullSym[i], skArgs, &p.ownedSkArgs))
+				t.PutSlot(i, out.InternNull(sym, &p.skArgs))
 				p.nNulls++
 			}
 		}
-		nAtoms := len(vp.atomSrc)
-		for j := range vp.setTerm {
-			term := &vp.setTerm[j]
-			args := p.argBuf[:0]
-			for _, e := range term.Args {
-				args = append(args, eval(asg, e))
+		nAtoms := len(vp.nullSym)
+		for j, fn := range vp.setFn {
+			args := &p.skArgs
+			if refs := vp.setArgs[j]; refs != nil {
+				vals := p.termVals[:0]
+				for _, r := range refs {
+					vals = append(vals, r.of(asg))
+				}
+				p.termVals = vals
+				p.termArgs.Set(vals)
+				args = &p.termArgs
 			}
-			p.argBuf = args
-			ref := out.InternSetRef(term.Fn, args)
+			ref := out.InternSetRef(fn, args)
 			t.PutSlot(nAtoms+j, ref)
 			p.nSetIDs++
 			// Materialize the (possibly empty) occurrence the SetID
@@ -331,32 +376,24 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 	}
 	// Insert each tuple into its destination set occurrence. The
 	// clone-on-insert path copies a scratch tuple into the output arena
-	// only when its key is new; duplicate assignments allocate nothing.
-	p.nTuples += int64(len(p.m.Exists))
-	for _, g := range p.m.Exists {
-		t := p.vars[p.varPos[g.Var]].scratch
-		st := p.info.TgtVars[g.Var]
-		switch {
-		case g.Root != nil:
-			out.InsertTopUnique(st, t)
-		default:
-			parent := p.vars[p.varPos[g.Parent]].scratch
-			ref, ok := parent.Get(g.Field).(*instance.SetRef)
-			if !ok {
-				return fmt.Errorf("chase: %s.%s is not a SetID", g.Parent, g.Field)
-			}
-			out.InsertUnique(st, ref, t)
+	// only when it is new; duplicate assignments allocate nothing.
+	p.nTuples += int64(len(p.inserts))
+	for _, s := range p.inserts {
+		vp := &p.vars[s.v]
+		if s.parent < 0 {
+			out.InsertTopUnique(vp.st, vp.scratch)
+			continue
 		}
+		var ref *instance.SetRef
+		if s.field >= 0 {
+			ref, _ = p.vars[s.parent].scratch.ValAt(s.field).(*instance.SetRef)
+		}
+		if ref == nil {
+			return fmt.Errorf("chase: %s.%s is not a SetID", s.gen.Parent, s.gen.Field)
+		}
+		out.InsertUnique(vp.st, ref, vp.scratch)
 	}
 	return nil
-}
-
-func eval(asg assignment, e mapping.Expr) instance.Value {
-	t := asg[e.Var]
-	if t == nil {
-		return nil
-	}
-	return t.Get(e.Attr)
 }
 
 // IsSolution reports whether tgt is a solution for src under the given
@@ -381,7 +418,7 @@ func IsSolution(src, tgt *instance.Instance, ms ...*mapping.Mapping) (bool, erro
 			if !holds {
 				return nil
 			}
-			if !existsWitness(tgt, m, info, asg, 0, make(map[string]*instance.Tuple)) {
+			if !existsWitness(tgt, m, info, e, asg, 0, make(map[string]*instance.Tuple)) {
 				holds = false
 			}
 			return nil
@@ -398,7 +435,7 @@ func IsSolution(src, tgt *instance.Instance, ms ...*mapping.Mapping) (bool, erro
 
 // existsWitness searches for target tuples witnessing the exists
 // clause for one source assignment.
-func existsWitness(tgt *instance.Instance, m *mapping.Mapping, info *mapping.Info, asg assignment, i int, bound map[string]*instance.Tuple) bool {
+func existsWitness(tgt *instance.Instance, m *mapping.Mapping, info *mapping.Info, e *evaluator, asg assignment, i int, bound map[string]*instance.Tuple) bool {
 	if i >= len(m.Exists) {
 		for _, q := range m.ExistsSat {
 			if !instance.SameValue(bound[q.L.Var].Get(q.L.Attr), bound[q.R.Var].Get(q.R.Attr)) {
@@ -406,7 +443,7 @@ func existsWitness(tgt *instance.Instance, m *mapping.Mapping, info *mapping.Inf
 			}
 		}
 		for _, q := range m.Where {
-			if !instance.SameValue(eval(asg, q.L), bound[q.R.Var].Get(q.R.Attr)) {
+			if !instance.SameValue(e.value(asg, q.L), bound[q.R.Var].Get(q.R.Attr)) {
 				return false
 			}
 		}
@@ -429,7 +466,7 @@ func existsWitness(tgt *instance.Instance, m *mapping.Mapping, info *mapping.Inf
 	found := false
 	pool.Each(func(t *instance.Tuple) bool {
 		bound[g.Var] = t
-		if existsWitness(tgt, m, info, asg, i+1, bound) {
+		if existsWitness(tgt, m, info, e, asg, i+1, bound) {
 			found = true
 			return false
 		}

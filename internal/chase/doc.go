@@ -11,6 +11,19 @@
 //   - Determinism: Chase, ChaseSerial, ChaseObs and ChaseCtx produce
 //     byte-identical instances for the same input
 //     (testdata/scenario_chase.golden pins them).
+//   - Compiled once per mapping: the evaluator binds generators by
+//     position, and every join, index key, nested parent field and
+//     emitted source expression is resolved to a (generator position,
+//     slot) pair before enumeration; no label is looked up per
+//     candidate or per assignment.
+//   - Enumeration order is set order: candidates come from the whole
+//     top-level set, one bucket of the generator's hash index (built on
+//     first probe, its collisions dropped by the join checks), or the
+//     nested occurrence the parent references, each in insertion order.
+//   - One argument hash per assignment: the nulls of an assignment, and
+//     its grouping terms over all source values, are minted from one
+//     instance.TermArgs, hashed once and cloned at most once. Re-emitting
+//     an assignment whose output already exists allocates nothing.
 //   - Cancellation: ChaseCtx aborts promptly once its context is
 //     cancelled (the evaluator polls the context on a step counter,
 //     keeping the check off the per-assignment hot path) and returns

@@ -2,41 +2,91 @@ package chase
 
 import (
 	"context"
-	"strings"
+	"slices"
 
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/nr"
 )
 
-// assignment binds each for-variable to a source tuple.
-type assignment map[string]*instance.Tuple
+// assignment binds each for-generator, by its position in the
+// mapping's for clause, to a source tuple.
+type assignment []*instance.Tuple
+
+// slotRef is a source expression resolved once against the for clause:
+// the value in slot of the tuple bound to generator pos. pos is -1 for
+// an expression that names no generator or no slot of its set; such an
+// expression reads as unset (nil), as Tuple.Get reads an unknown label.
+type slotRef struct{ pos, slot int }
+
+var unresolved = slotRef{-1, -1}
+
+func (r slotRef) of(asg assignment) instance.Value {
+	if r.pos < 0 {
+		return nil
+	}
+	return asg[r.pos].ValAt(r.slot)
+}
+
+// join is a for-satisfy equality, resolved to slots.
+type join struct{ l, r slotRef }
+
+// generator is one for-clause generator compiled to slot positions.
+type generator struct {
+	st *nr.SetType
+	// nested generators read the occurrence whose SetID sits in parent,
+	// the parent generator's set field.
+	nested bool
+	parent slotRef
+	// joins are the equalities checkable once this generator is bound
+	// (both sides bound at or before it).
+	joins []join
+	// probe lists the earlier-bound values a top-level generator probes
+	// its index with; idx is keyed by the same values read from the
+	// generator's own set. Both are nil when the generator scans.
+	probe []slotRef
+	idx   *index
+	// top is the generator's top-level occurrence, resolved on first use.
+	top *instance.SetVal
+}
+
+// index is a lazily built hash index of a top-level set over some of
+// its slots, keyed by instance.HashValues of the slot values. A bucket
+// may hold tuples whose values only collide in hash; the generator's
+// join checks, which cover every probed equality, drop them.
+type index struct {
+	slots []int
+	m     map[uint64][]*instance.Tuple
+}
+
+// holds reports whether every join of g holds on asg. An equality over
+// an unset slot never holds.
+func (g *generator) holds(asg assignment) bool {
+	for _, j := range g.joins {
+		lv, rv := j.l.of(asg), j.r.of(asg)
+		if lv == nil || rv == nil || !instance.SameValue(lv, rv) {
+			return false
+		}
+	}
+	return true
+}
 
 // evaluator enumerates the satisfying assignments of a mapping's for
-// clause over a source instance, using hash indexes for join
-// predicates on top-level sets. Indexes may be composite: when several
-// equality predicates bind a generator against already-bound
-// variables, one multi-attribute index probe replaces a
-// single-attribute probe plus residual filtering.
+// clause over a source instance. The for clause is compiled once: each
+// expression becomes a (generator position, slot) pair, and each
+// top-level generator joined to earlier ones gets one hash index over
+// all of its join attributes (composite when there are several).
 type evaluator struct {
 	src  *instance.Instance
-	m    *mapping.Mapping
-	info *mapping.Info
+	gens []generator
+	// pos maps each for-variable to its generator position; layouts
+	// holds the set type whose slot layout src's tuples follow, per
+	// generator.
+	pos     map[string]int
+	layouts []*nr.SetType
 
-	// indexes caches, per "setPath\x00attr1\x01attr2...", a map from
-	// the concatenated value keys to the tuples of the set's top
-	// occurrence carrying those values.
-	indexes map[string]map[string][]*instance.Tuple
-
-	// joinAt[i] lists the equality predicates that become checkable
-	// once generator i is bound (both variables bound at or before i).
-	joinAt [][]mapping.Eq
-
-	// probeAttrs/probeVals/probeKey are scratch buffers reused across
-	// candidate lookups to keep the enumeration allocation-free.
-	probeAttrs []string
-	probeVals  []instance.Value
-	probeKey   []byte
+	asg     assignment
+	keyVals []instance.Value // probe scratch
 
 	// ctx, when non-nil, is polled every ctxCheckEvery candidate
 	// bindings; a cancelled context aborts the enumeration with
@@ -63,176 +113,168 @@ func (e *evaluator) cancelled() error {
 	return e.ctx.Err()
 }
 
-// newEvaluator builds the enumeration plan from a mapping's memoized
+// newEvaluator compiles the enumeration plan from a mapping's memoized
 // analysis (callers obtain info once via m.Analyze and thread it
 // through, so analysis runs once per mapping per process).
 func newEvaluator(src *instance.Instance, m *mapping.Mapping, info *mapping.Info) *evaluator {
-	e := &evaluator{src: src, m: m, info: info, indexes: make(map[string]map[string][]*instance.Tuple)}
-	pos := make(map[string]int, len(m.For))
+	n := len(m.For)
+	e := &evaluator{src: src, gens: make([]generator, n), pos: make(map[string]int, n),
+		layouts: make([]*nr.SetType, n), asg: make(assignment, n)}
 	for i, g := range m.For {
-		pos[g.Var] = i
-	}
-	e.joinAt = make([][]mapping.Eq, len(m.For))
-	for _, q := range m.ForSat {
-		i, j := pos[q.L.Var], pos[q.R.Var]
-		at := i
-		if j > at {
-			at = j
+		e.pos[g.Var] = i
+		st := info.SrcVars[g.Var]
+		e.gens[i].st = st
+		// Slots follow src's own catalog: an instance of another catalog
+		// object lays out each set by its own schema.
+		e.layouts[i] = st
+		if src.Cat != m.Src {
+			if it := src.Cat.ByPath(st.Path); it != nil {
+				e.layouts[i] = it
+			}
 		}
-		e.joinAt[at] = append(e.joinAt[at], q)
+	}
+	for i, g := range m.For {
+		if g.Parent != "" {
+			e.gens[i].nested = true
+			e.gens[i].parent = e.ref(mapping.E(g.Parent, g.Field))
+		}
+	}
+	probeSlots := make([][]int, n)
+	for _, q := range m.ForSat {
+		i, j := e.pos[q.L.Var], e.pos[q.R.Var]
+		at := max(i, j)
+		g := &e.gens[at]
+		l, r := e.ref(q.L), e.ref(q.R)
+		g.joins = append(g.joins, join{l, r})
+		// Index a top-level generator on every equality joining it to an
+		// earlier generator.
+		mine, other := l, r
+		if j == at {
+			mine, other = r, l
+		}
+		if g.nested || i == j || mine.pos < 0 || other.pos < 0 {
+			continue
+		}
+		g.probe = append(g.probe, other)
+		probeSlots[at] = append(probeSlots[at], mine.slot)
+	}
+	// Generators over one set probing the same slots share an index.
+	for i := range e.gens {
+		g := &e.gens[i]
+		if g.probe == nil {
+			continue
+		}
+		for k := range i {
+			if o := &e.gens[k]; o.idx != nil && e.layouts[k] == e.layouts[i] && slices.Equal(o.idx.slots, probeSlots[i]) {
+				g.idx = o.idx
+				break
+			}
+		}
+		if g.idx == nil {
+			g.idx = &index{slots: probeSlots[i]}
+		}
 	}
 	return e
 }
 
-// each invokes fn for every assignment satisfying the for clause.
-func (e *evaluator) each(fn func(assignment) error) error {
-	return e.enumerate(0, make(assignment, len(e.m.For)), fn)
-}
-
-func (e *evaluator) enumerate(i int, asg assignment, fn func(assignment) error) error {
-	if i >= len(e.m.For) {
-		return fn(asg)
-	}
-	g := e.m.For[i]
-	var err error
-	e.eachCandidate(i, g, asg, func(t *instance.Tuple) bool {
-		if err = e.cancelled(); err != nil {
-			return false
-		}
-		asg[g.Var] = t
-		ok := true
-		for _, q := range e.joinAt[i] {
-			lv := asg[q.L.Var].Get(q.L.Attr)
-			rv := asg[q.R.Var].Get(q.R.Attr)
-			// An equality over an unset slot never holds: the indexed
-			// candidate path (index builds skip nil slots, probes with a
-			// nil bound value yield nothing) and this residual check must
-			// agree, or ForSat predicate order changes the result.
-			if lv == nil || rv == nil || !instance.SameValue(lv, rv) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			if err = e.enumerate(i+1, asg, fn); err != nil {
-				return false
-			}
-		}
-		delete(asg, g.Var)
-		return true
-	})
-	return err
-}
-
-// eachCandidate visits the tuples generator i may bind to, narrowed by
-// every indexable join predicate at once when available, stopping
-// early when fn returns false.
-func (e *evaluator) eachCandidate(i int, g mapping.Gen, asg assignment, fn func(*instance.Tuple) bool) {
-	st := e.info.SrcVars[g.Var]
-	if g.Parent != "" {
-		parent := asg[g.Parent]
-		ref, _ := parent.Get(g.Field).(*instance.SetRef)
-		if ref == nil {
-			return
-		}
-		occ := e.src.Set(ref)
-		if occ == nil {
-			return
-		}
-		occ.Each(fn)
-		return
-	}
-	// Top-level set: gather every equality that joins this generator to
-	// an already-bound variable and probe one (possibly composite)
-	// index with all of them.
-	attrs, vals, ok := e.probe(i, g, asg)
+// ref resolves a source expression to its generator position and slot.
+func (e *evaluator) ref(x mapping.Expr) slotRef {
+	i, ok := e.pos[x.Var]
 	if !ok {
-		return // a bound join value is nil: nothing can match
+		return unresolved
 	}
-	if len(attrs) == 0 {
-		e.src.Top(st).Each(fn)
-		return
+	slot := e.layouts[i].Slot(x.Attr)
+	if slot < 0 {
+		return unresolved
 	}
-	key := e.probeKey[:0]
-	for j, v := range vals {
-		if j > 0 {
-			key = append(key, '\x00')
-		}
-		key = instance.AppendValueKey(key, v)
-	}
-	e.probeKey = key
-	for _, t := range e.index(st, attrs)[string(key)] {
-		if !fn(t) {
-			return
-		}
-	}
+	return slotRef{i, slot}
 }
 
-// probe collects the generator's indexable join predicates: the
-// attributes of g's set to index on, and the already-bound values to
-// probe with. ok=false means the first probeable predicate's bound
-// value is nil, so the generator has no candidates (mirroring the
-// single-index behavior). Predicates whose bound value is nil beyond
-// the first are left to the residual joinAt check.
-func (e *evaluator) probe(i int, g mapping.Gen, asg assignment) (attrs []string, vals []instance.Value, ok bool) {
-	attrs, vals = e.probeAttrs[:0], e.probeVals[:0]
-	defer func() { e.probeAttrs, e.probeVals = attrs[:0], vals[:0] }()
-	for _, q := range e.joinAt[i] {
-		var mine, other mapping.Expr
-		switch {
-		case q.L.Var == g.Var && q.R.Var != g.Var:
-			mine, other = q.L, q.R
-		case q.R.Var == g.Var && q.L.Var != g.Var:
-			mine, other = q.R, q.L
-		default:
-			continue
+// value reads a source expression by label from a full assignment.
+func (e *evaluator) value(asg assignment, x mapping.Expr) instance.Value {
+	i, ok := e.pos[x.Var]
+	if !ok {
+		return nil
+	}
+	return asg[i].Get(x.Attr)
+}
+
+// each invokes fn for every assignment satisfying the for clause. The
+// assignment is reused across calls: fn must copy what it keeps.
+func (e *evaluator) each(fn func(assignment) error) error {
+	return e.enumerate(0, fn)
+}
+
+func (e *evaluator) enumerate(i int, fn func(assignment) error) error {
+	if i == len(e.gens) {
+		return fn(e.asg)
+	}
+	g := &e.gens[i]
+	for _, t := range e.candidates(g) {
+		if err := e.cancelled(); err != nil {
+			return err
 		}
-		bound := asg[other.Var]
-		if bound == nil {
-			continue
-		}
-		v := bound.Get(other.Attr)
-		if v == nil {
-			if len(attrs) == 0 {
-				return nil, nil, false
+		e.asg[i] = t
+		if g.holds(e.asg) {
+			if err := e.enumerate(i+1, fn); err != nil {
+				return err
 			}
-			continue
 		}
-		attrs = append(attrs, mine.Attr)
+	}
+	return nil
+}
+
+// candidates returns the tuples generator g may bind to, in set order:
+// a nested generator's occurrence, the index bucket of a joined
+// top-level generator, or the whole top-level set. The slice is the
+// source's own and read-only.
+func (e *evaluator) candidates(g *generator) []*instance.Tuple {
+	if g.nested {
+		ref, _ := g.parent.of(e.asg).(*instance.SetRef)
+		if ref == nil {
+			return nil
+		}
+		if occ := e.src.Set(ref); occ != nil {
+			return occ.View()
+		}
+		return nil
+	}
+	if g.top == nil {
+		g.top = e.src.Top(g.st)
+	}
+	if g.idx == nil {
+		return g.top.View()
+	}
+	vals := e.keyVals[:0]
+	for _, r := range g.probe {
+		v := r.of(e.asg)
+		if v == nil {
+			return nil // a join over an unset slot never holds
+		}
 		vals = append(vals, v)
 	}
-	return attrs, vals, true
+	e.keyVals = vals
+	if g.idx.m == nil {
+		g.idx.build(g.top)
+	}
+	return g.idx.m[instance.HashValues(vals)]
 }
 
-// index builds (or returns the cached) hash index of a top-level set
-// over the given attribute combination. Tuples with a nil slot in any
-// indexed attribute are omitted: they cannot equal a non-nil probe
-// value.
-func (e *evaluator) index(st *nr.SetType, attrs []string) map[string][]*instance.Tuple {
-	key := st.Path.String() + "\x00" + strings.Join(attrs, "\x01")
-	if idx, ok := e.indexes[key]; ok {
-		return idx
-	}
-	idx := make(map[string][]*instance.Tuple)
-	var buf []byte
-	e.src.Top(st).Each(func(t *instance.Tuple) bool {
-		buf = buf[:0]
-		for j, a := range attrs {
-			v := t.Get(a)
-			if v == nil {
-				return true
+// build fills the index from the set's tuples, in set order. Tuples
+// with an unset indexed slot are omitted: they cannot equal a probe.
+func (x *index) build(s *instance.SetVal) {
+	x.m = make(map[uint64][]*instance.Tuple)
+	vals := make([]instance.Value, len(x.slots))
+next:
+	for _, t := range s.View() {
+		for k, slot := range x.slots {
+			if vals[k] = t.ValAt(slot); vals[k] == nil {
+				continue next
 			}
-			if j > 0 {
-				buf = append(buf, '\x00')
-			}
-			buf = instance.AppendValueKey(buf, v)
 		}
-		k := string(buf)
-		idx[k] = append(idx[k], t)
-		return true
-	})
-	e.indexes[key] = idx
-	return idx
+		h := instance.HashValues(vals)
+		x.m[h] = append(x.m[h], t)
+	}
 }
 
 // Assignments returns all satisfying assignments of m's for clause
@@ -247,8 +289,8 @@ func Assignments(src *instance.Instance, m *mapping.Mapping) ([]map[string]*inst
 	var out []map[string]*instance.Tuple
 	err = e.each(func(a assignment) error {
 		cp := make(map[string]*instance.Tuple, len(a))
-		for k, v := range a {
-			cp[k] = v
+		for i, g := range m.For {
+			cp[g.Var] = a[i]
 		}
 		out = append(out, cp)
 		return nil

@@ -2,7 +2,6 @@ package instance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -86,7 +85,7 @@ func (sh *shortener) value(v Value) string {
 // handed out reference the blocks, and the blocks die with the last
 // tuple. Nothing is ever returned to an arena — deduplication happens
 // before allocation (InsertUnique copies into the arena only on a
-// key-table miss), so no freelist is needed.
+// dedup miss), so no freelist is needed.
 type arena struct {
 	tuples []Tuple
 	vals   []Value
@@ -142,9 +141,7 @@ func (a *arena) newVals(n int) []Value {
 }
 
 func (in *Instance) writeSetCompact(b *strings.Builder, s *SetVal, indent string, sh *shortener) {
-	tuples := s.Tuples()
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
-	for _, t := range tuples {
+	for _, t := range sortedTuples(s) {
 		var parts []string
 		for _, a := range t.Set.Atoms {
 			parts = append(parts, sh.value(t.Get(a)))

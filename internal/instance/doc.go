@@ -2,17 +2,26 @@
 // nested sets of tuples whose values are constants, labeled nulls, or
 // SetIDs. Labeled nulls and SetIDs are represented as Skolem terms
 // (function symbol applied to argument values), which makes the chase
-// deterministic and gives every value a canonical string encoding used
-// for set-union deduplication.
+// deterministic.
 //
 // Invariants:
 //
 //   - Values (Const, Null, SetRef) are immutable and freely shareable;
-//     their canonical keys are cached behind atomic pointers, so
-//     concurrent readers (prefetch workers, server sessions sharing
-//     one real instance) are race-free.
-//   - Two values are equal iff their Key() strings are equal; tuple
-//     and set identity derive from value keys, never from pointers.
+//     a term's content hash and canonical key are each computed on
+//     first use and cached behind atomics, so concurrent readers
+//     (prefetch workers, server sessions sharing one real instance)
+//     are race-free.
+//   - Identity is structural: two values are equal iff SameValue holds
+//     (constants by string, terms by symbol and arguments), tuples iff
+//     their slots are pairwise equal, and an occurrence is found by any
+//     SetRef equal to its ID. The intern table, the occurrence table
+//     and each set's tuples are keyed by a 64-bit content hash, and
+//     entries sharing a hash are told apart structurally, never by the
+//     hash alone.
+//   - Keys are the rendering and ordering encoding, not the identity:
+//     Value.Key and Tuple.Key are rendered only when asked for, and
+//     they are injective (separator bytes inside constants and symbols
+//     are escaped), so key equality agrees with SameValue.
 //   - An Instance is not safe for concurrent mutation; concurrent
 //     read-only use is.
 package instance

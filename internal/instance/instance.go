@@ -88,29 +88,40 @@ func (t *Tuple) Clear() *Tuple {
 }
 
 // Key returns the canonical encoding of the tuple: values in the set
-// type's declared field order. Unset slots encode as empty.
+// type's declared field order. Unset slots encode as empty. The key is
+// rendered on first call and memoized; identity checks never need it.
 func (t *Tuple) Key() string {
 	if k := t.key.Load(); k != nil {
 		return *k
 	}
-	b := t.appendKeyBytes(make([]byte, 0, 16*len(t.vals)))
-	k := string(b)
+	k := t.renderKey()
 	t.key.Store(&k)
 	return k
 }
 
-// appendKeyBytes composes the canonical tuple encoding into b without
-// touching the memoized key. The slot array follows the declared field
-// order, so one pass over it reproduces Key's encoding exactly.
-func (t *Tuple) appendKeyBytes(b []byte) []byte {
+// renderKey returns the tuple's key without memoizing it (the memoized
+// one if present). Renderers that sort a whole set use it, so an
+// instance does not keep a key per tuple after being printed.
+func (t *Tuple) renderKey() string {
+	if k := t.key.Load(); k != nil {
+		return *k
+	}
+	b := make([]byte, 0, 16*len(t.vals))
 	for _, v := range t.vals {
 		if v != nil {
 			b = v.appendKey(b)
 		}
 		b = append(b, '\x04')
 	}
-	return b
+	return string(b)
 }
+
+// hash returns the tuple's content hash over its slots in order.
+func (t *Tuple) hash() uint64 { return HashValues(t.vals) }
+
+// sameTuple reports slot-wise SameValue equality, which agrees with Key
+// equality.
+func sameTuple(a, b *Tuple) bool { return a == b || sameValues(a.vals, b.vals) }
 
 // Clone returns a copy of the tuple sharing values (values are
 // immutable).
@@ -141,35 +152,78 @@ func (t *Tuple) String() string {
 }
 
 // SetVal is one nested set occurrence: a SetID together with the
-// tuples it contains. Tuples are deduplicated by canonical key
-// (unordered set semantics).
+// tuples it contains. Tuples are deduplicated by content (unordered set
+// semantics): a small set scans the hashes of its tuples, and past
+// smallSet tuples it moves them into a hash-keyed map.
 type SetVal struct {
-	Type   *nr.SetType
-	ID     *SetRef
-	tuples map[string]*Tuple
-	list   []*Tuple // insertion order, for stable iteration
+	Type *nr.SetType
+	ID   *SetRef
+	list []*Tuple // insertion order, for stable iteration
+	// hashes[i] is list[i]'s content hash while the set is small; big
+	// replaces it once the set outgrows smallSet.
+	hashes []uint64
+	big    hashMap[*Tuple]
 }
 
-func newSetVal(st *nr.SetType, id *SetRef) *SetVal {
-	return &SetVal{Type: st, ID: id, tuples: make(map[string]*Tuple)}
-}
+// smallSet is the size up to which a set finds duplicates by scanning
+// its hashes rather than through a map. Most nested occurrences hold a
+// tuple or two, and a map per occurrence would dominate their memory.
+const smallSet = 8
 
 // Len returns the number of tuples in the set.
-func (s *SetVal) Len() int { return len(s.tuples) }
+func (s *SetVal) Len() int { return len(s.list) }
 
 // Insert adds the tuple, returning false if an equal tuple already
 // exists.
 func (s *SetVal) Insert(t *Tuple) bool {
+	s.checkType(t)
+	return s.insert(t.hash(), t)
+}
+
+// insert is Insert with t's hash given; tests pass it explicitly to
+// force distinct tuples under one hash.
+func (s *SetVal) insert(h uint64, t *Tuple) bool {
+	if s.has(h, t) {
+		return false
+	}
+	s.add(h, t)
+	return true
+}
+
+func (s *SetVal) checkType(t *Tuple) {
 	if t.Set != s.Type {
 		panic(fmt.Sprintf("instance: inserting %s tuple into %s set", t.Set, s.Type))
 	}
-	k := t.Key()
-	if _, ok := s.tuples[k]; ok {
+}
+
+// has reports whether a tuple equal to t is stored under hash h.
+func (s *SetVal) has(h uint64, t *Tuple) bool {
+	if s.big.first == nil {
+		for i, x := range s.hashes {
+			if x == h && sameTuple(s.list[i], t) {
+				return true
+			}
+		}
 		return false
 	}
-	s.tuples[k] = t
+	_, ok := s.big.get(h, func(u *Tuple) bool { return sameTuple(u, t) })
+	return ok
+}
+
+// add appends t, which has hash h and no equal in the set.
+func (s *SetVal) add(h uint64, t *Tuple) {
 	s.list = append(s.list, t)
-	return true
+	if s.big.first != nil {
+		s.big.put(h, t)
+		return
+	}
+	s.hashes = append(s.hashes, h)
+	if len(s.hashes) > smallSet {
+		for i, x := range s.hashes {
+			s.big.put(x, s.list[i])
+		}
+		s.hashes = nil
+	}
 }
 
 // Each invokes fn for every tuple in insertion order, stopping early
@@ -196,10 +250,7 @@ func (s *SetVal) Tuples() []*Tuple {
 func (s *SetVal) View() []*Tuple { return s.list }
 
 // Contains reports whether an equal tuple is present.
-func (s *SetVal) Contains(t *Tuple) bool {
-	_, ok := s.tuples[t.Key()]
-	return ok
-}
+func (s *SetVal) Contains(t *Tuple) bool { return s.has(t.hash(), t) }
 
 // Instance is an instance of an NR schema: a collection of set
 // occurrences keyed by SetID. Every top-level set type has exactly one
@@ -208,17 +259,14 @@ func (s *SetVal) Contains(t *Tuple) bool {
 type Instance struct {
 	Schema *nr.Schema
 	Cat    *nr.Catalog
-	sets   map[string]*SetVal // SetRef key → occurrence
-	order  []string           // insertion order of SetRef keys
+	sets   hashMap[*SetVal] // SetID content hash → occurrence
+	order  []*SetVal        // occurrences in creation order
 	tops   map[*nr.SetType]*SetVal
 
 	// arena block-allocates tuple headers and slot arrays owned by this
-	// instance (see compact.go); keyBuf is the reusable scratch the
-	// clone-on-insert path composes tuple keys into. Neither is safe
-	// for concurrent mutation — like Insert itself, the builder-side
-	// API is single-writer.
+	// instance (see compact.go). It is not safe for concurrent mutation
+	// — like Insert itself, the builder-side API is single-writer.
 	arena   arena
-	keyBuf  []byte
 	scratch map[*nr.SetType]*Tuple // ScratchTuple cache, one per set type
 
 	// intern is the per-instance value intern table (see intern.go).
@@ -230,8 +278,7 @@ type Instance struct {
 // New creates an empty instance of the schema, with the top-level set
 // occurrences pre-created.
 func New(cat *nr.Catalog) *Instance {
-	inst := &Instance{Schema: cat.Schema, Cat: cat,
-		sets: make(map[string]*SetVal), tops: make(map[*nr.SetType]*SetVal)}
+	inst := &Instance{Schema: cat.Schema, Cat: cat, tops: make(map[*nr.SetType]*SetVal)}
 	for _, st := range cat.TopLevel() {
 		inst.tops[st] = inst.EnsureSet(st, TopID(st))
 	}
@@ -240,8 +287,8 @@ func New(cat *nr.Catalog) *Instance {
 
 // topIDs caches the SetID of each top-level set type. A SetRef is
 // immutable, so one shared ref per set type is safe across all
-// instances — and its canonical key is rendered once, not once per
-// instance construction.
+// instances — and its hash is computed once, not once per instance
+// construction.
 var topIDs sync.Map // *nr.SetType → *SetRef
 
 // TopID returns the SetID of a top-level set type.
@@ -256,18 +303,30 @@ func TopID(st *nr.SetType) *SetRef {
 // EnsureSet returns the occurrence with the given SetID, creating an
 // empty one if absent.
 func (in *Instance) EnsureSet(st *nr.SetType, id *SetRef) *SetVal {
-	k := id.Key()
-	if s, ok := in.sets[k]; ok {
+	return in.ensureSet(id.hash(), st, id)
+}
+
+// ensureSet is EnsureSet with id's hash given; tests pass it explicitly
+// to force distinct occurrences under one hash.
+func (in *Instance) ensureSet(h uint64, st *nr.SetType, id *SetRef) *SetVal {
+	if s := in.set(h, id); s != nil {
 		return s
 	}
-	s := newSetVal(st, id)
-	in.sets[k] = s
-	in.order = append(in.order, k)
+	s := &SetVal{Type: st, ID: id}
+	in.sets.put(h, s)
+	in.order = append(in.order, s)
 	return s
 }
 
-// Set returns the occurrence with the given SetID, or nil.
-func (in *Instance) Set(id *SetRef) *SetVal { return in.sets[id.Key()] }
+// Set returns the occurrence with the given SetID, or nil. Any SetRef
+// equal to the occurrence's ID finds it, interned or not, from this
+// instance or another.
+func (in *Instance) Set(id *SetRef) *SetVal { return in.set(id.hash(), id) }
+
+func (in *Instance) set(h uint64, id *SetRef) *SetVal {
+	s, _ := in.sets.get(h, func(s *SetVal) bool { return SameValue(s.ID, id) })
+	return s
+}
 
 // Top returns the unique occurrence of a top-level set type. The
 // occurrences of the instance's own catalog are cached at construction
@@ -285,8 +344,8 @@ func (in *Instance) Top(st *nr.SetType) *SetVal {
 // creation order.
 func (in *Instance) Occurrences(st *nr.SetType) []*SetVal {
 	var out []*SetVal
-	for _, k := range in.order {
-		if s := in.sets[k]; s.Type == st {
+	for _, s := range in.order {
+		if s.Type == st {
 			out = append(out, s)
 		}
 	}
@@ -296,8 +355,8 @@ func (in *Instance) Occurrences(st *nr.SetType) []*SetVal {
 // EachOccurrence invokes fn for every occurrence of the given set
 // type, in creation order. Unlike Occurrences it allocates nothing.
 func (in *Instance) EachOccurrence(st *nr.SetType, fn func(*SetVal)) {
-	for _, k := range in.order {
-		if s := in.sets[k]; s.Type == st {
+	for _, s := range in.order {
+		if s.Type == st {
 			fn(s)
 		}
 	}
@@ -305,11 +364,7 @@ func (in *Instance) EachOccurrence(st *nr.SetType, fn func(*SetVal)) {
 
 // AllSets returns every occurrence in creation order.
 func (in *Instance) AllSets() []*SetVal {
-	out := make([]*SetVal, 0, len(in.order))
-	for _, k := range in.order {
-		out = append(out, in.sets[k])
-	}
-	return out
+	return append([]*SetVal(nil), in.order...)
 }
 
 // AllTuples returns every tuple of the given set type across all of
@@ -348,10 +403,8 @@ func (in *Instance) NewTuple(st *nr.SetType) *Tuple {
 // creating the occurrence if needed, and reports whether the tuple was
 // new. Unlike Insert it does not take ownership of t: the caller keeps
 // a reusable scratch tuple, and only on a dedup miss is its content
-// copied into an arena-backed tuple (with the canonical key, already
-// composed for the dedup probe, memoized on the copy). Duplicate
-// inserts allocate nothing. Builder-side only: not safe for concurrent
-// use.
+// copied into an arena-backed tuple. Duplicate inserts allocate
+// nothing. Builder-side only: not safe for concurrent use.
 func (in *Instance) InsertUnique(st *nr.SetType, id *SetRef, t *Tuple) bool {
 	return in.insertUnique(in.EnsureSet(st, id), t)
 }
@@ -363,26 +416,27 @@ func (in *Instance) InsertTopUnique(st *nr.SetType, t *Tuple) bool {
 }
 
 func (in *Instance) insertUnique(s *SetVal, t *Tuple) bool {
-	if t.Set != s.Type {
-		panic(fmt.Sprintf("instance: inserting %s tuple into %s set", t.Set, s.Type))
-	}
-	in.keyBuf = t.appendKeyBytes(in.keyBuf[:0])
-	if _, ok := s.tuples[string(in.keyBuf)]; ok {
+	s.checkType(t)
+	return in.insertCopy(s, t.hash(), t)
+}
+
+// insertCopy is the dedup-then-copy step of insertUnique with t's hash
+// given; tests pass it explicitly to force distinct tuples under one
+// hash.
+func (in *Instance) insertCopy(s *SetVal, h uint64, t *Tuple) bool {
+	if s.has(h, t) {
 		return false
 	}
 	c := in.NewTuple(t.Set)
 	copy(c.vals, t.vals)
-	k := string(in.keyBuf)
-	c.key.Store(&k)
-	s.tuples[k] = c
-	s.list = append(s.list, c)
+	s.add(h, c)
 	return true
 }
 
 // TupleCount returns the total number of tuples across all sets.
 func (in *Instance) TupleCount() int {
 	n := 0
-	for _, s := range in.sets {
+	for _, s := range in.order {
 		n += s.Len()
 	}
 	return n
@@ -393,7 +447,7 @@ func (in *Instance) TupleCount() int {
 // figures the paper reports).
 func (in *Instance) SizeBytes() int {
 	n := 0
-	for _, s := range in.sets {
+	for _, s := range in.order {
 		for _, t := range s.list {
 			for _, v := range t.vals[:len(t.Set.Atoms)] {
 				if v != nil {
@@ -408,19 +462,15 @@ func (in *Instance) SizeBytes() int {
 // Clone returns a deep copy of the instance (tuples copied, values
 // shared).
 func (in *Instance) Clone() *Instance {
-	c := &Instance{Schema: in.Schema, Cat: in.Cat,
-		sets: make(map[string]*SetVal, len(in.sets)), tops: make(map[*nr.SetType]*SetVal)}
-	for _, k := range in.order {
-		s := in.sets[k]
-		ns := newSetVal(s.Type, s.ID)
-		for _, t := range s.Tuples() {
+	c := &Instance{Schema: in.Schema, Cat: in.Cat, tops: make(map[*nr.SetType]*SetVal)}
+	for _, s := range in.order {
+		ns := c.EnsureSet(s.Type, s.ID)
+		for _, t := range s.list {
 			ns.Insert(t.Clone())
 		}
-		c.sets[k] = ns
-		c.order = append(c.order, k)
 	}
 	for st, s := range in.tops {
-		if ns, ok := c.sets[s.ID.Key()]; ok {
+		if ns := c.Set(s.ID); ns != nil {
 			c.tops[st] = ns
 		}
 	}
@@ -428,45 +478,32 @@ func (in *Instance) Clone() *Instance {
 }
 
 // Equal reports whether two instances contain exactly the same sets
-// and tuples (by canonical keys). Empty set occurrences are ignored:
-// they are indistinguishable in the data.
+// and tuples: occurrences matched by SetID, tuples by slot values (the
+// same verdict as comparing canonical keys). Empty set occurrences are
+// ignored: they are indistinguishable in the data.
 func (in *Instance) Equal(other *Instance) bool {
-	return in.nonEmptyEqual(other)
-}
-
-func (in *Instance) nonEmptyEqual(other *Instance) bool {
-	a := in.nonEmptyKeys()
-	b := other.nonEmptyKeys()
-	if len(a) != len(b) {
-		return false
-	}
-	for k, keys := range a {
-		okeys, ok := b[k]
-		if !ok || len(keys) != len(okeys) {
+	n := 0
+	for _, s := range in.order {
+		if s.Len() == 0 {
+			continue
+		}
+		n++
+		o := other.Set(s.ID)
+		if o == nil || o.Len() != s.Len() {
 			return false
 		}
-		for tk := range keys {
-			if !okeys[tk] {
+		for _, t := range s.list {
+			if !o.Contains(t) {
 				return false
 			}
 		}
 	}
-	return true
-}
-
-func (in *Instance) nonEmptyKeys() map[string]map[string]bool {
-	out := make(map[string]map[string]bool)
-	for k, s := range in.sets {
-		if s.Len() == 0 {
-			continue
+	for _, s := range other.order {
+		if s.Len() > 0 {
+			n--
 		}
-		m := make(map[string]bool, s.Len())
-		for tk := range s.tuples {
-			m[tk] = true
-		}
-		out[k] = m
 	}
-	return out
+	return n == 0
 }
 
 // String renders the instance nested, in the style of Fig. 2: each
@@ -484,10 +521,9 @@ func (in *Instance) String() string {
 	}
 	// Orphan occurrences (nested sets never referenced) are rendered
 	// at the end to keep the output total.
-	referenced := in.referencedIDs()
-	for _, k := range in.order {
-		s := in.sets[k]
-		if s.Type.Parent == nil || referenced[k] {
+	referenced := in.referencedSets()
+	for _, s := range in.order {
+		if s.Type.Parent == nil || referenced[s] {
 			continue
 		}
 		fmt.Fprintf(&b, "[unreferenced] %s:\n", s.ID)
@@ -496,13 +532,15 @@ func (in *Instance) String() string {
 	return b.String()
 }
 
-func (in *Instance) referencedIDs() map[string]bool {
-	out := make(map[string]bool)
-	for _, s := range in.sets {
+func (in *Instance) referencedSets() map[*SetVal]bool {
+	out := make(map[*SetVal]bool)
+	for _, s := range in.order {
 		for _, t := range s.list {
 			for _, v := range t.vals[len(s.Type.Atoms):] {
 				if ref, ok := v.(*SetRef); ok {
-					out[ref.Key()] = true
+					if child := in.Set(ref); child != nil {
+						out[child] = true
+					}
 				}
 			}
 		}
@@ -510,10 +548,27 @@ func (in *Instance) referencedIDs() map[string]bool {
 	return out
 }
 
+// sortedTuples returns the set's tuples ordered by canonical key. Each
+// key is rendered once for the sort and not memoized.
+func sortedTuples(s *SetVal) []*Tuple {
+	type keyed struct {
+		key string
+		t   *Tuple
+	}
+	ks := make([]keyed, len(s.list))
+	for i, t := range s.list {
+		ks[i] = keyed{t.renderKey(), t}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]*Tuple, len(ks))
+	for i := range ks {
+		out[i] = ks[i].t
+	}
+	return out
+}
+
 func (in *Instance) writeSet(b *strings.Builder, s *SetVal, indent string) {
-	tuples := s.Tuples()
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
-	for _, t := range tuples {
+	for _, t := range sortedTuples(s) {
 		var parts []string
 		for _, v := range t.vals[:len(t.Set.Atoms)] {
 			if v != nil {
@@ -529,7 +584,7 @@ func (in *Instance) writeSet(b *strings.Builder, s *SetVal, indent string) {
 				continue
 			}
 			fmt.Fprintf(b, "%s%s = %s:\n", indent+"  ", f, ref)
-			if child := in.sets[ref.Key()]; child != nil {
+			if child := in.Set(ref); child != nil {
 				in.writeSet(b, child, indent+"    ")
 			}
 		}

@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,85 @@ func TestValueKeyNoCollisionAcrossArgBoundaries(t *testing.T) {
 	if c.Key() == d.Key() {
 		t.Error("symbol/argument collision in canonical keys")
 	}
+	// A constant holding the separator bytes must not forge an argument
+	// boundary: SK("a\x02c\x00b") is one argument, not SK(a, b).
+	forged := NewSetRef("SK", C("a\x02c\x00b"))
+	split := NewSetRef("SK", C("a"), C("b"))
+	if forged.Key() == split.Key() {
+		t.Error("constant with separator bytes forges an argument boundary in keys")
+	}
+	if SameValue(forged, split) {
+		t.Error("SameValue equates a one-argument SetID with a two-argument one")
+	}
+	// Nor may a term symbol forge an argument list.
+	sym := NewNull("F\x01c\x00a\x02c\x00b")
+	args := NewNull("F", C("a"), C("b\x01"))
+	if sym.Key() == args.Key() || SameValue(sym, args) {
+		t.Error("symbol with separator bytes forges an argument list")
+	}
+}
+
+// TestKeyEqualityAgreesWithSameValue builds random terms over strings
+// drawn from the separator and escape bytes and checks that Key
+// equality, SameValue, and content-hash equality of equal values agree.
+func TestKeyEqualityAgreesWithSameValue(t *testing.T) {
+	atoms := []string{"", "a", "c", "\x00", "\x01", "\x02", "\x03", "\x04", "\x05", "\x06", "\x07", "\x070", "a\x02c\x00b", "\x07\x07"}
+	rng := rand.New(rand.NewSource(1))
+	str := func() string {
+		var b strings.Builder
+		for n := rng.Intn(3); n >= 0; n-- {
+			b.WriteString(atoms[rng.Intn(len(atoms))])
+		}
+		return b.String()
+	}
+	var gen func(depth int) Value
+	gen = func(depth int) Value {
+		k := rng.Intn(4)
+		if depth > 2 {
+			k %= 2
+		}
+		switch k {
+		case 0:
+			return nil
+		case 1:
+			return C(str())
+		}
+		args := make([]Value, rng.Intn(3))
+		for i := range args {
+			args[i] = gen(depth + 1)
+		}
+		if k == 2 {
+			return NewNull(str(), args...)
+		}
+		return NewSetRef(str(), args...)
+	}
+	key := func(v Value) string {
+		if v == nil {
+			return ""
+		}
+		return v.Key()
+	}
+	hash := func(v Value) uint64 {
+		if v == nil {
+			return hashNil
+		}
+		return v.hash()
+	}
+	vals := make([]Value, 400)
+	for i := range vals {
+		vals[i] = gen(0)
+	}
+	for i, a := range vals {
+		for _, b := range vals[i:] {
+			same := SameValue(a, b)
+			if keyEq := key(a) == key(b); keyEq != same {
+				t.Fatalf("Key equality %v but SameValue %v for %q vs %q (%#v / %#v)", keyEq, same, key(a), key(b), a, b)
+			}
+			if same && hash(a) != hash(b) {
+				t.Fatalf("equal values %q hash apart", key(a))
+			}
+		}
+	}
 }
 
 func TestValueString(t *testing.T) {
@@ -145,6 +225,21 @@ func TestSetDedup(t *testing.T) {
 	}
 	if !in.Top(st).Contains(dup) {
 		t.Error("Contains misses an inserted tuple")
+	}
+
+	// Separator bytes inside a constant must not shift slot boundaries:
+	// ("x\x04c\x00y", "z") and ("x", "y\x04c\x00z") are distinct.
+	in = New(cat)
+	a = NewTuple(st).Put("cid", C("x\x04c\x00y")).Put("cname", C("z"))
+	b := NewTuple(st).Put("cid", C("x")).Put("cname", C("y\x04c\x00z"))
+	if a.Key() == b.Key() {
+		t.Error("tuples with shifted separator bytes render the same key")
+	}
+	if !in.InsertTop(st, a) || !in.InsertTop(st, b) {
+		t.Error("InsertTop dropped a distinct tuple whose constants hold separator bytes")
+	}
+	if in.Top(st).Len() != 2 {
+		t.Errorf("set has %d tuples, want 2", in.Top(st).Len())
 	}
 }
 

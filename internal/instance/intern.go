@@ -1,55 +1,66 @@
 package instance
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // This file implements the per-Instance value intern table.
 //
-// Interning canonicalizes values by their canonical key: within one
-// Instance, two equal values obtained through Intern* share a single
-// pointer (for *Null and *SetRef) or a single boxed interface word
-// (for Const), so
+// Interning canonicalizes values by content: within one Instance, two
+// equal values obtained through Intern* share a single pointer (for
+// *Null and *SetRef) or a single boxed interface word (for Const), so
 //
 //   - SameValue decides equality on the hot path with the a == b
-//     pointer comparison instead of rendering and comparing keys,
-//   - the memoized key caches of Null/SetRef collapse to one canonical
-//     copy per distinct value instead of one per minted duplicate, and
+//     pointer comparison instead of visiting arguments,
+//   - each distinct term's hash (and key, once rendered) is cached on
+//     one canonical copy instead of one per minted duplicate, and
 //   - storing an interned value into a tuple slot copies an interface
 //     header instead of boxing a fresh object.
 //
-// Interned values are immutable, like all Values: Intern* clones the
-// caller's argument slice on a table miss, so callers may reuse scratch
-// slices, and nothing handed out by the table may ever be mutated.
-// One mutex guards the map and the key buffer. The hit path allocates
-// nothing: keys are composed in the table's own buffer and looked up
-// with the compiler's []byte-to-string map optimization.
+// The table is a hashMap keyed by content hash; a lookup confirms the
+// entries under the hash structurally. Interned values are immutable,
+// like all Values: Intern* retains a clone of the caller's arguments
+// (and of a constant's string) on a table miss, so callers may reuse
+// scratch, and nothing handed out by the table may ever be mutated.
+// One mutex guards the map. The hit path allocates nothing.
 
 type internTable struct {
-	mu  sync.Mutex
-	m   map[string]Value
-	buf []byte // key scratch, reused under mu
-}
-
-// lock locks the table and returns its key buffer, emptied and
-// started with the kind tag.
-func (tb *internTable) lock(kind byte) []byte {
-	tb.mu.Lock()
-	if tb.m == nil {
-		tb.m = make(map[string]Value)
-	}
-	return append(tb.buf[:0], kind, 0)
-}
-
-// unlock keeps the (possibly grown) key buffer and unlocks the table.
-func (tb *internTable) unlock(b []byte) {
-	tb.buf = b
-	tb.mu.Unlock()
+	mu sync.Mutex
+	m  hashMap[Value]
 }
 
 // size returns the number of interned values.
 func (tb *internTable) size() int {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	return len(tb.m)
+	return tb.m.len()
+}
+
+// TermArgs is one Skolem argument vector, hashed once, for minting
+// several terms over it: the chase mints every null of an assignment,
+// and every SetID grouped by all of its source values, from the same
+// arguments. The first intern miss after Set retains one clone of the
+// vector, which every later miss shares.
+type TermArgs struct {
+	vals  []Value
+	hash  uint64
+	owned []Value
+}
+
+// Set makes vals the vector's contents and hashes them. The TermArgs
+// reads vals until the next Set; callers may reuse the slice, but must
+// call Set again after changing its contents.
+func (a *TermArgs) Set(vals []Value) {
+	a.vals, a.hash, a.owned = vals, HashValues(vals), nil
+}
+
+// retain returns the vector's retained clone, made on first use.
+func (a *TermArgs) retain() []Value {
+	if a.owned == nil && len(a.vals) > 0 {
+		a.owned = append([]Value(nil), a.vals...)
+	}
+	return a.owned
 }
 
 // InternConst returns the canonical boxed Const for s. The returned
@@ -57,85 +68,65 @@ func (tb *internTable) size() int {
 // instance, so assigning it to tuple slots never re-boxes.
 func (in *Instance) InternConst(s string) Value {
 	tb := &in.intern
-	b := append(tb.lock('c'), s...)
-	v, ok := tb.m[string(b)]
+	h := hashString(s)
+	tb.mu.Lock()
+	v, ok := tb.m.get(h, func(v Value) bool {
+		c, isConst := v.(Const)
+		return isConst && c.S == s
+	})
 	if !ok {
-		canon := string(b)
-		// Share the key's bytes: canon is "c\x00" + s.
-		v = Const{S: canon[2:]}
-		tb.m[canon] = v
+		// Clone: s may be a slice of a larger buffer (a CSV record).
+		v = Const{S: strings.Clone(s)}
+		tb.m.put(h, v)
 	}
-	tb.unlock(b)
+	tb.mu.Unlock()
 	return v
 }
 
-// InternNull returns the canonical *Null for the Skolem term fn(args).
-// The args slice is cloned on a miss; callers may reuse it. The
-// canonical key is pre-stored in the value's memo, so the one canonical
-// null never re-renders it.
-func (in *Instance) InternNull(fn string, args []Value) *Null {
-	return in.internNull(fn, args, nil)
-}
-
-// InternNullShared is InternNull for callers minting several nulls
-// that share one argument vector per round (the chase: every null of
-// one assignment takes the same Skolem arguments). owned points to the
-// round's retained clone of args — nil until some miss first needs to
-// keep the arguments, at which point one clone is made and shared by
-// all subsequent misses of the round. Callers must reset *owned to nil
-// whenever the scratch args contents change.
-func (in *Instance) InternNullShared(fn string, args []Value, owned *[]Value) *Null {
-	return in.internNull(fn, args, owned)
-}
-
-func (in *Instance) internNull(fn string, args []Value, owned *[]Value) *Null {
-	tb := &in.intern
-	b := appendTerm(tb.lock('n'), fn, args)
-	v, ok := tb.m[string(b)]
-	if !ok {
-		retained := args
-		if owned != nil {
-			if *owned == nil {
-				*owned = cloneArgs(args)
-			}
-			retained = *owned
-		} else {
-			retained = cloneArgs(args)
-		}
-		canon := string(b)
-		n := &Null{Fn: fn, Args: retained}
-		n.key.Store(&canon)
-		tb.m[canon] = n
-		v = n
-	}
-	tb.unlock(b)
-	return v.(*Null)
+// InternNull returns the canonical *Null for the Skolem term fn(a). A
+// miss retains a's clone of its arguments; callers may reuse their
+// scratch.
+func (in *Instance) InternNull(fn string, a *TermArgs) *Null {
+	return in.internTerm(termHash(kindNull, fn, a.hash), kindNull, fn, a).(*Null)
 }
 
 // InternSetRef returns the canonical *SetRef for the SetID term
-// fn(args). Cloning and key pre-storage follow InternNull.
-func (in *Instance) InternSetRef(fn string, args []Value) *SetRef {
+// fn(a). Cloning follows InternNull.
+func (in *Instance) InternSetRef(fn string, a *TermArgs) *SetRef {
+	return in.internTerm(termHash(kindSetRef, fn, a.hash), kindSetRef, fn, a).(*SetRef)
+}
+
+// internTerm returns the canonical term of the given kind for fn(a)
+// stored under hash h, minting it on a miss. Tests pass h explicitly to
+// force distinct terms under one hash.
+func (in *Instance) internTerm(h uint64, kind byte, fn string, a *TermArgs) Value {
 	tb := &in.intern
-	b := appendTerm(tb.lock('s'), fn, args)
-	v, ok := tb.m[string(b)]
+	tb.mu.Lock()
+	v, ok := tb.m.get(h, func(v Value) bool {
+		switch t := v.(type) {
+		case *Null:
+			return kind == kindNull && t.Fn == fn && sameValues(t.Args, a.vals)
+		case *SetRef:
+			return kind == kindSetRef && t.Fn == fn && sameValues(t.Args, a.vals)
+		}
+		return false
+	})
 	if !ok {
-		canon := string(b)
-		s := &SetRef{Fn: fn, Args: cloneArgs(args)}
-		s.key.Store(&canon)
-		tb.m[canon] = s
-		v = s
+		if kind == kindNull {
+			n := &Null{Fn: fn, Args: a.retain()}
+			n.h.Store(h)
+			v = n
+		} else {
+			s := &SetRef{Fn: fn, Args: a.retain()}
+			s.h.Store(h)
+			v = s
+		}
+		tb.m.put(h, v)
 	}
-	tb.unlock(b)
-	return v.(*SetRef)
+	tb.mu.Unlock()
+	return v
 }
 
 // Interned returns the number of distinct values in the instance's
 // intern table (for tests and diagnostics).
 func (in *Instance) Interned() int { return in.intern.size() }
-
-func cloneArgs(args []Value) []Value {
-	if len(args) == 0 {
-		return nil
-	}
-	return append([]Value(nil), args...)
-}

@@ -8,6 +8,13 @@ import (
 	"muse/internal/nr"
 )
 
+// argsOf returns a TermArgs over vals.
+func argsOf(vals []Value) *TermArgs {
+	var a TermArgs
+	a.Set(vals)
+	return &a
+}
+
 // TestInternCanonical asserts the core interning contract: equal
 // values obtained through Intern* share one canonical pointer, so
 // SameValue decides them by pointer comparison.
@@ -24,8 +31,8 @@ func TestInternCanonical(t *testing.T) {
 	}
 
 	args := []Value{C("a"), C("b")}
-	n1 := in.InternNull("N_x", args)
-	n2 := in.InternNull("N_x", []Value{C("a"), C("b")})
+	n1 := in.InternNull("N_x", argsOf(args))
+	n2 := in.InternNull("N_x", argsOf([]Value{C("a"), C("b")}))
 	if n1 != n2 {
 		t.Fatalf("interned nulls are distinct pointers: %p vs %p", n1, n2)
 	}
@@ -36,8 +43,8 @@ func TestInternCanonical(t *testing.T) {
 		t.Fatalf("interned null key %q diverges from constructor key", n1.Key())
 	}
 
-	r1 := in.InternSetRef("SKProjs", args)
-	r2 := in.InternSetRef("SKProjs", []Value{C("a"), C("b")})
+	r1 := in.InternSetRef("SKProjs", argsOf(args))
+	r2 := in.InternSetRef("SKProjs", argsOf([]Value{C("a"), C("b")}))
 	if r1 != r2 {
 		t.Fatalf("interned SetRefs are distinct pointers: %p vs %p", r1, r2)
 	}
@@ -46,7 +53,7 @@ func TestInternCanonical(t *testing.T) {
 	}
 
 	// Distinct values stay distinct.
-	if in.InternNull("N_y", args) == n1 {
+	if in.InternNull("N_y", argsOf(args)) == n1 {
 		t.Fatal("distinct null symbols interned to one value")
 	}
 	if got, want := in.Interned(), 4; got != want {
@@ -55,24 +62,29 @@ func TestInternCanonical(t *testing.T) {
 }
 
 // TestInternHitPathAllocs asserts the warm intern path allocates
-// nothing: keys are composed in the table's own buffer and the map is
-// probed without materializing a string.
+// nothing: lookups hash the term and confirm the entries under the
+// hash in place, without composing a key. That includes the chase's
+// per-assignment path: re-hashing a TermArgs vector and minting nulls
+// and SetIDs over it never clones on a hit.
 func TestInternHitPathAllocs(t *testing.T) {
 	in := New(compCat())
-	args := []Value{C("a"), C("b")}
+	args := []Value{C("a"), C("b"), in.InternNull("N_in", argsOf([]Value{C("z")}))}
+	var ta TermArgs
+	ta.Set(args)
 	in.InternConst("IBM")
-	in.InternNull("N_x", args)
-	in.InternSetRef("SKProjs", args)
+	in.InternNull("N_x", &ta)
+	in.InternSetRef("SKProjs", &ta)
 
 	var sink Value
 	if n := testing.AllocsPerRun(100, func() { sink = in.InternConst("IBM") }); n != 0 {
 		t.Errorf("InternConst hit allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { sink = in.InternNull("N_x", args) }); n != 0 {
-		t.Errorf("InternNull hit allocates %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { sink = in.InternSetRef("SKProjs", args) }); n != 0 {
-		t.Errorf("InternSetRef hit allocates %.1f/op", n)
+	if n := testing.AllocsPerRun(100, func() {
+		ta.Set(args)
+		sink = in.InternNull("N_x", &ta)
+		sink = in.InternSetRef("SKProjs", &ta)
+	}); n != 0 {
+		t.Errorf("InternNull/InternSetRef hits allocate %.1f/op", n)
 	}
 	_ = sink
 }
@@ -101,8 +113,8 @@ func TestInternConcurrent(t *testing.T) {
 				args[0], args[1] = C(s), CI(k)
 				vals = append(vals,
 					in.InternConst(s),
-					in.InternNull("N_t", args),
-					in.InternSetRef("SKt", args))
+					in.InternNull("N_t", argsOf(args)),
+					in.InternSetRef("SKt", argsOf(args)))
 			}
 			got[g] = vals
 		}(g)
@@ -135,8 +147,8 @@ func TestInternConcurrent(t *testing.T) {
 func TestInternImmutable(t *testing.T) {
 	in := New(compCat())
 	scratch := []Value{C("a"), C("b")}
-	n := in.InternNull("N_x", scratch)
-	r := in.InternSetRef("SKx", scratch)
+	n := in.InternNull("N_x", argsOf(scratch))
+	r := in.InternSetRef("SKx", argsOf(scratch))
 	wantN, wantR := n.Key(), r.Key()
 
 	scratch[0], scratch[1] = C("MUTATED"), C("MUTATED")
@@ -147,29 +159,36 @@ func TestInternImmutable(t *testing.T) {
 		t.Fatalf("interned SetRef changed under scratch mutation: %v", r)
 	}
 	// The mutated scratch now interns a different value.
-	if in.InternNull("N_x", scratch) == n {
+	if in.InternNull("N_x", argsOf(scratch)) == n {
 		t.Fatal("mutated args resolved to the old canonical null")
 	}
 
-	// The shared-args variant retains one clone per round, insulated
-	// the same way.
-	var owned []Value
+	// A TermArgs vector retains one clone per Set, shared by every
+	// miss over it (nulls and SetIDs alike), insulated the same way.
+	var a TermArgs
 	scratch[0], scratch[1] = C("p"), C("q")
-	n1 := in.InternNullShared("N_s1", scratch, &owned)
-	n2 := in.InternNullShared("N_s2", scratch, &owned)
-	if &n1.Args[0] != &n2.Args[0] {
-		t.Fatal("shared-args misses of one round did not share the clone")
+	a.Set(scratch)
+	n1 := in.InternNull("N_s1", &a)
+	n2 := in.InternNull("N_s2", &a)
+	r1 := in.InternSetRef("SK_s", &a)
+	if &n1.Args[0] != &n2.Args[0] || &n1.Args[0] != &r1.Args[0] {
+		t.Fatal("misses over one TermArgs did not share the clone")
 	}
 	k1, k2 := n1.Key(), n2.Key()
 	scratch[0], scratch[1] = C("MUTATED"), C("MUTATED")
 	if n1.Key() != k1 || n2.Key() != k2 || n1.Args[0].(Const).S != "p" {
-		t.Fatal("shared-args interned nulls changed under scratch mutation")
+		t.Fatal("TermArgs-interned nulls changed under scratch mutation")
+	}
+	// A new Set starts a new clone.
+	a.Set(scratch)
+	if n3 := in.InternNull("N_s1", &a); &n3.Args[0] == &n1.Args[0] {
+		t.Fatal("a new Set reused the previous vector's clone")
 	}
 }
 
 // TestInsertUniqueDedup asserts the clone-on-insert path: a reused
 // scratch tuple inserts a copy on a miss, duplicates insert nothing,
-// and the arena-backed copy carries the memoized canonical key.
+// and the arena-backed copy renders the scratch's key.
 func TestInsertUniqueDedup(t *testing.T) {
 	cat := compCat()
 	in := New(cat)

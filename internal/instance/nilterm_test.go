@@ -21,6 +21,10 @@ func TestNilTermArgs(t *testing.T) {
 	if !SameValue(ref, NewSetRef("SK", C("1"), nil)) {
 		t.Fatal("structurally equal nil-arg SetRefs are not SameValue")
 	}
+	// A sole unset argument is not the empty argument list.
+	if NewSetRef("SK", nil).Key() == NewSetRef("SK").Key() {
+		t.Fatal("SetRef over one unset slot collides with the nullary SetRef")
+	}
 
 	n := NewNull("N_m_t.u", nil, C("x"))
 	nEmpty := NewNull("N_m_t.u", C(""), C("x"))

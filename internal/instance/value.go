@@ -10,14 +10,17 @@ import (
 // SetRef. Values are immutable; share them freely.
 type Value interface {
 	// Key returns the canonical encoding of the value. Two values are
-	// equal iff their keys are equal.
+	// equal iff their keys are equal. Identity checks never need it
+	// (they use hash and SameValue); it is the rendering and ordering
+	// encoding.
 	Key() string
 	// String renders the value for display.
 	String() string
 	// appendKey appends the canonical encoding to b and returns the
-	// extended slice; hot paths use it to compose lookup keys without
-	// intermediate strings.
+	// extended slice, without memoizing it.
 	appendKey(b []byte) []byte
+	// hash returns the value's content hash: equal values hash equal.
+	hash() uint64
 	isValue()
 }
 
@@ -31,12 +34,19 @@ type Const struct {
 func (c Const) isValue() {}
 
 // Key implements Value.
-func (c Const) Key() string { return "c\x00" + c.S }
+func (c Const) Key() string {
+	if !needsEscape(c.S) {
+		return "c\x00" + c.S
+	}
+	return string(c.appendKey(make([]byte, 0, len(c.S)+8)))
+}
 
 func (c Const) appendKey(b []byte) []byte {
 	b = append(b, 'c', 0)
-	return append(b, c.S...)
+	return appendEscaped(b, c.S)
 }
+
+func (c Const) hash() uint64 { return hashString(c.S) }
 
 // String implements Value.
 func (c Const) String() string { return c.S }
@@ -51,13 +61,14 @@ func CI(i int) Const { return Const{S: strconv.Itoa(i)} }
 // reason (same function symbol, same arguments) are the same null.
 // A Null with no arguments is a plain named null (N1, N2, ...).
 //
-// Nulls are immutable, so the canonical key is computed once on first
-// use and cached; the cache is an atomic pointer so concurrent chase
-// workers sharing source values stay race-free.
+// Nulls are immutable, so the content hash and the canonical key are
+// each computed once, on first use, and cached behind atomics, so
+// readers sharing one instance stay race-free.
 type Null struct {
 	Fn   string
 	Args []Value
 
+	h   atomic.Uint64 // content hash; 0 until computed
 	key atomic.Pointer[string]
 }
 
@@ -68,14 +79,27 @@ func (n *Null) Key() string {
 	if k := n.key.Load(); k != nil {
 		return *k
 	}
-	b := make([]byte, 0, keySize(n.Fn, n.Args))
-	b = append(b, 'n', 0)
-	k := string(appendTerm(b, n.Fn, n.Args))
+	k := string(n.appendKey(make([]byte, 0, keySize(n.Fn, n.Args))))
 	n.key.Store(&k)
 	return k
 }
 
-func (n *Null) appendKey(b []byte) []byte { return append(b, n.Key()...) }
+func (n *Null) appendKey(b []byte) []byte {
+	if k := n.key.Load(); k != nil {
+		return append(b, *k...)
+	}
+	b = append(b, 'n', 0)
+	return appendTerm(b, n.Fn, n.Args)
+}
+
+func (n *Null) hash() uint64 {
+	if h := n.h.Load(); h != 0 {
+		return h
+	}
+	h := termHash(kindNull, n.Fn, HashValues(n.Args))
+	n.h.Store(h)
+	return h
+}
 
 // String implements Value.
 func (n *Null) String() string {
@@ -95,11 +119,12 @@ func NewNull(fn string, args ...Value) *Null { return &Null{Fn: fn, Args: args} 
 // SKProjs(111, IBM, Almaden). Top-level sets have a SetRef with the
 // set's path as function symbol and no arguments.
 //
-// SetRefs are immutable; the canonical key is cached like Null's.
+// SetRefs are immutable; the hash and the key are cached like Null's.
 type SetRef struct {
 	Fn   string
 	Args []Value
 
+	h   atomic.Uint64
 	key atomic.Pointer[string]
 }
 
@@ -110,14 +135,27 @@ func (s *SetRef) Key() string {
 	if k := s.key.Load(); k != nil {
 		return *k
 	}
-	b := make([]byte, 0, keySize(s.Fn, s.Args))
-	b = append(b, 's', 0)
-	k := string(appendTerm(b, s.Fn, s.Args))
+	k := string(s.appendKey(make([]byte, 0, keySize(s.Fn, s.Args))))
 	s.key.Store(&k)
 	return k
 }
 
-func (s *SetRef) appendKey(b []byte) []byte { return append(b, s.Key()...) }
+func (s *SetRef) appendKey(b []byte) []byte {
+	if k := s.key.Load(); k != nil {
+		return append(b, *k...)
+	}
+	b = append(b, 's', 0)
+	return appendTerm(b, s.Fn, s.Args)
+}
+
+func (s *SetRef) hash() uint64 {
+	if h := s.h.Load(); h != 0 {
+		return h
+	}
+	h := termHash(kindSetRef, s.Fn, HashValues(s.Args))
+	s.h.Store(h)
+	return h
+}
 
 // String implements Value.
 func (s *SetRef) String() string {
@@ -130,13 +168,17 @@ func (s *SetRef) String() string {
 func NewSetRef(fn string, args ...Value) *SetRef { return &SetRef{Fn: fn, Args: args} }
 
 // appendTerm appends the canonical term encoding, composing argument
-// keys in place (no intermediate strings for Const arguments). Nil
-// arguments — Skolem terms over unset source slots — encode as empty,
-// like unset slots in Tuple.Key; every real value's key starts with a
-// kind byte, so empty is unambiguous.
+// keys in place (no intermediate strings). Nil arguments — Skolem
+// terms over unset source slots — encode as empty, like unset slots in
+// Tuple.Key; every real value's key starts with a kind byte, so empty
+// is unambiguous. The exception is a sole nil argument, which encodes
+// as the lone byte escByte: empty would render F(_) as F().
 func appendTerm(b []byte, fn string, args []Value) []byte {
-	b = append(b, fn...)
+	b = appendEscaped(b, fn)
 	b = append(b, '\x01')
+	if len(args) == 1 && args[0] == nil {
+		b = append(b, escByte)
+	}
 	for i, a := range args {
 		if i > 0 {
 			b = append(b, '\x02')
@@ -146,6 +188,39 @@ func appendTerm(b []byte, fn string, args []Value) []byte {
 		}
 	}
 	return append(b, '\x03')
+}
+
+// The canonical encodings separate their parts with the bytes 0x00
+// through 0x06: kind tag, term symbol, arguments and term end
+// (appendTerm), tuple slots (Tuple.Key), and the index keys composed
+// from value keys elsewhere (0x05, 0x06). Inside constant strings and
+// term symbols those bytes, and the escape byte escByte itself, are
+// written as escByte followed by '0'+byte, so no payload can forge a
+// boundary and keys stay injective. Strings without bytes below 0x08
+// encode as themselves.
+const escByte = 0x07
+
+// needsEscape reports whether s holds a byte appendEscaped rewrites.
+func needsEscape(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] <= escByte {
+			return true
+		}
+	}
+	return false
+}
+
+// appendEscaped appends s to b with the bytes 0x00–0x07 escaped.
+func appendEscaped(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= escByte {
+			b = append(b, s[start:i]...)
+			b = append(b, escByte, '0'+c)
+			start = i + 1
+		}
+	}
+	return append(b, s[start:]...)
 }
 
 // keySize estimates the encoded term length, to size the key buffer in
@@ -218,38 +293,63 @@ func appendTermDisplay(b []byte, fn string, args []Value) []byte {
 }
 
 // AppendValueKey appends v's canonical key to b and returns the
-// extended slice, without building an intermediate string. Nil values
-// append nothing.
+// extended slice, without building an intermediate string for a
+// constant. Nil values append nothing. A Null's or SetRef's key is
+// memoized on the value, as by Key.
 func AppendValueKey(b []byte, v Value) []byte {
-	if v == nil {
+	switch t := v.(type) {
+	case nil:
 		return b
+	case Const:
+		return t.appendKey(b)
 	}
-	return v.appendKey(b)
+	return append(b, v.Key()...)
 }
 
-// SameValue reports value equality via canonical keys. Nil values are
-// equal only to each other. Identical values, constant pairs, and
-// kind mismatches are decided without touching the keys.
+// SameValue reports value equality: constants by their strings, nulls
+// and SetIDs structurally (function symbol, then each argument). Nil
+// values are equal only to each other. Pointer-identical terms, and
+// terms whose cached hashes differ, are decided without visiting the
+// arguments. SameValue agrees with Key equality.
 func SameValue(a, b Value) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a == b {
-		return true
+	switch x := a.(type) {
+	case Const:
+		y, ok := b.(Const)
+		return ok && x.S == y.S
+	case *Null:
+		y, ok := b.(*Null)
+		return ok && (x == y || sameTerm(x.h.Load(), y.h.Load(), x.Fn, y.Fn, x.Args, y.Args))
+	case *SetRef:
+		y, ok := b.(*SetRef)
+		return ok && (x == y || sameTerm(x.h.Load(), y.h.Load(), x.Fn, y.Fn, x.Args, y.Args))
 	}
-	ca, aConst := a.(Const)
-	cb, bConst := b.(Const)
-	if aConst || bConst {
-		return aConst && bConst && ca.S == cb.S
-	}
-	if _, ok := a.(*Null); ok {
-		if _, ok := b.(*Null); !ok {
-			return false
-		}
-	} else if _, ok := b.(*SetRef); !ok {
+	return false
+}
+
+// sameTerm compares two terms of one kind given their cached hashes (0
+// when not yet computed).
+func sameTerm(ha, hb uint64, fa, fb string, aa, ab []Value) bool {
+	if ha != 0 && hb != 0 && ha != hb {
 		return false
 	}
-	return a.Key() == b.Key()
+	return fa == fb && sameValues(aa, ab)
+}
+
+// sameValues reports pairwise SameValue over two value vectors of
+// equal length.
+func sameValues(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !SameValue(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsConst reports whether v is a constant.

@@ -48,6 +48,21 @@ func TestCSVPositional(t *testing.T) {
 	}
 }
 
+// TestCSVSeparatorBytesStayDistinct loads two rows whose constants
+// hold the instance keys' separator bytes, placed so that naive key
+// concatenation would render both rows alike: both must load.
+func TestCSVSeparatorBytesStayDistinct(t *testing.T) {
+	in := instance.New(relCat())
+	data := "\"x\x04c\x00y\",z,NY\nx,\"y\x04c\x00z\",NY\n"
+	if err := CSV(in, "Companies", strings.NewReader(data), false); err != nil {
+		t.Fatal(err)
+	}
+	st := in.Cat.ByPath(nr.ParsePath("Companies"))
+	if got := in.Top(st).Len(); got != 2 {
+		t.Fatalf("loaded %d rows, want 2", got)
+	}
+}
+
 func TestCSVHeader(t *testing.T) {
 	in := instance.New(relCat())
 	data := "cname,cid\nIBM,111\n"
