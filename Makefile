@@ -1,7 +1,8 @@
 # Development targets. `make ci` is the gate every change must pass:
 # vet, build, the full test suite under the race detector, a focused
 # race pass over the retrieval path (concurrent index building in
-# internal/query + the wizards' prefetch workers), a repeated race
+# internal/query + the wizards' prefetch workers, then the uniqueness
+# verdicts and refutation rule repeated), a repeated race
 # pass over the instance layer's lazily filled hash and key caches
 # (concurrent reads of one shared instance), benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
@@ -35,6 +36,7 @@ race:
 
 race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
+	$(GO) test -race -count=10 -run 'Unique|Refute' ./internal/query
 
 # Server sessions and prefetch workers read one source instance at
 # once, and the first Set, Contains or Key on a value fills its hash or
@@ -74,8 +76,11 @@ fuzz-smoke:
 
 # End-to-end observability check, two halves. First: run a scripted
 # Muse-G session on the Fig. 1 scenario with -metrics and -trace, then
-# assert the headline counters (questions, planner tiers, index probes,
-# chase tuples) are non-zero and the trace contains chase spans.
+# assert the headline counters (questions, refuted probes, chase
+# tuples) are non-zero and the trace contains chase spans. Every Fig. 1
+# probe is refuted before planning, so a scripted join-wizard run on
+# the same scenario, whose queries are searched, must move the planner
+# tier and index probe counters.
 # Second: boot musesrv with the flight recorder capturing every step
 # (-slow-threshold 0), assert a client-supplied X-Muse-Request-Id
 # round-trips into the response header, and that GET /debug/slow
@@ -86,9 +91,12 @@ obs-smoke:
 	yes 1 | $(GO) run ./cmd/muse -doc testdata/fig1.muse -src CompDB -tgt OrgDB \
 		-instance I -mode group -mapping m2 \
 		-metrics $$tmp/metrics.txt -trace $$tmp/trace.jsonl >/dev/null && \
+	yes 1 | $(GO) run ./cmd/muse -doc testdata/fig1.muse -src CompDB -tgt OrgDB \
+		-instance I -mode joins -mapping m2 -metrics $$tmp/joins.txt >/dev/null && \
 	grep -q '^muse_museg_questions_total [1-9]' $$tmp/metrics.txt && \
-	grep -q '^muse_plan_tier_.*_total [1-9]' $$tmp/metrics.txt && \
-	grep -q '^muse_index_probes_total [1-9]' $$tmp/metrics.txt && \
+	grep -q '^muse_query_refuted_total [1-9]' $$tmp/metrics.txt && \
+	grep -q '^muse_plan_tier_.*_total [1-9]' $$tmp/joins.txt && \
+	grep -q '^muse_index_probes_total [1-9]' $$tmp/joins.txt && \
 	grep -q '^muse_chase_tuples_total [1-9]' $$tmp/metrics.txt && \
 	grep -q '"name":"chase"' $$tmp/trace.jsonl && \
 	echo "obs-smoke: metrics and trace OK"; st=$$?; rm -rf $$tmp; exit $$st

@@ -5,6 +5,7 @@ import (
 
 	"muse/internal/core"
 	"muse/internal/designer"
+	"muse/internal/nr"
 	"muse/internal/obs"
 	"muse/internal/parser"
 	"muse/internal/query"
@@ -62,10 +63,30 @@ func TestMuseGObsCounters(t *testing.T) {
 	if tuples == 0 {
 		t.Error("no example tuples recorded; expected the probes to build examples")
 	}
-	// The wizard's probes run through the planner and the shared store,
-	// so their counters must have moved too.
+	// The wizard's probes run through the query engine, so its counters
+	// must have moved too. Every Fig. 1 probe is refuted from the
+	// source's keys before planning; the refuted counter must match the
+	// query.eval spans that carry the refuted attribute.
 	if reg.Get(obs.MQueryEvals) == 0 {
 		t.Error("no query evals recorded")
+	}
+	if o.Tr.Count() > obs.DefaultRingSize {
+		t.Fatalf("%d spans overflow the %d-span ring; refuted spans cannot be counted", o.Tr.Count(), obs.DefaultRingSize)
+	}
+	var refutedSpans int64
+	for _, rec := range o.Tr.Finished() {
+		if rec.Name == obs.SpanQueryEval && rec.AttrMap()["refuted"] == true {
+			refutedSpans++
+		}
+	}
+	if got := reg.Get(obs.MQueryRefuted); got == 0 || got != refutedSpans {
+		t.Errorf("refuted counter = %d, want %d refuted query.eval spans (and more than 0)", got, refutedSpans)
+	}
+	// A searched query through the wizard's shared store (a join with
+	// no inequality, so nothing to refute) moves the index counters.
+	ms, err := joinQuery(w.Real.Cat).Eval(w.Real, query.Options{Store: w.Store, Obs: o})
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("join through the wizard's store: %d matches, err %v", len(ms), err)
 	}
 	if reg.Get(obs.MIndexProbes) == 0 {
 		t.Error("no index probes recorded")
@@ -78,18 +99,24 @@ func TestMuseGObsCounters(t *testing.T) {
 	}
 }
 
-// TestQueryEvalNilObsIdentical checks Eval's nil-obs path returns the
-// same matches as the instrumented one.
-func TestQueryEvalNilObsIdentical(t *testing.T) {
-	fig := scenarios.NewFigure1(true)
-	q := &query.Query{
-		Src: fig.Src,
+// joinQuery joins each Fig. 1 company to its projects and their
+// managers.
+func joinQuery(cat *nr.Catalog) *query.Query {
+	return &query.Query{
+		Src: cat,
 		Atoms: []query.Atom{
 			{Var: "c", Set: []string{"Companies"}, Bind: map[string]string{"cid": "x"}},
 			{Var: "p", Set: []string{"Projects"}, Bind: map[string]string{"cid": "x", "manager": "m"}},
 			{Var: "e", Set: []string{"Employees"}, Bind: map[string]string{"eid": "m"}},
 		},
 	}
+}
+
+// TestQueryEvalNilObsIdentical checks Eval's nil-obs path returns the
+// same matches as the instrumented one.
+func TestQueryEvalNilObsIdentical(t *testing.T) {
+	fig := scenarios.NewFigure1(true)
+	q := joinQuery(fig.Src)
 	plain, err := q.Eval(fig.Source, query.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -53,10 +53,16 @@ func TestChaseOracle(t *testing.T) {
 	}
 }
 
-// TestQueryOracle runs the planner-vs-scan differential probes.
+// TestQueryOracle runs the planner-vs-scan differential probes. Some
+// two-copy probes at seed 1 must be refuted from the instance's unique
+// attributes, so refutation is checked against the naive scan too.
 func TestQueryOracle(t *testing.T) {
-	for _, f := range CheckQuery(testConfig()) {
+	fails, refuted := checkQueries(testConfig())
+	for _, f := range fails {
 		t.Errorf("%s", f)
+	}
+	if refuted == 0 {
+		t.Error("no probe was refuted; the oracle does not exercise refutation")
 	}
 }
 

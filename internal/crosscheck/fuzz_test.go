@@ -3,6 +3,9 @@ package crosscheck
 import (
 	"math/rand"
 	"testing"
+
+	"muse/internal/instance"
+	"muse/internal/query"
 )
 
 // FuzzMutatedChase drives the chase differential from a fuzzed seed:
@@ -33,9 +36,9 @@ func FuzzMutatedChase(f *testing.F) {
 }
 
 // FuzzRandomQuery drives the query differential from a fuzzed seed:
-// a random scenario instance and a probe are drawn from the seed's
-// rand stream, and the naive scan, the planner, Limit, and First must
-// all agree.
+// a random scenario instance, a probe and a two-copy probe are drawn
+// from the seed's rand stream, and the naive scan, the planner, Limit,
+// and First must all agree on each probe.
 func FuzzRandomQuery(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 42, 7919} {
 		f.Add(s)
@@ -46,13 +49,16 @@ func FuzzRandomQuery(f *testing.F) {
 		if !ok {
 			return
 		}
-		q := RandomQuery(r, c.Src)
-		if q == nil {
-			return
-		}
-		if fail := checkOneQuery("fuzz", q, c.Src, nil, r); fail != nil {
-			fail.Seed = seed
-			t.Errorf("%s", fail.String())
+		// A general probe, then a two-copy one from the same stream.
+		for _, draw := range []func(*rand.Rand, *instance.Instance) *query.Query{RandomQuery, copyProbe} {
+			q := draw(r, c.Src)
+			if q == nil {
+				continue
+			}
+			if fail := checkOneQuery("fuzz", q, c.Src, nil, nil, r); fail != nil {
+				fail.Seed = seed
+				t.Errorf("%s", fail.String())
+			}
 		}
 	})
 }

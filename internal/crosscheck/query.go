@@ -8,6 +8,7 @@ import (
 
 	"muse/internal/instance"
 	"muse/internal/nr"
+	"muse/internal/obs"
 	"muse/internal/query"
 )
 
@@ -21,8 +22,19 @@ const queryCap = 100
 // by the naive scan reference and by the cost-based planner — in full,
 // with Limit, and via First — and compared.
 func CheckQuery(cfg Config) []Failure {
+	fails, _ := checkQueries(cfg)
+	return fails
+}
+
+// checkQueries is CheckQuery, also returning how many probes the
+// planned evaluation refuted without a search.
+func checkQueries(cfg Config) ([]Failure, int64) {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed + 1))
+	// The two-copy probes draw from their own stream, so the general
+	// probes are the same with and without them.
+	rc := rand.New(rand.NewSource(cfg.Seed + 2))
+	o := &obs.Obs{Reg: obs.NewRegistry()}
 	var fails []Failure
 	for _, c := range ChaseCases(cfg) {
 		// The naive reference scans without indexes, so bound the
@@ -38,28 +50,40 @@ func CheckQuery(cfg Config) []Failure {
 		c = &Case{Name: c.Name, Src: src, Ms: c.Ms}
 		store := query.NewIndexStore(c.Src)
 		for qi := 0; qi < cfg.Queries; qi++ {
-			q := RandomQuery(r, c.Src)
-			if q == nil {
-				continue
+			if q := RandomQuery(r, c.Src); q != nil {
+				if f := checkOneQuery(fmt.Sprintf("%s/q%d", c.Name, qi), q, c.Src, store, o, r); f != nil {
+					f.Seed = cfg.Seed
+					fails = append(fails, *f)
+				}
 			}
-			name := fmt.Sprintf("%s/q%d", c.Name, qi)
-			if f := checkOneQuery(name, q, c.Src, store, r); f != nil {
-				f.Seed = cfg.Seed
-				fails = append(fails, *f)
+			if q := copyProbe(rc, c.Src); q != nil {
+				if f := checkOneQuery(fmt.Sprintf("%s/c%d", c.Name, qi), q, c.Src, store, o, rc); f != nil {
+					f.Seed = cfg.Seed
+					fails = append(fails, *f)
+				}
 			}
 		}
-		cfg.logf("  query case %s: %d probes", c.Name, cfg.Queries)
+		cfg.logf("  query case %s: %d probes, %d two-copy probes", c.Name, cfg.Queries, cfg.Queries)
 	}
-	return fails
+	refuted := o.Reg.Get(obs.MQueryRefuted)
+	cfg.logf("  query: %d probes refuted without a search", refuted)
+	return fails, refuted
 }
 
-func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *query.IndexStore, r *rand.Rand) *Failure {
+// checkOneQuery compares one probe's planned evaluations with the naive
+// reference. The full planned evaluation reports onto o (nil: not at
+// all).
+func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *query.IndexStore, o *obs.Obs, r *rand.Rand) *Failure {
 	fail := func(detail string) *Failure {
 		return &Failure{Oracle: "query", Case: name, Detail: detail, Repro: reproQuery(q, in)}
 	}
 	var ref, planned []query.Match
 	errRef := guard(func() error { var err error; ref, err = q.Eval(in, query.Options{Naive: true}); return err })
-	errPlan := guard(func() error { var err error; planned, err = q.Eval(in, query.Options{Store: store}); return err })
+	errPlan := guard(func() error {
+		var err error
+		planned, err = q.Eval(in, query.Options{Store: store, Obs: o})
+		return err
+	})
 	if (errRef == nil) != (errPlan == nil) {
 		return fail(fmt.Sprintf("error behavior diverged: naive=%v planned=%v", errRef, errPlan))
 	}
@@ -169,6 +193,40 @@ func RandomQuery(r *rand.Rand, in *instance.Instance) *query.Query {
 		q.Neq = append(q.Neq, [2]string{uv[i], uv[j]})
 	}
 	return q
+}
+
+// copyProbe draws the two-copy shape of Muse-G's probes (the Q_Ie of
+// Sec. III-A): a random top-level set twice, one shared variable per
+// attribute of a random subset, copy-specific variables on the other
+// attributes, and an inequality on one copy-specific pair. When the
+// shared attributes include a list the instance holds unique, the
+// query engine refutes the probe without a search. Returns nil when
+// the drawn set has no atomic attribute or the catalog no top-level
+// set.
+func copyProbe(r *rand.Rand, in *instance.Instance) *query.Query {
+	tops := in.Cat.TopLevel()
+	if len(tops) == 0 {
+		return nil
+	}
+	st := tops[r.Intn(len(tops))]
+	if len(st.Atoms) == 0 {
+		return nil
+	}
+	probe := st.Atoms[r.Intn(len(st.Atoms))]
+	c1 := query.Atom{Var: "t0", Set: st.Path, Bind: make(map[string]string, len(st.Atoms))}
+	c2 := query.Atom{Var: "t1", Set: st.Path, Bind: make(map[string]string, len(st.Atoms))}
+	for _, attr := range st.Atoms {
+		if attr != probe && r.Float64() < 0.5 {
+			c1.Bind[attr], c2.Bind[attr] = "v_"+attr, "v_"+attr
+		} else {
+			c1.Bind[attr], c2.Bind[attr] = "v1_"+attr, "v2_"+attr
+		}
+	}
+	return &query.Query{
+		Src:   in.Cat,
+		Atoms: []query.Atom{c1, c2},
+		Neq:   [][2]string{{"v1_" + probe, "v2_" + probe}},
+	}
 }
 
 // samplePin picks a pin value: usually one actually present in the

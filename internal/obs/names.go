@@ -17,6 +17,7 @@ const (
 	MQueryAtomsCosted  = "muse_query_atoms_costed_total"  // atomCost invocations while planning
 	MQueryRowsScanned  = "muse_query_rows_scanned_total"  // candidate tuples considered
 	MQueryRowsReturned = "muse_query_rows_returned_total" // matches returned
+	MQueryRefuted      = "muse_query_refuted_total"       // Evals refuted before planning (no search)
 	HQueryEvalSeconds  = "muse_query_eval_seconds"        // Eval latency histogram
 
 	// planner tier choice, one counter per access tier
@@ -94,7 +95,7 @@ var SrvStepSecondsBounds = []float64{
 const (
 	SpanChase        = "chase"              // one Chase call: mappings, workers
 	SpanChaseMapping = "chase.mapping"      // one mapping's chase: mapping, assignments, tuples, nulls
-	SpanQueryEval    = "query.eval"         // one Eval: atoms, matches, scanned
+	SpanQueryEval    = "query.eval"         // one Eval: atoms, matches, scanned, refuted
 	SpanMuseGSK      = "museg.design_sk"    // one grouping function: mapping, sk, questions
 	SpanMuseGProbe   = "museg.probe"        // one probe question's compute: probe, real
 	SpanMuseD        = "mused.disambiguate" // one Muse-D question: mapping, alternatives, real

@@ -13,6 +13,10 @@
 // plan into a slot-resolved kernel (kernel.go) whose backtracking
 // search reads tuple slots by position and binds variables in an array
 // indexed by variable id, so no name is looked up per candidate tuple.
+// Before planning, Eval tries to refute the query (refute.go): when two
+// top-level atoms over one set agree on an attribute list the instance
+// holds unique, they match one tuple, and an inequality that this
+// forces equal can never hold.
 //
 // Invariants:
 //
@@ -20,11 +24,16 @@
 //     were warm; the match order is the order of the plan Explain
 //     shows. The naive reference (Options.Naive) returns the same
 //     match set.
+//   - Refutation is exact: a refuted query has no match, and its Eval
+//     plans, scans and indexes nothing. Queries it does not refute
+//     run the same plan and kernel as without it. Options.Naive never
+//     refutes.
 //   - Options.Timeout and Options.Ctx compose: a lapsed deadline
 //     surfaces as ErrTimeout (the wizards then fall back to synthetic
 //     examples), while a cancelled context surfaces as the context's
 //     own error so callers can tell designer abort from retrieval
 //     timeout.
 //   - An IndexStore is safe for concurrent use and never returns
-//     partially built indexes.
+//     partially built indexes. It builds each index, statistics block
+//     and uniqueness verdict once.
 package query

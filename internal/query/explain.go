@@ -9,7 +9,9 @@ import (
 // Plan is the exported view of a planned query, for EXPLAIN-style
 // inspection. Obtain one with Query.PlanWith; Eval computes the same
 // plan internally (the planner is deterministic, so the two always
-// agree for a given query, store and instance).
+// agree for a given query, store and instance). Eval skips planning
+// when refute proves the query empty (refute.go), so the plan shown
+// applies only to queries that are not refuted.
 type Plan struct {
 	p planned
 }
@@ -17,7 +19,9 @@ type Plan struct {
 // PlanWith validates the query and plans it against the store's
 // statistics, exactly as Eval would. The store must
 // index the instance the query will run over — statistics drive both
-// the atom order and the tier choices.
+// the atom order and the tier choices. Eval skips planning when refute
+// proves the query empty (refute.go), so the plan shown applies only
+// to queries that are not refuted.
 func (q *Query) PlanWith(store *IndexStore) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

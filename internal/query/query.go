@@ -118,10 +118,12 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// Eval evaluates the query over the instance. Atoms are internally
-// reordered by the cost-based planner (estimated candidate-set size
-// from the index store's statistics), which keeps the backtracking
-// join index-driven; results report tuples in the original atom order.
+// Eval evaluates the query over the instance. A query whose
+// inequalities the instance's unique attributes refute returns no
+// matches without a search. Otherwise atoms are internally reordered
+// by the cost-based planner (estimated candidate-set size from the
+// index store's statistics), which keeps the backtracking join
+// index-driven; results report tuples in the original atom order.
 func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -161,8 +163,9 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 	return out, err
 }
 
-// evalPlanned plans the query, compiles the plan into its
-// slot-resolved kernel, and runs the backtracking search.
+// evalPlanned refutes the query from the instance's unique attributes
+// when it can (refute.go), and otherwise plans it, compiles the plan
+// into its slot-resolved kernel, and runs the backtracking search.
 func (q *Query) evalPlanned(in *instance.Instance, opt Options, sp *obs.Span) ([]Match, int64, error) {
 	if err := q.checkLayout(in); err != nil {
 		return nil, 0, err
@@ -170,6 +173,18 @@ func (q *Query) evalPlanned(in *instance.Instance, opt Options, sp *obs.Span) ([
 	store := opt.Store
 	if store == nil || store.Instance() != in {
 		store = NewIndexStore(in)
+	}
+	if r := q.refute(store); r != nil {
+		if o := opt.Obs; o != nil {
+			o.Counter(obs.MQueryRefuted).Inc()
+		}
+		if sp != nil {
+			sp.Attr("refuted", true)
+			if obs.DetailFromContext(opt.Ctx) {
+				sp.Attr("explain", r.explain())
+			}
+		}
+		return nil, 0, nil
 	}
 	p := q.plan(store)
 	if sp != nil && obs.DetailFromContext(opt.Ctx) {

@@ -9,12 +9,12 @@ import (
 	"muse/internal/obs"
 )
 
-// IndexStore caches hash indexes and statistics over one source
-// instance, so a whole design session (the wizard, its prefetch
-// workers, Muse-D, the join wizard) builds each index at most once
-// instead of once per Eval. It is safe for concurrent use; every index
-// and statistics block is built exactly once (singleflight per key)
-// even when several evaluations race for it.
+// IndexStore caches hash indexes, statistics and uniqueness verdicts
+// over one source instance, so a whole design session (the wizard, its
+// prefetch workers, Muse-D, the join wizard) builds each index at most
+// once instead of once per Eval. It is safe for concurrent use; every
+// index, statistics block and verdict is built exactly once
+// (singleflight per key) even when several evaluations race for it.
 //
 // The store assumes the instance is immutable while indexed — the
 // wizards only ever read the real source instance, and DESIGN.md §7
@@ -24,8 +24,9 @@ type IndexStore struct {
 	in *instance.Instance
 
 	mu      sync.Mutex
-	indexes map[*nr.SetType]map[string]*indexEntry
-	stats   map[*nr.SetType]*statsEntry
+	indexes map[*nr.SetType]map[string]*entry[map[string][]*instance.Tuple]
+	stats   map[*nr.SetType]*entry[*SetStats]
+	uniques map[*nr.SetType]map[string]*entry[bool]
 	keyBuf  []byte // attr-list key scratch, guarded by mu
 
 	// Metrics, guarded by mu — the same mutex the builders take — so a
@@ -43,20 +44,12 @@ type IndexStore struct {
 	cBuilds, cBuildNanos, cProbes, cHits *obs.Counter
 }
 
-// indexEntry is one (set, attribute list) index, built exactly once:
-// the goroutine that registers the entry builds it and closes done;
-// everyone else blocks on done.
-type indexEntry struct {
-	done     chan struct{}
-	idx      map[string][]*instance.Tuple
-	distinct int
-}
-
-// statsEntry holds the per-set statistics block, same build-once
-// protocol as indexEntry.
-type statsEntry struct {
-	done  chan struct{}
-	stats *SetStats
+// entry is one cache slot (an index, a statistics block, a uniqueness
+// verdict), built exactly once: the goroutine that registers the entry
+// builds val and closes done; everyone else blocks on done.
+type entry[T any] struct {
+	done chan struct{}
+	val  T
 }
 
 // SetStats are the per-set statistics the planner costs candidate
@@ -104,8 +97,9 @@ type StoreMetrics struct {
 func NewIndexStore(in *instance.Instance) *IndexStore {
 	return &IndexStore{
 		in:      in,
-		indexes: make(map[*nr.SetType]map[string]*indexEntry),
-		stats:   make(map[*nr.SetType]*statsEntry),
+		indexes: make(map[*nr.SetType]map[string]*entry[map[string][]*instance.Tuple]),
+		stats:   make(map[*nr.SetType]*entry[*SetStats]),
+		uniques: make(map[*nr.SetType]map[string]*entry[bool]),
 	}
 }
 
@@ -152,35 +146,21 @@ func (s *IndexStore) Metrics() StoreMetrics {
 // buffer, so a cache hit allocates nothing.
 func (s *IndexStore) Index(st *nr.SetType, attrs []string) map[string][]*instance.Tuple {
 	s.mu.Lock()
-	buf := s.keyBuf[:0]
-	for _, a := range attrs {
-		buf = append(buf, a...)
-		buf = append(buf, '\x00')
-	}
-	s.keyBuf = buf
-	byAttrs := s.indexes[st]
-	if e, ok := byAttrs[string(buf)]; ok {
-		s.probes++
+	e, built := lookupAttrs(s.indexes, st, s.attrsKey(attrs))
+	s.probes++
+	if built {
 		s.hits++
 		s.mu.Unlock()
 		s.cProbes.Inc()
 		s.cHits.Inc()
 		<-e.done
-		return e.idx
+		return e.val
 	}
-	if byAttrs == nil {
-		byAttrs = make(map[string]*indexEntry)
-		s.indexes[st] = byAttrs
-	}
-	e := &indexEntry{done: make(chan struct{})}
-	byAttrs[string(buf)] = e
-	s.probes++
 	s.mu.Unlock()
 	s.cProbes.Inc()
 
 	start := time.Now()
-	e.idx = buildIndex(s.in.Top(st), attrs)
-	e.distinct = len(e.idx)
+	e.val = buildIndex(s.in.Top(st), attrs)
 	nanos := int64(time.Since(start))
 	s.mu.Lock()
 	s.built++
@@ -191,7 +171,113 @@ func (s *IndexStore) Index(st *nr.SetType, attrs []string) map[string][]*instanc
 	// Counters first, done second: a goroutine that saw the index is
 	// guaranteed to see its build in Metrics.
 	close(e.done)
-	return e.idx
+	return e.val
+}
+
+// unique reports whether the top-level set st holds the attribute list
+// unique: every tuple sets each attribute and no two tuples agree on
+// all of them. Attrs must be in canonical (sorted) order. Each list is
+// decided once, by one pass over the set, and only the verdict is
+// kept; the pass counts toward the store's build time.
+func (s *IndexStore) unique(st *nr.SetType, attrs []string) bool {
+	s.mu.Lock()
+	e, built := lookupAttrs(s.uniques, st, s.attrsKey(attrs))
+	s.mu.Unlock()
+	if built {
+		<-e.done
+		return e.val
+	}
+	start := time.Now()
+	slots := make([]int, len(attrs))
+	for i, a := range attrs {
+		slots[i] = st.Slot(a)
+	}
+	e.val = uniqueOn(s.in.Top(st).View(), slots)
+	nanos := int64(time.Since(start))
+	s.mu.Lock()
+	s.buildNanos += nanos
+	s.mu.Unlock()
+	s.cBuildNanos.Add(nanos)
+	close(e.done)
+	return e.val
+}
+
+// attrsKey composes the identity key of an attribute list in the
+// store's scratch buffer. Callers hold mu and use the key before
+// releasing it.
+func (s *IndexStore) attrsKey(attrs []string) []byte {
+	buf := s.keyBuf[:0]
+	for _, a := range attrs {
+		buf = append(buf, a...)
+		buf = append(buf, '\x00')
+	}
+	s.keyBuf = buf
+	return buf
+}
+
+// lookupAttrs finds the (set, attribute list) entry of a cache, or
+// registers a new one that the caller must build; built reports which.
+// Callers hold the store's mutex.
+func lookupAttrs[T any](cache map[*nr.SetType]map[string]*entry[T], st *nr.SetType, key []byte) (e *entry[T], built bool) {
+	byAttrs := cache[st]
+	if e, ok := byAttrs[string(key)]; ok {
+		return e, true
+	}
+	if byAttrs == nil {
+		byAttrs = make(map[string]*entry[T])
+		cache[st] = byAttrs
+	}
+	e = &entry[T]{done: make(chan struct{})}
+	byAttrs[string(key)] = e
+	return e, false
+}
+
+// hashValues hashes a tuple's values over an attribute list in the
+// uniqueness pass. Tests replace it to force every hash equal.
+var hashValues = instance.HashValues
+
+// uniqueOn reports whether no two tuples agree on the given slots and
+// every tuple sets each of them. Tuples are keyed by the hash of their
+// slot values, and a hash hit counts as agreement only when SameValue
+// confirms every slot, so collisions cannot fake a duplicate.
+func uniqueOn(tuples []*instance.Tuple, slots []int) bool {
+	first := make(map[uint64]*instance.Tuple, len(tuples))
+	var more map[uint64][]*instance.Tuple
+	vals := make([]instance.Value, len(slots))
+	agree := func(a, b *instance.Tuple) bool {
+		for _, sl := range slots {
+			if !instance.SameValue(a.ValAt(sl), b.ValAt(sl)) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, t := range tuples {
+		for i, sl := range slots {
+			if vals[i] = t.ValAt(sl); vals[i] == nil {
+				return false
+			}
+		}
+		h := hashValues(vals)
+		prev, ok := first[h]
+		if !ok {
+			first[h] = t
+			continue
+		}
+		if agree(prev, t) {
+			return false
+		}
+		for _, p := range more[h] {
+			if agree(p, t) {
+				return false
+			}
+		}
+		if more == nil {
+			more = make(map[uint64][]*instance.Tuple)
+		}
+		more[h] = append(more[h], t)
+	}
+	return true
 }
 
 // buildIndex materializes one hash index: tuples keyed by the
@@ -227,21 +313,21 @@ func (s *IndexStore) Stats(st *nr.SetType) *SetStats {
 	if e, ok := s.stats[st]; ok {
 		s.mu.Unlock()
 		<-e.done
-		return e.stats
+		return e.val
 	}
-	e := &statsEntry{done: make(chan struct{})}
+	e := &entry[*SetStats]{done: make(chan struct{})}
 	s.stats[st] = e
 	s.mu.Unlock()
 
 	start := time.Now()
-	e.stats = collectStats(s.in, st)
+	e.val = collectStats(s.in, st)
 	nanos := int64(time.Since(start))
 	s.mu.Lock()
 	s.buildNanos += nanos
 	s.mu.Unlock()
 	s.cBuildNanos.Add(nanos)
 	close(e.done)
-	return e.stats
+	return e.val
 }
 
 func collectStats(in *instance.Instance, st *nr.SetType) *SetStats {
