@@ -1,10 +1,11 @@
 # Development targets. `make ci` is the gate every change must pass:
 # vet, build, the full test suite under the race detector, a focused
 # race pass over the retrieval path (concurrent index building in
-# internal/query + the wizards' prefetch workers, then the uniqueness
-# verdicts and refutation rule repeated), a repeated race
-# pass over the instance layer's lazily filled hash and key caches
-# (concurrent reads of one shared instance), benchmark smoke
+# internal/query and the wizards, then the uniqueness verdicts, the
+# refutation rule and the shared instance index and distinct counter
+# repeated), a repeated race pass over the instance layer's lazily
+# filled hash and key caches (concurrent reads of one shared
+# instance), benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
 # paying for a full sweep), an observability smoke run (an end-to-end
 # wizard session must produce non-zero metrics and a trace), an
@@ -37,10 +38,11 @@ race:
 race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
 	$(GO) test -race -count=10 -run 'Unique|Refute' ./internal/query
+	$(GO) test -race -count=10 -run 'Index|CountDistinct' ./internal/instance
 
-# Server sessions and prefetch workers read one source instance at
-# once, and the first Set, Contains or Key on a value fills its hash or
-# key cache. Repeat the concurrent-read tests under the race detector.
+# Server sessions read one source instance at once, and the first Set,
+# Contains or Key on a value fills its hash or key cache. Repeat the
+# concurrent-read tests under the race detector.
 race-instance:
 	$(GO) test -race -count=10 -run 'Concurrent|SharedRegistry' ./internal/instance ./internal/chase
 

@@ -10,6 +10,7 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
+	"muse/internal/query"
 	"muse/internal/scenarios"
 )
 
@@ -110,6 +111,14 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 	if cfg.NoReal {
 		gw.Real = nil
 	}
+	// The index columns are this run's deltas on the registry the
+	// store counts on: the shared one under cfg.Obs, else its own.
+	reg := cfg.Obs.Registry()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	gw.Store = query.NewIndexStore(in).Observe(reg)
+	builds, nanos := reg.Get(obs.MIndexBuilds), reg.Get(obs.MIndexBuildNanos)
 	for _, m := range ms {
 		if len(m.SKs) == 0 {
 			continue
@@ -129,12 +138,9 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 		AvgQuestions:   gw.Stats.AvgQuestions(),
 		RealFraction:   gw.Stats.RealFraction(),
 		AvgExampleTime: gw.Stats.AvgExampleTime(),
+		IndexesBuilt:   int(reg.Get(obs.MIndexBuilds) - builds),
+		IndexBuildTime: time.Duration(reg.Get(obs.MIndexBuildNanos) - nanos),
 		PaperAvgPoss:   s.PaperAvgPoss,
-	}
-	if gw.Store != nil {
-		m := gw.Store.Metrics()
-		row.IndexesBuilt = m.IndexesBuilt
-		row.IndexBuildTime = m.BuildTime
 	}
 	return row, nil
 }

@@ -50,13 +50,13 @@ type generator struct {
 	top *instance.SetVal
 }
 
-// index is a lazily built hash index of a top-level set over some of
-// its slots, keyed by instance.HashValues of the slot values. A bucket
-// may hold tuples whose values only collide in hash; the generator's
-// join checks, which cover every probed equality, drop them.
+// index is a top-level set's instance.Index over some of its slots,
+// built on the first probe. A bucket may hold tuples whose values only
+// collide in hash; the generator's join checks, which cover every
+// probed equality, drop them.
 type index struct {
 	slots []int
-	m     map[uint64][]*instance.Tuple
+	x     *instance.Index
 }
 
 // holds reports whether every join of g holds on asg. An equality over
@@ -247,34 +247,14 @@ func (e *evaluator) candidates(g *generator) []*instance.Tuple {
 	}
 	vals := e.keyVals[:0]
 	for _, r := range g.probe {
-		v := r.of(e.asg)
-		if v == nil {
-			return nil // a join over an unset slot never holds
-		}
-		vals = append(vals, v)
+		vals = append(vals, r.of(e.asg))
 	}
 	e.keyVals = vals
-	if g.idx.m == nil {
-		g.idx.build(g.top)
+	if g.idx.x == nil {
+		g.idx.x = instance.NewIndex(g.top.View(), g.idx.slots)
 	}
-	return g.idx.m[instance.HashValues(vals)]
-}
-
-// build fills the index from the set's tuples, in set order. Tuples
-// with an unset indexed slot are omitted: they cannot equal a probe.
-func (x *index) build(s *instance.SetVal) {
-	x.m = make(map[uint64][]*instance.Tuple)
-	vals := make([]instance.Value, len(x.slots))
-next:
-	for _, t := range s.View() {
-		for k, slot := range x.slots {
-			if vals[k] = t.ValAt(slot); vals[k] == nil {
-				continue next
-			}
-		}
-		h := instance.HashValues(vals)
-		x.m[h] = append(x.m[h], t)
-	}
+	// A join over an unset slot never holds: Lookup finds no bucket.
+	return g.idx.x.Lookup(vals)
 }
 
 // Assignments returns all satisfying assignments of m's for clause

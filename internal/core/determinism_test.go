@@ -11,6 +11,7 @@ import (
 
 	"muse/internal/instance"
 	"muse/internal/mapping"
+	"muse/internal/obs"
 	"muse/internal/query"
 	"muse/internal/scenarios"
 )
@@ -265,22 +266,22 @@ func TestSessionSharesStore(t *testing.T) {
 			continue
 		}
 		w := NewGroupingWizard(s.Src, in)
+		w.Obs = obs.New()
 		if _, err := w.DesignMapping(m, d); err != nil {
 			t.Fatal(err)
 		}
 		if w.Store == nil {
 			t.Fatal("wizard retrieved examples without creating a store")
 		}
-		first := w.Store.Metrics()
-		if first.IndexesBuilt == 0 {
+		first := w.Obs.Reg.Get(obs.MIndexBuilds)
+		if first == 0 {
 			continue
 		}
 		if _, err := w.DesignMapping(m, d); err != nil {
 			t.Fatal(err)
 		}
-		if again := w.Store.Metrics(); again.IndexesBuilt != first.IndexesBuilt {
-			t.Errorf("%s: second pass built %d extra indexes; want full reuse",
-				m.Name, again.IndexesBuilt-first.IndexesBuilt)
+		if again := w.Obs.Reg.Get(obs.MIndexBuilds); again != first {
+			t.Errorf("%s: second pass built %d extra indexes; want full reuse", m.Name, again-first)
 		}
 		return
 	}

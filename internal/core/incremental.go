@@ -47,7 +47,7 @@ func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []map
 			decidedOut[probe] = true
 			continue
 		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, nil, nil, d, &stats)
+		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, nil, d, &stats)
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"muse/internal/chase"
@@ -35,13 +33,11 @@ type GroupingWizard struct {
 	// are skipped (Sec. III-C "Designing grouping functions only for
 	// the instance I").
 	InstanceOnly bool
-	// Prefetch, when set, retrieves the next probe's real example in
-	// the background while the designer considers the current question
-	// (the "think time" optimization of Sec. VI).
+	// Deprecated: Prefetch is ignored; the think-time prefetch of Sec.
+	// VI was removed (DESIGN.md §6).
 	Prefetch bool
-	prefetch *exampleCache
 	// Store caches hash indexes and statistics over Real across the
-	// whole session, shared by every probe query and prefetch worker.
+	// whole session, shared by every probe query.
 	// Left nil, it is created lazily on the first retrieval; a Session
 	// shares one store between Muse-G and Muse-D.
 	Store *query.IndexStore
@@ -75,9 +71,7 @@ func (w *GroupingWizard) context() context.Context {
 }
 
 // retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use. It must be called
-// from the wizard's own goroutine; prefetch workers capture the
-// returned value (the store itself is concurrency-safe).
+// creating the session's index store on first use.
 func (w *GroupingWizard) retrieval() query.Options {
 	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
 		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
@@ -198,12 +192,8 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	// value, so one probe decides the whole equality class (the c.cid
 	// probe of Fig. 3(a) also decides p.cid).
 	eqClass := newExprClasses(m.ForSat)
-	if w.Prefetch && w.prefetch == nil {
-		w.prefetch = newExampleCache()
-		defer w.prefetch.wait()
-	}
 	decidedOut := make(map[mapping.Expr]bool)
-	for ci, probe := range candidates {
+	for _, probe := range candidates {
 		if err := w.context().Err(); err != nil {
 			return nil, err
 		}
@@ -231,11 +221,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 				continue
 			}
 		}
-		var next *mapping.Expr
-		if ci+1 < len(candidates) {
-			next = &candidates[ci+1]
-		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, next, d, &stats)
+		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, d, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +244,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 // or synthetic instance, chases the two scenarios, and asks the
 // designer. skipped is true when the probe turned out inconsequential
 // (no question was posed).
-func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, next *mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
+func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
 	tb, ok := w.probeSetup(m, poss, confirmed, decidedOut, probe, alwaysDiffer)
 	if !ok {
 		// The constraints force the probed attribute to agree whenever
@@ -270,7 +256,7 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 	d1 := m.WithSK(fn, with)
 	d2 := m.WithSK(fn, confirmed)
 
-	ie, real, err := w.obtainExampleCached(tb, fn, confirmed, decidedOut, probe, alwaysDiffer, stats)
+	ie, real, err := w.obtainExample(tb, []mapping.Expr{probe}, stats)
 	if err != nil {
 		return 0, false, err
 	}
@@ -322,14 +308,6 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 	if w.Ranker != nil {
 		rk := w.ranker().ScoreProbe(m, probe, confirmed)
 		q.Ranking = &rk
-	}
-	// Use the designer's think time to retrieve the next probe's
-	// example speculatively, for both possible answers (Sec. VI).
-	if w.prefetch != nil && w.Real != nil && next != nil {
-		outPlus := copyDecided(decidedOut)
-		outPlus[probe] = true
-		w.spawnPrefetch(m, fn, poss, with, decidedOut, *next, alwaysDiffer)
-		w.spawnPrefetch(m, fn, poss, confirmed, outPlus, *next, alwaysDiffer)
 	}
 	// End the span as the question is posed, not when it is answered:
 	// the designer's think time crosses requests (the answer arrives
@@ -424,71 +402,6 @@ func (w *GroupingWizard) probeSetup(m *mapping.Mapping, poss, confirmed []mappin
 	}
 	tb.finalize()
 	return tb, true
-}
-
-// patternKey identifies a probe pattern for the prefetch cache.
-func patternKey(fn string, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) string {
-	outs := make([]string, 0, len(decidedOut))
-	for k := range decidedOut {
-		outs = append(outs, k.String())
-	}
-	sort.Strings(outs)
-	return fn + "\x01" + sortedExprs(confirmed) + "\x01" + strings.Join(outs, ",") +
-		"\x01" + probe.String() + "\x01" + sortedExprs(alwaysDiffer)
-}
-
-func copyDecided(m map[mapping.Expr]bool) map[mapping.Expr]bool {
-	out := make(map[mapping.Expr]bool, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// spawnPrefetch starts a background retrieval of the example for a
-// future probe pattern.
-func (w *GroupingWizard) spawnPrefetch(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) {
-	key := patternKey(fn, confirmed, decidedOut, probe, alwaysDiffer)
-	confirmed = append([]mapping.Expr{}, confirmed...)
-	decidedOut = copyDecided(decidedOut)
-	// Resolve the retrieval options (and thus the shared store) on the
-	// wizard goroutine; the worker only reads the copied value.
-	opt := w.retrieval()
-	w.prefetch.spawn(key, func() (*instance.Instance, bool) {
-		tb, ok := w.probeSetup(m, poss, confirmed, decidedOut, probe, alwaysDiffer)
-		if !ok {
-			return nil, false
-		}
-		q := tb.realQuery([]mapping.Expr{probe})
-		match, found, _ := q.FirstOpts(w.Real, opt)
-		if !found {
-			return nil, false
-		}
-		return tb.fromMatch(match, w.Real), true
-	})
-}
-
-// obtainExampleCached consults the prefetch cache before falling back
-// to a synchronous retrieval.
-func (w *GroupingWizard) obtainExampleCached(tb *tableau, fn string, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
-	if w.prefetch != nil {
-		key := patternKey(fn, confirmed, decidedOut, probe, alwaysDiffer)
-		if entry := w.prefetch.lookup(key); entry != nil {
-			start := time.Now()
-			<-entry.done
-			stats.ExampleTime += time.Since(start)
-			if entry.ie != nil {
-				stats.RealExamples++
-				stats.ExampleTuples += entry.ie.TupleCount()
-				return entry.ie, true, nil
-			}
-			stats.SyntheticExamples++
-			ie := tb.synthetic()
-			stats.ExampleTuples += ie.TupleCount()
-			return ie, false, nil
-		}
-	}
-	return w.obtainExample(tb, []mapping.Expr{probe}, stats)
 }
 
 // obtainExample retrieves a real example via the probe query, falling

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -417,15 +416,4 @@ func multiKeyed(m *mapping.Mapping, src *deps.Set) bool {
 		}
 	}
 	return false
-}
-
-// sortedExprs renders a set of expressions deterministically (for
-// stats and error messages).
-func sortedExprs(es []mapping.Expr) string {
-	ss := make([]string, len(es))
-	for i, e := range es {
-		ss[i] = e.String()
-	}
-	sort.Strings(ss)
-	return strings.Join(ss, ",")
 }

@@ -9,8 +9,7 @@
 //   - Values (Const, Null, SetRef) are immutable and freely shareable;
 //     a term's content hash and canonical key are each computed on
 //     first use and cached behind atomics, so concurrent readers
-//     (prefetch workers, server sessions sharing one real instance)
-//     are race-free.
+//     (server sessions sharing one real instance) are race-free.
 //   - Identity is structural: two values are equal iff SameValue holds
 //     (constants by string, terms by symbol and arguments), tuples iff
 //     their slots are pairwise equal, and an occurrence is found by any
@@ -18,6 +17,11 @@
 //     and each set's tuples are keyed by a 64-bit content hash, and
 //     entries sharing a hash are told apart structurally, never by the
 //     hash alone.
+//   - Tuples are grouped by slot values in one of two ways (index.go):
+//     an Index, whose buckets may mix hash-colliding tuples that its
+//     callers reject by SameValue, or CountDistinct, which confirms
+//     every hash hit by SameValue and so counts exactly. The chase and
+//     the query store use nothing else.
 //   - Keys are the rendering and ordering encoding, not the identity:
 //     Value.Key and Tuple.Key are rendered only when asked for, and
 //     they are injective (separator bytes inside constants and symbols

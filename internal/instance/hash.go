@@ -95,17 +95,32 @@ func (m *hashMap[T]) get(h uint64, eq func(T) bool) (T, bool) {
 	return zero, false
 }
 
-// put adds v under h. Callers add only entries get did not find.
-func (m *hashMap[T]) put(h uint64, v T) {
-	if m.first == nil {
-		m.first = make(map[uint64]T)
-	}
-	if _, ok := m.first[h]; !ok {
+// add puts v under h unless an entry for which eq holds is there
+// already, and reports whether it put v. It looks h up once, where get
+// followed by put looks it up twice.
+func (m *hashMap[T]) add(h uint64, v T, eq func(T) bool) bool {
+	first, ok := m.first[h]
+	if !ok {
+		if m.first == nil {
+			m.first = make(map[uint64]T)
+		}
 		m.first[h] = v
-		return
+		return true
+	}
+	if eq(first) {
+		return false
+	}
+	for _, w := range m.more[h] {
+		if eq(w) {
+			return false
+		}
 	}
 	if m.more == nil {
 		m.more = make(map[uint64][]T)
 	}
 	m.more[h] = append(m.more[h], v)
+	return true
 }
+
+// put adds v under h. Callers add only entries get did not find.
+func (m *hashMap[T]) put(h uint64, v T) { m.add(h, v, func(T) bool { return false }) }

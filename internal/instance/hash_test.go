@@ -182,10 +182,9 @@ func TestIdentityAcrossInstances(t *testing.T) {
 }
 
 // TestInstanceConcurrentReads reads one shared instance from 8
-// goroutines, as server sessions and prefetch workers do, while every
-// hash and key cache involved is cold: the first Set, Contains, Key or
-// String on a value fills its cache. Run under -race (make
-// race-instance).
+// goroutines, as server sessions do, while every hash and key cache
+// involved is cold: the first Set, Contains, Key or String on a value
+// fills its cache. Run under -race (make race-instance).
 func TestInstanceConcurrentReads(t *testing.T) {
 	cat := orgCat()
 	orgs := cat.ByPath(nr.ParsePath("Orgs"))

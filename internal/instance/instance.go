@@ -26,7 +26,7 @@ type Tuple struct {
 
 	// key caches the canonical encoding; Put invalidates it. The cache
 	// is atomic so read-only sharing across goroutines (concurrent
-	// chases, prefetch workers) is race-free; concurrent mutation via
+	// chases, server sessions) is race-free; concurrent mutation via
 	// Put is not supported.
 	key atomic.Pointer[string]
 }
@@ -331,8 +331,8 @@ func (in *Instance) set(h uint64, id *SetRef) *SetVal {
 // Top returns the unique occurrence of a top-level set type. The
 // occurrences of the instance's own catalog are cached at construction
 // so the lookup skips re-minting the SetID; the cache is never written
-// afterwards, keeping concurrent read-only use (prefetch workers and
-// server sessions sharing one source instance) race-free.
+// afterwards, keeping concurrent read-only use (server sessions
+// sharing one source instance) race-free.
 func (in *Instance) Top(st *nr.SetType) *SetVal {
 	if s, ok := in.tops[st]; ok {
 		return s

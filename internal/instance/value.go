@@ -192,8 +192,9 @@ func appendTerm(b []byte, fn string, args []Value) []byte {
 
 // The canonical encodings separate their parts with the bytes 0x00
 // through 0x06: kind tag, term symbol, arguments and term end
-// (appendTerm), tuple slots (Tuple.Key), and the index keys composed
-// from value keys elsewhere (0x05, 0x06). Inside constant strings and
+// (appendTerm), tuple slots (Tuple.Key), and the composite keys other
+// packages compose from value keys: 0x05 in deps.Check's projections,
+// 0x06 in Muse-G's dataImplied groups. Inside constant strings and
 // term symbols those bytes, and the escape byte escByte itself, are
 // written as escByte followed by '0'+byte, so no payload can forge a
 // boundary and keys stay injective. Strings without bytes below 0x08

@@ -117,9 +117,8 @@ type Mapping struct {
 	SKs []SKAssign
 
 	// info caches the resolution result. It is an atomic pointer so
-	// Analyze is safe to call from concurrent chases and the
-	// speculative-prefetch goroutines; structural edits clear it via
-	// invalidate.
+	// Analyze is safe to call from concurrent chases and server
+	// sessions; structural edits clear it via invalidate.
 	info atomic.Pointer[Info]
 }
 

@@ -5,11 +5,12 @@
 // pattern; when no real match exists (or a deadline passes), the
 // wizards fall back to synthetic examples.
 //
-// Evaluation is index-driven: hash indexes over top-level sets come
-// from an IndexStore, shared across a whole design session when the
-// caller passes one (Options.Store), and a cost-based planner orders
-// the atoms by estimated candidate-set size using the store's
-// cardinality and distinct-value statistics. Each Eval compiles the
+// Evaluation is index-driven: hash indexes over top-level sets
+// (instance.Index) come from an IndexStore, shared across a whole
+// design session when the caller passes one (Options.Store), and a
+// cost-based planner orders the atoms by estimated candidate-set size
+// using the store's cardinality and distinct-value statistics
+// (instance.CountDistinct). Each Eval compiles the
 // plan into a slot-resolved kernel (kernel.go) whose backtracking
 // search reads tuple slots by position and binds variables in an array
 // indexed by variable id, so no name is looked up per candidate tuple.
@@ -35,5 +36,8 @@
 //     timeout.
 //   - An IndexStore is safe for concurrent use and never returns
 //     partially built indexes. It builds each index, statistics block
-//     and uniqueness verdict once.
+//     and uniqueness verdict once, and renders no value keys: an index
+//     bucket may hold tuples that only collide in hash, which the
+//     kernel's SameValue checks on every index attribute reject, and
+//     every count confirms hash hits by SameValue.
 package query

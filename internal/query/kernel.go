@@ -33,12 +33,13 @@ type katom struct {
 	// order; a repeated id checks equality instead of binding.
 	bindSlots []int
 	bindIDs   []int
-	// keyIDs/keyPins compose the index key, one part per index
-	// attribute: the variable keyIDs[k], or keyPins[k] when keyIDs[k]
-	// is -1. Both are empty for nested and scanned atoms.
-	keyIDs  []int
-	keyPins []instance.Value
-	idx     map[string][]*instance.Tuple
+	// key is the index probe, one value per index attribute: a pin,
+	// set here when keyIDs[k] is -1, or else the value of variable
+	// keyIDs[k], which the search writes before each lookup. Both are
+	// empty for nested and scanned atoms.
+	keyIDs []int
+	key    []instance.Value
+	idx    *instance.Index
 	// neq holds the variable-id pairs, flattened, whose inequality is
 	// checked at this position.
 	neq []int
@@ -102,10 +103,10 @@ func compile(p *planned, store *IndexStore, in *instance.Instance) *kernel {
 				ka.bindIDs = append(ka.bindIDs, id)
 			}
 		}
-		ka.keyIDs, ka.keyPins = carveInts(len(ap.idxAttrs)), carveVals(len(ap.idxAttrs))
+		ka.keyIDs, ka.key = carveInts(len(ap.idxAttrs)), carveVals(len(ap.idxAttrs))
 		for i, attr := range ap.idxAttrs {
 			if v, ok := a.Pin[attr]; ok {
-				ka.keyIDs[i], ka.keyPins[i] = -1, v
+				ka.keyIDs[i], ka.key[i] = -1, v
 			} else {
 				// The planner only indexes on variables bound earlier.
 				ka.keyIDs[i] = ids[a.Bind[attr]]
@@ -176,7 +177,6 @@ type evalState struct {
 	out    []Match
 	limit  int
 	poll   poller
-	keyBuf []byte
 	// scanned counts candidate tuples considered across the whole
 	// search (feeds muse_query_rows_scanned_total).
 	scanned int64
@@ -241,9 +241,11 @@ func (e *evalState) record() {
 
 // candidates narrows the tuple pool for atom a following its plan:
 // nested atoms read the occurrence their parent references, indexed
-// atoms probe the store's (possibly composite) hash index with a key
-// composed in a reused buffer, and the rest scan. The returned slice
-// is shared and read-only.
+// atoms probe the store's (possibly composite) hash index with the
+// atom's key, and the rest scan. An index bucket may hold tuples that
+// only collide in hash; bindTuple rejects them, since it checks every
+// index attribute's pin or bound variable. The returned slice is
+// shared and read-only.
 func (e *evalState) candidates(a *katom) []*instance.Tuple {
 	if a.parentPos >= 0 {
 		ref, _ := e.tuples[a.parentPos].ValAt(a.fieldSlot).(*instance.SetRef)
@@ -259,17 +261,12 @@ func (e *evalState) candidates(a *katom) []*instance.Tuple {
 	if a.idx == nil {
 		return a.scan
 	}
-	buf := e.keyBuf[:0]
 	for k, id := range a.keyIDs {
-		v := a.keyPins[k]
 		if id >= 0 {
-			v = e.vals[id]
+			a.key[k] = e.vals[id]
 		}
-		buf = instance.AppendValueKey(buf, v)
-		buf = append(buf, '\x05')
 	}
-	e.keyBuf = buf
-	return a.idx[string(buf)]
+	return a.idx.Lookup(a.key)
 }
 
 // bindTuple checks atom a's pins against tuple t, binds its variables

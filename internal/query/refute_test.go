@@ -13,16 +13,16 @@ import (
 )
 
 // evalRefute evaluates q planned, with metrics, through a fresh store
-// and requires the match set of the naive reference. It returns the
-// planned evaluation's metrics and store.
-func evalRefute(t *testing.T, q *Query, in *instance.Instance) (*obs.Obs, *IndexStore, int) {
+// counting on the same registry, and requires the match set of the
+// naive reference. It returns the metrics and the match count.
+func evalRefute(t *testing.T, q *Query, in *instance.Instance) (*obs.Obs, int) {
 	t.Helper()
 	naive, err := q.Eval(in, Options{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	store := NewIndexStore(in)
+	store := NewIndexStore(in).Observe(o.Reg)
 	planned, err := q.Eval(in, Options{Store: store, Obs: o})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func evalRefute(t *testing.T, q *Query, in *instance.Instance) (*obs.Obs, *Index
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("planned matches differ from naive:\nplanned %q\nnaive   %q", got, want)
 	}
-	return o, store, len(planned)
+	return o, len(planned)
 }
 
 // companies builds a Companies-only instance from (cid, cname,
@@ -86,7 +86,7 @@ func TestRefuteTwoCopyProbe(t *testing.T) {
 		},
 		Neq: [][2]string{{"n1", "n2"}},
 	}
-	o, store, n := evalRefute(t, q, in)
+	o, n := evalRefute(t, q, in)
 	if n != 0 {
 		t.Fatalf("%d matches, want 0", n)
 	}
@@ -96,8 +96,8 @@ func TestRefuteTwoCopyProbe(t *testing.T) {
 	if got := o.Reg.Get(obs.MQueryRowsScanned); got != 0 {
 		t.Errorf("refuted evaluation scanned %d rows", got)
 	}
-	if m := store.Metrics(); m.IndexesBuilt != 0 || m.Probes != 0 {
-		t.Errorf("refuted evaluation touched indexes: %+v", m)
+	if b, p := o.Reg.Get(obs.MIndexBuilds), o.Reg.Get(obs.MIndexProbes); b != 0 || p != 0 {
+		t.Errorf("refuted evaluation touched indexes: %d builds, %d probes", b, p)
 	}
 
 	// With detail on, the span carries the proof.
@@ -120,7 +120,7 @@ func TestRefuteCompositeKey(t *testing.T) {
 		[3]string{"1", "A", "X"}, [3]string{"1", "B", "Y"},
 		[3]string{"2", "A", "Y"}, [3]string{"2", "B", "X"},
 	)
-	o, _, n := evalRefute(t, pairQuery(in.Cat, []string{"cname", "location"}, "cid"), in)
+	o, n := evalRefute(t, pairQuery(in.Cat, []string{"cname", "location"}, "cid"), in)
 	if n != 0 || o.Reg.Get(obs.MQueryRefuted) != 1 {
 		t.Errorf("%d matches, %d refuted; want 0 matches, refuted", n, o.Reg.Get(obs.MQueryRefuted))
 	}
@@ -192,7 +192,7 @@ func TestRefuteKeepsSearching(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o, _, n := evalRefute(t, c.q, c.in)
+			o, n := evalRefute(t, c.q, c.in)
 			if got := o.Reg.Get(obs.MQueryRefuted); got != 0 {
 				t.Errorf("refuted %d evaluations, want 0", got)
 			}
@@ -203,46 +203,10 @@ func TestRefuteKeepsSearching(t *testing.T) {
 	}
 }
 
-// TestIndexStoreUniqueSameValue: with every hash equal, the attribute
-// list pass still decides uniqueness by comparing values, and the rule
-// refutes exactly as with real hashes.
-func TestIndexStoreUniqueSameValue(t *testing.T) {
-	prev := hashValues
-	hashValues = func([]instance.Value) uint64 { return 42 }
-	t.Cleanup(func() { hashValues = prev })
-	cat := compCat()
-	st := cat.ByPath(nr.ParsePath("Companies"))
-	unique := companies(
-		[3]string{"1", "A", "X"}, [3]string{"1", "B", "Y"},
-		[3]string{"2", "A", "Y"}, [3]string{"2", "B", "X"},
-	)
-	for _, c := range []struct {
-		in    *instance.Instance
-		attrs []string
-		want  bool
-	}{
-		{unique, []string{"cname", "location"}, true},
-		{unique, []string{"cid", "cname"}, true},
-		{unique, []string{"cid", "location"}, true},
-		{unique, []string{"cname"}, false},
-		{compInstance(cat), []string{"cname", "location"}, false}, // IBM NY twice
-		{compInstance(cat), []string{"cid"}, true},
-		{companies([3]string{"1", "A", "X"}, [3]string{"2", "A", ""}), []string{"cname", "location"}, false},
-	} {
-		if got := NewIndexStore(c.in).unique(st, c.attrs); got != c.want {
-			t.Errorf("unique(%v) = %v, want %v on\n%s", c.attrs, got, c.want, c.in)
-		}
-	}
-	o, _, _ := evalRefute(t, pairQuery(cat, []string{"cname", "location"}, "cid"), unique)
-	if o.Reg.Get(obs.MQueryRefuted) != 1 {
-		t.Error("composite-key probe not refuted under equal hashes")
-	}
-}
-
 // TestIndexStoreUniqueConcurrent asks 8 goroutines for the same and for
 // different attribute lists on a cold store, then on the warm one:
-// every answer matches a serial pass, and each list is decided by one
-// pass (the hashing work equals one serial pass per list).
+// every answer matches a serial pass, the cold store decides each list
+// by one counting pass, and the warm one makes none.
 func TestIndexStoreUniqueConcurrent(t *testing.T) {
 	cat := compCat()
 	st := cat.ByPath(nr.ParsePath("Companies"))
@@ -253,19 +217,19 @@ func TestIndexStoreUniqueConcurrent(t *testing.T) {
 	in := companies(rows...)
 	lists := [][]string{{"cid"}, {"cname"}, {"location"}, {"cid", "cname"}, {"cname", "location"}, {"cid", "location"}}
 
-	var hashed atomic.Int64
-	prev := hashValues
-	hashValues = func(vals []instance.Value) uint64 {
-		hashed.Add(1)
-		return prev(vals)
+	var passes atomic.Int64
+	prev := countDistinct
+	countDistinct = func(tuples []*instance.Tuple, lists [][]int) ([]int, []int) {
+		passes.Add(1)
+		return prev(tuples, lists)
 	}
-	t.Cleanup(func() { hashValues = prev })
+	t.Cleanup(func() { countDistinct = prev })
 
 	want := make([]bool, len(lists))
 	for i, l := range lists {
 		want[i] = NewIndexStore(in).unique(st, l)
 	}
-	onePass := hashed.Swap(0)
+	passes.Store(0)
 	if want[0] != true || want[1] != false || want[4] != false {
 		t.Fatalf("serial verdicts %v: cid must be unique, cname and (cname, location) not", want)
 	}
@@ -295,11 +259,11 @@ func TestIndexStoreUniqueConcurrent(t *testing.T) {
 		}
 	}
 	ask() // cold
-	if got := hashed.Load(); got != onePass {
-		t.Errorf("cold store hashed %d tuples, want %d (one pass per list)", got, onePass)
+	if got := passes.Load(); got != int64(len(lists)) {
+		t.Errorf("cold store made %d counting passes, want %d (one per list)", got, len(lists))
 	}
 	ask() // warm
-	if got := hashed.Load(); got != onePass {
-		t.Errorf("warm store hashed %d more tuples, want none", got-onePass)
+	if got := passes.Load(); got != int64(len(lists)) {
+		t.Errorf("warm store made %d more counting passes, want none", got-int64(len(lists)))
 	}
 }

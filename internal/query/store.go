@@ -10,11 +10,13 @@ import (
 )
 
 // IndexStore caches hash indexes, statistics and uniqueness verdicts
-// over one source instance, so a whole design session (the wizard, its
-// prefetch workers, Muse-D, the join wizard) builds each index at most
-// once instead of once per Eval. It is safe for concurrent use; every
+// over one source instance, so a whole design session (the wizard,
+// Muse-D, the join wizard, the ranker) builds each index at most once
+// instead of once per Eval. It is safe for concurrent use; every
 // index, statistics block and verdict is built exactly once
 // (singleflight per key) even when several evaluations race for it.
+// Indexes are instance.Index values and every count comes from
+// instance.CountDistinct, so the store renders no value keys.
 //
 // The store assumes the instance is immutable while indexed — the
 // wizards only ever read the real source instance, and DESIGN.md §7
@@ -24,24 +26,21 @@ type IndexStore struct {
 	in *instance.Instance
 
 	mu      sync.Mutex
-	indexes map[*nr.SetType]map[string]*entry[map[string][]*instance.Tuple]
-	stats   map[*nr.SetType]*entry[*SetStats]
-	uniques map[*nr.SetType]map[string]*entry[bool]
+	indexes map[cacheKey]*entry[*instance.Index]
+	stats   map[cacheKey]*entry[*SetStats]
+	uniques map[cacheKey]*entry[bool]
 	keyBuf  []byte // attr-list key scratch, guarded by mu
 
-	// Metrics, guarded by mu — the same mutex the builders take — so a
-	// Metrics() snapshot is consistent with respect to completed work:
-	// a build's count and its build time become visible together, and
-	// always before any waiter returns the built index (counters are
-	// updated before the entry's done channel closes).
-	built      int64
-	buildNanos int64
-	probes     int64
-	hits       int64
-
-	// Optional registry mirror (Observe): nil handles are no-ops, so an
+	// Registry counters (Observe): nil handles are no-ops, so an
 	// unobserved store pays one branch per event.
 	cBuilds, cBuildNanos, cProbes, cHits *obs.Counter
+}
+
+// cacheKey names a cache slot: a set type and an attribute list, each
+// attribute followed by 0x00 (empty for a statistics block).
+type cacheKey struct {
+	st    *nr.SetType
+	attrs string
 }
 
 // entry is one cache slot (an index, a statistics block, a uniqueness
@@ -75,42 +74,23 @@ func (s *SetStats) AvgOccSize() float64 {
 	return float64(s.Card) / float64(s.Occs)
 }
 
-// StoreMetrics reports accumulated index-store effort, for the
-// musebench retrieval columns. It is a compatibility shim over the
-// store's counters; sessions that want a live, named view should
-// Observe the store onto an obs.Registry instead.
-type StoreMetrics struct {
-	// IndexesBuilt counts distinct (set, attribute list) indexes
-	// materialized.
-	IndexesBuilt int
-	// BuildTime is the total wall-clock spent building them (and
-	// collecting statistics blocks).
-	BuildTime time.Duration
-	// Probes counts indexed candidate lookups served.
-	Probes int64
-	// Hits counts the probes answered by an already-materialized index
-	// (Probes - Hits is the miss/build count on the Index path).
-	Hits int64
-}
-
 // NewIndexStore creates an empty store over the instance.
 func NewIndexStore(in *instance.Instance) *IndexStore {
 	return &IndexStore{
 		in:      in,
-		indexes: make(map[*nr.SetType]map[string]*entry[map[string][]*instance.Tuple]),
-		stats:   make(map[*nr.SetType]*entry[*SetStats]),
-		uniques: make(map[*nr.SetType]map[string]*entry[bool]),
+		indexes: make(map[cacheKey]*entry[*instance.Index]),
+		stats:   make(map[cacheKey]*entry[*SetStats]),
+		uniques: make(map[cacheKey]*entry[bool]),
 	}
 }
 
 // Instance returns the instance the store indexes.
 func (s *IndexStore) Instance() *instance.Instance { return s.in }
 
-// Observe mirrors the store's counters onto reg under the
-// muse_index_* names (DESIGN.md §8) and returns the store. Only
-// events after the call are mirrored; call it right after
-// NewIndexStore, before the store is shared across goroutines. A nil
-// reg is a no-op.
+// Observe counts the store's work on reg under the muse_index_* names
+// (DESIGN.md §8) and returns the store. Only events after the call are
+// counted; call it right after NewIndexStore, before the store is
+// shared across goroutines. A nil reg is a no-op.
 func (s *IndexStore) Observe(reg *obs.Registry) *IndexStore {
 	if reg == nil {
 		return s
@@ -122,244 +102,109 @@ func (s *IndexStore) Observe(reg *obs.Registry) *IndexStore {
 	return s
 }
 
-// Metrics returns a snapshot of the store's accumulated effort. The
-// snapshot is taken under the builders' mutex, so it is consistent
-// with respect to completed builds: every build that any concurrent
-// Index call has already returned from is fully reflected (count and
-// build time together).
-func (s *IndexStore) Metrics() StoreMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StoreMetrics{
-		IndexesBuilt: int(s.built),
-		BuildTime:    time.Duration(s.buildNanos),
-		Probes:       s.probes,
-		Hits:         s.hits,
-	}
-}
-
 // Index returns the hash index of the top-level set st over the given
 // attribute list (single- or composite-attribute), building it on
 // first use. Attrs must be in canonical (sorted) order — Eval's plans
-// guarantee this. The returned map and its buckets are shared and
-// read-only. The attrs identity key is composed in a store-owned
-// buffer, so a cache hit allocates nothing.
-func (s *IndexStore) Index(st *nr.SetType, attrs []string) map[string][]*instance.Tuple {
-	s.mu.Lock()
-	e, built := lookupAttrs(s.indexes, st, s.attrsKey(attrs))
-	s.probes++
-	if built {
-		s.hits++
-		s.mu.Unlock()
-		s.cProbes.Inc()
-		s.cHits.Inc()
-		<-e.done
-		return e.val
-	}
-	s.mu.Unlock()
+// guarantee this. The returned index is shared and read-only.
+func (s *IndexStore) Index(st *nr.SetType, attrs []string) *instance.Index {
 	s.cProbes.Inc()
-
-	start := time.Now()
-	e.val = buildIndex(s.in.Top(st), attrs)
-	nanos := int64(time.Since(start))
-	s.mu.Lock()
-	s.built++
-	s.buildNanos += nanos
-	s.mu.Unlock()
-	s.cBuilds.Inc()
-	s.cBuildNanos.Add(nanos)
-	// Counters first, done second: a goroutine that saw the index is
-	// guaranteed to see its build in Metrics.
-	close(e.done)
-	return e.val
+	x, hit := cached(s, s.indexes, st, attrs, func() *instance.Index {
+		set := s.in.Top(st)
+		// Counted before the entry is published, so whoever sees the
+		// index sees its build.
+		s.cBuilds.Inc()
+		return instance.NewIndex(set.View(), slotsOf(set, attrs))
+	})
+	if hit {
+		s.cHits.Inc()
+	}
+	return x
 }
+
+// countDistinct is the counting pass behind Stats and unique. Tests
+// wrap it to count passes.
+var countDistinct = instance.CountDistinct
 
 // unique reports whether the top-level set st holds the attribute list
 // unique: every tuple sets each attribute and no two tuples agree on
 // all of them. Attrs must be in canonical (sorted) order. Each list is
-// decided once, by one pass over the set, and only the verdict is
-// kept; the pass counts toward the store's build time.
+// decided once, by one counting pass over the set, and only the
+// verdict is kept.
 func (s *IndexStore) unique(st *nr.SetType, attrs []string) bool {
-	s.mu.Lock()
-	e, built := lookupAttrs(s.uniques, st, s.attrsKey(attrs))
-	s.mu.Unlock()
-	if built {
-		<-e.done
-		return e.val
-	}
-	start := time.Now()
-	slots := make([]int, len(attrs))
-	for i, a := range attrs {
-		slots[i] = st.Slot(a)
-	}
-	e.val = uniqueOn(s.in.Top(st).View(), slots)
-	nanos := int64(time.Since(start))
-	s.mu.Lock()
-	s.buildNanos += nanos
-	s.mu.Unlock()
-	s.cBuildNanos.Add(nanos)
-	close(e.done)
-	return e.val
-}
-
-// attrsKey composes the identity key of an attribute list in the
-// store's scratch buffer. Callers hold mu and use the key before
-// releasing it.
-func (s *IndexStore) attrsKey(attrs []string) []byte {
-	buf := s.keyBuf[:0]
-	for _, a := range attrs {
-		buf = append(buf, a...)
-		buf = append(buf, '\x00')
-	}
-	s.keyBuf = buf
-	return buf
-}
-
-// lookupAttrs finds the (set, attribute list) entry of a cache, or
-// registers a new one that the caller must build; built reports which.
-// Callers hold the store's mutex.
-func lookupAttrs[T any](cache map[*nr.SetType]map[string]*entry[T], st *nr.SetType, key []byte) (e *entry[T], built bool) {
-	byAttrs := cache[st]
-	if e, ok := byAttrs[string(key)]; ok {
-		return e, true
-	}
-	if byAttrs == nil {
-		byAttrs = make(map[string]*entry[T])
-		cache[st] = byAttrs
-	}
-	e = &entry[T]{done: make(chan struct{})}
-	byAttrs[string(key)] = e
-	return e, false
-}
-
-// hashValues hashes a tuple's values over an attribute list in the
-// uniqueness pass. Tests replace it to force every hash equal.
-var hashValues = instance.HashValues
-
-// uniqueOn reports whether no two tuples agree on the given slots and
-// every tuple sets each of them. Tuples are keyed by the hash of their
-// slot values, and a hash hit counts as agreement only when SameValue
-// confirms every slot, so collisions cannot fake a duplicate.
-func uniqueOn(tuples []*instance.Tuple, slots []int) bool {
-	first := make(map[uint64]*instance.Tuple, len(tuples))
-	var more map[uint64][]*instance.Tuple
-	vals := make([]instance.Value, len(slots))
-	agree := func(a, b *instance.Tuple) bool {
-		for _, sl := range slots {
-			if !instance.SameValue(a.ValAt(sl), b.ValAt(sl)) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, t := range tuples {
-		for i, sl := range slots {
-			if vals[i] = t.ValAt(sl); vals[i] == nil {
-				return false
-			}
-		}
-		h := hashValues(vals)
-		prev, ok := first[h]
-		if !ok {
-			first[h] = t
-			continue
-		}
-		if agree(prev, t) {
-			return false
-		}
-		for _, p := range more[h] {
-			if agree(p, t) {
-				return false
-			}
-		}
-		if more == nil {
-			more = make(map[uint64][]*instance.Tuple)
-		}
-		more[h] = append(more[h], t)
-	}
-	return true
-}
-
-// buildIndex materializes one hash index: tuples keyed by the
-// concatenation of their values' canonical keys over attrs. Tuples
-// with any unset attr are excluded — they can never satisfy a pin or
-// bind on that attr.
-func buildIndex(set *instance.SetVal, attrs []string) map[string][]*instance.Tuple {
-	idx := make(map[string][]*instance.Tuple)
-	var buf []byte
-	set.Each(func(t *instance.Tuple) bool {
-		buf = buf[:0]
-		for _, a := range attrs {
-			v := t.Get(a)
-			if v == nil {
-				return true
-			}
-			buf = instance.AppendValueKey(buf, v)
-			buf = append(buf, '\x05')
-		}
-		idx[string(buf)] = append(idx[string(buf)], t)
-		return true
+	v, _ := cached(s, s.uniques, st, attrs, func() bool {
+		set := s.in.Top(st)
+		distinct, unset := countDistinct(set.View(), [][]int{slotsOf(set, attrs)})
+		return unset[0] == 0 && distinct[0] == set.Len()
 	})
-	return idx
+	return v
 }
 
 // Stats returns the statistics block for the set type, computing it on
-// first use. For top-level sets one pass collects cardinality and
-// per-attribute distinct counts; for nested set types only the
+// first use. For top-level sets one counting pass collects cardinality
+// and per-attribute distinct counts; for nested set types only the
 // cardinality/occurrence aggregate is collected (their atoms are never
 // index-probed — nested atoms follow the parent's SetRef).
 func (s *IndexStore) Stats(st *nr.SetType) *SetStats {
-	s.mu.Lock()
-	if e, ok := s.stats[st]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.val
-	}
-	e := &entry[*SetStats]{done: make(chan struct{})}
-	s.stats[st] = e
-	s.mu.Unlock()
-
-	start := time.Now()
-	e.val = collectStats(s.in, st)
-	nanos := int64(time.Since(start))
-	s.mu.Lock()
-	s.buildNanos += nanos
-	s.mu.Unlock()
-	s.cBuildNanos.Add(nanos)
-	close(e.done)
-	return e.val
-}
-
-func collectStats(in *instance.Instance, st *nr.SetType) *SetStats {
-	stats := &SetStats{Distinct: make(map[string]int, len(st.Atoms))}
-	if st.Parent == nil {
-		set := in.Top(st)
-		stats.Card = set.Len()
-		stats.Occs = 1
-		seen := make([]map[string]struct{}, len(st.Atoms))
-		for i := range seen {
-			seen[i] = make(map[string]struct{})
-		}
-		var buf []byte
-		set.Each(func(t *instance.Tuple) bool {
-			for i, a := range st.Atoms {
-				if v := t.Get(a); v != nil {
-					buf = instance.AppendValueKey(buf[:0], v)
-					if _, ok := seen[i][string(buf)]; !ok {
-						seen[i][string(buf)] = struct{}{}
-					}
-				}
+	v, _ := cached(s, s.stats, st, nil, func() *SetStats {
+		stats := &SetStats{Distinct: make(map[string]int, len(st.Atoms))}
+		if st.Parent != nil {
+			for _, occ := range s.in.Occurrences(st) {
+				stats.Card += occ.Len()
+				stats.Occs++
 			}
-			return true
-		})
+			return stats
+		}
+		set := s.in.Top(st)
+		stats.Card, stats.Occs = set.Len(), 1
+		lists := make([][]int, len(st.Atoms))
+		for i, slot := range slotsOf(set, st.Atoms) {
+			lists[i] = []int{slot}
+		}
+		distinct, _ := countDistinct(set.View(), lists)
 		for i, a := range st.Atoms {
-			stats.Distinct[a] = len(seen[i])
+			stats.Distinct[a] = distinct[i]
 		}
 		return stats
+	})
+	return v
+}
+
+// cached returns the (set, attribute list) entry of cache, building it
+// with build on first use while concurrent callers for the same entry
+// wait; hit reports whether the entry already existed. The build's
+// wall-clock counts toward muse_index_build_nanos_total.
+func cached[T any](s *IndexStore, cache map[cacheKey]*entry[T], st *nr.SetType, attrs []string, build func() T) (val T, hit bool) {
+	s.mu.Lock()
+	// The attribute list is composed in the store's buffer, so a hit
+	// allocates nothing.
+	key := s.keyBuf[:0]
+	for _, a := range attrs {
+		key = append(append(key, a...), '\x00')
 	}
-	for _, occ := range in.Occurrences(st) {
-		stats.Card += occ.Len()
-		stats.Occs++
+	s.keyBuf = key
+	e, hit := cache[cacheKey{st, string(key)}]
+	if !hit {
+		e = &entry[T]{done: make(chan struct{})}
+		cache[cacheKey{st, string(key)}] = e
 	}
-	return stats
+	s.mu.Unlock()
+	if hit {
+		<-e.done
+		return e.val, true
+	}
+	start := time.Now()
+	e.val = build()
+	s.cBuildNanos.Add(int64(time.Since(start)))
+	close(e.done)
+	return e.val, false
+}
+
+// slotsOf resolves attrs to slot positions in the layout of the set's
+// own tuples.
+func slotsOf(set *instance.SetVal, attrs []string) []int {
+	slots := make([]int, len(attrs))
+	for i, a := range attrs {
+		slots[i] = set.Type.Slot(a)
+	}
+	return slots
 }

@@ -8,6 +8,7 @@ import (
 
 	"muse/internal/instance"
 	"muse/internal/nr"
+	"muse/internal/obs"
 )
 
 // wideInstance fills Companies with n tuples sharing cname/location.
@@ -188,18 +189,19 @@ func TestPlannedMatchesNaive(t *testing.T) {
 }
 
 // TestSharedStoreConcurrent exercises concurrent evaluations over one
-// shared store (the prefetch-worker situation): every evaluation sees
-// the same results and each index is built exactly once.
+// shared store (server sessions over one scenario): every evaluation
+// sees the same results and each index is built exactly once.
 func TestSharedStoreConcurrent(t *testing.T) {
 	cat := compCat()
 	in := compInstance(cat)
-	store := NewIndexStore(in)
+	reg := obs.NewRegistry()
+	store := NewIndexStore(in).Observe(reg)
 	q := joinQuery(cat)
 	want, err := q.Eval(in, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := store.Metrics().IndexesBuilt
+	baseline := reg.Get(obs.MIndexBuilds)
 	var wg sync.WaitGroup
 	errs := make([]string, 16)
 	for g := 0; g < 16; g++ {
@@ -223,7 +225,7 @@ func TestSharedStoreConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d: %s", g, e)
 		}
 	}
-	if got := store.Metrics().IndexesBuilt; got != baseline {
+	if got := reg.Get(obs.MIndexBuilds); got != baseline {
 		t.Errorf("concurrent evaluations built %d extra indexes; want reuse of the %d existing", got-baseline, baseline)
 	}
 }
@@ -252,7 +254,8 @@ func TestStoreStats(t *testing.T) {
 func TestCompositeIndexProbe(t *testing.T) {
 	cat := compCat()
 	in := compInstance(cat)
-	store := NewIndexStore(in)
+	reg := obs.NewRegistry()
+	store := NewIndexStore(in).Observe(reg)
 	q := &Query{
 		Src: cat,
 		Atoms: []Atom{
@@ -267,11 +270,10 @@ func TestCompositeIndexProbe(t *testing.T) {
 	if len(ms) != 2 {
 		t.Errorf("composite pin matched %d companies, want 2 (11, 12)", len(ms))
 	}
-	m := store.Metrics()
-	if m.IndexesBuilt != 1 {
-		t.Errorf("built %d indexes, want exactly the one composite", m.IndexesBuilt)
+	if got := reg.Get(obs.MIndexBuilds); got != 1 {
+		t.Errorf("built %d indexes, want exactly the one composite", got)
 	}
-	if m.Probes == 0 {
+	if reg.Get(obs.MIndexProbes) == 0 {
 		t.Error("no index probes recorded")
 	}
 }

@@ -344,11 +344,7 @@ func (s *Scorer) ScoreChoices(m *mapping.Mapping) []Ranking {
 // value for alt, and the distinct ratio among those, via the shared
 // single-attribute index (warm after the first question over the set).
 func (s *Scorer) coverage(info *mapping.Info, alt mapping.Expr, ev attrEvidence) (cov, distinctRatio float64) {
-	st := info.SrcVars[alt.Var]
-	nonNil := 0
-	for _, bucket := range s.Store.Index(st, []string{alt.Attr}) {
-		nonNil += len(bucket)
-	}
+	nonNil := s.Store.Index(info.SrcVars[alt.Var], []string{alt.Attr}).Len()
 	if ev.card == 0 || nonNil == 0 {
 		return 0, 0
 	}

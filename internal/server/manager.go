@@ -224,7 +224,6 @@ func (mg *Manager) Prime(ctx context.Context) {
 		store := sc.sharedStore(mg.reg())
 		cs := core.NewSession(sc.Deps, sc.Real)
 		cs.Grouping.Store = store
-		cs.Grouping.Prefetch = false
 		cs.Disambiguation.Store = store
 		st := core.NewStepper(ctx, cs, sc.Set)
 		_, _ = st.Step(ctx)
@@ -289,13 +288,11 @@ func (mg *Manager) Create(ctx context.Context, scenario string) (*Session, error
 // coreSession builds the core session for a scenario the way every
 // dialog — created or resumed — must be built, so a resumed replay
 // sees bit-for-bit the configuration the original run had: the
-// scenario-wide index store, and prefetch off (its background workers
-// capture the request context, which is dead by the next request).
+// scenario-wide index store.
 func (mg *Manager) coreSession(sc *Scenario) *core.Session {
 	cs := core.NewSession(sc.Deps, sc.Real).Observe(mg.Obs)
 	store := sc.sharedStore(mg.reg())
 	cs.Grouping.Store = store
-	cs.Grouping.Prefetch = false
 	cs.Disambiguation.Store = store
 	if mg.AutoThreshold > 0 {
 		cs.Rank(mg.AutoThreshold)

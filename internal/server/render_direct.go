@@ -12,15 +12,16 @@ import (
 	"muse/internal/rank"
 )
 
-// This file is the serving twin of render.go: the same response
-// shapes, written straight into a pooled buffer instead of through a
-// map[string]any tree and reflection-driven encoding. The map-based
-// renderer stays as the executable specification — the differential
-// test drives full dialogs through both and requires byte-identical
-// output — while every step-producing request is served by these
-// writers. Object keys are emitted in sorted order (what encoding/json
-// does to map keys); runtime-ordered keys (set names, tuple columns)
-// are sorted here, with the per-set column order cached per SetType.
+// This file is the serving twin of the map-tree reference renderer
+// (render_ref_test.go): the same response shapes, written straight
+// into a pooled buffer instead of through a map[string]any tree and
+// reflection-driven encoding. The map-based renderer stays in test
+// code as the executable specification — the differential test drives
+// full dialogs through both and requires byte-identical output — while
+// every step-producing request is served by these writers. Object
+// keys are emitted in sorted order (what encoding/json does to map
+// keys); runtime-ordered keys (set names, tuple columns) are sorted
+// here, with the per-set column order cached per SetType.
 
 // rowKey is one column of a tuple rendering: an atomic attribute, or
 // a nested set field with its child type.

@@ -256,20 +256,11 @@ func mapManagerErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// stepBody is a session envelope around a rendered step.
-func stepBody(s *Session, step core.Step) map[string]any {
-	return map[string]any{
-		"token":    s.Token,
-		"scenario": s.ScenarioName,
-		"step":     renderStep(step),
-	}
-}
-
 // step runs one Stepper call under the request context and writes the
 // result, marking terminal dialogs in the metrics. The body is built
 // by the direct renderer (render_direct.go) in a pooled buffer —
-// byte-identical to the map-tree encoding stepBody describes, without
-// the tree or the reflection.
+// byte-identical to the map-tree encoding of the reference renderer
+// (render_ref_test.go's stepBody), without the tree or the reflection.
 func (s *Server) writeStep(w http.ResponseWriter, sess *Session, step core.Step, status int) {
 	if step.Done {
 		sess.MarkFinished(s.Manager)
