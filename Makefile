@@ -50,6 +50,7 @@ race-instance:
 # instances); bench-scaled-smoke runs its SF2 half on its own.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau' -benchtime=1x ./internal/core
 
 # Scaled-chase smoke: one SF2 TPCH chase with retained-heap reporting
 # (the "scenario firehose" shape). Catches bit-rot in the scaled

@@ -44,19 +44,17 @@ func scenarioQueries(t *testing.T, s *scenarios.Scenario) []*query.Query {
 		if m.Ambiguous() {
 			m = m.Interpretation(make([]int, len(m.OrGroups)))
 		}
-		tb := newTableau(m, 1)
-		tb.finalize()
-		qs = append(qs, tb.realQuery(nil))
+		qs = append(qs, compileTableau(m, nil, 1).realQuery(nil))
 		poss := m.Poss()
+		ptb := compileTableau(m, s.Src, 2)
 		if len(poss) > 0 {
 			probe := poss[0]
-			if ptb, ok := buildProbeTableau(m, s.Src, nil, poss[1:], []mapping.Expr{probe}); ok {
-				ptb.finalize()
+			if ptb.probe(nil, poss[1:], []mapping.Expr{probe}) {
 				qs = append(qs, ptb.realQuery([]mapping.Expr{probe}))
 			}
 		}
 		if len(poss) > 1 {
-			if ptb, ok := w.probeSetup(m, poss, poss[:1], map[mapping.Expr]bool{}, poss[1], nil); ok {
+			if probeSetup(ptb, poss, poss[:1], nil, poss[1], nil) {
 				qs = append(qs, ptb.realQuery([]mapping.Expr{poss[1]}))
 			}
 		}
@@ -75,12 +73,12 @@ func multiKeyQueries(w *GroupingWizard, m *mapping.Mapping) []*query.Query {
 		return nil
 	}
 	var qs []*query.Query
-	if tb, ok := buildProbeTableau(m, w.SrcDeps, nil, rest, keyAttrs); ok {
-		tb.finalize()
+	tb := compileTableau(m, w.SrcDeps, 2)
+	if tb.probe(nil, rest, keyAttrs) {
 		qs = append(qs, tb.realQuery(keyAttrs))
 	}
 	for _, probe := range rest {
-		if tb, ok := w.probeSetup(m, rest, nil, map[mapping.Expr]bool{}, probe, keyAttrs); ok {
+		if probeSetup(tb, rest, nil, nil, probe, keyAttrs) {
 			qs = append(qs, tb.realQuery([]mapping.Expr{probe}))
 		}
 	}

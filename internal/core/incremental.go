@@ -27,6 +27,7 @@ func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []map
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
 	imps := tableauImplications(m, w.SrcDeps)
 	eqClass := newExprClasses(m.ForSat)
+	tb := compileTableau(m, w.SrcDeps, 2)
 
 	inConfirmed := make(map[string]bool, len(confirmed))
 	for _, e := range confirmed {
@@ -34,6 +35,9 @@ func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []map
 	}
 	decidedOut := make(map[mapping.Expr]bool)
 	for _, probe := range poss {
+		if err := w.context().Err(); err != nil {
+			return nil, err
+		}
 		if inConfirmed[probe.String()] {
 			continue
 		}
@@ -47,7 +51,7 @@ func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []map
 			decidedOut[probe] = true
 			continue
 		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, nil, d, &stats)
+		ans, skipped, err := w.askProbe(tb, fn, poss, confirmed, decidedOut, probe, nil, d, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +66,7 @@ func (w *GroupingWizard) refineSK(m *mapping.Mapping, fn string, confirmed []map
 		}
 	}
 	stats.Result = confirmed
-	w.Stats.SKs = append(w.Stats.SKs, stats)
+	w.recordSK(stats)
 	return m.WithSK(fn, confirmed), nil
 }
 
@@ -77,43 +81,36 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
 	keep := append([]mapping.Expr{}, sk.SK.Args...)
+	tb := compileTableau(m, w.SrcDeps, 2)
 
 	for i := 0; i < len(keep); i++ {
+		if err := w.context().Err(); err != nil {
+			return nil, err
+		}
 		probe := keep[i]
 		rest := append(append([]mapping.Expr{}, keep[:i]...), keep[i+1:]...)
 		// Copies agree on the other kept arguments; the candidate
 		// differs. Scenario 1 keeps the argument (two groups),
-		// scenario 2 drops it (one group).
-		var undecided []mapping.Expr
-		inRest := make(map[string]bool, len(rest))
-		for _, e := range rest {
-			inRest[e.String()] = true
-		}
-		for _, e := range poss {
-			if e != probe && !inRest[e.String()] {
-				undecided = append(undecided, e)
-			}
-		}
-		tb, ok := buildProbeTableau(m, w.SrcDeps, rest, undecided, []mapping.Expr{probe})
-		if !ok {
+		// scenario 2 drops it (one group). The other attributes agree
+		// where they can, as in a Muse-G probe.
+		if !probeSetup(tb, poss, rest, nil, probe, nil) {
 			// The remaining arguments force this one to agree: it is
 			// redundant and can be dropped without asking.
 			keep = append(keep[:i], keep[i+1:]...)
 			i--
 			continue
 		}
-		tb.finalize()
 		d1 := m.WithSK(fn, keep)
 		d2 := m.WithSK(fn, rest)
 		ie, real, err := w.obtainExample(tb, []mapping.Expr{probe}, &stats)
 		if err != nil {
 			return nil, err
 		}
-		s1, err := chase.Chase(ie, d1)
+		s1, err := chase.ChaseCtx(w.context(), ie, w.Obs, d1)
 		if err != nil {
 			return nil, err
 		}
-		s2, err := chase.Chase(ie, d2)
+		s2, err := chase.ChaseCtx(w.context(), ie, w.Obs, d2)
 		if err != nil {
 			return nil, err
 		}
@@ -134,6 +131,6 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 		}
 	}
 	stats.Result = keep
-	w.Stats.SKs = append(w.Stats.SKs, stats)
+	w.recordSK(stats)
 	return m.WithSK(fn, keep), nil
 }

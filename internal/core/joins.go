@@ -303,9 +303,7 @@ func (w *DisambiguationWizard) joinQuestion(m *mapping.Mapping, v JoinVariant) (
 // not extend to the full mapping, falling back to the variant's
 // canonical tableau (which trivially lacks the other relations).
 func (w *DisambiguationWizard) danglingExample(m *mapping.Mapping, v JoinVariant) (*instance.Instance, bool) {
-	tb := newTableau(v.Mapping, 1)
-	tb.chaseFDs(w.SrcDeps)
-	tb.finalize()
+	tb := compileTableau(v.Mapping, w.SrcDeps, 1)
 	if w.Real != nil {
 		q := tb.realQuery(nil)
 		opt := w.retrieval()
@@ -333,10 +331,8 @@ func (w *DisambiguationWizard) extends(m *mapping.Mapping, v JoinVariant, match 
 	}
 	// Value variables shared across atoms encode the satisfy joins;
 	// kept variables are pinned to their matched tuples.
-	classes := newTableau(m, 1)
-	classes.chaseFDs(w.SrcDeps)
-	classes.finalize()
-	for _, g := range m.For {
+	classes := compileTableau(m, w.SrcDeps, 1)
+	for i, g := range m.For {
 		st := info.SrcVars[g.Var]
 		atom := query.Atom{Var: g.Var, Bind: make(map[string]string, len(st.Atoms))}
 		if g.Root != nil {
@@ -345,8 +341,8 @@ func (w *DisambiguationWizard) extends(m *mapping.Mapping, v JoinVariant, match 
 			atom.Parent = g.Parent
 			atom.Field = g.Field
 		}
-		for _, a := range st.Atoms {
-			atom.Bind[a] = classes.classID[term{1, g.Var, a}]
+		for k, a := range st.Atoms {
+			atom.Bind[a] = classes.classID(classes.first[i] + int32(k))
 		}
 		if t := kept[g.Var]; t != nil {
 			atom.Pin = make(map[string]instance.Value, len(st.Atoms))

@@ -131,20 +131,16 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	// (the canonical tableau only merges what the satisfy clause
 	// forces) and the real-example query adds the inequalities
 	// en1 ≠ en2 of Sec. IV-A.
-	tb := newTableau(m, 1)
-	tb.chaseFDs(w.SrcDeps)
-	tb.finalize()
-
+	tb := compileTableau(m, w.SrcDeps, 1)
 	q := tb.realQuery(nil)
 	for _, g := range m.OrGroups {
 		for i := 0; i < len(g.Alts); i++ {
 			for j := i + 1; j < len(g.Alts); j++ {
-				a := term{1, g.Alts[i].Var, g.Alts[i].Attr}
-				b := term{1, g.Alts[j].Var, g.Alts[j].Attr}
-				if tb.same(a, b) {
+				a, b := tb.slot[g.Alts[i]], tb.slot[g.Alts[j]]
+				if tb.find(a) == tb.find(b) {
 					continue // equivalent alternatives: indistinguishable by data
 				}
-				q.Neq = append(q.Neq, [2]string{tb.classID[a], tb.classID[b]})
+				q.Neq = append(q.Neq, [2]string{tb.classID(a), tb.classID(b)})
 			}
 		}
 	}
@@ -167,7 +163,7 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	if ie == nil {
 		ie = tb.synthetic()
 		valueOf = func(e mapping.Expr) instance.Value {
-			return tb.classValue[term{1, e.Var, e.Attr}]
+			return tb.classValue[tb.slot[e]]
 		}
 	}
 	if w.SrcDeps != nil {

@@ -163,6 +163,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	}()
 	imps := tableauImplications(m, w.SrcDeps)
 	keyAttrs, rest := keyCovered(m, w.SrcDeps)
+	tb := compileTableau(m, w.SrcDeps, 2)
 
 	var confirmed []mapping.Expr
 	candidates := append(append([]mapping.Expr{}, keyAttrs...), rest...)
@@ -172,7 +173,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 		// Sec. III-B, multiple keys: one question decides between
 		// grouping by key (same effect as any superset including any
 		// key) and grouping by a subset of the non-key attributes.
-		ans, err := w.askKeyGrouping(m, fn, keyAttrs, rest, d, &stats)
+		ans, err := w.askKeyGrouping(tb, fn, keyAttrs, rest, d, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +222,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 				continue
 			}
 		}
-		ans, skipped, err := w.askProbe(m, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, d, &stats)
+		ans, skipped, err := w.askProbe(tb, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, d, &stats)
 		if err != nil {
 			return nil, err
 		}
@@ -240,13 +241,13 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	return m.WithSK(fn, confirmed), nil
 }
 
-// askProbe builds the probe example for one attribute, obtains a real
-// or synthetic instance, chases the two scenarios, and asks the
-// designer. skipped is true when the probe turned out inconsequential
-// (no question was posed).
-func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
-	tb, ok := w.probeSetup(m, poss, confirmed, decidedOut, probe, alwaysDiffer)
-	if !ok {
+// askProbe builds the probe example for one attribute on the mapping's
+// compiled two-copy tableau, obtains a real or synthetic instance,
+// chases the two scenarios, and asks the designer. skipped is true when
+// the probe turned out inconsequential (no question was posed).
+func (w *GroupingWizard) askProbe(tb *tableau, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
+	m := tb.m
+	if !probeSetup(tb, poss, confirmed, decidedOut, probe, alwaysDiffer) {
 		// The constraints force the probed attribute to agree whenever
 		// the confirmed ones do: its membership is inconsequential.
 		return 0, true, nil
@@ -330,12 +331,11 @@ func (w *GroupingWizard) askProbe(m *mapping.Mapping, fn string, poss, confirmed
 // non-key attribute and differ on every key-covered attribute, so
 // grouping by (any) key yields two nested sets and grouping by any
 // non-key subset yields one.
-func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs, rest []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, error) {
-	tb, ok := buildProbeTableau(m, w.SrcDeps, nil, rest, keyAttrs)
-	if !ok {
+func (w *GroupingWizard) askKeyGrouping(tb *tableau, fn string, keyAttrs, rest []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, error) {
+	m := tb.m
+	if !tb.probe(nil, rest, keyAttrs) {
 		return 0, fmt.Errorf("core: cannot construct the multi-key question for %s: key attributes collapse", fn)
 	}
-	tb.finalize()
 
 	d1 := m.WithSK(fn, keyAttrs)
 	d2 := m.WithSK(fn, nil)
@@ -374,34 +374,28 @@ func (w *GroupingWizard) askKeyGrouping(m *mapping.Mapping, fn string, keyAttrs,
 // probeSetup computes the agreement pattern of a probe (Sec. III-A) —
 // confirmed and undecided attributes agree across copies, the probed
 // attribute (and the multi-key branch's key attributes) differ,
-// decided-out attributes are unconstrained — and builds the two-copy
-// tableau. ok is false when the probe is unconstructible
-// (inconsequential).
-func (w *GroupingWizard) probeSetup(m *mapping.Mapping, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) (*tableau, bool) {
-	excluded := make(map[string]bool, len(decidedOut)+1+len(alwaysDiffer)+len(confirmed))
+// decided-out attributes are unconstrained — and builds it on the
+// compiled two-copy tableau. It reports false when the probe is
+// unconstructible (inconsequential).
+func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) bool {
+	excluded := make([]bool, tb.width)
 	for k := range decidedOut {
-		excluded[k.String()] = true
+		excluded[tb.slot[k]] = true
 	}
-	excluded[probe.String()] = true
+	excluded[tb.slot[probe]] = true
 	for _, e := range confirmed {
-		excluded[e.String()] = true
+		excluded[tb.slot[e]] = true
 	}
 	for _, e := range alwaysDiffer {
-		excluded[e.String()] = true
+		excluded[tb.slot[e]] = true
 	}
 	var undecided []mapping.Expr
 	for _, e := range poss {
-		if !excluded[e.String()] {
+		if !excluded[tb.slot[e]] {
 			undecided = append(undecided, e)
 		}
 	}
-	mustDiffer := append([]mapping.Expr{probe}, alwaysDiffer...)
-	tb, ok := buildProbeTableau(m, w.SrcDeps, confirmed, undecided, mustDiffer)
-	if !ok {
-		return nil, false
-	}
-	tb.finalize()
-	return tb, true
+	return tb.probe(confirmed, undecided, append([]mapping.Expr{probe}, alwaysDiffer...))
 }
 
 // obtainExample retrieves a real example via the probe query, falling
@@ -433,8 +427,7 @@ func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats
 // canonical tableau as a query); a retrieval that times out before
 // enumerating every assignment conservatively keeps the question.
 func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
-	tb := newTableau(m, 1)
-	tb.finalize()
+	tb := compileTableau(m, nil, 1)
 	q := tb.realQuery(nil)
 	matches, err := q.Eval(w.Real, w.retrieval())
 	if err != nil {

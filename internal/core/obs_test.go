@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"muse/internal/core"
 	"muse/internal/designer"
+	"muse/internal/mapping"
 	"muse/internal/nr"
 	"muse/internal/obs"
 	"muse/internal/parser"
@@ -134,5 +137,48 @@ func TestQueryEvalNilObsIdentical(t *testing.T) {
 	}
 	if o.Reg.Get(obs.MQueryRowsScanned) < int64(len(plain)) {
 		t.Errorf("rows scanned (%d) < rows returned (%d)", o.Reg.Get(obs.MQueryRowsScanned), len(plain))
+	}
+}
+
+// TestIncrementalMuseGObsCounters checks that GroupLess and GroupMore,
+// like DesignSK, mirror their questions onto the registry, run their
+// scenario chases instrumented, and stop on a cancelled context.
+func TestIncrementalMuseGObsCounters(t *testing.T) {
+	type refine func(*core.GroupingWizard, *mapping.Mapping, string, core.GroupingDesigner) (*mapping.Mapping, error)
+	cname, location := mapping.E("c", "cname"), mapping.E("c", "location")
+	for _, tc := range []struct {
+		name          string
+		from, desired []mapping.Expr
+		run           refine
+	}{
+		{"GroupLess", []mapping.Expr{cname}, []mapping.Expr{cname, location}, (*core.GroupingWizard).GroupLess},
+		{"GroupMore", []mapping.Expr{cname, location}, []mapping.Expr{cname}, (*core.GroupingWizard).GroupMore},
+	} {
+		fig := scenarios.NewFigure1(true)
+		m := fig.M2.WithSK("SKProjects", tc.from)
+		oracle := designer.NewGroupingOracle("SKProjects", tc.desired)
+		w := core.NewGroupingWizard(fig.SrcDeps, fig.Source)
+		w.Obs = obs.New()
+		if _, err := tc.run(w, m, "SKProjects", oracle); err != nil {
+			t.Fatal(err)
+		}
+		reg := w.Obs.Reg
+		if got, want := reg.Get(obs.MMuseGQuestions), int64(w.Stats.TotalQuestions()); got != want || want == 0 {
+			t.Errorf("%s: questions counter = %d, wizard stats %d (want equal and above 0)", tc.name, got, want)
+		}
+		if got := reg.Get(obs.MMuseGSKs); got != 1 {
+			t.Errorf("%s: sks counter = %d, want 1", tc.name, got)
+		}
+		if reg.Get(obs.MChaseTuples) == 0 {
+			t.Errorf("%s: no chase tuples recorded; the scenario chases are not instrumented", tc.name)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		w = core.NewGroupingWizard(fig.SrcDeps, fig.Source)
+		w.Ctx = ctx
+		if _, err := tc.run(w, m, "SKProjects", oracle); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err %v, want context.Canceled", tc.name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,158 +13,253 @@ import (
 	"muse/internal/query"
 )
 
-// term identifies one attribute slot of the two-copy probe tableau:
-// copy (1 or 2), for-variable, attribute.
-type term struct {
-	copy int
-	v    string
-	attr string
-}
-
-func (t term) String() string { return fmt.Sprintf("%d:%s.%s", t.copy, t.v, t.attr) }
-
-// tableau is the two-copy canonical example under construction for one
-// probe: every for-variable appears once per copy, and attribute slots
-// are merged into equivalence classes by the forced equalities.
+// tableau is the canonical example of a mapping's for+satisfy clause
+// (Sec. III-A), in one copy or in the two copies a probe compares,
+// compiled once to dense slots: slot (c-1)*width+k is atom k of copy c,
+// atoms numbered variable by variable in for-clause order. The
+// equalities the example must satisfy partition the slots into classes,
+// kept in one union-find over parent links that are never compressed,
+// so resetting the roots on the trail undoes any merge exactly.
 type tableau struct {
 	m      *mapping.Mapping
 	info   *mapping.Info
 	copies int
+	width  int32                  // slots per copy
+	slot   map[mapping.Expr]int32 // copy-1 slot of each for-clause atom
+	first  []int32                // copy-1 slot of each variable's first atom
+	sat    []int32                // parent links after the satisfy merges
+	rules  []fdRule               // source FDs per pair of rows, in chase order
+	ids    []string               // per slot: the ID of a class it roots
+	short  []string               // per copy-1 slot: shortAttr of its atom
 
-	parent map[term]term
-	// classValue, classID filled by finalize.
-	classValue map[term]instance.Value
-	classID    map[term]string
+	parent []int32
+	trail  []int32 // roots linked, in link order
+	agreed []int32 // copy-1 slots merged across copies, in merge order
+	differ []int32 // copy-1 slots that must stay apart across copies
+
+	// classValue is every slot's synthetic constant (set by name).
+	classValue []instance.Value
 }
 
-// newTableau builds the union-find base: intra-copy satisfy
-// equalities are always merged.
-func newTableau(m *mapping.Mapping, copies int) *tableau {
-	tb := &tableau{m: m, info: m.MustAnalyze(), copies: copies, parent: make(map[term]term)}
-	for c := 1; c <= copies; c++ {
-		for _, q := range m.ForSat {
-			tb.union(term{c, q.L.Var, q.L.Attr}, term{c, q.R.Var, q.R.Attr})
+// fdRule applies one source FD to one pair of rows over its set: when
+// the rows agree on every from pair of slots, each to pair is merged.
+// Pairs are flattened: a0, b0, a1, b1, ...
+type fdRule struct{ from, to []int32 }
+
+// compileTableau lays out copies of m's canonical tableau, merges the
+// satisfy equalities within each copy, compiles src's FDs (declared and
+// key-induced) into rules, and names the classes with no attribute
+// agreeing across copies.
+func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
+	info := m.MustAnalyze()
+	tb := &tableau{m: m, info: info, copies: copies, slot: make(map[mapping.Expr]int32)}
+	for _, v := range info.SrcOrder {
+		tb.first = append(tb.first, tb.width)
+		for _, a := range info.SrcVars[v].Atoms {
+			tb.slot[mapping.E(v, a)] = tb.width
+			tb.short = append(tb.short, shortAttr(a))
+			tb.width++
 		}
 	}
+	n := int32(copies) * tb.width
+	tb.parent = make([]int32, n)
+	for s := range tb.parent {
+		tb.parent[s] = int32(s)
+	}
+	for c := 1; c <= copies; c++ {
+		for _, v := range info.SrcOrder {
+			for _, a := range info.SrcVars[v].Atoms {
+				tb.ids = append(tb.ids, "x_"+v+"_"+strings.ReplaceAll(a, ".", "_")+"_"+strconv.Itoa(c))
+			}
+		}
+		for _, q := range m.ForSat {
+			tb.union(tb.at(c, tb.slot[q.L]), tb.at(c, tb.slot[q.R]))
+		}
+	}
+	tb.sat = slices.Clone(tb.parent)
+	tb.classValue = make([]instance.Value, n)
+	tb.compileFDs(src)
+	tb.name()
 	return tb
 }
 
-func (tb *tableau) find(x term) term {
-	p, ok := tb.parent[x]
-	if !ok || p == x {
-		return x
-	}
-	root := tb.find(p)
-	tb.parent[x] = root
-	return root
-}
-
-func (tb *tableau) union(a, b term) {
-	ra, rb := tb.find(a), tb.find(b)
-	if ra != rb {
-		tb.parent[ra] = rb
-	}
-}
-
-func (tb *tableau) same(a, b term) bool { return tb.find(a) == tb.find(b) }
-
-// agreeAcrossCopies merges the slot of expr in every copy.
-func (tb *tableau) agreeAcrossCopies(e mapping.Expr) {
-	for c := 2; c <= tb.copies; c++ {
-		tb.union(term{1, e.Var, e.Attr}, term{c, e.Var, e.Attr})
-	}
-}
-
-// allTerms enumerates every slot of the tableau in deterministic
-// order.
-func (tb *tableau) allTerms() []term {
-	var out []term
-	for c := 1; c <= tb.copies; c++ {
-		for _, v := range tb.info.SrcOrder {
-			for _, a := range tb.info.SrcVars[v].Atoms {
-				out = append(out, term{c, v, a})
-			}
-		}
-	}
-	return out
-}
-
-// chaseFDs closes the equivalence classes under the source FDs (and
-// key-induced FDs): whenever two tableau tuples of the same set agree
-// on an FD's left-hand side, their right-hand sides are merged.
-// Tableau tuples of the same set are (copy, var) pairs whose variables
-// range over that set.
-func (tb *tableau) chaseFDs(src *deps.Set) {
+// compileFDs turns src's FDs into rules over every pair of rows (a row
+// is one copy of one for-variable) ranging over the same set, in the
+// order the closure visits them: sets in first-appearance for-clause
+// order, row pairs in copy-major order, then the set's FDs.
+func (tb *tableau) compileFDs(src *deps.Set) {
 	if src == nil {
 		return
 	}
-	type row struct {
-		copy int
-		v    string
-	}
-	bySet := make(map[*nr.SetType][]row)
+	var sets []*nr.SetType
+	rows := make(map[*nr.SetType][]int32) // each row's first slot
 	for c := 1; c <= tb.copies; c++ {
-		for _, v := range tb.info.SrcOrder {
+		for i, v := range tb.info.SrcOrder {
 			st := tb.info.SrcVars[v]
-			bySet[st] = append(bySet[st], row{c, v})
+			if _, seen := rows[st]; !seen {
+				sets = append(sets, st)
+			}
+			rows[st] = append(rows[st], tb.at(c, tb.first[i]))
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for st, rows := range bySet {
-			fds := src.FDsOf(st)
-			if len(fds) == 0 {
-				continue
-			}
-			for i := 0; i < len(rows); i++ {
-				for j := i + 1; j < len(rows); j++ {
-					a, b := rows[i], rows[j]
-					for _, fd := range fds {
-						agree := true
-						for _, attr := range fd.From {
-							if !tb.same(term{a.copy, a.v, attr}, term{b.copy, b.v, attr}) {
-								agree = false
-								break
-							}
-						}
-						if !agree {
-							continue
-						}
-						for _, attr := range fd.To {
-							x, y := term{a.copy, a.v, attr}, term{b.copy, b.v, attr}
-							if !tb.same(x, y) {
-								tb.union(x, y)
-								changed = true
-							}
-						}
-					}
+	pairs := func(st *nr.SetType, a, b int32, attrs []string) []int32 {
+		out := make([]int32, 0, 2*len(attrs))
+		for _, attr := range attrs {
+			k := int32(st.Slot(attr)) // atoms take the first slots
+			out = append(out, a+k, b+k)
+		}
+		return out
+	}
+	for _, st := range sets {
+		rs, fds := rows[st], src.FDsOf(st)
+		for i := range rs {
+			for j := i + 1; j < len(rs); j++ {
+				for _, fd := range fds {
+					tb.rules = append(tb.rules, fdRule{pairs(st, rs[i], rs[j], fd.From), pairs(st, rs[i], rs[j], fd.To)})
 				}
 			}
 		}
 	}
 }
 
-// finalize assigns one fresh readable constant per equivalence class
-// and a stable class identifier (used as the query's value-variable
-// names).
-func (tb *tableau) finalize() {
-	tb.classValue = make(map[term]instance.Value)
-	tb.classID = make(map[term]string)
-	counter := make(map[string]int)
-	reps := make(map[term]instance.Value)
-	ids := make(map[term]string)
-	for _, t := range tb.allTerms() {
-		root := tb.find(t)
-		if _, ok := reps[root]; !ok {
-			short := shortAttr(root.attr)
-			counter[short]++
-			reps[root] = instance.C(short + strconv.Itoa(counter[short]))
-			ids[root] = "x_" + root.v + "_" + strings.ReplaceAll(root.attr, ".", "_") + "_" + strconv.Itoa(root.copy)
+// at returns the slot of copy-1 slot s in copy c.
+func (tb *tableau) at(c int, s int32) int32 { return int32(c-1)*tb.width + s }
+
+func (tb *tableau) find(s int32) int32 {
+	for tb.parent[s] != s {
+		s = tb.parent[s]
+	}
+	return s
+}
+
+// union links a's root under b's root and records the link on the
+// trail. It reports whether the classes were distinct.
+func (tb *tableau) union(a, b int32) bool {
+	ra, rb := tb.find(a), tb.find(b)
+	if ra == rb {
+		return false
+	}
+	tb.parent[ra] = rb
+	tb.trail = append(tb.trail, ra)
+	return true
+}
+
+// undo unlinks every root linked since mark.
+func (tb *tableau) undo(mark int) {
+	for _, r := range tb.trail[mark:] {
+		tb.parent[r] = r
+	}
+	tb.trail = tb.trail[:mark]
+}
+
+// closeFDs applies the FD rules until none merges anything.
+func (tb *tableau) closeFDs() {
+	for changed := true; changed; {
+		changed = false
+	rules:
+		for _, r := range tb.rules {
+			for k := 0; k < len(r.from); k += 2 {
+				if tb.find(r.from[k]) != tb.find(r.from[k+1]) {
+					continue rules
+				}
+			}
+			for k := 0; k < len(r.to); k += 2 {
+				if tb.union(r.to[k], r.to[k+1]) {
+					changed = true
+				}
+			}
 		}
-		tb.classValue[t] = reps[root]
-		tb.classID[t] = ids[root]
 	}
 }
+
+// probe builds the two-copy tableau of a probe: the confirmed
+// attributes agree across copies (the caller guarantees those cannot
+// collapse the probe), then each undecided attribute in turn, unless
+// its merge would force one of the mustDiffer attributes to agree
+// across copies (such attributes are equality-correlated with the
+// probe, e.g. p.cid when probing c.cid under the join p.cid = c.cid,
+// and are probed, or skipped as implied, in their own turn). It
+// reports false when even the confirmed merges collapse a mustDiffer
+// attribute, i.e. the probe is unconstructible and its question
+// inconsequential; otherwise it names the accepted partition.
+func (tb *tableau) probe(confirmed, undecided, mustDiffer []mapping.Expr) bool {
+	copy(tb.parent, tb.sat)
+	tb.trail, tb.agreed, tb.differ = tb.trail[:0], tb.agreed[:0], tb.differ[:0]
+	for _, e := range mustDiffer {
+		tb.differ = append(tb.differ, tb.slot[e])
+	}
+	for _, e := range confirmed {
+		tb.agreed = append(tb.agreed, tb.slot[e])
+		tb.union(tb.slot[e], tb.at(2, tb.slot[e]))
+	}
+	tb.closeFDs()
+	if !tb.differs() {
+		return false
+	}
+	for _, e := range undecided {
+		if s := tb.slot[e]; tb.try(s) {
+			tb.agreed = append(tb.agreed, s)
+		}
+	}
+	tb.name()
+	return true
+}
+
+// try is one trial merge: it merges copy-1 slot s with its copy-2 twin
+// and closes the classes under the FD rules, keeping the merges only if
+// every mustDiffer slot still differs from its twin, and undoing them
+// through the trail otherwise.
+func (tb *tableau) try(s int32) bool {
+	mark := len(tb.trail)
+	tb.union(s, tb.at(2, s))
+	tb.closeFDs()
+	if tb.differs() {
+		return true
+	}
+	tb.undo(mark)
+	return false
+}
+
+func (tb *tableau) differs() bool {
+	for _, s := range tb.differ {
+		if tb.find(s) == tb.find(tb.at(2, s)) {
+			return false
+		}
+	}
+	return true
+}
+
+// name rebuilds the accepted partition from the satisfy merges in one
+// fixed order, agreed attributes in order and then the FD rules to a
+// fixpoint, each union linking the first root under the second. Trials
+// merge in another order, which gives the same classes but not
+// necessarily the same roots, and a class is named after its root: the
+// root's ID is the query's value variable and its attribute prefixes
+// the synthetic constant. So names never depend on which trials ran.
+// Then, in slot order, each class gets a fresh readable constant.
+func (tb *tableau) name() {
+	copy(tb.parent, tb.sat)
+	tb.trail = tb.trail[:0]
+	for _, s := range tb.agreed {
+		tb.union(s, tb.at(2, s))
+	}
+	tb.closeFDs()
+	clear(tb.classValue)
+	count := make(map[string]int) // constants minted per short label
+	for s := range tb.parent {
+		r := tb.find(int32(s))
+		if tb.classValue[r] == nil {
+			short := tb.short[r%tb.width]
+			count[short]++
+			tb.classValue[r] = instance.C(short + strconv.Itoa(count[short]))
+		}
+		tb.classValue[s] = tb.classValue[r]
+	}
+}
+
+// classID returns the stable identifier of slot s's class, used as the
+// query's value-variable name.
+func (tb *tableau) classID(s int32) string { return tb.ids[tb.find(s)] }
 
 // shortAttr abbreviates an attribute label for synthetic values, in
 // the spirit of the paper's c1/n1/l1 examples.
@@ -183,41 +279,39 @@ func shortAttr(attr string) string {
 func (tb *tableau) synthetic() *instance.Instance {
 	in := instance.New(tb.m.Src)
 	for c := 1; c <= tb.copies; c++ {
-		for _, g := range tb.m.For {
+		for i, g := range tb.m.For {
 			st := tb.info.SrcVars[g.Var]
+			vals := tb.values(c, i)
 			t := instance.NewTuple(st)
-			for _, a := range st.Atoms {
-				t.Put(a, tb.classValue[term{c, g.Var, a}])
+			for k, v := range vals {
+				t.PutSlot(k, v)
 			}
 			// Mint SetIDs for the tuple's own set fields from its atom
 			// values (deterministic: equal tuples share children).
 			for _, f := range st.SetFields {
-				args := make([]instance.Value, 0, len(st.Atoms))
-				for _, a := range st.Atoms {
-					args = append(args, tb.classValue[term{c, g.Var, a}])
-				}
 				child := st.Child(f)
-				ref := instance.NewSetRef("Ie_"+child.SKName(), args...)
+				ref := instance.NewSetRef("Ie_"+child.SKName(), slices.Clone(vals)...)
 				t.Put(f, ref)
 				in.EnsureSet(child, ref)
 			}
-			switch {
-			case g.Root != nil:
+			if g.Root != nil {
 				in.InsertTop(st, t)
-			default:
-				// The parent tuple's field ref: recompute from the
-				// parent's classes (same derivation as above).
-				pst := tb.info.SrcVars[g.Parent]
-				args := make([]instance.Value, 0, len(pst.Atoms))
-				for _, a := range pst.Atoms {
-					args = append(args, tb.classValue[term{c, g.Parent, a}])
-				}
-				ref := instance.NewSetRef("Ie_"+st.SKName(), args...)
-				in.Insert(st, ref, t)
+				continue
 			}
+			// The parent tuple's field ref: recompute from the parent's
+			// classes (same derivation as above).
+			ref := instance.NewSetRef("Ie_"+st.SKName(), slices.Clone(tb.values(c, tb.atomIndex(1, g.Parent)))...)
+			in.Insert(st, ref, t)
 		}
 	}
 	return in
+}
+
+// values returns the synthetic constants of the atoms of the i-th
+// for-variable in copy c.
+func (tb *tableau) values(c, i int) []instance.Value {
+	s := tb.at(c, tb.first[i])
+	return tb.classValue[s : s+int32(len(tb.info.SrcVars[tb.m.For[i].Var].Atoms))]
 }
 
 // realQuery builds the Q_Ie retrieving tuples from the actual source
@@ -226,30 +320,26 @@ func (tb *tableau) synthetic() *instance.Instance {
 func (tb *tableau) realQuery(differ []mapping.Expr) *query.Query {
 	q := &query.Query{Src: tb.m.Src}
 	for c := 1; c <= tb.copies; c++ {
-		for _, g := range tb.m.For {
+		suffix := "__" + strconv.Itoa(c)
+		for i, g := range tb.m.For {
 			st := tb.info.SrcVars[g.Var]
-			atom := query.Atom{
-				Var:  fmt.Sprintf("%s__%d", g.Var, c),
-				Bind: make(map[string]string, len(st.Atoms)),
-			}
+			atom := query.Atom{Var: g.Var + suffix, Bind: make(map[string]string, len(st.Atoms))}
 			if g.Root != nil {
 				atom.Set = g.Root
 			} else {
-				atom.Parent = fmt.Sprintf("%s__%d", g.Parent, c)
+				atom.Parent = g.Parent + suffix
 				atom.Field = g.Field
 			}
-			for _, a := range st.Atoms {
-				atom.Bind[a] = tb.classID[term{c, g.Var, a}]
+			for k, a := range st.Atoms {
+				atom.Bind[a] = tb.classID(tb.at(c, tb.first[i]+int32(k)))
 			}
 			q.Atoms = append(q.Atoms, atom)
 		}
 	}
 	for _, e := range differ {
+		s := tb.slot[e]
 		for c := 2; c <= tb.copies; c++ {
-			q.Neq = append(q.Neq, [2]string{
-				tb.classID[term{1, e.Var, e.Attr}],
-				tb.classID[term{c, e.Var, e.Attr}],
-			})
+			q.Neq = append(q.Neq, [2]string{tb.classID(s), tb.classID(tb.at(c, s))})
 		}
 	}
 	return q
@@ -302,48 +392,6 @@ func (tb *tableau) atomIndex(c int, v string) int {
 		}
 	}
 	panic(fmt.Sprintf("core: no for-variable %q", v))
-}
-
-// buildProbeTableau constructs the two-copy tableau for a probe: it
-// merges the agree attributes across copies one at a time (confirmed
-// attributes first — the caller guarantees those cannot collapse the
-// probe), dropping any undecided attribute whose merge would force one
-// of the mustDiffer attributes to agree across copies (such attributes
-// are equality-correlated with the probe — e.g. p.cid when probing
-// c.cid under the join p.cid = c.cid — and are probed, or skipped as
-// implied, in their own turn). It reports ok=false when even the
-// confirmed merges collapse a mustDiffer attribute, i.e. the probe is
-// unconstructible and its question inconsequential.
-func buildProbeTableau(m *mapping.Mapping, src *deps.Set, confirmed, undecided, mustDiffer []mapping.Expr) (*tableau, bool) {
-	build := func(agree []mapping.Expr) *tableau {
-		tb := newTableau(m, 2)
-		for _, e := range agree {
-			tb.agreeAcrossCopies(e)
-		}
-		tb.chaseFDs(src)
-		return tb
-	}
-	differOK := func(tb *tableau) bool {
-		for _, e := range mustDiffer {
-			if tb.same(term{1, e.Var, e.Attr}, term{2, e.Var, e.Attr}) {
-				return false
-			}
-		}
-		return true
-	}
-	agreed := append([]mapping.Expr{}, confirmed...)
-	tb := build(agreed)
-	if !differOK(tb) {
-		return nil, false
-	}
-	for _, b := range undecided {
-		trial := build(append(agreed, b))
-		if differOK(trial) {
-			agreed = append(agreed, b)
-			tb = trial
-		}
-	}
-	return tb, true
 }
 
 // tableauImplications lifts the source FDs and the satisfy equalities
