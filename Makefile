@@ -51,6 +51,7 @@ race-instance:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadCSV' -benchtime=1x ./internal/load
 
 # Scaled-chase smoke: one SF2 TPCH chase with retained-heap reporting
 # (the "scenario firehose" shape). Catches bit-rot in the scaled

@@ -112,7 +112,8 @@ func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, i
 	}
 	sp, _ := o.StartCtx(ctx, obs.SpanChaseMapping)
 	err = e.each(func(asg assignment) error {
-		return plan.emit(asg, out)
+		plan.emit(asg, out)
+		return nil
 	})
 	if o != nil {
 		o.Counter(obs.MChaseAssignments).Add(plan.nAsg)
@@ -135,7 +136,8 @@ func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, i
 // compact storage: emit writes each slot by position (PutSlot), into a
 // reusable scratch tuple per variable, and relies on the clone-on-
 // insert Instance.InsertUnique so only novel tuples ever reach the
-// output arena.
+// output arena. A child tuple goes straight into the occurrence that
+// its parent's set field minted with its SetID (Instance.InternSet).
 type targetPlan struct {
 	// vars holds one slot-aligned build plan per exists variable,
 	// indexed by the variable's position in info.TgtOrder.
@@ -183,17 +185,19 @@ type varPlan struct {
 	// setFn[j] and setArgs[j] are the grouping term for set-field slot
 	// j; a nil setArgs[j] means the term takes the assignment's Skolem
 	// arguments. child[j] is the set type its SetID denotes (minted
-	// SetIDs materialize as possibly-empty occurrences).
+	// SetIDs materialize as possibly-empty occurrences), and occ[j] the
+	// occurrence the current emit minted for it.
 	setFn   []string
 	setArgs [][]slotRef
 	child   []*nr.SetType
+	occ     []*instance.SetVal
 }
 
 // insertStep inserts one exists variable's tuple: into the top-level
 // set, or into the occurrence named by the parent variable's set field
-// (field is that slot, -1 when the field names none).
+// (field is that field's index among the parent's set fields; analysis
+// guarantees the parent has it).
 type insertStep struct {
-	gen    mapping.Gen
 	v      int
 	parent int
 	field  int
@@ -257,6 +261,7 @@ func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPl
 		vp.setFn = make([]string, len(st.SetFields))
 		vp.setArgs = make([][]slotRef, len(st.SetFields))
 		vp.child = make([]*nr.SetType, len(st.SetFields))
+		vp.occ = make([]*instance.SetVal, len(st.SetFields))
 		for i, a := range st.Atoms {
 			slot := mapping.E(v, a)
 			root := find(slot)
@@ -289,10 +294,10 @@ func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPl
 		}
 	}
 	for _, g := range m.Exists {
-		s := insertStep{gen: g, v: varPos[g.Var], parent: -1, field: -1}
+		s := insertStep{v: varPos[g.Var], parent: -1}
 		if g.Root == nil {
 			s.parent = varPos[g.Parent]
-			s.field = p.vars[s.parent].st.Slot(g.Field)
+			s.field = slices.Index(p.vars[s.parent].st.SetFields, g.Field)
 		}
 		p.inserts = append(p.inserts, s)
 	}
@@ -319,7 +324,7 @@ func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPl
 }
 
 // emit materializes the target tuples of one satisfying assignment.
-func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
+func (p *targetPlan) emit(asg assignment, out *instance.Instance) {
 	p.nAsg++
 	// Enforce multi-feed consistency: if several source expressions
 	// feed one target slot, the assignment only fires when they agree
@@ -328,7 +333,7 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 		first := feeds[0].of(asg)
 		for _, f := range feeds[1:] {
 			if !instance.SameValue(first, f.of(asg)) {
-				return nil // unsatisfiable for this assignment: no tuples
+				return // unsatisfiable for this assignment: no tuples
 			}
 		}
 	}
@@ -341,8 +346,9 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 	p.skArgs.Set(p.skVals)
 	// Fill each exists variable's scratch tuple slot by slot. Source-fed
 	// slots copy the source value's interface header (no boxing); minted
-	// nulls and SetIDs go through the output instance's intern table, so
-	// re-derived terms resolve to their one canonical pointer.
+	// nulls go through the output instance's intern table and SetIDs
+	// through its occurrence table, so re-derived terms resolve to their
+	// one canonical pointer.
 	for vi := range p.vars {
 		vp := &p.vars[vi]
 		t := vp.scratch
@@ -366,12 +372,12 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 				p.termArgs.Set(vals)
 				args = &p.termArgs
 			}
-			ref := out.InternSetRef(fn, args)
-			t.PutSlot(nAtoms+j, ref)
+			// The SetID comes with the (possibly empty) occurrence it
+			// denotes, materialized as in Fig. 2.
+			occ := out.InternSet(vp.child[j], fn, args)
+			vp.occ[j] = occ
+			t.PutSlot(nAtoms+j, occ.ID)
 			p.nSetIDs++
-			// Materialize the (possibly empty) occurrence the SetID
-			// denotes, as in Fig. 2.
-			out.EnsureSet(vp.child[j], ref)
 		}
 	}
 	// Insert each tuple into its destination set occurrence. The
@@ -381,19 +387,11 @@ func (p *targetPlan) emit(asg assignment, out *instance.Instance) error {
 	for _, s := range p.inserts {
 		vp := &p.vars[s.v]
 		if s.parent < 0 {
-			out.InsertTopUnique(vp.st, vp.scratch)
+			out.InsertUnique(out.Top(vp.st), vp.scratch)
 			continue
 		}
-		var ref *instance.SetRef
-		if s.field >= 0 {
-			ref, _ = p.vars[s.parent].scratch.ValAt(s.field).(*instance.SetRef)
-		}
-		if ref == nil {
-			return fmt.Errorf("chase: %s.%s is not a SetID", s.gen.Parent, s.gen.Field)
-		}
-		out.InsertUnique(vp.st, ref, vp.scratch)
+		out.InsertUnique(p.vars[s.parent].occ[s.field], vp.scratch)
 	}
-	return nil
 }
 
 // IsSolution reports whether tgt is a solution for src under the given

@@ -20,10 +20,10 @@
 //     top-level set, one bucket of the generator's hash index (built on
 //     first probe, its collisions dropped by the join checks), or the
 //     nested occurrence the parent references, each in insertion order.
-//   - One argument hash per assignment: the nulls of an assignment, and
-//     its grouping terms over all source values, are minted from one
-//     instance.TermArgs, hashed once and cloned at most once. Re-emitting
-//     an assignment whose output already exists allocates nothing.
+//   - One argument hash per assignment: its nulls and grouping terms over
+//     all source values are minted from one instance.TermArgs, hashed
+//     once and cloned at most once, and each SetID with its occurrence in
+//     one lookup (Instance.InternSet). Re-emits allocate nothing.
 //   - Cancellation: ChaseCtx aborts promptly once its context is
 //     cancelled (the evaluator polls the context on a step counter,
 //     keeping the check off the per-assignment hot path) and returns

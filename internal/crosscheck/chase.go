@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"math/rand"
 
 	"muse/internal/chase"
 	"muse/internal/homo"
@@ -10,13 +11,19 @@ import (
 	"muse/internal/parser"
 )
 
-// CheckChase runs the chase oracle: on every case, Chase and
-// NaiveChase must agree up to isomorphism. Panics and error-behavior
-// mismatches count as failures too.
+// CheckChase runs the chase oracle: on every case and its regrouped
+// twin (Regroup), Chase and NaiveChase must agree up to isomorphism.
+// Panics and error-behavior mismatches count as failures too.
 func CheckChase(cfg Config) []Failure {
 	cfg = cfg.withDefaults()
+	cases := ChaseCases(cfg)
+	// Twins draw from their own stream: the cases the query oracle shares stay as they were.
+	rg := rand.New(rand.NewSource(cfg.Seed + 3))
+	for _, c := range cases {
+		cases = append(cases, Regroup(rg, c))
+	}
 	var fails []Failure
-	for _, c := range ChaseCases(cfg) {
+	for _, c := range cases {
 		cfg.logf("  chase case %s (%d tuples, %d mappings)", c.Name, c.Src.TupleCount(), len(c.Ms))
 		if f := checkChaseCase(c); f != nil {
 			f.Seed = cfg.Seed

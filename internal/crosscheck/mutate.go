@@ -295,3 +295,19 @@ func ChaseCases(cfg Config) []*Case {
 	}
 	return cases
 }
+
+// Regroup returns a twin of c whose grouping terms each take a random
+// subset of Poss(), the empty one included, so that assignments share
+// the SetIDs that cliogen's grouping by all of Poss() mints one each.
+func Regroup(r *rand.Rand, c *Case) *Case {
+	twin := &Case{Name: c.Name + "-regroup", Src: c.Src}
+	for _, m := range c.Ms {
+		for _, sk := range m.SKs {
+			args := append([]mapping.Expr(nil), m.Poss()...)
+			r.Shuffle(len(args), func(i, j int) { args[i], args[j] = args[j], args[i] })
+			m = m.WithSK(sk.SK.Fn, args[:r.Intn(len(args)+1)])
+		}
+		twin.Ms = append(twin.Ms, m)
+	}
+	return twin
+}

@@ -27,7 +27,7 @@ func (in *Instance) InsertRow(path string, row Row) error {
 		}
 		t.Put(label, in.InternConst(s))
 	}
-	in.InsertTopUnique(st, t)
+	in.InsertUnique(in.Top(st), t)
 	return nil
 }
 
@@ -56,12 +56,12 @@ func (in *Instance) MustInsertVals(path string, vals ...string) {
 	for i := range st.Atoms {
 		t.PutSlot(i, in.InternConst(vals[i]))
 	}
-	in.InsertTopUnique(st, t)
+	in.InsertUnique(in.Top(st), t)
 }
 
 // ScratchTuple returns the instance's reusable scratch tuple for st,
-// cleared. Fill it and hand it to InsertUnique/InsertTopUnique, which
-// copy on a dedup miss; the scratch itself never enters the instance.
+// cleared. Fill it and hand it to InsertUnique, which copies it on a
+// dedup miss; the scratch itself never enters the instance.
 // Builder-side only: one scratch exists per set type, so not safe for
 // concurrent use, and a second ScratchTuple(st) call invalidates the
 // first's contents.

@@ -7,16 +7,16 @@
 // Invariants:
 //
 //   - Values (Const, Null, SetRef) are immutable and freely shareable;
-//     a term's content hash and canonical key are each computed on
-//     first use and cached behind atomics, so concurrent readers
+//     a constant's hash is set by its constructor, and a term's hash
+//     and canonical key are cached behind atomics, so concurrent readers
 //     (server sessions sharing one real instance) are race-free.
 //   - Identity is structural: two values are equal iff SameValue holds
 //     (constants by string, terms by symbol and arguments), tuples iff
 //     their slots are pairwise equal, and an occurrence is found by any
-//     SetRef equal to its ID. The intern table, the occurrence table
-//     and each set's tuples are keyed by a 64-bit content hash, and
-//     entries sharing a hash are told apart structurally, never by the
-//     hash alone.
+//     SetRef equal to its ID. The intern table (constants and nulls),
+//     the occurrence table, which interns SetIDs in creation order, and
+//     each set's tuples are keyed by a 64-bit content hash; entries
+//     sharing a hash are told apart structurally, never by the hash alone.
 //   - Tuples are grouped by slot values in one of two ways (index.go):
 //     an Index, whose buckets may mix hash-colliding tuples that its
 //     callers reject by SameValue, or CountDistinct, which confirms

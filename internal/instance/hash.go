@@ -95,32 +95,35 @@ func (m *hashMap[T]) get(h uint64, eq func(T) bool) (T, bool) {
 	return zero, false
 }
 
-// add puts v under h unless an entry for which eq holds is there
-// already, and reports whether it put v. It looks h up once, where get
-// followed by put looks it up twice.
-func (m *hashMap[T]) add(h uint64, v T, eq func(T) bool) bool {
+// intern returns the entry under h for which eq holds and true, or else
+// puts mk() under h and returns it and false, looking h up once.
+func (m *hashMap[T]) intern(h uint64, eq func(T) bool, mk func() T) (T, bool) {
 	first, ok := m.first[h]
 	if !ok {
 		if m.first == nil {
 			m.first = make(map[uint64]T)
 		}
+		v := mk()
 		m.first[h] = v
-		return true
+		return v, false
 	}
 	if eq(first) {
-		return false
+		return first, true
 	}
 	for _, w := range m.more[h] {
 		if eq(w) {
-			return false
+			return w, true
 		}
 	}
 	if m.more == nil {
 		m.more = make(map[uint64][]T)
 	}
+	v := mk()
 	m.more[h] = append(m.more[h], v)
-	return true
+	return v, false
 }
 
 // put adds v under h. Callers add only entries get did not find.
-func (m *hashMap[T]) put(h uint64, v T) { m.add(h, v, func(T) bool { return false }) }
+func (m *hashMap[T]) put(h uint64, v T) {
+	m.intern(h, func(T) bool { return false }, func() T { return v })
+}

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,22 +91,90 @@ func TestOccurrenceHashChain(t *testing.T) {
 	}
 }
 
-// TestInternHashChain interns distinct terms under one forced hash:
-// each keeps its own canonical value (a Null and a SetRef over the
-// same symbol and arguments included), and an equal term resolves to
-// the first one minted.
+// TestConstHash checks the hash a Const carries from its constructors:
+// C, CI and InternConst, in two instances, agree with hashString over
+// the empty string, separator and escape bytes and invalid UTF-8, and
+// C(s) equals the interned constant as an interface value.
+func TestConstHash(t *testing.T) {
+	a, b := New(compCat()), New(compCat())
+	for _, s := range []string{"", "IBM", "\x00", "a\x01b\x07c", "\x03\x04\x05\x06", "\xff\xfe", "h\xc3", "héllo ☃"} {
+		want := hashString(s)
+		for i, v := range []Value{C(s), a.InternConst(s), b.InternConst(s)} {
+			if got := v.hash(); got != want {
+				t.Errorf("%q: constructor %d hashes %#x, want %#x", s, i, got, want)
+			}
+		}
+		if c := Value(C(s)); c != a.InternConst(s) || c != b.InternConst(s) {
+			t.Errorf("%q: C(s) differs from the interned constant", s)
+		}
+	}
+	for _, i := range []int{0, -7, 1 << 40} {
+		s := strconv.Itoa(i)
+		if c := CI(i); c.hash() != hashString(s) || Value(c) != a.InternConst(s) {
+			t.Errorf("CI(%d) differs from the constant %q", i, s)
+		}
+	}
+}
+
+// TestInternSetHashChain mints distinct SetIDs under one forced hash
+// through InternSet: each gets its own occurrence, in creation order,
+// and an equal term, an equal SetRef built afresh (Set, EnsureSet) and
+// an equal term interned again all find it.
+func TestInternSetHashChain(t *testing.T) {
+	cat := orgCat()
+	projs := cat.ByPath(nr.ParsePath("Orgs.Projects"))
+	in := New(cat)
+	terms := func(i int) []*SetRef {
+		return []*SetRef{NewSetRef("SK", CI(i)), NewSetRef("SK", CI(i), nil), NewSetRef(fmt.Sprint("F", i))}
+	}
+	intern := func(r *SetRef) *SetVal { return in.internSet(forcedHash, projs, r.Fn, argsOf(r.Args)) }
+	var occ []*SetVal
+	for i := 0; i < 5; i++ {
+		for _, r := range terms(i) {
+			o := intern(r)
+			for _, prev := range occ {
+				if prev == o {
+					t.Fatalf("distinct SetIDs %v and %v share an occurrence", prev.ID, r)
+				}
+			}
+			occ = append(occ, o)
+		}
+	}
+	k := 0
+	for i := 0; i < 5; i++ {
+		for _, r := range terms(i) {
+			if intern(r) != occ[k] {
+				t.Fatalf("an equal term %v minted a second occurrence", r)
+			}
+			if in.set(forcedHash, r) != occ[k] || in.ensureSet(forcedHash, projs, r) != occ[k] {
+				t.Fatalf("an equal fresh SetRef %v did not find its occurrence", r)
+			}
+			k++
+		}
+	}
+	if in.set(forcedHash, NewSetRef("SK", CI(5))) != nil {
+		t.Fatal("an absent SetID found an occurrence")
+	}
+	got := in.Occurrences(projs)
+	if len(got) != len(occ) {
+		t.Fatalf("%d occurrences, want %d", len(got), len(occ))
+	}
+	for i := range got {
+		if got[i] != occ[i] {
+			t.Fatalf("occurrence %d is out of creation order", i)
+		}
+	}
+}
+
+// TestInternHashChain interns distinct nulls under one forced hash:
+// each keeps its own canonical value, and an equal term resolves to the
+// first one minted.
 func TestInternHashChain(t *testing.T) {
 	in := New(compCat())
 	var terms []Value
-	intern := func(kind byte, fn string, args ...Value) Value {
-		var a TermArgs
-		a.Set(args)
-		return in.internTerm(forcedHash, kind, fn, &a)
-	}
+	intern := func(fn string, args ...Value) Value { return in.internNull(forcedHash, fn, argsOf(args)) }
 	for i := 0; i < 5; i++ {
-		for _, kind := range []byte{kindNull, kindSetRef} {
-			terms = append(terms, intern(kind, "SK", CI(i)), intern(kind, "SK", CI(i), nil), intern(kind, fmt.Sprint("F", i)))
-		}
+		terms = append(terms, intern("SK", CI(i)), intern("SK", CI(i), nil), intern(fmt.Sprint("F", i)))
 	}
 	for i, a := range terms {
 		for _, b := range terms[i+1:] {
@@ -116,14 +185,11 @@ func TestInternHashChain(t *testing.T) {
 	}
 	k := 0
 	for i := 0; i < 5; i++ {
-		for _, kind := range []byte{kindNull, kindSetRef} {
-			again := []Value{intern(kind, "SK", CI(i)), intern(kind, "SK", CI(i), nil), intern(kind, fmt.Sprint("F", i))}
-			for _, v := range again {
-				if v != terms[k] {
-					t.Fatalf("equal term %v resolved to a new value", v)
-				}
-				k++
+		for _, v := range []Value{intern("SK", CI(i)), intern("SK", CI(i), nil), intern(fmt.Sprint("F", i))} {
+			if v != terms[k] {
+				t.Fatalf("equal term %v resolved to a new value", v)
 			}
+			k++
 		}
 	}
 	if got := in.Interned(); got != len(terms) {
@@ -141,23 +207,23 @@ func TestIdentityAcrossInstances(t *testing.T) {
 	a, b := New(cat), New(cat)
 
 	n := a.InternNull("N_m_p.manager", argsOf([]Value{C("IBM"), C("DB")}))
-	ref := a.InternSetRef("SKProjects", argsOf([]Value{C("IBM"), n}))
+	occ := a.InternSet(projs, "SKProjects", argsOf([]Value{C("IBM"), n}))
+	ref := occ.ID
 	org := a.NewTuple(orgs).Put("oname", C("IBM")).Put("Projects", ref)
 	a.InsertTop(orgs, org)
 	proj := NewTuple(projs).Put("pname", C("DB")).Put("manager", n)
-	a.InsertUnique(projs, ref, proj)
+	a.InsertUnique(occ, proj)
 
 	fresh := func() *SetRef {
 		return NewSetRef("SKProjects", C("IBM"), NewNull("N_m_p.manager", C("IBM"), C("DB")))
 	}
-	occ := a.Set(ref)
-	if occ == nil || a.Set(fresh()) != occ {
+	if a.Set(ref) != occ || a.Set(fresh()) != occ {
 		t.Fatal("Set misses the occurrence for an equal fresh SetRef")
 	}
 	if a.EnsureSet(projs, fresh()) != occ {
 		t.Fatal("EnsureSet created a second occurrence for an equal fresh SetRef")
 	}
-	other := b.InternSetRef("SKProjects", argsOf([]Value{C("IBM"), b.InternNull("N_m_p.manager", argsOf([]Value{C("IBM"), C("DB")}))}))
+	other := b.InternSet(projs, "SKProjects", argsOf([]Value{C("IBM"), b.InternNull("N_m_p.manager", argsOf([]Value{C("IBM"), C("DB")}))})).ID
 	if a.Set(other) != occ {
 		t.Fatal("Set misses the occurrence for an equal SetRef interned by another instance")
 	}
@@ -172,7 +238,7 @@ func TestIdentityAcrossInstances(t *testing.T) {
 	}
 	// b, built from the other instance's values, equals a.
 	b.InsertTop(orgs, b.NewTuple(orgs).Put("oname", C("IBM")).Put("Projects", other))
-	b.InsertUnique(projs, fresh(), NewTuple(projs).Put("pname", C("DB")).Put("manager", other.Args[1]))
+	b.InsertUnique(b.EnsureSet(projs, fresh()), NewTuple(projs).Put("pname", C("DB")).Put("manager", other.Args[1]))
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatalf("instances with equal content are not Equal:\n%s\nvs\n%s", a, b)
 	}

@@ -84,7 +84,7 @@ func CountDistinct(tuples []*Tuple, lists [][]int) (distinct, unset []int) {
 				}
 				vals = append(vals, t.vals[sl])
 			}
-			if seen[i].add(hashVector(vals), t, func(p *Tuple) bool { return sameOn(p, t, slots) }) {
+			if _, repeat := seen[i].intern(hashVector(vals), func(p *Tuple) bool { return sameOn(p, t, slots) }, func() *Tuple { return t }); !repeat {
 				distinct[i]++
 			}
 		}

@@ -162,7 +162,10 @@ type SetVal struct {
 	// hashes[i] is list[i]'s content hash while the set is small; big
 	// replaces it once the set outgrows smallSet.
 	hashes []uint64
-	big    hashMap[*Tuple]
+	big    *hashMap[*Tuple]
+	// first and firstHash back a singleton's list and hashes.
+	first     [1]*Tuple
+	firstHash [1]uint64
 }
 
 // smallSet is the size up to which a set finds duplicates by scanning
@@ -198,7 +201,7 @@ func (s *SetVal) checkType(t *Tuple) {
 
 // has reports whether a tuple equal to t is stored under hash h.
 func (s *SetVal) has(h uint64, t *Tuple) bool {
-	if s.big.first == nil {
+	if s.big == nil {
 		for i, x := range s.hashes {
 			if x == h && sameTuple(s.list[i], t) {
 				return true
@@ -212,13 +215,19 @@ func (s *SetVal) has(h uint64, t *Tuple) bool {
 
 // add appends t, which has hash h and no equal in the set.
 func (s *SetVal) add(h uint64, t *Tuple) {
+	if len(s.list) == 0 {
+		s.first[0], s.firstHash[0] = t, h
+		s.list, s.hashes = s.first[:], s.firstHash[:]
+		return
+	}
 	s.list = append(s.list, t)
-	if s.big.first != nil {
+	if s.big != nil {
 		s.big.put(h, t)
 		return
 	}
 	s.hashes = append(s.hashes, h)
 	if len(s.hashes) > smallSet {
+		s.big = new(hashMap[*Tuple])
 		for i, x := range s.hashes {
 			s.big.put(x, s.list[i])
 		}
@@ -259,7 +268,7 @@ func (s *SetVal) Contains(t *Tuple) bool { return s.has(t.hash(), t) }
 type Instance struct {
 	Schema *nr.Schema
 	Cat    *nr.Catalog
-	sets   hashMap[*SetVal] // SetID content hash → occurrence
+	sets   hashMap[*SetVal] // SetID content hash → occurrence: the SetID intern table
 	order  []*SetVal        // occurrences in creation order
 	tops   map[*nr.SetType]*SetVal
 
@@ -309,12 +318,34 @@ func (in *Instance) EnsureSet(st *nr.SetType, id *SetRef) *SetVal {
 // ensureSet is EnsureSet with id's hash given; tests pass it explicitly
 // to force distinct occurrences under one hash.
 func (in *Instance) ensureSet(h uint64, st *nr.SetType, id *SetRef) *SetVal {
-	if s := in.set(h, id); s != nil {
-		return s
+	s, hit := in.sets.intern(h, func(s *SetVal) bool { return SameValue(s.ID, id) },
+		func() *SetVal { return &SetVal{Type: st, ID: id} })
+	if !hit {
+		in.order = append(in.order, s)
 	}
-	s := &SetVal{Type: st, ID: id}
-	in.sets.put(h, s)
-	in.order = append(in.order, s)
+	return s
+}
+
+// InternSet returns the occurrence whose SetID is fn(a), in one lookup:
+// a miss mints the SetID over a's retained arguments, with an empty
+// occurrence of st last in creation order. Not safe for concurrent use.
+func (in *Instance) InternSet(st *nr.SetType, fn string, a *TermArgs) *SetVal {
+	return in.internSet(termHash(kindSetRef, fn, a.hash), st, fn, a)
+}
+
+// internSet is InternSet with the SetID's hash given; tests pass it
+// explicitly to force distinct occurrences under one hash.
+func (in *Instance) internSet(h uint64, st *nr.SetType, fn string, a *TermArgs) *SetVal {
+	s, hit := in.sets.intern(h, func(s *SetVal) bool {
+		return s.ID.Fn == fn && sameValues(s.ID.Args, a.vals)
+	}, func() *SetVal {
+		id := &SetRef{Fn: fn, Args: a.retain()}
+		id.h.Store(h)
+		return &SetVal{Type: st, ID: id}
+	})
+	if !hit {
+		in.order = append(in.order, s)
+	}
 	return s
 }
 
@@ -399,28 +430,18 @@ func (in *Instance) NewTuple(st *nr.SetType) *Tuple {
 	return t
 }
 
-// InsertUnique adds a copy of t to the occurrence with SetID id,
-// creating the occurrence if needed, and reports whether the tuple was
+// InsertUnique adds a copy of t to s, an occurrence of this instance
+// (from EnsureSet, InternSet or Top), and reports whether the tuple was
 // new. Unlike Insert it does not take ownership of t: the caller keeps
 // a reusable scratch tuple, and only on a dedup miss is its content
 // copied into an arena-backed tuple. Duplicate inserts allocate
 // nothing. Builder-side only: not safe for concurrent use.
-func (in *Instance) InsertUnique(st *nr.SetType, id *SetRef, t *Tuple) bool {
-	return in.insertUnique(in.EnsureSet(st, id), t)
-}
-
-// InsertTopUnique is InsertUnique on the unique occurrence of a
-// top-level set.
-func (in *Instance) InsertTopUnique(st *nr.SetType, t *Tuple) bool {
-	return in.insertUnique(in.Top(st), t)
-}
-
-func (in *Instance) insertUnique(s *SetVal, t *Tuple) bool {
+func (in *Instance) InsertUnique(s *SetVal, t *Tuple) bool {
 	s.checkType(t)
 	return in.insertCopy(s, t.hash(), t)
 }
 
-// insertCopy is the dedup-then-copy step of insertUnique with t's hash
+// insertCopy is the dedup-then-copy step of InsertUnique with t's hash
 // given; tests pass it explicitly to force distinct tuples under one
 // hash.
 func (in *Instance) insertCopy(s *SetVal, h uint64, t *Tuple) bool {

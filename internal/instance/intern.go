@@ -5,7 +5,8 @@ import (
 	"sync"
 )
 
-// This file implements the per-Instance value intern table.
+// This file implements the per-Instance intern table of constants and
+// nulls; the occurrence table interns SetIDs (Instance.InternSet).
 //
 // Interning canonicalizes values by content: within one Instance, two
 // equal values obtained through Intern* share a single pointer (for
@@ -70,15 +71,13 @@ func (in *Instance) InternConst(s string) Value {
 	tb := &in.intern
 	h := hashString(s)
 	tb.mu.Lock()
-	v, ok := tb.m.get(h, func(v Value) bool {
+	v, _ := tb.m.intern(h, func(v Value) bool {
 		c, isConst := v.(Const)
 		return isConst && c.S == s
-	})
-	if !ok {
+	}, func() Value {
 		// Clone: s may be a slice of a larger buffer (a CSV record).
-		v = Const{S: strings.Clone(s)}
-		tb.m.put(h, v)
-	}
+		return Const{S: strings.Clone(s), h: h}
+	})
 	tb.mu.Unlock()
 	return v
 }
@@ -87,46 +86,26 @@ func (in *Instance) InternConst(s string) Value {
 // miss retains a's clone of its arguments; callers may reuse their
 // scratch.
 func (in *Instance) InternNull(fn string, a *TermArgs) *Null {
-	return in.internTerm(termHash(kindNull, fn, a.hash), kindNull, fn, a).(*Null)
+	return in.internNull(termHash(kindNull, fn, a.hash), fn, a)
 }
 
-// InternSetRef returns the canonical *SetRef for the SetID term
-// fn(a). Cloning follows InternNull.
-func (in *Instance) InternSetRef(fn string, a *TermArgs) *SetRef {
-	return in.internTerm(termHash(kindSetRef, fn, a.hash), kindSetRef, fn, a).(*SetRef)
-}
-
-// internTerm returns the canonical term of the given kind for fn(a)
-// stored under hash h, minting it on a miss. Tests pass h explicitly to
-// force distinct terms under one hash.
-func (in *Instance) internTerm(h uint64, kind byte, fn string, a *TermArgs) Value {
+// internNull is InternNull with the term's hash given; tests pass it
+// explicitly to force distinct nulls under one hash.
+func (in *Instance) internNull(h uint64, fn string, a *TermArgs) *Null {
 	tb := &in.intern
 	tb.mu.Lock()
-	v, ok := tb.m.get(h, func(v Value) bool {
-		switch t := v.(type) {
-		case *Null:
-			return kind == kindNull && t.Fn == fn && sameValues(t.Args, a.vals)
-		case *SetRef:
-			return kind == kindSetRef && t.Fn == fn && sameValues(t.Args, a.vals)
-		}
-		return false
+	v, _ := tb.m.intern(h, func(v Value) bool {
+		n, isNull := v.(*Null)
+		return isNull && n.Fn == fn && sameValues(n.Args, a.vals)
+	}, func() Value {
+		n := &Null{Fn: fn, Args: a.retain()}
+		n.h.Store(h)
+		return n
 	})
-	if !ok {
-		if kind == kindNull {
-			n := &Null{Fn: fn, Args: a.retain()}
-			n.h.Store(h)
-			v = n
-		} else {
-			s := &SetRef{Fn: fn, Args: a.retain()}
-			s.h.Store(h)
-			v = s
-		}
-		tb.m.put(h, v)
-	}
 	tb.mu.Unlock()
-	return v
+	return v.(*Null)
 }
 
-// Interned returns the number of distinct values in the instance's
-// intern table (for tests and diagnostics).
+// Interned returns the number of distinct constants and nulls in the
+// instance's intern table (for tests and diagnostics).
 func (in *Instance) Interned() int { return in.intern.size() }

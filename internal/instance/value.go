@@ -26,9 +26,11 @@ type Value interface {
 
 // Const is an atomic constant. All constants are carried as strings;
 // integer constants are their decimal rendering (the NR atomic types
-// only matter for schema validation, not for value identity).
+// only matter for schema validation, not for value identity). Only C, CI
+// and Instance.InternConst build one: they set the hash it carries.
 type Const struct {
 	S string
+	h uint64
 }
 
 func (c Const) isValue() {}
@@ -46,16 +48,16 @@ func (c Const) appendKey(b []byte) []byte {
 	return appendEscaped(b, c.S)
 }
 
-func (c Const) hash() uint64 { return hashString(c.S) }
+func (c Const) hash() uint64 { return c.h }
 
 // String implements Value.
 func (c Const) String() string { return c.S }
 
 // C constructs a string constant.
-func C(s string) Const { return Const{S: s} }
+func C(s string) Const { return Const{S: s, h: hashString(s)} }
 
 // CI constructs an integer constant.
-func CI(i int) Const { return Const{S: strconv.Itoa(i)} }
+func CI(i int) Const { return C(strconv.Itoa(i)) }
 
 // Null is a labeled null, Skolemized: two nulls created for the same
 // reason (same function symbol, same arguments) are the same null.

@@ -25,33 +25,40 @@ func fuzzCatalog() *nr.Catalog {
 	)))
 }
 
-// FuzzCSV feeds arbitrary bytes to the CSV loader: it must never
-// panic, and any instance it accepts must survive a write/reload
-// round trip with the same tuple count.
+// FuzzCSV feeds arbitrary bytes to the CSV loader, into the
+// single-column set Q (with or without a header) and into the
+// multi-column set R (with a header, so rows may leave atoms unset): it
+// must never panic, and any instance it accepts must survive a
+// write/reload round trip unchanged.
 func FuzzCSV(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n"), true)
 	f.Add([]byte("1,2,3\n4,5,6\n"), false)
-	f.Add([]byte("a,a\n1,2\n"), true)     // duplicate header
+	f.Add([]byte("a,a\n1,2\n"), true)      // duplicate header
 	f.Add([]byte("b, a \nx,y\nz\n"), true) // ragged row
 	f.Add([]byte("a\n\"qu\"\"oted\"\n"), true)
 	f.Add([]byte("\xff\xfe,\x00\n"), false)
+	f.Add([]byte("addr.city,b\n,x\n\"\",\n"), true)
 	cat := fuzzCatalog()
 	f.Fuzz(func(t *testing.T, data []byte, header bool) {
-		in := instance.New(cat)
-		if err := load.CSV(in, "Q", bytes.NewReader(data), header); err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := load.WriteCSV(in, "Q", &buf); err != nil {
-			t.Fatalf("WriteCSV failed on an accepted instance: %v", err)
-		}
-		in2 := instance.New(cat)
-		if err := load.CSV(in2, "Q", &buf, true); err != nil {
-			t.Fatalf("reloading written CSV failed: %v\n%s", err, buf.String())
-		}
-		st := cat.ByPath(nr.ParsePath("Q"))
-		if got, want := in2.Top(st).Len(), in.Top(st).Len(); got != want {
-			t.Fatalf("round trip changed tuple count: %d → %d\n%s", want, got, buf.String())
+		for _, target := range []struct {
+			set    string
+			header bool
+		}{{"Q", header}, {"R", true}} {
+			in := instance.New(cat)
+			if err := load.CSV(in, target.set, bytes.NewReader(data), target.header); err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := load.WriteCSV(in, target.set, &buf); err != nil {
+				t.Fatalf("%s: WriteCSV failed on an accepted instance: %v", target.set, err)
+			}
+			in2 := instance.New(cat)
+			if err := load.CSV(in2, target.set, bytes.NewReader(buf.Bytes()), true); err != nil {
+				t.Fatalf("%s: reloading written CSV failed: %v\n%s", target.set, err, buf.String())
+			}
+			if !in.Equal(in2) {
+				t.Fatalf("%s: round trip changed the instance:\n%s\nvs\n%s\n%s", target.set, in, in2, buf.String())
+			}
 		}
 	})
 }

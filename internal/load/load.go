@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"muse/internal/instance"
@@ -73,26 +74,39 @@ func CSV(in *instance.Instance, setPath string, r io.Reader, header bool) error 
 		for i, v := range rec {
 			t.PutSlot(slots[i], in.InternConst(v))
 		}
-		in.InsertTopUnique(st, t)
+		in.InsertUnique(in.Top(st), t)
 	}
 }
 
-// WriteCSV writes a top-level set as CSV with a header row.
+// WriteCSV writes a top-level set as CSV with a header row naming the
+// atoms its tuples set. CSV cannot tell unset from empty, so an atom set
+// on some tuples but not all, or a tuple setting none, is an error.
 func WriteCSV(in *instance.Instance, setPath string, w io.Writer) error {
 	st := in.Cat.ByPath(nr.ParsePath(setPath))
 	if st == nil {
 		return fmt.Errorf("load: schema %s has no set %q", in.Schema.Name, setPath)
 	}
+	tuples := in.Top(st).View()
+	var cols []string
+	for i, a := range st.Atoms {
+		unset := slices.IndexFunc(tuples, func(t *instance.Tuple) bool { return t.ValAt(i) == nil })
+		if unset < 0 {
+			cols = append(cols, a)
+		} else if slices.ContainsFunc(tuples, func(t *instance.Tuple) bool { return t.ValAt(i) != nil }) {
+			return fmt.Errorf("load: %s: row %d leaves %q unset while other rows set it; CSV cannot tell unset from empty", setPath, unset+1, a)
+		}
+	}
+	if len(cols) == 0 && len(tuples) > 0 {
+		return fmt.Errorf("load: %s: row 1 sets no atom; CSV cannot write it", setPath)
+	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(st.Atoms); err != nil {
+	if err := cw.Write(cols); err != nil {
 		return err
 	}
-	for _, t := range in.Top(st).Tuples() {
-		row := make([]string, len(st.Atoms))
-		for i, a := range st.Atoms {
-			if v := t.Get(a); v != nil {
-				row[i] = v.String()
-			}
+	for _, t := range tuples {
+		row := make([]string, len(cols))
+		for i, a := range cols {
+			row[i] = t.Get(a).String()
 		}
 		// A single empty column would serialize as a blank line, which
 		// csv readers (ours included) skip — the tuple would vanish on

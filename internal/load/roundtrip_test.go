@@ -38,3 +38,48 @@ func TestWriteCSVEmptySingleColumn(t *testing.T) {
 		t.Fatalf("round trip kept %d tuples, want 2:\n%s", got, buf.String())
 	}
 }
+
+// TestCSVRoundTripUnset writes sets that leave atoms unset. An atom no
+// tuple sets is left out of the header, so the reload keeps it unset
+// and equals the original. An atom set on some tuples and unset on
+// others cannot be told from the empty string in CSV: WriteCSV refuses
+// it, naming the set, the row and the column, where it used to write
+// the tuples (1, IBM, unset) and (1, IBM, "") as two equal rows.
+func TestCSVRoundTripUnset(t *testing.T) {
+	cat := relCat()
+	st := cat.ByPath(nr.ParsePath("Companies"))
+	row := func(in *instance.Instance, loc instance.Value) {
+		in.InsertTop(st, in.NewTuple(st).Put("cid", instance.CI(1)).Put("cname", instance.C("IBM")).Put("location", loc))
+	}
+
+	in := instance.New(cat)
+	row(in, nil)
+	in.InsertTop(st, in.NewTuple(st).Put("cid", instance.CI(2)).Put("cname", instance.C("")))
+	var buf bytes.Buffer
+	if err := WriteCSV(in, "Companies", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "cid,cname\n1,IBM\n2,\n"; got != want {
+		t.Fatalf("WriteCSV wrote %q, want %q", got, want)
+	}
+	back := instance.New(cat)
+	if err := CSV(back, "Companies", &buf, true); err != nil {
+		t.Fatal(err)
+	}
+	if !in.Equal(back) {
+		t.Fatalf("round trip changed the instance:\n%s\nvs\n%s", in, back)
+	}
+
+	mixed := instance.New(cat)
+	row(mixed, nil)
+	row(mixed, instance.C(""))
+	err := WriteCSV(mixed, "Companies", &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("WriteCSV wrote an atom that is unset on one row and empty on another")
+	}
+	for _, want := range []string{"Companies", "row 1", `"location"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
