@@ -1,6 +1,7 @@
 # Development targets. `make ci` is the gate every change must pass:
-# vet, build, the full test suite under the race detector, a focused
-# race pass over the retrieval path (concurrent index building in
+# vet (go vet plus a gofmt check), build, the full test suite under
+# the race detector, a focused race pass over the retrieval path
+# (concurrent index building in
 # internal/query and the wizards, then the uniqueness verdicts, the
 # refutation rule and the shared instance index and distinct counter
 # repeated), a repeated race pass over the instance layer's lazily
@@ -23,8 +24,11 @@ GO ?= go
 
 ci: vet build race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
 
+# vet also fails on any tracked Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

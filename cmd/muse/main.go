@@ -199,27 +199,10 @@ func main() {
 		traceFile.Close()
 	}
 	if o != nil && *metricsPath != "" {
-		if err := writeMetrics(o.Reg, *metricsPath); err != nil {
+		if err := o.Reg.WriteFile(*metricsPath); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-// writeMetrics dumps the registry in the Prometheus text format to
-// path ("-" for stdout).
-func writeMetrics(reg *muse.Registry, path string) error {
-	if path == "-" {
-		return reg.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func printMappings(ms []*muse.Mapping) {

@@ -115,16 +115,7 @@ func main() {
 		traceFile.Close()
 	}
 	if o != nil && *metricsPath != "" {
-		w := os.Stdout
-		if *metricsPath != "-" {
-			f, err := os.Create(*metricsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := o.Reg.WriteText(w); err != nil {
+		if err := o.Reg.WriteFile(*metricsPath); err != nil {
 			log.Fatal(err)
 		}
 	}

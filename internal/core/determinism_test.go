@@ -38,7 +38,7 @@ func scenarioQueries(t *testing.T, s *scenarios.Scenario) []*query.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &GroupingWizard{SrcDeps: s.Src}
+	w := &GroupingWizard{Env: Env{SrcDeps: s.Src}}
 	var qs []*query.Query
 	for _, m := range set.Mappings {
 		if m.Ambiguous() {
@@ -220,7 +220,7 @@ func TestPlannedEvalMatchesNaiveOnScenarios(t *testing.T) {
 		for _, rel := range []string{"Country", "Province", "City"} {
 			s.Src.MustAddKey(rel, "name")
 		}
-		w := &GroupingWizard{SrcDeps: s.Src}
+		w := &GroupingWizard{Env: Env{SrcDeps: s.Src}}
 		var qs []*query.Query
 		for _, m := range set.Mappings {
 			if m.Ambiguous() {

@@ -13,7 +13,14 @@
 //
 // Both wizards draw examples from a real source instance when it can
 // differentiate the alternatives, and construct synthetic canonical
-// examples otherwise.
+// examples otherwise. They read one Env: the source constraints, the
+// real instance, the retrieval timeout, the shared index store, the
+// ranker, the observability bundle and the bounding context.
+//
+// Muse-G has one question path and one probe loop. GroupingWizard.ask
+// builds, checks and poses the attribute probe, the multi-key question
+// and the group-more question; probeAll runs the probe sequence of
+// DesignSK and GroupLess.
 //
 // Two calling conventions host the dialogs. Session.Run is the
 // callback form: it drives Muse-D then Muse-G, invoking the designer

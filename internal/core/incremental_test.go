@@ -141,3 +141,48 @@ func TestSessionWithGrouping(t *testing.T) {
 		t.Errorf("session designed %s", got)
 	}
 }
+
+// fixedAnswer answers every grouping question with the same scenario
+// number, in range or not.
+type fixedAnswer int
+
+func (a fixedAnswer) ChooseScenario(*core.GroupingQuestion) (int, error) { return int(a), nil }
+
+// TestGroupMoreRejectsOutOfRangeAnswer: group-more questions take the
+// same answers as every other Muse-G question, 1 or 2.
+func TestGroupMoreRejectsOutOfRangeAnswer(t *testing.T) {
+	f := scenarios.NewFigure1(false)
+	m := f.M2.WithSK("SKProjects", []mapping.Expr{mapping.E("c", "cname"), mapping.E("c", "location")})
+	for _, ans := range []fixedAnswer{0, 3} {
+		w := core.NewGroupingWizard(f.SrcDeps, nil)
+		if _, err := w.GroupMore(m, "SKProjects", ans); err == nil {
+			t.Errorf("GroupMore accepted answer %d", ans)
+		}
+	}
+}
+
+// TestGroupLessInstanceOnly: in instance-only mode, GroupLess skips an
+// attribute the confirmed ones determine on the real instance, as
+// DesignSK does (TestInstanceOnlyMode).
+func TestGroupLessInstanceOnly(t *testing.T) {
+	f := scenarios.NewFigure1(false)
+	// location follows cname in this instance (IBM→NY, SBC→SF).
+	f.Source = newCompInstance(f, [][3]string{
+		{"11", "IBM", "NY"}, {"12", "IBM", "NY"}, {"14", "SBC", "SF"},
+	})
+	m := f.M2.WithSK("SKProjects", []mapping.Expr{mapping.E("c", "cname")})
+	w := core.NewGroupingWizard(f.SrcDeps, f.Source)
+	w.InstanceOnly = true
+	rec := &recordingDesigner{inner: fixedAnswer(2)}
+	if _, err := w.GroupLess(m, "SKProjects", rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.questions) == 0 {
+		t.Fatal("GroupLess posed no question")
+	}
+	for _, q := range rec.questions {
+		if q.Probe.String() == "c.location" {
+			t.Error("instance-only GroupLess probed a data-implied attribute")
+		}
+	}
+}

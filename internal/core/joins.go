@@ -86,7 +86,7 @@ func JoinVariants(m *mapping.Mapping, src *deps.Set) ([]JoinVariant, error) {
 // through the satisfy equalities. The result follows generator order.
 func refClosure(m *mapping.Mapping, info *mapping.Info, src *deps.Set, v string) []string {
 	need := map[string]bool{v: true}
-	eq := newExprClasses(m.ForSat)
+	eq := mapping.NewClasses(m.ForSat)
 	for changed := true; changed; {
 		changed = false
 		for _, g := range m.For {
@@ -101,7 +101,7 @@ func refClosure(m *mapping.Mapping, info *mapping.Info, src *deps.Set, v string)
 				continue
 			}
 			for _, r := range src.RefsOf(info.SrcVars[g.Var]) {
-				if hasWitness(m, info, eq, need, g.Var, r) {
+				if hasWitness(info, eq, need, g.Var, r) {
 					continue
 				}
 				// Add the first witness of this constraint.
@@ -109,7 +109,7 @@ func refClosure(m *mapping.Mapping, info *mapping.Info, src *deps.Set, v string)
 					if need[w] || !info.SrcVars[w].Path.Equal(r.ToSet) {
 						continue
 					}
-					if joined(eq, g.Var, w, r) {
+					if eq.Joined(g.Var, w, r) {
 						need[w] = true
 						changed = true
 						break
@@ -129,25 +129,13 @@ func refClosure(m *mapping.Mapping, info *mapping.Info, src *deps.Set, v string)
 
 // hasWitness reports whether some already-needed variable witnesses
 // v's constraint r.
-func hasWitness(m *mapping.Mapping, info *mapping.Info, eq *exprClasses, need map[string]bool, v string, r deps.Ref) bool {
+func hasWitness(info *mapping.Info, eq *mapping.Classes, need map[string]bool, v string, r deps.Ref) bool {
 	for w := range need {
-		if w != v && info.SrcVars[w].Path.Equal(r.ToSet) && joined(eq, v, w, r) {
+		if w != v && info.SrcVars[w].Path.Equal(r.ToSet) && eq.Joined(v, w, r) {
 			return true
 		}
 	}
 	return false
-}
-
-// joined reports whether v and w are equated on r's attribute pairs.
-func joined(eq *exprClasses, v, w string, r deps.Ref) bool {
-	for i := range r.FromAttrs {
-		a := eq.find(mapping.E(v, r.FromAttrs[i]))
-		b := eq.find(mapping.E(w, r.ToAttrs[i]))
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // Project returns the mapping restricted to the keep variables:
@@ -282,11 +270,11 @@ func (w *DisambiguationWizard) joinQuestion(m *mapping.Mapping, v JoinVariant) (
 			return nil, fmt.Errorf("core: join example for %s is invalid: %v", v.Mapping.Name, viol[0])
 		}
 	}
-	with, err := chase.Chase(ie, m, v.Mapping)
+	with, err := chase.ChaseCtx(w.context(), ie, w.Obs, m, v.Mapping)
 	if err != nil {
 		return nil, err
 	}
-	without, err := chase.Chase(ie, m)
+	without, err := chase.ChaseCtx(w.context(), ie, w.Obs, m)
 	if err != nil {
 		return nil, err
 	}

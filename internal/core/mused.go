@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -10,59 +9,15 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
-	"muse/internal/rank"
 )
 
 // DisambiguationWizard is Muse-D: it resolves the or-predicates of an
 // ambiguous mapping by asking the designer to fill in choices on one
 // compact partial target instance (Sec. IV).
 type DisambiguationWizard struct {
-	// SrcDeps holds the source constraints (used to keep constructed
-	// examples valid); may be nil.
-	SrcDeps *deps.Set
-	// Real is the actual source instance to draw examples from; may be
-	// nil.
-	Real *instance.Instance
-	// Timeout bounds real-example retrieval.
-	Timeout time.Duration
-	// Store caches hash indexes and statistics over Real across the
-	// session (shared with Muse-G when both run in one Session). Left
-	// nil, it is created lazily on the first retrieval.
-	Store *query.IndexStore
-	// Ranker, when non-nil, scores each or-group's alternatives
-	// against the real-instance evidence and attaches the rankings to
-	// the question envelope. Advisory only; nil adds no work.
-	Ranker *rank.Scorer
-	// Obs, when non-nil, mirrors the per-mapping stats onto its
-	// registry (muse_mused_*), threads through to the chase and query
-	// engines, and records one "mused.disambiguate" span per question.
-	Obs *obs.Obs
-	// Ctx, when non-nil, bounds the wizard's work: example retrieval
-	// and the partial-target chase abort with Ctx.Err() once it is
-	// cancelled, unwinding Disambiguate with that error. Nil means
-	// context.Background().
-	Ctx context.Context
+	Env
 	// Stats accumulates per-mapping effort.
 	Stats DStats
-}
-
-// context returns the wizard's bounding context, defaulting to
-// Background.
-func (w *DisambiguationWizard) context() context.Context {
-	if w.Ctx != nil {
-		return w.Ctx
-	}
-	return context.Background()
-}
-
-// retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use.
-func (w *DisambiguationWizard) retrieval() query.Options {
-	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
-		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
-	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Obs: w.Obs}
 }
 
 // DStats records Muse-D effort, feeding the Sec. VI Muse-D table.
@@ -108,7 +63,7 @@ func (s *DStats) TotalQuestions() int {
 // NewDisambiguationWizard constructs a wizard over the given
 // constraints and real instance (both optional).
 func NewDisambiguationWizard(srcDeps *deps.Set, real *instance.Instance) *DisambiguationWizard {
-	return &DisambiguationWizard{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}
+	return &DisambiguationWizard{Env: Env{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}}
 }
 
 // Disambiguate poses the single Muse-D question for the ambiguous
@@ -194,12 +149,9 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 		Mapping: m, Source: ie, Real: real, Target: target, Choices: choices,
 	}
 	if w.Ranker != nil {
-		if w.Ranker.Store == nil {
-			w.Ranker.Store = w.Store
-		}
-		question.Rankings = w.Ranker.ScoreChoices(m)
+		question.Rankings = w.ranker().ScoreChoices(m)
 	}
-	// End as the question is posed (see askProbe): the selection
+	// End as the question is posed (see GroupingWizard.ask): the selection
 	// arrives with the next request, and the span must land in the
 	// trace of the request that built the example and partial chase.
 	sp.Attr("mapping", m.Name).Attr("alternatives", m.AlternativeCount()).Attr("real", real).End()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -18,16 +17,7 @@ import (
 // GroupingWizard is Muse-G: it designs the grouping functions of a
 // mapping from the designer's answers to two-scenario questions.
 type GroupingWizard struct {
-	// SrcDeps holds the source keys/FDs/referential constraints used
-	// for question reduction (may be nil: the basic Sec. III-A
-	// algorithm).
-	SrcDeps *deps.Set
-	// Real is the actual source instance examples are drawn from when
-	// possible (may be nil: always synthetic).
-	Real *instance.Instance
-	// Timeout bounds each real-example retrieval; past it Muse-G falls
-	// back to a synthetic example (Sec. VI). Zero means no bound.
-	Timeout time.Duration
+	Env
 	// InstanceOnly, when set, designs grouping only for the Real
 	// instance: attributes whose inclusion is inconsequential on Real
 	// are skipped (Sec. III-C "Designing grouping functions only for
@@ -36,78 +26,31 @@ type GroupingWizard struct {
 	// Deprecated: Prefetch is ignored; the think-time prefetch of Sec.
 	// VI was removed (DESIGN.md §6).
 	Prefetch bool
-	// Store caches hash indexes and statistics over Real across the
-	// whole session, shared by every probe query.
-	// Left nil, it is created lazily on the first retrieval; a Session
-	// shares one store between Muse-G and Muse-D.
-	Store *query.IndexStore
-	// Ranker, when non-nil, scores each posed question's options
-	// against the real-instance evidence and attaches the ranking to
-	// the question envelope. Purely advisory: it never changes which
-	// questions are asked, their order, or their content, and the nil
-	// default adds no work (and no allocations) to the dialog path.
-	Ranker *rank.Scorer
-	// Obs, when non-nil, mirrors the per-SK stats onto its registry
-	// (muse_museg_*), threads through to the chase and query engines,
-	// and records "museg.*" spans. Nil disables all of it.
-	Obs *obs.Obs
-	// Ctx, when non-nil, bounds the wizard's work: example retrieval
-	// and scenario chases abort with Ctx.Err() once it is cancelled or
-	// past its deadline, unwinding DesignSK with that error. A server
-	// hosting the wizard installs the per-request context here before
-	// resuming the dialog (see Stepper); nil means context.Background().
-	Ctx context.Context
 	// Stats accumulates per-grouping-function effort.
 	Stats Stats
 }
 
-// context returns the wizard's bounding context, defaulting to
-// Background.
-func (w *GroupingWizard) context() context.Context {
-	if w.Ctx != nil {
-		return w.Ctx
-	}
-	return context.Background()
-}
-
-// retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use.
-func (w *GroupingWizard) retrieval() query.Options {
-	if w.Real != nil && (w.Store == nil || w.Store.Instance() != w.Real) {
-		w.Store = query.NewIndexStore(w.Real).Observe(w.Obs.Registry())
-	}
-	return query.Options{Timeout: w.Timeout, Ctx: w.Ctx, Store: w.Store, Obs: w.Obs}
-}
-
-// ranker returns the attached scorer with the session's shared index
-// store installed (the store may have been created lazily after the
-// scorer was attached). Callers check w.Ranker != nil first.
-func (w *GroupingWizard) ranker() *rank.Scorer {
-	if w.Ranker.Store == nil {
-		w.Ranker.Store = w.Store
-	}
-	return w.Ranker
-}
-
-// recordSK appends one grouping function's record and mirrors its
-// aggregates onto the registry.
-func (w *GroupingWizard) recordSK(stats SKStats) {
+// finish records one designed grouping function, mirrors its
+// aggregates onto the registry, and returns m with the designed
+// arguments installed.
+func (w *GroupingWizard) finish(m *mapping.Mapping, fn string, args []mapping.Expr, stats SKStats) *mapping.Mapping {
+	stats.Result = args
 	w.Stats.SKs = append(w.Stats.SKs, stats)
-	if w.Obs == nil {
-		return
+	if w.Obs != nil {
+		r := w.Obs.Reg
+		r.Counter(obs.MMuseGSKs).Inc()
+		r.Counter(obs.MMuseGQuestions).Add(int64(stats.Questions))
+		r.Counter(obs.MMuseGRealExamples).Add(int64(stats.RealExamples))
+		r.Counter(obs.MMuseGSyntheticExamples).Add(int64(stats.SyntheticExamples))
+		r.Counter(obs.MMuseGExampleTuples).Add(int64(stats.ExampleTuples))
 	}
-	r := w.Obs.Reg
-	r.Counter(obs.MMuseGSKs).Inc()
-	r.Counter(obs.MMuseGQuestions).Add(int64(stats.Questions))
-	r.Counter(obs.MMuseGRealExamples).Add(int64(stats.RealExamples))
-	r.Counter(obs.MMuseGSyntheticExamples).Add(int64(stats.SyntheticExamples))
-	r.Counter(obs.MMuseGExampleTuples).Add(int64(stats.ExampleTuples))
+	return m.WithSK(fn, args)
 }
 
 // NewGroupingWizard constructs a wizard with the given constraints and
 // real instance (both optional).
 func NewGroupingWizard(srcDeps *deps.Set, real *instance.Instance) *GroupingWizard {
-	return &GroupingWizard{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}
+	return &GroupingWizard{Env: Env{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}}
 }
 
 // DesignMapping designs every grouping function of m, in breadth-first
@@ -161,38 +104,53 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	defer func() {
 		sp.Attr("mapping", m.Name).Attr("sk", fn).Attr("questions", stats.Questions).End()
 	}()
-	imps := tableauImplications(m, w.SrcDeps)
 	keyAttrs, rest := keyCovered(m, w.SrcDeps)
 	tb := compileTableau(m, w.SrcDeps, 2)
-
-	var confirmed []mapping.Expr
 	candidates := append(append([]mapping.Expr{}, keyAttrs...), rest...)
-	alwaysDiffer := []mapping.Expr(nil)
+	var alwaysDiffer []mapping.Expr
 
 	if multiKeyed(m, w.SrcDeps) && len(keyAttrs) > 0 {
 		// Sec. III-B, multiple keys: one question decides between
 		// grouping by key (same effect as any superset including any
-		// key) and grouping by a subset of the non-key attributes.
-		ans, err := w.askKeyGrouping(tb, fn, keyAttrs, rest, d, &stats)
+		// key) and grouping by a subset of the non-key attributes. Its
+		// copies agree on every non-key attribute and differ on every
+		// key-covered one.
+		if !tb.probe(nil, rest, keyAttrs) {
+			return nil, fmt.Errorf("core: cannot construct the multi-key question for %s: key attributes collapse", fn)
+		}
+		q := &GroupingQuestion{Kind: QuestionKeyGrouping, Mapping: m, SK: fn, Include1: keyAttrs}
+		ans, err := w.ask(tb, q, keyAttrs, func(r *rank.Scorer) rank.Ranking {
+			return r.ScoreKeyGrouping(m, keyAttrs, rest)
+		}, d, &stats)
 		if err != nil {
 			return nil, err
 		}
 		if ans == 1 {
-			stats.Result = keyAttrs
-			w.recordSK(stats)
-			return m.WithSK(fn, keyAttrs), nil
+			return w.finish(m, fn, keyAttrs, stats), nil
 		}
 		// Restrict to non-key attributes; key attributes stay distinct
 		// across copies so every constructed instance satisfies all
 		// keys.
-		candidates = rest
-		alwaysDiffer = keyAttrs
+		candidates, alwaysDiffer = rest, keyAttrs
 	}
+	confirmed, err := w.probeAll(tb, fn, poss, candidates, nil, alwaysDiffer, d, &stats)
+	if err != nil {
+		return nil, err
+	}
+	return w.finish(m, fn, confirmed, stats), nil
+}
 
+// probeAll runs the probe sequence of Sec. III-A over candidates, in
+// order, starting from the confirmed attributes, and returns them
+// grown by every probe the designer accepts. The alwaysDiffer
+// attributes differ across every probe's copies.
+func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, confirmed, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) ([]mapping.Expr, error) {
+	m := tb.m
+	imps := tableauImplications(m, w.SrcDeps)
 	// Attributes joined by satisfy equalities always carry the same
 	// value, so one probe decides the whole equality class (the c.cid
 	// probe of Fig. 3(a) also decides p.cid).
-	eqClass := newExprClasses(m.ForSat)
+	eqClass := mapping.NewClasses(m.ForSat)
 	decidedOut := make(map[mapping.Expr]bool)
 	for _, probe := range candidates {
 		if err := w.context().Err(); err != nil {
@@ -207,7 +165,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 			// change the grouping semantics; skip the question.
 			continue
 		}
-		if decided := eqClass.anyDecided(probe, decidedOut); decided {
+		if anyDecided(eqClass, probe, decidedOut) {
 			// An equality-correlate was already rejected; grouping by
 			// this attribute would have the identical (rejected) effect.
 			decidedOut[probe] = true
@@ -222,58 +180,59 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 				continue
 			}
 		}
-		ans, skipped, err := w.askProbe(tb, fn, poss, confirmed, decidedOut, probe, alwaysDiffer, d, &stats)
+		if !probeSetup(tb, poss, confirmed, decidedOut, probe, alwaysDiffer) {
+			// The constraints force the probed attribute to agree
+			// whenever the confirmed ones do: its membership is
+			// inconsequential.
+			continue
+		}
+		with := append(append([]mapping.Expr{}, confirmed...), probe)
+		q := &GroupingQuestion{
+			Kind: QuestionProbe, Mapping: m, SK: fn, Probe: probe,
+			Confirmed: confirmed, Include1: with, Include2: confirmed,
+		}
+		ans, err := w.ask(tb, q, []mapping.Expr{probe}, func(r *rank.Scorer) rank.Ranking {
+			return r.ScoreProbe(m, probe, q.Confirmed)
+		}, d, stats)
 		if err != nil {
 			return nil, err
 		}
-		if skipped {
-			continue
-		}
-		if ans == 1 {
+		switch ans {
+		case 1:
 			confirmed = append(confirmed, probe)
-		} else {
+		case 2:
 			decidedOut[probe] = true
 		}
 	}
-
-	stats.Result = confirmed
-	w.recordSK(stats)
-	return m.WithSK(fn, confirmed), nil
+	return confirmed, nil
 }
 
-// askProbe builds the probe example for one attribute on the mapping's
-// compiled two-copy tableau, obtains a real or synthetic instance,
-// chases the two scenarios, and asks the designer. skipped is true when
-// the probe turned out inconsequential (no question was posed).
-func (w *GroupingWizard) askProbe(tb *tableau, fn string, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, bool, error) {
-	m := tb.m
-	if !probeSetup(tb, poss, confirmed, decidedOut, probe, alwaysDiffer) {
-		// The constraints force the probed attribute to agree whenever
-		// the confirmed ones do: its membership is inconsequential.
-		return 0, true, nil
-	}
-
-	with := append(append([]mapping.Expr{}, confirmed...), probe)
-	d1 := m.WithSK(fn, with)
-	d2 := m.WithSK(fn, confirmed)
-
-	ie, real, err := w.obtainExample(tb, []mapping.Expr{probe}, stats)
-	if err != nil {
-		return 0, false, err
-	}
+// ask poses one Muse-G question whose kind, mapping, grouping function,
+// probe and argument lists are set: it obtains an example on the
+// tableau tb already set up for the question, whose copies differ on
+// differ, and chases it under q.Include1 and q.Include2. When the two
+// scenarios coincide on a real example it falls back to the synthetic
+// one; when they coincide there too it poses nothing and returns 0.
+// Otherwise it checks the example against the source constraints,
+// attaches score's ranking when a ranker is attached, and returns the
+// designer's answer, 1 or 2.
+func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.Expr, score func(*rank.Scorer) rank.Ranking, d GroupingDesigner, stats *SKStats) (int, error) {
+	d1 := q.Mapping.WithSK(q.SK, q.Include1)
+	d2 := q.Mapping.WithSK(q.SK, q.Include2)
+	ie, real := w.obtainExample(tb, differ, stats)
 	// The probe span parents into the CURRENT request's trace —
 	// w.context() is re-pointed by Stepper.install per request, so the
 	// two scenario chases below land in the trace of the request whose
-	// answer triggered this probe.
+	// answer triggered this question.
 	sp, pctx := w.Obs.StartCtx(w.context(), obs.SpanMuseGProbe)
 	defer sp.End()
 	s1, err := chase.ChaseCtx(pctx, ie, w.Obs, d1)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	s2, err := chase.ChaseCtx(pctx, ie, w.Obs, d2)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if homo.Isomorphic(s1, s2) {
 		if real {
@@ -284,82 +243,32 @@ func (w *GroupingWizard) askProbe(tb *tableau, fn string, poss, confirmed []mapp
 			stats.RealExamples--
 			stats.SyntheticExamples++
 			if s1, err = chase.ChaseCtx(pctx, ie, w.Obs, d1); err != nil {
-				return 0, false, err
+				return 0, err
 			}
 			if s2, err = chase.ChaseCtx(pctx, ie, w.Obs, d2); err != nil {
-				return 0, false, err
+				return 0, err
 			}
 		}
 		if homo.Isomorphic(s1, s2) {
-			return 0, true, nil
+			return 0, nil
 		}
 	}
 	if w.SrcDeps != nil {
 		if v := w.SrcDeps.Check(ie); len(v) > 0 {
-			return 0, false, fmt.Errorf("core: probe on %s constructed an invalid example: %v", probe, v[0])
+			return 0, fmt.Errorf("core: question on %s of %s constructed an invalid example: %v", q.SK, q.Mapping.Name, v[0])
 		}
 	}
-
-	q := &GroupingQuestion{
-		Kind: QuestionProbe, Mapping: m, SK: fn, Probe: probe,
-		Confirmed: confirmed, Source: ie, Real: real,
-		Scenario1: s1, Scenario2: s2,
-		Include1: with, Include2: confirmed,
-	}
-	if w.Ranker != nil {
-		rk := w.ranker().ScoreProbe(m, probe, confirmed)
+	q.Source, q.Real, q.Scenario1, q.Scenario2 = ie, real, s1, s2
+	if score != nil && w.Ranker != nil {
+		rk := score(w.ranker())
 		q.Ranking = &rk
 	}
 	// End the span as the question is posed, not when it is answered:
 	// the designer's think time crosses requests (the answer arrives
 	// with the next HTTP call), and the flight recorder needs the
-	// probe's compute spans completed within the request that did the
-	// work. The deferred End above is then a no-op.
-	sp.Attr("probe", probe.String()).Attr("real", real).End()
-	ans, err := d.ChooseScenario(q)
-	if err != nil {
-		return 0, false, err
-	}
-	if ans != 1 && ans != 2 {
-		return 0, false, fmt.Errorf("core: designer answered %d, want 1 or 2", ans)
-	}
-	stats.Questions++
-	return ans, false, nil
-}
-
-// askKeyGrouping poses the multi-key question: copies agree on every
-// non-key attribute and differ on every key-covered attribute, so
-// grouping by (any) key yields two nested sets and grouping by any
-// non-key subset yields one.
-func (w *GroupingWizard) askKeyGrouping(tb *tableau, fn string, keyAttrs, rest []mapping.Expr, d GroupingDesigner, stats *SKStats) (int, error) {
-	m := tb.m
-	if !tb.probe(nil, rest, keyAttrs) {
-		return 0, fmt.Errorf("core: cannot construct the multi-key question for %s: key attributes collapse", fn)
-	}
-
-	d1 := m.WithSK(fn, keyAttrs)
-	d2 := m.WithSK(fn, nil)
-	ie, real, err := w.obtainExample(tb, keyAttrs, stats)
-	if err != nil {
-		return 0, err
-	}
-	s1, err := chase.ChaseCtx(w.context(), ie, w.Obs, d1)
-	if err != nil {
-		return 0, err
-	}
-	s2, err := chase.ChaseCtx(w.context(), ie, w.Obs, d2)
-	if err != nil {
-		return 0, err
-	}
-	q := &GroupingQuestion{
-		Kind: QuestionKeyGrouping, Mapping: m, SK: fn,
-		Source: ie, Real: real, Scenario1: s1, Scenario2: s2,
-		Include1: keyAttrs, Include2: nil,
-	}
-	if w.Ranker != nil {
-		rk := w.ranker().ScoreKeyGrouping(m, keyAttrs, rest)
-		q.Ranking = &rk
-	}
+	// question's compute spans completed within the request that did
+	// the work. The deferred End above is then a no-op.
+	sp.Attr("probe", q.Probe.String()).Attr("real", real).End()
 	ans, err := d.ChooseScenario(q)
 	if err != nil {
 		return 0, err
@@ -400,7 +309,7 @@ func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapp
 
 // obtainExample retrieves a real example via the probe query, falling
 // back to the synthetic instance on a miss or timeout.
-func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool, error) {
+func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
@@ -410,13 +319,13 @@ func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats
 			stats.RealExamples++
 			ie := tb.fromMatch(match, w.Real)
 			stats.ExampleTuples += ie.TupleCount()
-			return ie, true, nil
+			return ie, true
 		}
 	}
 	stats.SyntheticExamples++
 	ie := tb.synthetic()
 	stats.ExampleTuples += ie.TupleCount()
-	return ie, false, nil
+	return ie, false
 }
 
 // dataImplied reports whether, on the real instance, the probed
@@ -496,41 +405,12 @@ func closureOf(es []mapping.Expr, imps []deps.Implication) map[string]bool {
 	return deps.CloseOver(imps, start)
 }
 
-// exprClasses is a union-find over attribute expressions connected by
-// satisfy equalities.
-type exprClasses struct {
-	parent map[mapping.Expr]mapping.Expr
-}
-
-func newExprClasses(eqs []mapping.Eq) *exprClasses {
-	c := &exprClasses{parent: make(map[mapping.Expr]mapping.Expr)}
-	for _, q := range eqs {
-		ra, rb := c.find(q.L), c.find(q.R)
-		if ra != rb {
-			c.parent[ra] = rb
-		}
-	}
-	return c
-}
-
-func (c *exprClasses) find(x mapping.Expr) mapping.Expr {
-	p, ok := c.parent[x]
-	if !ok || p == x {
-		return x
-	}
-	root := c.find(p)
-	c.parent[x] = root
-	return root
-}
-
 // anyDecided reports whether some expression in probe's equality class
-// was already decided out. decidedOut is keyed by the Expr itself, so
-// attribute paths containing dots need no (mis)parsing of rendered
-// strings.
-func (c *exprClasses) anyDecided(probe mapping.Expr, decidedOut map[mapping.Expr]bool) bool {
-	root := c.find(probe)
+// was already decided out.
+func anyDecided(eq *mapping.Classes, probe mapping.Expr, decidedOut map[mapping.Expr]bool) bool {
+	root := eq.Find(probe)
 	for k := range decidedOut {
-		if c.find(k) == root {
+		if eq.Find(k) == root {
 			return true
 		}
 	}

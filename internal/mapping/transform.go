@@ -267,53 +267,55 @@ func (m *Mapping) ClosedUnderRefs(src *deps.Set) bool {
 // equalities (checked up to the reflexive-transitive closure of the
 // equalities).
 func (m *Mapping) refSatisfied(info *Info, v string, r deps.Ref) bool {
-	eq := newEqClasses(m.ForSat)
+	eq := NewClasses(m.ForSat)
 	for _, w := range info.SrcOrder {
-		if !info.SrcVars[w].Path.Equal(r.ToSet) {
-			continue
-		}
-		all := true
-		for i := range r.FromAttrs {
-			if !eq.same(E(v, r.FromAttrs[i]), E(w, r.ToAttrs[i])) {
-				all = false
-				break
-			}
-		}
-		if all {
+		if info.SrcVars[w].Path.Equal(r.ToSet) && eq.Joined(v, w, r) {
 			return true
 		}
 	}
 	return false
 }
 
-// eqClasses is a small union-find over attribute expressions.
-type eqClasses struct {
+// Classes is a union-find over attribute expressions: the classes of
+// expressions a list of equalities (a satisfy clause) forces to carry
+// the same value. Find compresses paths, so a Classes is not safe for
+// concurrent use.
+type Classes struct {
 	parent map[Expr]Expr
 }
 
-func newEqClasses(eqs []Eq) *eqClasses {
-	e := &eqClasses{parent: make(map[Expr]Expr)}
+// NewClasses partitions the expressions of eqs into the classes the
+// equalities induce, up to reflexivity and transitivity.
+func NewClasses(eqs []Eq) *Classes {
+	c := &Classes{parent: make(map[Expr]Expr)}
 	for _, q := range eqs {
-		e.union(q.L, q.R)
+		if a, b := c.Find(q.L), c.Find(q.R); a != b {
+			c.parent[a] = b
+		}
 	}
-	return e
+	return c
 }
 
-func (e *eqClasses) find(x Expr) Expr {
-	p, ok := e.parent[x]
+// Find returns the representative of x's class; an expression no
+// equality mentions is its own class.
+func (c *Classes) Find(x Expr) Expr {
+	p, ok := c.parent[x]
 	if !ok || p == x {
 		return x
 	}
-	root := e.find(p)
-	e.parent[x] = root
+	root := c.Find(p)
+	c.parent[x] = root
 	return root
 }
 
-func (e *eqClasses) union(a, b Expr) {
-	ra, rb := e.find(a), e.find(b)
-	if ra != rb {
-		e.parent[ra] = rb
+// Joined reports whether the equalities join variable v to variable w
+// on every attribute pair of the referential constraint ref:
+// v.FromAttrs[i] and w.ToAttrs[i] share a class for each i.
+func (c *Classes) Joined(v, w string, ref deps.Ref) bool {
+	for i := range ref.FromAttrs {
+		if c.Find(E(v, ref.FromAttrs[i])) != c.Find(E(w, ref.ToAttrs[i])) {
+			return false
+		}
 	}
+	return true
 }
-
-func (e *eqClasses) same(a, b Expr) bool { return a == b || e.find(a) == e.find(b) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -387,6 +388,23 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the registry as WriteText does to the file at
+// path, or to stdout when path is "-". A failed close is reported.
+func (r *Registry) WriteFile(path string) error {
+	if path == "-" {
+		return r.WriteText(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteText(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func formatBound(b float64) string {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +170,32 @@ func TestWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteFile: the file holds exactly WriteText's bytes, and a path
+// that cannot be created is an error.
+func TestWriteFile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("muse_x_total").Add(3)
+	r.Histogram("muse_h", 1, 10).Observe(5)
+	var want bytes.Buffer
+	if err := r.WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "metrics.txt")
+	if err := r.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("WriteFile wrote\n%s\nwant\n%s", got, want.Bytes())
+	}
+	if err := r.WriteFile(filepath.Join(t.TempDir(), "missing", "metrics.txt")); err == nil {
+		t.Error("WriteFile into a missing directory reported no error")
 	}
 }
 

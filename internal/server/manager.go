@@ -341,23 +341,28 @@ func (mg *Manager) Acquire(ctx context.Context, token string) (*Session, error) 
 	mg.maybeSweep(now)
 	mg.mu.RLock()
 	s, ok := mg.sessions[token]
-	mg.mu.RUnlock()
 	if !ok {
+		mg.mu.RUnlock()
 		return mg.resume(ctx, token, now)
 	}
-	return lockLive(s, now)
+	s, err := lockLive(s, now)
+	mg.mu.RUnlock()
+	return s, err
 }
 
 // lockLive refreshes and try-locks a session found in the live map.
+// Callers hold the manager's lock, read or write, so no eviction scan
+// or TTL sweep can hold the session's lock meanwhile: a failed
+// TryLock means another request is using it.
 func lockLive(s *Session, now time.Time) (*Session, error) {
 	s.lastUsed.Store(now.UnixNano())
 	if !s.mu.TryLock() {
 		return nil, ErrSessionBusy
 	}
 	if s.Stepper == nil {
-		// A resume placeholder whose rebuild failed, caught between its
-		// removal from the map and its unlock; the token is simply not
-		// live (the next Acquire retries the store).
+		// A resume placeholder stays locked while it is in the map, so a
+		// live lookup never gets here; the check keeps a session without
+		// a dialog from ever reaching a caller.
 		s.mu.Unlock()
 		return nil, ErrNoSession
 	}
@@ -382,8 +387,9 @@ func (mg *Manager) resume(ctx context.Context, token string, now time.Time) (*Se
 	if live, ok := mg.sessions[token]; ok {
 		// Lost the miss race: someone registered (or resumed) the token
 		// between our read-lock lookup and now.
+		live, err := lockLive(live, now)
 		mg.mu.Unlock()
-		return lockLive(live, now)
+		return live, err
 	}
 	if mg.sweepDue(now) || len(mg.sessions) >= mg.max() {
 		mg.sweepLocked(now)
