@@ -4,9 +4,8 @@
 # (concurrent index building in
 # internal/query and the wizards, then the uniqueness verdicts, the
 # refutation rule and the shared instance index and distinct counter
-# repeated), a repeated race pass over the instance layer's lazily
-# filled hash and key caches (concurrent reads of one shared
-# instance), benchmark smoke
+# repeated), a repeated race pass over concurrent reads of one shared
+# instance, benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
 # paying for a full sweep), an observability smoke run (an end-to-end
 # wizard session must produce non-zero metrics and a trace), an
@@ -20,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench
+.PHONY: ci vet build test race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench loc
 
 ci: vet build race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
 
@@ -44,9 +43,9 @@ race-retrieval:
 	$(GO) test -race -count=10 -run 'Unique|Refute' ./internal/query
 	$(GO) test -race -count=10 -run 'Index|CountDistinct' ./internal/instance
 
-# Server sessions read one source instance at once, and the first Set,
-# Contains or Key on a value fills its hash or key cache. Repeat the
-# concurrent-read tests under the race detector.
+# Server sessions read one source instance at once. Values carry no
+# caches, so no read writes to the instance; repeat the concurrent-read
+# tests under the race detector to keep it that way.
 race-instance:
 	$(GO) test -race -count=10 -run 'Concurrent|SharedRegistry' ./internal/instance ./internal/chase
 
@@ -279,6 +278,11 @@ musestat-smoke:
 bench-guard:
 	GOMAXPROCS=1 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
 	GOMAXPROCS=4 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
+
+# Production Go line count, the figure ROADMAP.md tracks: tracked
+# non-test .go files outside perfbench/, examples included.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # Full benchmark sweep with allocation counts; compare against
 # BENCH_baseline.json (chase) and BENCH_retrieval_baseline.json

@@ -1,10 +1,10 @@
 // The instrumentation-overhead guard: with observability disabled
-// (nil obs), the chase and the warm retrieval path must allocate no
-// more per operation than the recorded seed baselines — the nil-safe
-// hooks must stay one branch, not a hidden cost. The guard re-runs
-// the two baseline-tracked benchmarks via testing.Benchmark and
-// compares allocs/op (exact, unlike ns/op) against the checked-in
-// JSON. Run it with
+// (nil obs), the chase, the warm retrieval path, the serving wire path
+// and whole served dialogs must allocate no more per operation than
+// the recorded baselines — the nil-safe hooks must stay one branch,
+// not a hidden cost. The guard re-runs the baseline-tracked benchmarks
+// via testing.Benchmark and compares allocs/op (exact, unlike ns/op)
+// against the checked-in JSON. Run it with
 //
 //	MUSE_BENCH_GUARD=1 go test -run TestBenchGuard .
 //
@@ -16,6 +16,7 @@ package muse_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -233,42 +234,92 @@ func TestBenchGuard(t *testing.T) {
 	if err := json.Unmarshal(srvData, &srvBase); err != nil {
 		t.Fatalf("BENCH_server_baseline.json: %v", err)
 	}
+	checkServer := func(name string, r testing.BenchmarkResult) {
+		want := srvBase.Benchmarks[name].PostPass.AllocsPerOp
+		if want == 0 {
+			t.Fatalf("%s: no post_pass baseline entry", name)
+		}
+		limit := int64(float64(want) * serverAllocHeadroom)
+		if got := r.AllocsPerOp(); got > limit {
+			t.Errorf("%s(nil obs): %d allocs/op exceeds baseline %d + headroom (limit %d)", name, got, want, limit)
+		} else {
+			fmt.Printf("bench-guard %-40s %8d allocs/op (baseline %d, limit %d)\n", name+"(nil obs)", got, want, limit)
+		}
+	}
 	mg := server.NewManager(server.Builtin(), nil)
 	mg.Store = server.NewMemStore() // durability on, like a deployed server
 	defer mg.Close()
 	h := server.New(mg)
+	token := guardCreate(t, h)
+	checkServer("BenchmarkServerStep", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if code := guardServe(h, "GET", "/v1/sessions/"+token, ""); code != http.StatusOK {
+				b.Fatalf("question: status %d", code)
+			}
+		}
+	}))
+	guardServe(h, "DELETE", "/v1/sessions/"+token, "")
+
+	// Whole dialogs: BenchmarkServerDialog's loop, so every step's wizard
+	// work (probe tableau, small chases, homo, constraint checks) is
+	// guarded too. Each op is one step-producing request: the create or
+	// one answer of the walkthrough script.
+	checkServer("BenchmarkServerDialog", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		token, k := "", 0
+		for i := 0; i < b.N; i++ {
+			if token == "" {
+				token, k = guardCreate(b, h), 0
+				continue
+			}
+			if code := guardServe(h, "POST", "/v1/sessions/"+token+"/answer",
+				fmt.Sprintf(`{"scenario": %d}`, guardFig1Script[k])); code != http.StatusOK {
+				b.Fatalf("answer %d: status %d", k, code)
+			}
+			if k++; k == len(guardFig1Script) {
+				guardServe(h, "DELETE", "/v1/sessions/"+token, "")
+				token = ""
+			}
+		}
+		b.StopTimer()
+		if token != "" {
+			guardServe(h, "DELETE", "/v1/sessions/"+token, "")
+		}
+	}))
+}
+
+// guardFig1Script is the walkthrough answer sequence for the Fig. 1
+// scenario, BenchmarkServerDialog's script: an 11-question Muse-G
+// dialog landing on SKProjects(c.cname).
+var guardFig1Script = []int{2, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2}
+
+// guardCreate starts a fig1 session and returns its token.
+func guardCreate(tb testing.TB, h http.Handler) string {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"scenario": "fig1"}`)))
 	if rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+		tb.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
 	var created struct {
 		Token string `json:"token"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w := &discardRW{h: make(http.Header, 2)}
-			h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/sessions/"+created.Token, nil))
-			if w.code != http.StatusOK {
-				b.Fatalf("question: status %d", w.code)
-			}
-		}
-	})
-	want := srvBase.Benchmarks["BenchmarkServerStep"].PostPass.AllocsPerOp
-	if want == 0 {
-		t.Fatal("BenchmarkServerStep: no post_pass baseline entry")
+	return created.Token
+}
+
+// guardServe serves one request, with no body when body is empty,
+// discarding the response body, and returns the status.
+func guardServe(h http.Handler, method, path, body string) int {
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
 	}
-	limit := int64(float64(want) * serverAllocHeadroom)
-	got := r.AllocsPerOp()
-	if got > limit {
-		t.Errorf("BenchmarkServerStep(nil obs): %d allocs/op exceeds baseline %d + headroom (limit %d)", got, want, limit)
-	} else {
-		fmt.Printf("bench-guard %-40s %8d allocs/op (baseline %d, limit %d)\n", "BenchmarkServerStep(nil obs)", got, want, limit)
-	}
+	w := &discardRW{h: make(http.Header, 2)}
+	h.ServeHTTP(w, httptest.NewRequest(method, path, rd))
+	return w.code
 }
 
 // discardRW discards the response body so the wire-path guard measures

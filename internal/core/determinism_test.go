@@ -113,7 +113,6 @@ func ordered(ms []query.Match) string {
 // (variables sorted), into one golden line.
 func matchDigest(ms []query.Match) string {
 	h := sha256.New()
-	var buf []byte
 	for _, m := range ms {
 		for _, t := range m.Tuples {
 			fmt.Fprintf(h, "%s|", t.Key())
@@ -124,8 +123,11 @@ func matchDigest(ms []query.Match) string {
 		}
 		sort.Strings(vars)
 		for _, v := range vars {
-			buf = instance.AppendValueKey(buf[:0], m.Values[v])
-			fmt.Fprintf(h, "%s=%s|", v, buf)
+			var k string
+			if val := m.Values[v]; val != nil {
+				k = val.Key()
+			}
+			fmt.Fprintf(h, "%s=%s|", v, k)
 		}
 		h.Write([]byte{'\n'})
 	}

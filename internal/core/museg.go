@@ -345,29 +345,23 @@ func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Exp
 		}
 		return false, err
 	}
-	groups := make(map[string]string)
-	var gkeyBuf, pvBuf []byte
+	// Each group of the confirmed values maps to its probed value (nil
+	// when unset).
+	var groups instance.VecMap[instance.Value]
+	var gkey []instance.Value
 	for _, match := range matches {
-		gkeyBuf = gkeyBuf[:0]
+		gkey = gkey[:0]
 		for _, e := range confirmed {
-			if v := match.Tuples[tb.atomIndex(1, e.Var)].Get(e.Attr); v != nil {
-				gkeyBuf = instance.AppendValueKey(gkeyBuf, v)
-			}
-			gkeyBuf = append(gkeyBuf, '\x06')
+			gkey = append(gkey, match.Tuples[tb.atomIndex(1, e.Var)].Get(e.Attr))
 		}
-		pvBuf = pvBuf[:0]
-		if v := match.Tuples[tb.atomIndex(1, probe.Var)].Get(probe.Attr); v != nil {
-			pvBuf = instance.AppendValueKey(pvBuf, v)
-		}
-		// Probe with the scratch buffers; key strings are materialized
-		// only when a new group is recorded.
-		if prev, ok := groups[string(gkeyBuf)]; ok {
-			if prev != string(pvBuf) {
+		pv := match.Tuples[tb.atomIndex(1, probe.Var)].Get(probe.Attr)
+		if prev, ok := groups.Get(gkey); ok {
+			if !instance.SameValue(prev, pv) {
 				return false, nil
 			}
 			continue
 		}
-		groups[string(gkeyBuf)] = string(pvBuf)
+		groups.Put(gkey, pv)
 	}
 	return true, nil
 }

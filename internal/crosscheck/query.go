@@ -252,7 +252,6 @@ func samplePin(r *rand.Rand, in *instance.Instance, st *nr.SetType, attr string)
 // sorted by variable.
 func encodeMatches(q *query.Query, ms []query.Match) []string {
 	out := make([]string, len(ms))
-	var vb []byte
 	for i, m := range ms {
 		var b strings.Builder
 		for ai, t := range m.Tuples {
@@ -275,8 +274,7 @@ func encodeMatches(q *query.Query, ms []query.Match) []string {
 			b.WriteString(v)
 			b.WriteByte(':')
 			if m.Values[v] != nil {
-				vb = instance.AppendValueKey(vb[:0], m.Values[v])
-				b.Write(vb)
+				b.WriteString(m.Values[v].Key())
 			}
 		}
 		out[i] = b.String()

@@ -24,21 +24,17 @@ func Equivalent(a, b *instance.Instance) bool {
 // design alternatives yield non-isomorphic (even when homomorphically
 // equivalent) target instances.
 func Isomorphic(a, b *instance.Instance) bool {
-	ha, ok := find(a, b, true)
-	if !ok {
+	if _, ok := find(a, b, true); !ok {
 		return false
 	}
-	hb, ok := find(b, a, true)
-	if !ok {
-		return false
-	}
-	_, _ = ha, hb
-	return true
+	_, ok := find(b, a, true)
+	return ok
 }
 
-// Find returns a homomorphism a → b as a map from the canonical keys
-// of a's nulls and SetIDs to values of b, or false if none exists.
-func Find(a, b *instance.Instance) (map[string]instance.Value, bool) {
+// Find returns a homomorphism a → b as a table from a's nulls and
+// SetIDs, each keyed as a one-value vector, to values of b, or false if
+// none exists.
+func Find(a, b *instance.Instance) (*instance.VecMap[instance.Value], bool) {
 	return find(a, b, false)
 }
 
@@ -56,11 +52,11 @@ type obligation struct {
 type searcher struct {
 	a, b      *instance.Instance
 	injective bool
-	bindings  map[string]instance.Value // null/SetID key in a → value in b
-	used      map[string]bool           // value keys in b used as binding targets (injective mode)
-	trail     []snapshotEntry           // bindings in insertion order, for backtracking
-	steps     int                       // unification attempts, for the search budget
-	keyBuf    []byte                    // scratch for composing value keys without per-call strings
+	bindings  instance.VecMap[instance.Value] // null/SetID in a → value in b
+	used      instance.VecMap[bool]           // values in b used as binding targets (injective mode)
+	trail     []instance.Value                // bound values of a in binding order, for backtracking
+	steps     int                             // unification attempts, for the search budget
+	key       [1]instance.Value               // scratch one-value key (see one)
 }
 
 // searchBudget bounds the backtracking search. Instances the wizards
@@ -135,12 +131,11 @@ func (s *searcher) slotCompatible(v, cv instance.Value) bool {
 	return true
 }
 
-func find(a, b *instance.Instance, injective bool) (map[string]instance.Value, bool) {
+func find(a, b *instance.Instance, injective bool) (*instance.VecMap[instance.Value], bool) {
 	if a.Schema != b.Schema && a.Schema.Name != b.Schema.Name {
 		return nil, false
 	}
-	s := &searcher{a: a, b: b, injective: injective,
-		bindings: make(map[string]instance.Value), used: make(map[string]bool)}
+	s := &searcher{a: a, b: b, injective: injective}
 	// Seed: every top-level set maps to its counterpart.
 	var obs []obligation
 	for _, st := range a.Cat.TopLevel() {
@@ -164,7 +159,7 @@ func find(a, b *instance.Instance, injective bool) (map[string]instance.Value, b
 		obs = append(obs, ob)
 	}
 	if s.solve(obs, 0, 0) {
-		return s.bindings, true
+		return &s.bindings, true
 	}
 	return nil, false
 }
@@ -187,13 +182,13 @@ func (s *searcher) solve(obs []obligation, oi, ti int) bool {
 	// Read-only view: the reorder below builds a fresh slice, and the
 	// compared instances are not mutated during a search.
 	candidates := ob.dst.View()
-	// Greedy identity bias: when the destination holds a tuple with the
-	// exact same canonical key (the common case when comparing equal or
-	// near-equal chase results), try it first — the search then runs
-	// essentially linearly instead of exploring permutations of
-	// interchangeable Skolem terms.
+	// Greedy identity bias: when the destination holds a tuple equal to
+	// t (the common case when comparing equal or near-equal chase
+	// results), try it first — the search then runs essentially
+	// linearly instead of exploring permutations of interchangeable
+	// Skolem terms.
 	for i, cand := range candidates {
-		if cand.Key() == t.Key() && i > 0 {
+		if i > 0 && instance.SameTuple(cand, t) {
 			reordered := make([]*instance.Tuple, 0, len(candidates))
 			reordered = append(reordered, cand)
 			reordered = append(reordered, candidates[:i]...)
@@ -202,23 +197,16 @@ func (s *searcher) solve(obs []obligation, oi, ti int) bool {
 			break
 		}
 	}
-	var usedTuples map[string]bool
-	if s.injective {
-		// In injective mode, remember which destination tuples this
-		// source occurrence already consumed. We recompute from
-		// bindings-free state by tracking locally: encode in the
-		// obligation by scanning previously matched tuples.
-		usedTuples = s.matchedTuples(ob, tuples[:ti])
-	}
+	// In injective mode a candidate that an earlier tuple of this
+	// occurrence already consumed needs no check of its own: distinct
+	// source tuples have distinct images under an injective binding, so
+	// unifyTuple rejects it.
 	for _, cand := range candidates {
 		s.steps++
-		if s.injective && usedTuples[cand.Key()] {
-			continue
-		}
 		if !s.shapeCompatible(t, cand) {
 			continue
 		}
-		undo := s.snapshot()
+		undo := len(s.trail)
 		newObs, ok := s.unifyTuple(t, cand)
 		if ok {
 			if s.solve(append(obs, newObs...), oi, ti+1) {
@@ -230,86 +218,39 @@ func (s *searcher) solve(obs []obligation, oi, ti int) bool {
 	return false
 }
 
-// matchedTuples returns the destination-tuple keys the already-matched
-// prefix maps to under the current bindings.
-func (s *searcher) matchedTuples(ob obligation, prefix []*instance.Tuple) map[string]bool {
-	out := make(map[string]bool, len(prefix))
-	for _, t := range prefix {
-		img := instance.NewTuple(ob.dst.Type)
-		ok := true
-		nAtoms := len(t.Set.Atoms)
-		for i := 0; i < t.NumSlots(); i++ {
-			v := t.ValAt(i)
-			if v == nil {
-				continue // unset slot: its image is unset too
-			}
-			iv := s.image(v)
-			if iv == nil {
-				ok = false
-				break
-			}
-			if i < nAtoms {
-				img.Put(t.Set.Atoms[i], iv)
-			} else {
-				img.Put(t.Set.SetFields[i-nAtoms], iv)
-			}
-		}
-		if ok {
-			out[img.Key()] = true
-		}
-	}
-	return out
+// one returns v as a one-value key, in the searcher's scratch: it is
+// valid until the next call.
+func (s *searcher) one(v instance.Value) []instance.Value {
+	s.key[0] = v
+	return s.key[:]
 }
-
-// image returns the current image of a value, or nil when it involves
-// an unbound null/SetID.
-func (s *searcher) image(v instance.Value) instance.Value {
-	switch v.(type) {
-	case instance.Const:
-		return v
-	default:
-		return s.bindings[v.Key()]
-	}
-}
-
-type snapshotEntry struct {
-	key     string
-	usedKey string
-}
-
-func (s *searcher) snapshot() int { return len(s.trail) }
 
 func (s *searcher) restore(mark int) {
 	for len(s.trail) > mark {
-		e := s.trail[len(s.trail)-1]
+		v := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
-		delete(s.bindings, e.key)
-		if e.usedKey != "" {
-			delete(s.used, e.usedKey)
+		if s.injective {
+			img, _ := s.bindings.Get(s.one(v))
+			s.used.Delete(s.one(img))
 		}
+		s.bindings.Delete(s.one(v))
 	}
 }
 
-func (s *searcher) bind(key string, v instance.Value) bool {
-	if prev, ok := s.bindings[key]; ok {
-		return instance.SameValue(prev, v)
+// bind maps v, a null or SetID of a, to img, unless v is bound to
+// another value or, in injective mode, img is another value's image.
+func (s *searcher) bind(v, img instance.Value) bool {
+	if prev, ok := s.bindings.Get(s.one(v)); ok {
+		return instance.SameValue(prev, img)
 	}
 	if s.injective {
-		// Probe with the scratch buffer (no per-call key string; the
-		// compiler's []byte map lookup allocates nothing) and only
-		// materialize the key when the binding is actually recorded.
-		s.keyBuf = instance.AppendValueKey(s.keyBuf[:0], v)
-		if s.used[string(s.keyBuf)] {
+		if _, taken := s.used.Get(s.one(img)); taken {
 			return false
 		}
-		uk := string(s.keyBuf)
-		s.used[uk] = true
-		s.bindings[key] = v
-		s.trail = append(s.trail, snapshotEntry{key: key, usedKey: uk})
-		return true
+		s.used.Put(s.one(img), true)
 	}
-	s.bindings[key] = v
-	s.trail = append(s.trail, snapshotEntry{key: key})
+	s.bindings.Put(s.one(v), img)
+	s.trail = append(s.trail, v)
 	return true
 }
 
@@ -355,7 +296,7 @@ func (s *searcher) unifySlot(v, cv instance.Value, newObs *[]obligation) bool {
 		if s.injective && !instance.IsNull(cv) {
 			return false
 		}
-		if !s.bind(val.Key(), cv) {
+		if !s.bind(val, cv) {
 			return false
 		}
 	case *instance.SetRef:
@@ -364,11 +305,11 @@ func (s *searcher) unifySlot(v, cv instance.Value, newObs *[]obligation) bool {
 		if !ok {
 			return false
 		}
-		already := s.bindings[val.Key()]
-		if !s.bind(val.Key(), cref) {
+		_, already := s.bindings.Get(s.one(val))
+		if !s.bind(val, cref) {
 			return false
 		}
-		if already == nil {
+		if !already {
 			// First time this SetID is bound: its members must map
 			// into the destination occurrence.
 			srcOcc := s.a.Set(val)

@@ -260,7 +260,7 @@ func TestFindReturnsBindings(t *testing.T) {
 	if !ok {
 		t.Fatal("no homomorphism found")
 	}
-	if v := h[n.Key()]; v == nil || v.String() != "42" {
+	if v, _ := h.Get([]instance.Value{n}); v == nil || v.String() != "42" {
 		t.Errorf("binding for N1 = %v, want 42", v)
 	}
 }
@@ -282,8 +282,8 @@ func TestBacktrackingAcrossCandidates(t *testing.T) {
 	if !ok {
 		t.Fatal("backtracking failed to find the homomorphism")
 	}
-	if h[n.Key()].String() != "2" {
-		t.Errorf("N bound to %s, want 2", h[n.Key()])
+	if v, _ := h.Get([]instance.Value{n}); v == nil || v.String() != "2" {
+		t.Errorf("N bound to %v, want 2", v)
 	}
 }
 

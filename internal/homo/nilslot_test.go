@@ -10,9 +10,9 @@ import (
 // TestIsomorphicNilSlots is the minimized regression for the
 // unset-slot crash the crosscheck harness flushed out: chase outputs
 // carry explicit nil entries in Tuple.Vals (a target slot fed by an
-// unset source slot), and the injective search's matchedTuples pass
-// called Key() on the nil value. An unset slot's image is unset; the
-// search must treat it like a missing entry.
+// unset source slot), and the injective search's pass over consumed
+// destination tuples called Key() on the nil value. An unset slot's
+// image is unset; the search must treat it like a missing entry.
 func TestIsomorphicNilSlots(t *testing.T) {
 	cat := nr.MustCatalog(nr.MustSchema("T", nr.Record(
 		nr.F("R", nr.SetOf(nr.Record(nr.F("a", nr.StringType()), nr.F("b", nr.StringType())))),

@@ -11,7 +11,7 @@ import (
 // make instances unreadable in wizard questions; the abbreviation is
 // stable within one rendering (equal terms get equal short names).
 func (in *Instance) StringCompact() string {
-	short := newShortener()
+	short := &shortener{sets: make(map[string]int)}
 	var b strings.Builder
 	for _, st := range in.Cat.TopLevel() {
 		s := in.Set(TopID(st))
@@ -25,13 +25,9 @@ func (in *Instance) StringCompact() string {
 }
 
 type shortener struct {
-	names map[string]string
+	names VecMap[string] // one-value keys: a term's short name
 	nulls int
 	sets  map[string]int // per SetID function symbol
-}
-
-func newShortener() *shortener {
-	return &shortener{names: make(map[string]string), sets: make(map[string]int)}
 }
 
 func (sh *shortener) value(v Value) string {
@@ -45,27 +41,26 @@ func (sh *shortener) value(v Value) string {
 		if len(t.Args) == 0 {
 			return t.Fn
 		}
-		if name, ok := sh.names[v.Key()]; ok {
-			return name
-		}
-		sh.nulls++
-		name := fmt.Sprintf("N%d", sh.nulls)
-		sh.names[v.Key()] = name
-		return name
+		return sh.name(v, func() string { sh.nulls++; return fmt.Sprintf("N%d", sh.nulls) })
 	case *SetRef:
 		if len(t.Args) == 0 {
 			return t.Fn
 		}
-		if name, ok := sh.names[v.Key()]; ok {
-			return name
-		}
-		sh.sets[t.Fn]++
-		name := fmt.Sprintf("%s#%d", t.Fn, sh.sets[t.Fn])
-		sh.names[v.Key()] = name
-		return name
+		return sh.name(v, func() string { sh.sets[t.Fn]++; return fmt.Sprintf("%s#%d", t.Fn, sh.sets[t.Fn]) })
 	default:
 		return v.String()
 	}
+}
+
+// name returns the term's short name, minting it with mk on first sight.
+func (sh *shortener) name(v Value, mk func() string) string {
+	key := []Value{v}
+	if name, ok := sh.names.Get(key); ok {
+		return name
+	}
+	name := mk()
+	sh.names.Put(key, name)
+	return name
 }
 
 // arena is a per-Instance bump allocator for tuple headers and value
@@ -141,7 +136,7 @@ func (a *arena) newVals(n int) []Value {
 }
 
 func (in *Instance) writeSetCompact(b *strings.Builder, s *SetVal, indent string, sh *shortener) {
-	for _, t := range sortedTuples(s) {
+	for _, t := range s.Sorted() {
 		var parts []string
 		for _, a := range t.Set.Atoms {
 			parts = append(parts, sh.value(t.Get(a)))

@@ -6,10 +6,11 @@
 //
 // Invariants:
 //
-//   - Values (Const, Null, SetRef) are immutable and freely shareable;
-//     a constant's hash is set by its constructor, and a term's hash
-//     and canonical key are cached behind atomics, so concurrent readers
-//     (server sessions sharing one real instance) are race-free.
+//   - Values (Const, Null, SetRef) are plain immutable data, freely
+//     shareable: their constructors (C, CI and InternConst; NewNull,
+//     NewSetRef, InternNull and InternSet) set every hash, and nothing
+//     is cached on a value later, so concurrent readers (server
+//     sessions sharing one real instance) never write to one.
 //   - Identity is structural: two values are equal iff SameValue holds
 //     (constants by string, terms by symbol and arguments), tuples iff
 //     their slots are pairwise equal, and an occurrence is found by any
@@ -17,15 +18,17 @@
 //     the occurrence table, which interns SetIDs in creation order, and
 //     each set's tuples are keyed by a 64-bit content hash; entries
 //     sharing a hash are told apart structurally, never by the hash alone.
-//   - Tuples are grouped by slot values in one of two ways (index.go):
-//     an Index, whose buckets may mix hash-colliding tuples that its
-//     callers reject by SameValue, or CountDistinct, which confirms
-//     every hash hit by SameValue and so counts exactly. The chase and
-//     the query store use nothing else.
+//   - Value vectors are grouped in one of three ways (index.go): an
+//     Index of a set's tuples, whose buckets may mix hash-colliding
+//     tuples that its callers reject by SameValue; CountDistinct, which
+//     confirms every hash hit by SameValue and so counts exactly; and a
+//     VecMap from value vectors to anything, which confirms every hit
+//     the same way. No table of values is keyed by a rendered key.
 //   - Keys are the rendering and ordering encoding, not the identity:
-//     Value.Key and Tuple.Key are rendered only when asked for, and
-//     they are injective (separator bytes inside constants and symbols
-//     are escaped), so key equality agrees with SameValue.
+//     Value.Key and Tuple.Key are rendered afresh on every call and
+//     never cached, and they are injective (separator bytes inside
+//     constants and symbols are escaped), so key equality agrees with
+//     SameValue. SetVal.Sorted orders a set by key for every renderer.
 //   - An Instance is not safe for concurrent mutation; concurrent
 //     read-only use is.
 package instance

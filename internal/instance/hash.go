@@ -3,6 +3,7 @@ package instance
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 )
 
 // This file implements content hashing, which decides the identity of
@@ -53,13 +54,9 @@ func HashValues(vals []Value) uint64 {
 }
 
 // termHash hashes the term fn(args) of the given kind from its
-// arguments' hash. It is never 0, which marks an empty hash cache.
+// arguments' hash.
 func termHash(kind byte, fn string, args uint64) uint64 {
-	h := mix(hashString(fn)^uint64(kind), args)
-	if h == 0 {
-		h = 1
-	}
-	return h
+	return mix(hashString(fn)^uint64(kind), args)
 }
 
 // hashMap maps content hashes to entries. An entry whose hash is
@@ -126,4 +123,27 @@ func (m *hashMap[T]) intern(h uint64, eq func(T) bool, mk func() T) (T, bool) {
 // put adds v under h. Callers add only entries get did not find.
 func (m *hashMap[T]) put(h uint64, v T) {
 	m.intern(h, func(T) bool { return false }, func() T { return v })
+}
+
+// remove deletes the entry under h for which eq holds, if any. The
+// first overflow entry takes a removed first entry's place, so every
+// other entry under h stays reachable.
+func (m *hashMap[T]) remove(h uint64, eq func(T) bool) {
+	first, ok := m.first[h]
+	if !ok {
+		return
+	}
+	more := m.more[h]
+	if eq(first) {
+		if len(more) == 0 {
+			delete(m.first, h)
+			return
+		}
+		m.first[h], more = more[0], more[1:]
+	} else if i := slices.IndexFunc(more, eq); i >= 0 {
+		more = slices.Delete(more, i, i+1)
+	} else {
+		return
+	}
+	m.more[h] = more
 }

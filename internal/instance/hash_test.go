@@ -119,13 +119,18 @@ func TestConstHash(t *testing.T) {
 // TestInternSetHashChain mints distinct SetIDs under one forced hash
 // through InternSet: each gets its own occurrence, in creation order,
 // and an equal term, an equal SetRef built afresh (Set, EnsureSet) and
-// an equal term interned again all find it.
+// an equal term interned again all find it. The fresh SetRefs carry the
+// forced hash too, since SameValue compares the hashes terms carry.
 func TestInternSetHashChain(t *testing.T) {
 	cat := orgCat()
 	projs := cat.ByPath(nr.ParsePath("Orgs.Projects"))
 	in := New(cat)
 	terms := func(i int) []*SetRef {
-		return []*SetRef{NewSetRef("SK", CI(i)), NewSetRef("SK", CI(i), nil), NewSetRef(fmt.Sprint("F", i))}
+		rs := []*SetRef{NewSetRef("SK", CI(i)), NewSetRef("SK", CI(i), nil), NewSetRef(fmt.Sprint("F", i))}
+		for _, r := range rs {
+			r.h = forcedHash
+		}
+		return rs
 	}
 	intern := func(r *SetRef) *SetVal { return in.internSet(forcedHash, projs, r.Fn, argsOf(r.Args)) }
 	var occ []*SetVal
@@ -248,9 +253,9 @@ func TestIdentityAcrossInstances(t *testing.T) {
 }
 
 // TestInstanceConcurrentReads reads one shared instance from 8
-// goroutines, as server sessions do, while every hash and key cache
-// involved is cold: the first Set, Contains, Key or String on a value
-// fills its cache. Run under -race (make race-instance).
+// goroutines, as server sessions do: Set, Contains, Key and String on
+// values built afresh and shared by all of them. Run under -race (make
+// race-instance).
 func TestInstanceConcurrentReads(t *testing.T) {
 	cat := orgCat()
 	orgs := cat.ByPath(nr.ParsePath("Orgs"))
@@ -264,14 +269,14 @@ func TestInstanceConcurrentReads(t *testing.T) {
 		in.InsertTop(orgs, NewTuple(orgs).Put("oname", CI(i)).Put("Projects", r))
 		in.Insert(projs, r, NewTuple(projs).Put("pname", C("P")).Put("manager", mgr(i)))
 	}
-	// Query values built afresh, shared by all goroutines, caches cold.
+	// Query values built afresh, shared by all goroutines.
 	refs := make([]*SetRef, n)
 	tuples := make([]*Tuple, n)
 	for i := range refs {
 		refs[i] = ref(i)
 		tuples[i] = NewTuple(projs).Put("pname", C("P")).Put("manager", mgr(i))
 	}
-	want := make(chan string, 1)
+	outs := make([]string, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -289,16 +294,13 @@ func TestInstanceConcurrentReads(t *testing.T) {
 					return
 				}
 			}
-			out := in.String()
-			select {
-			case want <- out:
-			default:
-				if w := <-want; w != out {
-					t.Errorf("goroutine %d: rendering differs", g)
-				}
-				want <- out
-			}
+			outs[g] = in.String()
 		}(g)
 	}
 	wg.Wait()
+	for g, out := range outs {
+		if out != outs[0] {
+			t.Errorf("goroutine %d: rendering differs", g)
+		}
+	}
 }

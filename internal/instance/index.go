@@ -1,17 +1,97 @@
 package instance
 
-// This file holds the two ways the engines group a set's tuples by
-// their values on some slots: a hash index (the chase's generators and
-// the query store's indexes, which serve the query kernel's probes and
-// the ranker's coverage) and an exact distinct counter (the planner's
-// statistics and the uniqueness verdicts behind refuted probes). Both
-// key a value vector by its content hash. The counter confirms every
-// hash hit with SameValue; an index leaves collisions in its buckets
-// for the SameValue checks that its callers make on every indexed slot.
+import "slices"
 
-// hashVector hashes the value vectors of Index and CountDistinct.
-// Tests replace it to force every hash equal.
+// This file holds the three ways the engines group by value vectors:
+// a hash index of a set's tuples over some slots (the chase's
+// generators and the query store's indexes, which serve the query
+// kernel's probes and the ranker's coverage), an exact distinct counter
+// (the planner's statistics and the uniqueness verdicts behind refuted
+// probes), and a map from value vectors to anything (homomorphism
+// bindings, constraint checks, Muse-G's data-implied groups, compact
+// rendering's short names). All three key a value vector by its content
+// hash. The counter and the map confirm every hash hit with SameValue;
+// an index leaves collisions in its buckets for the SameValue checks
+// that its callers make on every indexed slot.
+
+// hashVector hashes the value vectors of Index, CountDistinct and
+// VecMap. Tests replace it to force every hash equal.
 var hashVector = HashValues
+
+// VecMap maps value vectors to values of type T by content: two keys
+// are the same key when they have the same length and are pairwise
+// SameValue, so a nil entry equals only nil. Every hash hit is
+// confirmed with SameValue, and Put retains a copy of a new key. Most
+// tables hold a few entries (a homomorphism's bindings, an example's
+// key projections), so the first smallVec live inline and are found by
+// a scan; a larger table moves them into a hash-keyed map. The zero
+// VecMap is empty; it is not safe for concurrent mutation.
+type VecMap[T any] struct {
+	n     int // inline entries in use; 0 once big holds every entry
+	small [smallVec]vecEntry[T]
+	big   hashMap[*vecEntry[T]]
+}
+
+const smallVec = 8
+
+type vecEntry[T any] struct {
+	h   uint64
+	key []Value
+	val T
+}
+
+// entry returns the entry under key, whose hash is h, and its inline
+// position, or -1 when big holds it; nil when there is none.
+func (m *VecMap[T]) entry(h uint64, key []Value) (*vecEntry[T], int) {
+	for i := range m.n {
+		if m.small[i].h == h && sameValues(m.small[i].key, key) {
+			return &m.small[i], i
+		}
+	}
+	e, _ := m.big.get(h, func(e *vecEntry[T]) bool { return sameValues(e.key, key) })
+	return e, -1
+}
+
+// Get returns the value under key and whether there is one.
+func (m *VecMap[T]) Get(key []Value) (T, bool) {
+	if e, _ := m.entry(hashVector(key), key); e != nil {
+		return e.val, true
+	}
+	var zero T
+	return zero, false
+}
+
+// Put sets the value under key.
+func (m *VecMap[T]) Put(key []Value, v T) {
+	h := hashVector(key)
+	if e, _ := m.entry(h, key); e != nil {
+		e.val = v
+		return
+	}
+	if m.big.first == nil && m.n < smallVec {
+		m.small[m.n] = vecEntry[T]{h, slices.Clone(key), v}
+		m.n++
+		return
+	}
+	for ; m.n > 0; m.n-- {
+		moved := m.small[m.n-1]
+		m.big.put(moved.h, &moved)
+		m.small[m.n-1] = vecEntry[T]{}
+	}
+	m.big.put(h, &vecEntry[T]{h, slices.Clone(key), v})
+}
+
+// Delete removes key and its value, if present.
+func (m *VecMap[T]) Delete(key []Value) {
+	h := hashVector(key)
+	switch e, i := m.entry(h, key); {
+	case i >= 0:
+		m.n--
+		m.small[i], m.small[m.n] = m.small[m.n], vecEntry[T]{}
+	case e != nil:
+		m.big.remove(h, func(x *vecEntry[T]) bool { return x == e })
+	}
+}
 
 // Index is a hash index of a set's tuples over some of their slots: a
 // bucket per content hash of the slot values, holding its tuples in set

@@ -168,3 +168,89 @@ func TestIndexConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestVecMapCollisions: a VecMap tells keys apart by SameValue, so Get,
+// Put and Delete act on one key alone whether hashes are real or all
+// equal, and whether its entries are inline or in its map. Keys that
+// differ only in a nil slot or only in length are distinct, and
+// deleting an entry, the first under a hash included, leaves every
+// other entry reachable.
+func TestVecMapCollisions(t *testing.T) {
+	// key(i) builds the i-th key afresh, so no lookup can succeed by
+	// pointer identity.
+	key := func(i int) []Value {
+		return [][]Value{
+			{},
+			{nil},
+			{nil, nil},
+			{C("a")},
+			{C("a"), nil},
+			{nil, C("a")},
+			{C("a"), C("a")},
+			{NewNull("N", C("a"))},
+			{NewNull("N", C("a"), nil)},
+			{NewNull("N", nil)},
+			{NewNull("N")},
+			{NewSetRef("N", C("a"))},
+			{C("a"), NewNull("N", C("a"))},
+		}[i]
+	}
+	forEachHash(t, func(t *testing.T, _ bool) {
+		// smallVec keys stay inline. Thirteen move into the map, where
+		// the first entry under the forced hash is key(smallVec-1), the
+		// last inline entry, and key(0) is an overflow entry.
+		for _, n := range []int{smallVec, 13} {
+			var m VecMap[int]
+			check := func(stage string, want func(i int) (int, bool)) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					got, ok := m.Get(key(i))
+					if w, wok := want(i); got != w || ok != wok {
+						t.Fatalf("%d keys, %s: Get(%v) = %d, %v; want %d, %v", n, stage, key(i), got, ok, w, wok)
+					}
+				}
+			}
+			for i := 0; i < n; i++ {
+				m.Put(key(i), i)
+			}
+			check("after Put", func(i int) (int, bool) { return i, true })
+			for i := 0; i < n; i += 2 {
+				m.Put(key(i), 100+i)
+			}
+			check("after overwriting the even keys", func(i int) (int, bool) {
+				if i%2 == 0 {
+					return 100 + i, true
+				}
+				return i, true
+			})
+			m.Delete(key(smallVec - 1))
+			m.Delete(key(0))
+			m.Delete([]Value{C("absent")})
+			check("after Delete", func(i int) (int, bool) {
+				switch {
+				case i == 0 || i == smallVec-1:
+					return 0, false
+				case i%2 == 0:
+					return 100 + i, true
+				}
+				return i, true
+			})
+			m.Put(key(0), 0)
+			m.Put(key(smallVec-1), 7)
+			for i := 0; i < n; i++ {
+				m.Delete(key(i))
+			}
+			check("after deleting every key", func(int) (int, bool) { return 0, false })
+			// Put keeps its own copy of the key.
+			scratch := []Value{C("x")}
+			m.Put(scratch, 1)
+			scratch[0] = C("y")
+			if v, ok := m.Get([]Value{C("x")}); !ok || v != 1 {
+				t.Fatalf("%d keys: Get after reusing the key slice = %d, %v; want 1, true", n, v, ok)
+			}
+			if _, ok := m.Get(scratch); ok {
+				t.Fatalf("%d keys: reusing the key slice put a second key", n)
+			}
+		}
+	})
+}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"muse/internal/nr"
 )
@@ -23,12 +22,6 @@ import (
 type Tuple struct {
 	Set  *nr.SetType
 	vals []Value
-
-	// key caches the canonical encoding; Put invalidates it. The cache
-	// is atomic so read-only sharing across goroutines (concurrent
-	// chases, server sessions) is race-free; concurrent mutation via
-	// Put is not supported.
-	key atomic.Pointer[string]
 }
 
 // NewTuple creates an empty tuple of the given set type on the heap.
@@ -65,47 +58,25 @@ func (t *Tuple) Put(label string, v Value) *Tuple {
 		panic(fmt.Sprintf("instance: set %s has no field %q", t.Set, label))
 	}
 	t.vals[i] = v
-	t.key.Store(nil)
 	return t
 }
 
 // PutSlot assigns the value at a slot position (see nr.SetType.Slot
 // for the layout). Hot loops that resolved slot positions once (the
 // chase's target plan) use it to skip the per-Put label lookup.
-func (t *Tuple) PutSlot(i int, v Value) {
-	t.vals[i] = v
-	t.key.Store(nil)
-}
+func (t *Tuple) PutSlot(i int, v Value) { t.vals[i] = v }
 
 // Clear unsets every slot, so a scratch tuple can be reused across
 // InsertUnique calls whose writers fill only some slots.
 func (t *Tuple) Clear() *Tuple {
-	for i := range t.vals {
-		t.vals[i] = nil
-	}
-	t.key.Store(nil)
+	clear(t.vals)
 	return t
 }
 
-// Key returns the canonical encoding of the tuple: values in the set
-// type's declared field order. Unset slots encode as empty. The key is
-// rendered on first call and memoized; identity checks never need it.
+// Key renders the canonical encoding of the tuple: values in the set
+// type's declared field order. Unset slots encode as empty. Identity
+// checks never need it.
 func (t *Tuple) Key() string {
-	if k := t.key.Load(); k != nil {
-		return *k
-	}
-	k := t.renderKey()
-	t.key.Store(&k)
-	return k
-}
-
-// renderKey returns the tuple's key without memoizing it (the memoized
-// one if present). Renderers that sort a whole set use it, so an
-// instance does not keep a key per tuple after being printed.
-func (t *Tuple) renderKey() string {
-	if k := t.key.Load(); k != nil {
-		return *k
-	}
 	b := make([]byte, 0, 16*len(t.vals))
 	for _, v := range t.vals {
 		if v != nil {
@@ -119,9 +90,9 @@ func (t *Tuple) renderKey() string {
 // hash returns the tuple's content hash over its slots in order.
 func (t *Tuple) hash() uint64 { return HashValues(t.vals) }
 
-// sameTuple reports slot-wise SameValue equality, which agrees with Key
+// SameTuple reports slot-wise SameValue equality, which agrees with Key
 // equality.
-func sameTuple(a, b *Tuple) bool { return a == b || sameValues(a.vals, b.vals) }
+func SameTuple(a, b *Tuple) bool { return a == b || sameValues(a.vals, b.vals) }
 
 // Clone returns a copy of the tuple sharing values (values are
 // immutable).
@@ -203,13 +174,13 @@ func (s *SetVal) checkType(t *Tuple) {
 func (s *SetVal) has(h uint64, t *Tuple) bool {
 	if s.big == nil {
 		for i, x := range s.hashes {
-			if x == h && sameTuple(s.list[i], t) {
+			if x == h && SameTuple(s.list[i], t) {
 				return true
 			}
 		}
 		return false
 	}
-	_, ok := s.big.get(h, func(u *Tuple) bool { return sameTuple(u, t) })
+	_, ok := s.big.get(h, func(u *Tuple) bool { return SameTuple(u, t) })
 	return ok
 }
 
@@ -339,9 +310,7 @@ func (in *Instance) internSet(h uint64, st *nr.SetType, fn string, a *TermArgs) 
 	s, hit := in.sets.intern(h, func(s *SetVal) bool {
 		return s.ID.Fn == fn && sameValues(s.ID.Args, a.vals)
 	}, func() *SetVal {
-		id := &SetRef{Fn: fn, Args: a.retain()}
-		id.h.Store(h)
-		return &SetVal{Type: st, ID: id}
+		return &SetVal{Type: st, ID: &SetRef{Fn: fn, Args: a.retain(), h: h}}
 	})
 	if !hit {
 		in.order = append(in.order, s)
@@ -569,16 +538,16 @@ func (in *Instance) referencedSets() map[*SetVal]bool {
 	return out
 }
 
-// sortedTuples returns the set's tuples ordered by canonical key. Each
-// key is rendered once for the sort and not memoized.
-func sortedTuples(s *SetVal) []*Tuple {
+// Sorted returns a fresh slice of the set's tuples ordered by canonical
+// key, the order every renderer prints. Each key is rendered once.
+func (s *SetVal) Sorted() []*Tuple {
 	type keyed struct {
 		key string
 		t   *Tuple
 	}
 	ks := make([]keyed, len(s.list))
 	for i, t := range s.list {
-		ks[i] = keyed{t.renderKey(), t}
+		ks[i] = keyed{t.Key(), t}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	out := make([]*Tuple, len(ks))
@@ -589,7 +558,7 @@ func sortedTuples(s *SetVal) []*Tuple {
 }
 
 func (in *Instance) writeSet(b *strings.Builder, s *SetVal, indent string) {
-	for _, t := range sortedTuples(s) {
+	for _, t := range s.Sorted() {
 		var parts []string
 		for _, v := range t.vals[:len(t.Set.Atoms)] {
 			if v != nil {

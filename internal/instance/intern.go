@@ -14,8 +14,8 @@ import (
 //
 //   - SameValue decides equality on the hot path with the a == b
 //     pointer comparison instead of visiting arguments,
-//   - each distinct term's hash (and key, once rendered) is cached on
-//     one canonical copy instead of one per minted duplicate, and
+//   - each distinct term is hashed once, on one canonical copy, instead
+//     of once per minted duplicate, and
 //   - storing an interned value into a tuple slot copies an interface
 //     header instead of boxing a fresh object.
 //
@@ -98,9 +98,7 @@ func (in *Instance) internNull(h uint64, fn string, a *TermArgs) *Null {
 		n, isNull := v.(*Null)
 		return isNull && n.Fn == fn && sameValues(n.Args, a.vals)
 	}, func() Value {
-		n := &Null{Fn: fn, Args: a.retain()}
-		n.h.Store(h)
-		return n
+		return &Null{Fn: fn, Args: a.retain(), h: h}
 	})
 	tb.mu.Unlock()
 	return v.(*Null)

@@ -1,23 +1,19 @@
 package instance
 
-import (
-	"strconv"
-	"strings"
-	"sync/atomic"
-)
+import "strconv"
 
 // Value is a value occurring in an instance: a Const, a Null, or a
 // SetRef. Values are immutable; share them freely.
 type Value interface {
-	// Key returns the canonical encoding of the value. Two values are
+	// Key renders the canonical encoding of the value. Two values are
 	// equal iff their keys are equal. Identity checks never need it
 	// (they use hash and SameValue); it is the rendering and ordering
-	// encoding.
+	// encoding, rendered afresh on every call.
 	Key() string
 	// String renders the value for display.
 	String() string
 	// appendKey appends the canonical encoding to b and returns the
-	// extended slice, without memoizing it.
+	// extended slice.
 	appendKey(b []byte) []byte
 	// hash returns the value's content hash: equal values hash equal.
 	hash() uint64
@@ -63,111 +59,72 @@ func CI(i int) Const { return C(strconv.Itoa(i)) }
 // reason (same function symbol, same arguments) are the same null.
 // A Null with no arguments is a plain named null (N1, N2, ...).
 //
-// Nulls are immutable, so the content hash and the canonical key are
-// each computed once, on first use, and cached behind atomics, so
-// readers sharing one instance stay race-free.
+// Terms are plain immutable data. Only NewNull, NewSetRef,
+// Instance.InternNull and Instance.InternSet build one: they set the
+// hash it carries, so readers sharing one instance never write to it.
 type Null struct {
 	Fn   string
 	Args []Value
-
-	h   atomic.Uint64 // content hash; 0 until computed
-	key atomic.Pointer[string]
+	h    uint64
 }
 
 func (n *Null) isValue() {}
 
 // Key implements Value.
-func (n *Null) Key() string {
-	if k := n.key.Load(); k != nil {
-		return *k
-	}
-	k := string(n.appendKey(make([]byte, 0, keySize(n.Fn, n.Args))))
-	n.key.Store(&k)
-	return k
-}
+func (n *Null) Key() string { return string(n.appendKey(nil)) }
 
 func (n *Null) appendKey(b []byte) []byte {
-	if k := n.key.Load(); k != nil {
-		return append(b, *k...)
-	}
 	b = append(b, 'n', 0)
 	return appendTerm(b, n.Fn, n.Args)
 }
 
-func (n *Null) hash() uint64 {
-	if h := n.h.Load(); h != 0 {
-		return h
-	}
-	h := termHash(kindNull, n.Fn, HashValues(n.Args))
-	n.h.Store(h)
-	return h
-}
+func (n *Null) hash() uint64 { return n.h }
 
 // String implements Value.
 func (n *Null) String() string {
 	if len(n.Args) == 0 {
 		return n.Fn
 	}
-	var b strings.Builder
-	writeTermDisplay(&b, n.Fn, n.Args)
-	return b.String()
+	return termDisplay(n.Fn, n.Args)
 }
 
 // NewNull constructs a Skolemized labeled null.
-func NewNull(fn string, args ...Value) *Null { return &Null{Fn: fn, Args: args} }
+func NewNull(fn string, args ...Value) *Null {
+	return &Null{Fn: fn, Args: args, h: termHash(kindNull, fn, HashValues(args))}
+}
 
 // SetRef is a SetID: the identity of a nested set, written as a
 // grouping (Skolem) function applied to argument values, e.g.
 // SKProjs(111, IBM, Almaden). Top-level sets have a SetRef with the
-// set's path as function symbol and no arguments.
-//
-// SetRefs are immutable; the hash and the key are cached like Null's.
+// set's path as function symbol and no arguments. Like Null, it is
+// built only by the four term constructors, which set its hash.
 type SetRef struct {
 	Fn   string
 	Args []Value
-
-	h   atomic.Uint64
-	key atomic.Pointer[string]
+	h    uint64
 }
 
 func (s *SetRef) isValue() {}
 
 // Key implements Value.
-func (s *SetRef) Key() string {
-	if k := s.key.Load(); k != nil {
-		return *k
-	}
-	k := string(s.appendKey(make([]byte, 0, keySize(s.Fn, s.Args))))
-	s.key.Store(&k)
-	return k
-}
+func (s *SetRef) Key() string { return string(s.appendKey(nil)) }
 
 func (s *SetRef) appendKey(b []byte) []byte {
-	if k := s.key.Load(); k != nil {
-		return append(b, *k...)
-	}
 	b = append(b, 's', 0)
 	return appendTerm(b, s.Fn, s.Args)
 }
 
-func (s *SetRef) hash() uint64 {
-	if h := s.h.Load(); h != 0 {
-		return h
-	}
-	h := termHash(kindSetRef, s.Fn, HashValues(s.Args))
-	s.h.Store(h)
-	return h
-}
+func (s *SetRef) hash() uint64 { return s.h }
 
 // String implements Value.
 func (s *SetRef) String() string {
-	var b strings.Builder
-	writeTermDisplay(&b, s.Fn, s.Args)
-	return b.String()
+	return termDisplay(s.Fn, s.Args)
 }
 
 // NewSetRef constructs a SetID term.
-func NewSetRef(fn string, args ...Value) *SetRef { return &SetRef{Fn: fn, Args: args} }
+func NewSetRef(fn string, args ...Value) *SetRef {
+	return &SetRef{Fn: fn, Args: args, h: termHash(kindSetRef, fn, HashValues(args))}
+}
 
 // appendTerm appends the canonical term encoding, composing argument
 // keys in place (no intermediate strings). Nil arguments — Skolem
@@ -193,14 +150,13 @@ func appendTerm(b []byte, fn string, args []Value) []byte {
 }
 
 // The canonical encodings separate their parts with the bytes 0x00
-// through 0x06: kind tag, term symbol, arguments and term end
-// (appendTerm), tuple slots (Tuple.Key), and the composite keys other
-// packages compose from value keys: 0x05 in deps.Check's projections,
-// 0x06 in Muse-G's dataImplied groups. Inside constant strings and
-// term symbols those bytes, and the escape byte escByte itself, are
-// written as escByte followed by '0'+byte, so no payload can forge a
-// boundary and keys stay injective. Strings without bytes below 0x08
-// encode as themselves.
+// through 0x04: kind tag, term symbol, arguments and term end
+// (appendTerm), and tuple slots (Tuple.Key). Inside constant strings
+// and term symbols those bytes, 0x05 and 0x06 (which separate nothing,
+// but stay escaped so that every key keeps its bytes and its order),
+// and the escape byte escByte itself are written as escByte followed
+// by '0'+byte, so no payload can forge a boundary and keys stay
+// injective. Strings without bytes below 0x08 encode as themselves.
 const escByte = 0x07
 
 // needsEscape reports whether s holds a byte appendEscaped rewrites.
@@ -226,35 +182,11 @@ func appendEscaped(b []byte, s string) []byte {
 	return append(b, s[start:]...)
 }
 
-// keySize estimates the encoded term length, to size the key buffer in
-// one allocation.
-func keySize(fn string, args []Value) int {
-	n := len(fn) + 4
-	for _, a := range args {
-		switch v := a.(type) {
-		case Const:
-			n += len(v.S) + 3
-		default:
-			n += 24
-		}
-	}
-	return n
-}
-
-func writeTermDisplay(b *strings.Builder, fn string, args []Value) {
-	b.WriteString(fn)
-	b.WriteByte('(')
-	for i, a := range args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if a != nil {
-			b.WriteString(a.String())
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	b.WriteByte(')')
+// termDisplay renders the term fn(args) for display, in one allocation
+// when the rendering is short.
+func termDisplay(fn string, args []Value) string {
+	var buf [64]byte
+	return string(appendTermDisplay(buf[:0], fn, args))
 }
 
 // AppendDisplay appends v's display rendering (exactly Value.String) to
@@ -295,24 +227,10 @@ func appendTermDisplay(b []byte, fn string, args []Value) []byte {
 	return append(b, ')')
 }
 
-// AppendValueKey appends v's canonical key to b and returns the
-// extended slice, without building an intermediate string for a
-// constant. Nil values append nothing. A Null's or SetRef's key is
-// memoized on the value, as by Key.
-func AppendValueKey(b []byte, v Value) []byte {
-	switch t := v.(type) {
-	case nil:
-		return b
-	case Const:
-		return t.appendKey(b)
-	}
-	return append(b, v.Key()...)
-}
-
 // SameValue reports value equality: constants by their strings, nulls
 // and SetIDs structurally (function symbol, then each argument). Nil
 // values are equal only to each other. Pointer-identical terms, and
-// terms whose cached hashes differ, are decided without visiting the
+// terms whose hashes differ, are decided without visiting the
 // arguments. SameValue agrees with Key equality.
 func SameValue(a, b Value) bool {
 	if a == nil || b == nil {
@@ -324,21 +242,12 @@ func SameValue(a, b Value) bool {
 		return ok && x.S == y.S
 	case *Null:
 		y, ok := b.(*Null)
-		return ok && (x == y || sameTerm(x.h.Load(), y.h.Load(), x.Fn, y.Fn, x.Args, y.Args))
+		return ok && (x == y || x.h == y.h && x.Fn == y.Fn && sameValues(x.Args, y.Args))
 	case *SetRef:
 		y, ok := b.(*SetRef)
-		return ok && (x == y || sameTerm(x.h.Load(), y.h.Load(), x.Fn, y.Fn, x.Args, y.Args))
+		return ok && (x == y || x.h == y.h && x.Fn == y.Fn && sameValues(x.Args, y.Args))
 	}
 	return false
-}
-
-// sameTerm compares two terms of one kind given their cached hashes (0
-// when not yet computed).
-func sameTerm(ha, hb uint64, fa, fb string, aa, ab []Value) bool {
-	if ha != 0 && hb != 0 && ha != hb {
-		return false
-	}
-	return fa == fb && sameValues(aa, ab)
 }
 
 // sameValues reports pairwise SameValue over two value vectors of

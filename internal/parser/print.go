@@ -109,8 +109,7 @@ func FormatInstance(name string, in *instance.Instance) string {
 }
 
 func writeTuples(b *strings.Builder, in *instance.Instance, s *instance.SetVal, indent string) {
-	tuples := s.Tuples()
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
+	tuples := s.Sorted()
 	for ti, t := range tuples {
 		b.WriteString(indent)
 		b.WriteString("(")
