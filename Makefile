@@ -65,10 +65,23 @@ bench-scaled-smoke:
 
 # Cross-check harness: the six differential oracle families (chase,
 # query, wizard, resume, server, auto) over every builtin scenario plus
-# seeded mutated and random ones. Deterministic in the seed; exits
-# non-zero with a minimized repro on any disagreement.
+# seeded mutated and random ones, at seeds 1, 2 and 3. A run exits
+# non-zero with a minimized repro on any disagreement, and prints it
+# here. The harness is deterministic in the seed: seed 1 runs twice,
+# and the two outputs must not differ in any byte.
 crosscheck:
-	$(GO) run ./cmd/musecheck -seed 1 -cases 8 -queries 12
+	@tmp=$$(mktemp -d); st=0; \
+	$(GO) build -o $$tmp/musecheck ./cmd/musecheck || st=1; \
+	for run in 1 1b 2 3; do \
+		[ $$st = 0 ] || break; \
+		if $$tmp/musecheck -seed $${run%b} -cases 8 -queries 12 >$$tmp/$$run.txt 2>&1; \
+		then tail -n 1 $$tmp/$$run.txt; else cat $$tmp/$$run.txt; st=1; fi; \
+	done; \
+	if [ $$st = 0 ] && ! cmp -s $$tmp/1.txt $$tmp/1b.txt; then \
+		echo "crosscheck: two seed-1 runs printed different output:"; \
+		diff $$tmp/1.txt $$tmp/1b.txt | head -n 40; st=1; \
+	fi; \
+	rm -rf $$tmp; exit $$st
 
 # Brief fuzz pass over every native fuzz target: long enough to replay
 # the checked-in corpus and shake the nearby input space, short enough

@@ -22,7 +22,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"muse/internal/chase"
 	"muse/internal/core"
@@ -209,7 +208,6 @@ func TestBenchGuard(t *testing.T) {
 		// ranker-disabled guard: a disabled ranker must stay one nil
 		// check per question, adding zero allocations to the probe path.
 		w := core.NewGroupingWizard(s.Src, in)
-		w.Timeout = 100 * time.Millisecond
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"muse/internal/bench"
 	"muse/internal/chase"
@@ -26,7 +25,7 @@ import (
 )
 
 func benchCfg() bench.MuseGConfig {
-	return bench.MuseGConfig{Scale: 0.05, Timeout: 30 * time.Millisecond}
+	return bench.MuseGConfig{Scale: 0.05}
 }
 
 // --- Fig. 2: the chase ---
@@ -254,7 +253,6 @@ func BenchmarkRealExampleRetrieval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := core.NewGroupingWizard(s.Src, in)
-		w.Timeout = 200 * time.Millisecond
 		if _, err := w.DesignMapping(m, oracle); err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +304,6 @@ func BenchmarkProbeRetrieval(b *testing.B) {
 				b.Fatal(err)
 			}
 			w := core.NewGroupingWizard(s.Src, in)
-			w.Timeout = 100 * time.Millisecond
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -336,7 +333,6 @@ func BenchmarkProbeRetrievalCold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := core.NewGroupingWizard(s.Src, in)
-				w.Timeout = 100 * time.Millisecond
 				if _, err := w.DesignMapping(m, oracle); err != nil {
 					b.Fatal(err)
 				}

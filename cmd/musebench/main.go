@@ -6,7 +6,7 @@
 //
 //	musebench                         # all tables, paper configuration
 //	musebench -table museg -scenario DBLP
-//	musebench -scale 0.2 -timeout 100ms   # faster, smaller instances
+//	musebench -scale 0.2              # faster, smaller instances
 //	musebench -nokeys                 # ablation: no key-based reduction
 //	musebench -noreal                 # ablation: synthetic examples only
 //
@@ -39,7 +39,6 @@ func main() {
 	table := flag.String("table", "all", "characteristics | museg | mused | auto | all")
 	scenario := flag.String("scenario", "", "restrict to one scenario (Mondial, DBLP, TPCH, Amalgam)")
 	scaleFlag := flag.String("scale", "1", "instance scale: a float or SF<n> (1 ≈ the paper's data sizes)")
-	timeout := flag.Duration("timeout", 500*time.Millisecond, "per-question real-example retrieval budget")
 	noKeys := flag.Bool("nokeys", false, "ablation: disable key-based question reduction")
 	noReal := flag.Bool("noreal", false, "ablation: disable real-example retrieval")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -114,7 +113,7 @@ func main() {
 	}
 
 	if runG {
-		cfg := bench.MuseGConfig{Scale: scale, Timeout: *timeout, NoKeys: *noKeys, NoReal: *noReal, Obs: o}
+		cfg := bench.MuseGConfig{Scale: scale, NoKeys: *noKeys, NoReal: *noReal, Obs: o}
 		var rows []bench.MuseGRow
 		for _, s := range scns {
 			for _, strat := range []designer.Strategy{designer.G1, designer.G2, designer.G3} {

@@ -78,8 +78,6 @@ type MuseGRow struct {
 type MuseGConfig struct {
 	// Scale sizes the source instance (1 ≈ the paper's data sizes).
 	Scale float64
-	// Timeout bounds each real-example retrieval.
-	Timeout time.Duration
 	// NoKeys drops the key-based question reduction (an ablation: the
 	// basic Sec. III-A algorithm).
 	NoKeys bool
@@ -106,7 +104,6 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 		src = &deps.Set{Schema: s.Src.Schema, Cat: s.Src.Cat, FDs: s.Src.FDs, Refs: s.Src.Refs}
 	}
 	gw := core.NewGroupingWizard(src, in)
-	gw.Timeout = cfg.Timeout
 	gw.Obs = cfg.Obs
 	if cfg.NoReal {
 		gw.Real = nil

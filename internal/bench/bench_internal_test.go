@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"muse/internal/designer"
 	"muse/internal/scenarios"
@@ -12,7 +11,7 @@ import (
 // quickCfg keeps unit-test runs fast; cmd/musebench uses the paper
 // configuration.
 func quickCfg() MuseGConfig {
-	return MuseGConfig{Scale: 0.05, Timeout: 30 * time.Millisecond}
+	return MuseGConfig{Scale: 0.05}
 }
 
 func TestCharacteristicsRows(t *testing.T) {

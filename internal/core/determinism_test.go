@@ -143,7 +143,7 @@ func checkPlannedAgainstNaive(t *testing.T, name string, in *instance.Instance, 
 	store := query.NewIndexStore(in)
 	var digests []string
 	for qi, q := range qs {
-		naive, err := q.Eval(in, query.Options{Naive: true})
+		naive, err := q.EvalNaive(in)
 		if err != nil {
 			t.Fatalf("query %d naive: %v", qi, err)
 		}

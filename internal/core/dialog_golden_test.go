@@ -93,14 +93,6 @@ func (d *dialogRecorder) line(name string, result ...*mapping.Mapping) string {
 	return fmt.Sprintf("%s %d %x", name, d.n, d.h.Sum(nil))
 }
 
-// unbounded removes the retrieval timeout, so a loaded machine (or the
-// race detector) cannot turn a real example into a synthetic one.
-func unbounded(s *core.Session) *core.Session {
-	s.Grouping.Timeout = 0
-	s.Disambiguation.Timeout = 0
-	return s
-}
-
 // TestDialogGolden pins whole dialogs: every question each wizard poses
 // (kind, mapping, grouping function, probe, argument lists, source and
 // scenario renderings, real flag, choices, join variants and rankings),
@@ -138,7 +130,7 @@ func TestDialogGolden(t *testing.T) {
 		in := sc.NewInstance(0.02)
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, ranked := range []bool{false, true} {
-				s := unbounded(core.NewSession(sc.Src, in))
+				s := core.NewSession(sc.Src, in)
 				name := fmt.Sprintf("%s/session/seed%d", sc.Name, seed)
 				if ranked {
 					s.Rank(0.15)
@@ -154,7 +146,6 @@ func TestDialogGolden(t *testing.T) {
 			}
 			run(fmt.Sprintf("%s/joins/%s", sc.Name, m.Name), 1, func(d *dialogRecorder) ([]*mapping.Mapping, error) {
 				w := core.NewDisambiguationWizard(sc.Src, in)
-				w.Timeout = 0
 				return w.DesignJoins(m, d)
 			})
 			if instanceOnly || len(m.SKs) == 0 {
@@ -163,7 +154,7 @@ func TestDialogGolden(t *testing.T) {
 			instanceOnly = true
 			run(fmt.Sprintf("%s/instance-only/%s", sc.Name, m.Name), 1, func(d *dialogRecorder) ([]*mapping.Mapping, error) {
 				w := core.NewGroupingWizard(sc.Src, in)
-				w.Timeout, w.InstanceOnly = 0, true
+				w.InstanceOnly = true
 				out, err := w.DesignMapping(m, d)
 				return []*mapping.Mapping{out}, err
 			})
@@ -185,7 +176,7 @@ func TestDialogGolden(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 4; seed++ {
 			f := scenarios.NewFigure1(keys)
-			s := unbounded(core.NewSession(f.SrcDeps, f.Source)).Rank(0.15)
+			s := core.NewSession(f.SrcDeps, f.Source).Rank(0.15)
 			run(fmt.Sprintf("%s/session/seed%d", fig, seed), seed, session(s, f.Set))
 		}
 		for i, args := range starts {
@@ -201,7 +192,6 @@ func TestDialogGolden(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/start%d/seed%d/real=%v", fig, incr, i, seed, real)
 						run(name, seed, func(d *dialogRecorder) ([]*mapping.Mapping, error) {
 							w := core.NewGroupingWizard(f.SrcDeps, src)
-							w.Timeout = 0
 							refine := w.GroupLess
 							if incr == "group-more" {
 								refine = w.GroupMore
@@ -228,7 +218,6 @@ func TestDialogGolden(t *testing.T) {
 			}
 			run(fmt.Sprintf("fig1-multikey/seed%d/real=%v", seed, real), seed, func(d *dialogRecorder) ([]*mapping.Mapping, error) {
 				w := core.NewGroupingWizard(sd, src)
-				w.Timeout = 0
 				out, err := w.DesignSK(f.M2, "SKProjects", d)
 				return []*mapping.Mapping{out}, err
 			})
@@ -238,7 +227,7 @@ func TestDialogGolden(t *testing.T) {
 	// Fig. 4: ranked sessions (Muse-D over two or-groups).
 	for seed := int64(1); seed <= 4; seed++ {
 		f := scenarios.NewFigure4()
-		s := unbounded(core.NewSession(f.SrcDeps, f.Source)).Rank(0.15)
+		s := core.NewSession(f.SrcDeps, f.Source).Rank(0.15)
 		run(fmt.Sprintf("fig4/session/seed%d", seed), seed, session(s, f.Set))
 	}
 

@@ -14,8 +14,8 @@
 // Both wizards draw examples from a real source instance when it can
 // differentiate the alternatives, and construct synthetic canonical
 // examples otherwise. They read one Env: the source constraints, the
-// real instance, the retrieval timeout, the shared index store, the
-// ranker, the observability bundle and the bounding context.
+// real instance, the shared index store, the ranker, the observability
+// bundle and the bounding context.
 //
 // Muse-G has one question path and one probe loop. GroupingWizard.ask
 // builds, checks and poses the attribute probe, the multi-key question
@@ -32,7 +32,8 @@
 //
 //   - Dialogs are deterministic: the same scenario and answer sequence
 //     always produce the same questions and the same refined mappings,
-//     whether driven through Session.Run or a Stepper.
+//     whether driven through Session.Run or a Stepper, on any machine
+//     and under any load (no clock decides an example).
 //   - Every example shown satisfies the source constraints (SrcDeps);
 //     the wizards verify this before posing a question.
 //   - Wizard work is bounded by the wizard's Ctx: once it is

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"muse/internal/deps"
 	"muse/internal/instance"
@@ -22,9 +21,6 @@ type Env struct {
 	// Real is the actual source instance examples are drawn from when
 	// possible (may be nil: always synthetic).
 	Real *instance.Instance
-	// Timeout bounds each real-example retrieval; past it the wizard
-	// falls back to a synthetic example (Sec. VI). Zero means no bound.
-	Timeout time.Duration
 	// Store caches hash indexes and statistics over Real across the
 	// whole session, shared by every retrieval. Left nil, it is created
 	// lazily on the first retrieval.
@@ -62,7 +58,7 @@ func (e *Env) retrieval() query.Options {
 	if e.Real != nil && (e.Store == nil || e.Store.Instance() != e.Real) {
 		e.Store = query.NewIndexStore(e.Real).Observe(e.Obs.Registry())
 	}
-	return query.Options{Timeout: e.Timeout, Ctx: e.Ctx, Store: e.Store, Obs: e.Obs}
+	return query.Options{Ctx: e.Ctx, Store: e.Store, Obs: e.Obs}
 }
 
 // ranker returns the attached scorer with the session's index store

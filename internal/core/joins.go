@@ -297,9 +297,11 @@ func (w *DisambiguationWizard) danglingExample(m *mapping.Mapping, v JoinVariant
 		opt := w.retrieval()
 		opt.Limit = 64
 		matches, err := q.Eval(w.Real, opt)
-		if err == nil {
+		if err == nil && len(matches) > 0 {
+			full := compileTableau(m, w.SrcDeps, 1)
+			fq := full.realQuery(nil)
 			for _, match := range matches {
-				if !w.extends(m, v, match) {
+				if !w.extends(full, fq, v, match) {
 					return tb.fromMatch(match, w.Real), true
 				}
 			}
@@ -308,40 +310,22 @@ func (w *DisambiguationWizard) danglingExample(m *mapping.Mapping, v JoinVariant
 	return tb.synthetic(), false
 }
 
-// extends reports whether the matched variant tuples extend to a full
-// assignment of m over the real instance.
-func (w *DisambiguationWizard) extends(m *mapping.Mapping, v JoinVariant, match query.Match) bool {
-	info := m.MustAnalyze()
-	q := &query.Query{Src: m.Src}
-	kept := make(map[string]*instance.Tuple, len(v.Keep))
+// extends reports whether the matched variant tuples may extend to a
+// full assignment over the real instance: fq, the full tableau's
+// one-copy query, with each kept atom pinned to its matched tuple. A
+// search that does not finish proves nothing, so it counts as
+// extending.
+func (w *DisambiguationWizard) extends(full *tableau, fq *query.Query, v JoinVariant, match query.Match) bool {
 	for i, g := range v.Mapping.For {
-		kept[g.Var] = match.Tuples[i]
-	}
-	// Value variables shared across atoms encode the satisfy joins;
-	// kept variables are pinned to their matched tuples.
-	classes := compileTableau(m, w.SrcDeps, 1)
-	for i, g := range m.For {
-		st := info.SrcVars[g.Var]
-		atom := query.Atom{Var: g.Var, Bind: make(map[string]string, len(st.Atoms))}
-		if g.Root != nil {
-			atom.Set = g.Root
-		} else {
-			atom.Parent = g.Parent
-			atom.Field = g.Field
-		}
-		for k, a := range st.Atoms {
-			atom.Bind[a] = classes.classID(classes.first[i] + int32(k))
-		}
-		if t := kept[g.Var]; t != nil {
-			atom.Pin = make(map[string]instance.Value, len(st.Atoms))
-			for _, a := range st.Atoms {
-				if val := t.Get(a); val != nil {
-					atom.Pin[a] = val
-				}
+		atoms := full.info.SrcVars[g.Var].Atoms
+		pin := make(map[string]instance.Value, len(atoms))
+		for _, a := range atoms {
+			if val := match.Tuples[i].Get(a); val != nil {
+				pin[a] = val
 			}
 		}
-		q.Atoms = append(q.Atoms, atom)
+		fq.Atoms[full.atomIndex(1, g.Var)].Pin = pin
 	}
-	_, ok, _ := q.FirstOpts(w.Real, w.retrieval())
-	return ok
+	_, ok, err := fq.First(w.Real, w.retrieval())
+	return ok || err != nil
 }

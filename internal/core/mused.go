@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"muse/internal/chase"
 	"muse/internal/deps"
@@ -63,7 +62,7 @@ func (s *DStats) TotalQuestions() int {
 // NewDisambiguationWizard constructs a wizard over the given
 // constraints and real instance (both optional).
 func NewDisambiguationWizard(srcDeps *deps.Set, real *instance.Instance) *DisambiguationWizard {
-	return &DisambiguationWizard{Env: Env{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}}
+	return &DisambiguationWizard{Env: Env{SrcDeps: srcDeps, Real: real}}
 }
 
 // Disambiguate poses the single Muse-D question for the ambiguous
@@ -107,7 +106,7 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	if w.Real != nil {
 		opt := w.retrieval()
 		opt.Ctx = sctx
-		if match, ok, _ := q.FirstOpts(w.Real, opt); ok {
+		if match, ok, _ := q.First(w.Real, opt); ok {
 			ie = tb.fromMatch(match, w.Real)
 			real = true
 			valueOf = func(e mapping.Expr) instance.Value {

@@ -50,7 +50,7 @@ func (w *GroupingWizard) finish(m *mapping.Mapping, fn string, args []mapping.Ex
 // NewGroupingWizard constructs a wizard with the given constraints and
 // real instance (both optional).
 func NewGroupingWizard(srcDeps *deps.Set, real *instance.Instance) *GroupingWizard {
-	return &GroupingWizard{Env: Env{SrcDeps: srcDeps, Real: real, Timeout: 500 * time.Millisecond}}
+	return &GroupingWizard{Env: Env{SrcDeps: srcDeps, Real: real}}
 }
 
 // DesignMapping designs every grouping function of m, in breadth-first
@@ -308,13 +308,14 @@ func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapp
 }
 
 // obtainExample retrieves a real example via the probe query, falling
-// back to the synthetic instance on a miss or timeout.
+// back to the synthetic instance when the search finds none within
+// its budget.
 func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
 		q := tb.realQuery(differ)
-		match, ok, _ := q.FirstOpts(w.Real, w.retrieval())
+		match, ok, _ := q.First(w.Real, w.retrieval())
 		if ok {
 			stats.RealExamples++
 			ie := tb.fromMatch(match, w.Real)
@@ -333,14 +334,14 @@ func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats
 // on the confirmed attributes — in which case including it cannot
 // change the grouping of any tuple of this instance. The assignments
 // are enumerated through the shared index store (the mapping's
-// canonical tableau as a query); a retrieval that times out before
-// enumerating every assignment conservatively keeps the question.
+// canonical tableau as a query); an enumeration that exhausts the
+// search budget conservatively keeps the question.
 func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
 	tb := compileTableau(m, nil, 1)
 	q := tb.realQuery(nil)
 	matches, err := q.Eval(w.Real, w.retrieval())
 	if err != nil {
-		if err == query.ErrTimeout {
+		if err == query.ErrBudget {
 			return false, nil
 		}
 		return false, err

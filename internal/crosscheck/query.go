@@ -78,7 +78,7 @@ func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *qu
 		return &Failure{Oracle: "query", Case: name, Detail: detail, Repro: reproQuery(q, in)}
 	}
 	var ref, planned []query.Match
-	errRef := guard(func() error { var err error; ref, err = q.Eval(in, query.Options{Naive: true}); return err })
+	errRef := guard(func() error { var err error; ref, err = q.EvalNaive(in); return err })
 	errPlan := guard(func() error {
 		var err error
 		planned, err = q.Eval(in, query.Options{Store: store, Obs: o})
@@ -112,7 +112,7 @@ func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *qu
 	// First finds a match iff the reference result set is non-empty.
 	var found bool
 	if err := guard(func() error {
-		_, ok, err := q.FirstOpts(in, query.Options{Store: store})
+		_, ok, err := q.First(in, query.Options{Store: store})
 		found = ok
 		return err
 	}); err != nil {

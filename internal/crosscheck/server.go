@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -33,7 +34,12 @@ func CheckServer(cfg Config) []Failure {
 			fails = append(fails, *f)
 		}
 	}
+	var names []string
 	for name := range server.Builtin() {
+		names = append(names, name)
+	}
+	sort.Strings(names) // cases, log lines and failures keep one order per seed
+	for _, name := range names {
 		for k := 0; k < cfg.Cases; k++ {
 			seed := cfg.Seed + int64(k)*104729
 			f := checkWireVsInProcess(name, seed)

@@ -38,13 +38,12 @@ func Find(a, b *instance.Instance) (*instance.VecMap[instance.Value], bool) {
 	return find(a, b, false)
 }
 
-// obligation records that every tuple of set occurrence src (in a)
-// must map into the occurrence of b identified by dst. Source tuples
-// are pre-ordered most-constrained-first (fewest shape-compatible
-// destination candidates), which prunes the symmetric,
-// null-heavy instances the wizards compare.
+// obligation records that every tuple of a set occurrence of a must
+// map into the occurrence dst of b. The source tuples are pre-ordered
+// most-constrained-first (fewest shape-compatible destination
+// candidates), which prunes the symmetric, null-heavy instances the
+// wizards compare.
 type obligation struct {
-	src    *instance.SetVal
 	dst    *instance.SetVal
 	tuples []*instance.Tuple
 }
@@ -87,7 +86,7 @@ func (s *searcher) newObligation(src, dst *instance.SetVal) (obligation, bool) {
 	}
 	ordered := append([]*instance.Tuple{}, tuples...)
 	sort.SliceStable(ordered, func(i, j int) bool { return counts[ordered[i]] < counts[ordered[j]] })
-	return obligation{src: src, dst: dst, tuples: ordered}, true
+	return obligation{dst: dst, tuples: ordered}, true
 }
 
 // shapeCompatible is a binding-independent prefilter: constants must

@@ -26,7 +26,7 @@ const (
 	MPlanTierBoundSingle     = "muse_plan_tier_bound_single_total"
 	MPlanTierScan            = "muse_plan_tier_scan_total"
 	MPlanTierNested          = "muse_plan_tier_nested_total"
-	MPlanTierNaive           = "muse_plan_tier_naive_total"
+	MPlanTierNaive           = "muse_plan_tier_naive_total" // never counted; kept for perfbench's tier sum
 
 	// shared index store
 	MIndexBuilds     = "muse_index_builds_total"      // distinct (set, attrs) indexes materialized

@@ -2,8 +2,8 @@
 // inequalities over NR instances. Muse uses such queries (the Q_Ie of
 // Sec. III-A and IV-A) to retrieve real tuples from the actual source
 // instance that realize a constructed example's agree/disagree
-// pattern; when no real match exists (or a deadline passes), the
-// wizards fall back to synthetic examples.
+// pattern; when no real match exists (or the search budget runs out
+// first), the wizards fall back to synthetic examples.
 //
 // Evaluation is index-driven: hash indexes over top-level sets
 // (instance.Index) come from an IndexStore, shared across a whole
@@ -23,17 +23,18 @@
 //
 //   - Results are deterministic and independent of whether indexes
 //     were warm; the match order is the order of the plan Explain
-//     shows. The naive reference (Options.Naive) returns the same
+//     shows. The naive reference (Query.EvalNaive) returns the same
 //     match set.
 //   - Refutation is exact: a refuted query has no match, and its Eval
 //     plans, scans and indexes nothing. Queries it does not refute
-//     run the same plan and kernel as without it. Options.Naive never
+//     run the same plan and kernel as without it. EvalNaive never
 //     refutes.
-//   - Options.Timeout and Options.Ctx compose: a lapsed deadline
-//     surfaces as ErrTimeout (the wizards then fall back to synthetic
-//     examples), while a cancelled context surfaces as the context's
-//     own error so callers can tell designer abort from retrieval
-//     timeout.
+//   - Work, not time, bounds a search: past searchBudget candidate
+//     tuples Eval returns the matches so far and ErrBudget, so the same
+//     query on the same instance gives the same matches and the same
+//     error on any machine. A cancelled Options.Ctx surfaces as the
+//     context's own error, so callers can tell designer abort from a
+//     spent budget.
 //   - An IndexStore is safe for concurrent use and never returns
 //     partially built indexes. It builds each index, statistics block
 //     and uniqueness verdict once, and renders no value keys: an index

@@ -5,23 +5,25 @@ import (
 	"muse/internal/nr"
 )
 
-// evalNaive is the reference evaluator the planned kernel is tested
+// EvalNaive is the reference evaluator the planned Eval is tested
 // against: a nested-loop scan in the given atom order, reading values
 // by label (Tuple.Get), binding value variables in a by-name map, and
 // re-checking every inequality whose sides are bound on every bind.
 // Nested atoms scan the occurrence their parent's set field
-// references. It honours Limit, Timeout and Ctx like the planned path
-// but shares none of its plan or compiled state, so the planned-vs-
-// naive differentials compare independent code.
-func evalNaive(q *Query, in *instance.Instance, opt Options) ([]Match, int64, error) {
+// references. It returns every match, with no limit, budget or
+// context, and shares none of Eval's refutation, plan or compiled
+// state, so the planned-vs-naive differentials compare independent
+// code.
+func (q *Query) EvalNaive(in *instance.Instance) ([]Match, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
 	n := &naiveState{
 		q: q, in: in,
 		types:  q.resolveTypes(),
 		parent: make([]int, len(q.Atoms)),
 		values: make(map[string]instance.Value),
 		tuples: make([]*instance.Tuple, len(q.Atoms)),
-		limit:  opt.Limit,
-		poll:   newPoller(opt),
 	}
 	pos := make(map[string]int, len(q.Atoms))
 	for i, a := range q.Atoms {
@@ -31,25 +33,22 @@ func evalNaive(q *Query, in *instance.Instance, opt Options) ([]Match, int64, er
 			n.parent[i] = pos[a.Parent]
 		}
 	}
-	err := n.search(0)
-	return n.out, n.scanned, err
+	n.search(0)
+	return n.out, nil
 }
 
 type naiveState struct {
-	q       *Query
-	in      *instance.Instance
-	types   []*nr.SetType
-	parent  []int
-	values  map[string]instance.Value
-	bound   []string
-	tuples  []*instance.Tuple
-	out     []Match
-	limit   int
-	poll    poller
-	scanned int64
+	q      *Query
+	in     *instance.Instance
+	types  []*nr.SetType
+	parent []int
+	values map[string]instance.Value
+	bound  []string
+	tuples []*instance.Tuple
+	out    []Match
 }
 
-func (n *naiveState) search(i int) error {
+func (n *naiveState) search(i int) {
 	if i == len(n.q.Atoms) {
 		m := Match{
 			Tuples: append([]*instance.Tuple(nil), n.tuples...),
@@ -59,7 +58,7 @@ func (n *naiveState) search(i int) error {
 			m.Values[k] = v
 		}
 		n.out = append(n.out, m)
-		return nil
+		return
 	}
 	a := &n.q.Atoms[i]
 	var cands []*instance.Tuple
@@ -70,27 +69,14 @@ func (n *naiveState) search(i int) error {
 			cands = occ.View()
 		}
 	}
-	n.scanned += int64(len(cands))
 	for _, t := range cands {
-		if err := n.poll.aborted(); err != nil {
-			return err
-		}
 		mark := len(n.bound)
 		if n.bind(a, t) {
 			n.tuples[i] = t
-			err := n.search(i + 1)
-			n.unbindTo(mark)
-			if err != nil {
-				return err
-			}
-			if n.limit > 0 && len(n.out) >= n.limit {
-				return nil
-			}
-			continue
+			n.search(i + 1)
 		}
 		n.unbindTo(mark)
 	}
-	return nil
 }
 
 // bind matches atom a against tuple t: pins must agree, bound

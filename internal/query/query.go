@@ -46,32 +46,24 @@ type Match struct {
 type Options struct {
 	// Limit stops after this many matches (0 = all).
 	Limit int
-	// Timeout aborts evaluation after this duration (0 = none). An
-	// aborted evaluation returns the matches found so far and
-	// ErrTimeout.
-	Timeout time.Duration
 	// Ctx, when non-nil, is polled during the backtracking search; a
 	// cancelled (or deadline-exceeded) context aborts the evaluation,
-	// which returns the matches found so far and ctx.Err(). It
-	// composes with Timeout: whichever fires first wins.
+	// which returns the matches found so far and ctx.Err().
 	Ctx context.Context
 	// Store is a session-shared index store over the instance. When it
 	// is nil (or indexes a different instance) an ephemeral store is
 	// built for this evaluation, restoring the old per-Eval behavior.
 	Store *IndexStore
-	// Naive disables planning and indexing: atoms are evaluated in the
-	// given order by a label-keyed nested-loop scan (evalNaive). It is
-	// the reference semantics the planned evaluator is tested against
-	// and shares none of its compiled state.
-	Naive bool
 	// Obs, when non-nil, records planner and evaluation metrics
 	// (atoms costed, tier choices, rows scanned vs. returned) and one
 	// "query.eval" span per Eval. Nil costs one branch per Eval.
 	Obs *obs.Obs
 }
 
-// ErrTimeout is returned when evaluation exceeds Options.Timeout.
-var ErrTimeout = fmt.Errorf("query: evaluation timed out")
+// ErrBudget is returned, with the matches found so far, when a search
+// examines its budget of 2^21 candidate tuples (searchBudget) without
+// finishing.
+var ErrBudget = fmt.Errorf("query: search budget exhausted")
 
 // Validate resolves the query against its catalog.
 func (q *Query) Validate() error {
@@ -143,17 +135,7 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 		sp, _ = o.StartCtx(opt.Ctx, obs.SpanQueryEval)
 		o.Counter(obs.MQueryEvals).Inc()
 	}
-	var out []Match
-	var scanned int64
-	var err error
-	if opt.Naive {
-		if o != nil {
-			o.Counter(obs.MPlanTierNaive).Add(int64(len(q.Atoms)))
-		}
-		out, scanned, err = evalNaive(q, in, opt)
-	} else {
-		out, scanned, err = q.evalPlanned(in, opt, sp)
-	}
+	out, scanned, err := q.evalPlanned(in, opt, sp)
 	if o != nil {
 		o.Counter(obs.MQueryRowsScanned).Add(scanned)
 		o.Counter(obs.MQueryRowsReturned).Add(int64(len(out)))
@@ -221,14 +203,9 @@ func (q *Query) checkLayout(in *instance.Instance) error {
 }
 
 // First returns one match, or ok=false when the query is empty on the
-// instance (a timeout also reports not-found, with the error).
-func (q *Query) First(in *instance.Instance, timeout time.Duration) (Match, bool, error) {
-	return q.FirstOpts(in, Options{Timeout: timeout})
-}
-
-// FirstOpts is First with the full option set (shared store, context,
-// metrics); opt.Limit is forced to 1.
-func (q *Query) FirstOpts(in *instance.Instance, opt Options) (Match, bool, error) {
+// instance; a search that stops early also reports not-found, with the
+// error. opt.Limit is forced to 1.
+func (q *Query) First(in *instance.Instance, opt Options) (Match, bool, error) {
 	opt.Limit = 1
 	ms, err := q.Eval(in, opt)
 	if len(ms) > 0 {
@@ -263,8 +240,7 @@ type atomPlan struct {
 }
 
 // Access-tier labels, in preference order (Explain and the
-// muse_plan_tier_* counters index by them). The naive reference has no
-// plan; its atoms count under muse_plan_tier_naive_total.
+// muse_plan_tier_* counters index by them).
 const (
 	tierPinnedComposite = iota
 	tierBoundComposite

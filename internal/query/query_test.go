@@ -2,7 +2,6 @@ package query
 
 import (
 	"testing"
-	"time"
 
 	"muse/internal/instance"
 	"muse/internal/nr"
@@ -51,7 +50,7 @@ func TestProbeQueryFig3a(t *testing.T) {
 		},
 		Neq: [][2]string{{"x1", "x2"}},
 	}
-	m, ok, err := q.First(in, 0)
+	m, ok, err := q.First(in, Options{})
 	if err != nil || !ok {
 		t.Fatalf("no match: %v", err)
 	}
@@ -81,7 +80,7 @@ func TestNoMatchWhenPatternAbsent(t *testing.T) {
 		},
 		Neq: [][2]string{{"n1", "n2"}},
 	}
-	_, ok, err := q.First(in, 0)
+	_, ok, err := q.First(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,29 +210,35 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestTimeout(t *testing.T) {
+// TestBudget: a search that examines searchBudget candidates without
+// finishing stops with ErrBudget, and one that finishes sooner returns
+// its matches. Three scans of 200 Companies are an 8M-candidate cross
+// product; no company has a location, so the last scan's binding fails
+// on every candidate and no match is recorded.
+func TestBudget(t *testing.T) {
 	cat := compCat()
-	in := instance.New(cat)
-	// A large cross product to give the timeout something to abort.
-	for i := 0; i < 400; i++ {
-		in.MustInsertVals("Companies", itoa(i), "C", "L")
-	}
+	in := locatedFirst(200, 0)
 	q := &Query{
 		Src: cat,
 		Atoms: []Atom{
 			{Var: "a", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x1"}},
 			{Var: "b", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x2"}},
-			{Var: "c", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x3"}},
+			{Var: "c", Set: nr.ParsePath("Companies"), Bind: map[string]string{"location": "l"}},
 		},
 	}
-	_, err := q.Eval(in, Options{Timeout: time.Nanosecond})
-	if err != ErrTimeout {
-		t.Errorf("expected ErrTimeout, got %v", err)
+	ms, err := q.Eval(in, Options{})
+	if err != ErrBudget {
+		t.Errorf("expected ErrBudget, got %v", err)
 	}
-	// A generous timeout completes.
-	ms, err := q.Eval(in, Options{Limit: 5, Timeout: time.Minute})
+	if len(ms) != 0 {
+		t.Errorf("impossible pattern returned %d matches", len(ms))
+	}
+	// Binding cid instead, the first five matches come well within the
+	// budget.
+	q.Atoms[2].Bind = map[string]string{"cid": "x3"}
+	ms, err = q.Eval(in, Options{Limit: 5})
 	if err != nil || len(ms) != 5 {
-		t.Errorf("generous timeout: %d matches, err=%v", len(ms), err)
+		t.Errorf("within budget: %d matches, err=%v", len(ms), err)
 	}
 }
 

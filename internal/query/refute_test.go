@@ -17,7 +17,7 @@ import (
 // naive reference. It returns the metrics and the match count.
 func evalRefute(t *testing.T, q *Query, in *instance.Instance) (*obs.Obs, int) {
 	t.Helper()
-	naive, err := q.Eval(in, Options{Naive: true})
+	naive, err := q.EvalNaive(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"muse/internal/instance"
 	"muse/internal/nr"
@@ -20,52 +19,69 @@ func wideInstance(cat *nr.Catalog, n int) *instance.Instance {
 	return in
 }
 
-// TestTimeoutPartialResults: a single-atom scan over 600 tuples with a
-// 1ns budget provably times out (the deadline is checked every 256
-// steps), returning ErrTimeout together with the matches found before
-// the check fired.
-func TestTimeoutPartialResults(t *testing.T) {
-	cat := compCat()
-	in := wideInstance(cat, 600)
+// locatedFirst builds n Companies (cid, "C") of which only the first
+// `located` have a location. A scan binding location rejects every
+// other tuple at its first slot, so a search can examine searchBudget
+// candidates quickly while recording few matches.
+func locatedFirst(n, located int) *instance.Instance {
+	rows := make([][3]string, n)
+	for i := range rows {
+		rows[i] = [3]string{itoa(i), "C", ""}
+		if i < located {
+			rows[i][2] = "L"
+		}
+	}
+	return companies(rows...)
+}
+
+// TestBudgetPartialResults: a search that exhausts the budget returns
+// ErrBudget together with the matches found before it, and they are
+// the deterministic scan prefix. Each of 2000 Companies pairs with the
+// only located one, so the 4M-candidate pair scan records one match
+// per outer tuple until the budget stops it.
+func TestBudgetPartialResults(t *testing.T) {
+	const n = 2000
+	in := locatedFirst(n, 1)
 	q := &Query{
-		Src:   cat,
-		Atoms: []Atom{{Var: "c", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x"}}},
+		Src: compCat(),
+		Atoms: []Atom{
+			{Var: "c1", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x1"}},
+			{Var: "c2", Set: nr.ParsePath("Companies"), Bind: map[string]string{"location": "l"}},
+		},
 	}
-	ms, err := q.Eval(in, Options{Timeout: time.Nanosecond})
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	ms, err := q.Eval(in, Options{})
+	if err != ErrBudget {
+		t.Fatalf("err = %v, want ErrBudget", err)
 	}
-	if len(ms) == 0 || len(ms) >= 600 {
-		t.Errorf("partial results = %d matches, want some but not all 600", len(ms))
+	if len(ms) == 0 || len(ms) >= n {
+		t.Errorf("partial results = %d matches, want some but not all %d", len(ms), n)
 	}
 	// The partial prefix is the deterministic scan prefix.
 	for i, m := range ms {
-		if got := m.Tuples[0].Get("cid").String(); got != itoa(i) {
-			t.Fatalf("match %d is tuple %s, want the scan prefix %s", i, got, itoa(i))
+		got := [2]string{m.Tuples[0].Get("cid").String(), m.Tuples[1].Get("cid").String()}
+		if want := [2]string{itoa(i), itoa(0)}; got != want {
+			t.Fatalf("match %d is the pair %v, want the scan prefix's %v", i, got, want)
 		}
 	}
 }
 
-// TestFirstNotFoundOnTimeout: an impossible inequality pattern over a
-// 400×400 cross product times out before exhausting the space; First
-// reports not-found and surfaces the error.
-func TestFirstNotFoundOnTimeout(t *testing.T) {
-	cat := compCat()
-	in := wideInstance(cat, 400)
+// TestFirstNotFoundOnBudget: an impossible pattern over a 2000×2000
+// cross product (no company has a location) exhausts the budget before
+// the space; First reports not-found and surfaces the error.
+func TestFirstNotFoundOnBudget(t *testing.T) {
 	q := &Query{
-		Src: cat,
+		Src: compCat(),
 		Atoms: []Atom{
-			{Var: "c1", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cname": "n1"}},
-			{Var: "c2", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cname": "n2"}},
+			{Var: "c1", Set: nr.ParsePath("Companies"), Bind: map[string]string{"cid": "x1"}},
+			{Var: "c2", Set: nr.ParsePath("Companies"), Bind: map[string]string{"location": "l"}},
 		},
-		Neq: [][2]string{{"n1", "n2"}},
 	}
-	m, ok, err := q.First(in, time.Nanosecond)
+	m, ok, err := q.First(locatedFirst(2000, 0), Options{})
 	if ok {
 		t.Fatalf("found %v for an impossible pattern", m)
 	}
-	if err != ErrTimeout {
-		t.Errorf("err = %v, want ErrTimeout", err)
+	if err != ErrBudget {
+		t.Errorf("err = %v, want ErrBudget", err)
 	}
 }
 
@@ -157,7 +173,7 @@ func TestPlannedMatchesNaive(t *testing.T) {
 	}
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {
-			naive, err := q.Eval(in, Options{Naive: true})
+			naive, err := q.EvalNaive(in)
 			if err != nil {
 				t.Fatal(err)
 			}
