@@ -52,7 +52,7 @@ race-instance:
 # The scaled SF2/SF5 benchmark is excluded here (it builds multi-GB
 # instances); bench-scaled-smoke runs its SF2 half on its own.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval|BenchmarkProbeQuestion$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadCSV' -benchtime=1x ./internal/load
 

@@ -1,7 +1,8 @@
 // The instrumentation-overhead guard: with observability disabled
-// (nil obs), the chase, the warm retrieval path, the serving wire path
-// and whole served dialogs must allocate no more per operation than
-// the recorded baselines — the nil-safe hooks must stay one branch,
+// (nil obs), the chase, the warm retrieval path, the questions of one
+// Muse-G grouping function, the serving wire path and whole served
+// dialogs must allocate no more per operation than the recorded
+// baselines — the nil-safe hooks must stay one branch,
 // not a hidden cost. The guard re-runs the baseline-tracked benchmarks
 // via testing.Benchmark and compares allocs/op (exact, unlike ns/op)
 // against the checked-in JSON. Run it with
@@ -33,6 +34,7 @@ import (
 
 type baselineFile struct {
 	Benchmarks map[string]struct {
+		BytesPerOp  int64 `json:"bytes_per_op"`
 		AllocsPerOp int64 `json:"allocs_per_op"`
 	} `json:"benchmarks"`
 }
@@ -71,12 +73,13 @@ type serverBaselineFile struct {
 // guard bounds that overhead instead of demanding equality.
 const serverAllocHeadroom = 1.3
 
-// bytesHeadroom is the slack multiplier for the bytes/op guard.
-// Unlike allocs/op, bytes/op wobbles a few percent run-to-run (map
-// bucket growth and slice doubling land differently across b.N), so
-// the guard flags regressions past 1.3x the recorded post baseline
-// rather than demanding byte-exact repeats.
-const bytesHeadroom = 1.3
+// headroom is the slack multiplier for the bytes/op guards and the
+// Muse-G question's allocs/op guard. Unlike allocs/op, bytes/op wobbles
+// a few percent run-to-run (map bucket growth and slice doubling land
+// differently across b.N), and a question's allocations move with
+// every layer it crosses, so the guard flags regressions past 1.3x the
+// recorded row rather than demanding exact repeats.
+const headroom = 1.3
 
 func loadBaseline(t *testing.T, path string) baselineFile {
 	t.Helper()
@@ -145,17 +148,17 @@ func TestBenchGuard(t *testing.T) {
 		}
 	}
 
-	checkBytes := func(name string, got, want int64) {
+	within := func(name, unit string, got, want int64) {
 		if want == 0 {
-			t.Errorf("%s: no bytes_per_op baseline entry", name)
+			t.Errorf("%s: no %s baseline entry", name, unit)
 			return
 		}
-		limit := int64(float64(want) * bytesHeadroom)
+		limit := int64(float64(want) * headroom)
 		if got > limit {
-			t.Errorf("%s: %d bytes/op exceeds the instance-baseline %d (+%d%% headroom = %d)",
-				name, got, want, int(bytesHeadroom*100)-100, limit)
+			t.Errorf("%s: %d %s exceeds the baseline %d (+%d%% headroom = %d)",
+				name, got, unit, want, int(headroom*100)-100, limit)
 		} else {
-			fmt.Printf("bench-guard %-40s %8d bytes/op  (baseline %d, limit %d)\n", name, got, want, limit)
+			fmt.Printf("bench-guard %-40s %8d %-9s (baseline %d, limit %d)\n", name, got, unit, want, limit)
 		}
 	}
 
@@ -184,8 +187,16 @@ func TestBenchGuard(t *testing.T) {
 		})
 		name := "BenchmarkChaseScenario/" + s.Name
 		check(name, r.AllocsPerOp(), chaseBase.Benchmarks[name].AllocsPerOp)
-		checkBytes(name, r.AllocedBytesPerOp(), instBase.Post.Benchmarks[name].BytesPerOp)
+		within(name, "bytes/op", r.AllocedBytesPerOp(), instBase.Post.Benchmarks[name].BytesPerOp)
 	}
+
+	// One Muse-G grouping function on Fig. 1: its compiled tableau and
+	// chase program, and per question the example, the two scenario runs
+	// and the isomorphism check.
+	r := testing.Benchmark(BenchmarkProbeQuestion)
+	pq := chaseBase.Benchmarks["BenchmarkProbeQuestion"]
+	within("BenchmarkProbeQuestion", "allocs/op", r.AllocsPerOp(), pq.AllocsPerOp)
+	within("BenchmarkProbeQuestion", "bytes/op", r.AllocedBytesPerOp(), pq.BytesPerOp)
 
 	retrBase := loadBaseline(t, "BENCH_retrieval_baseline.json")
 	for _, s := range scenarios.All() {

@@ -34,7 +34,8 @@ func ChaseObs(src *instance.Instance, o *obs.Obs, ms ...*mapping.Mapping) (*inst
 // aborts with ctx.Err() once it is cancelled or past its deadline, so
 // a server's per-request deadline actually stops an in-flight chase.
 // A nil ctx means context.Background(). The partial output is
-// discarded: a cancelled chase returns (nil, ctx.Err()).
+// discarded: a cancelled chase returns (nil, ctx.Err()). Each mapping
+// is compiled for src's catalog (Compile) and run once.
 func ChaseCtx(ctx context.Context, src *instance.Instance, o *obs.Obs, ms ...*mapping.Mapping) (*instance.Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -44,23 +45,17 @@ func ChaseCtx(ctx context.Context, src *instance.Instance, o *obs.Obs, ms ...*ma
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	infos, tgtCat, err := prepare(ms)
+	infos, err := prepare(ms)
 	if err != nil {
 		return nil, err
 	}
-	sp, ctx := o.StartCtx(ctx, obs.SpanChase)
-	if o != nil {
-		o.Counter(obs.MChaseRuns).Inc()
-		o.Gauge(obs.GChaseWorkers).Set(1)
-	}
-	defer sp.Attr("mappings", len(ms)).End()
-	out := instance.New(tgtCat)
+	progs := make([]*Program, len(ms))
 	for i, m := range ms {
-		if err := chaseOne(ctx, src, m, infos[i], out, o); err != nil {
+		if progs[i], err = compile(m, infos[i], src.Cat); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return run(ctx, src, o, progs...)
 }
 
 // ChaseSerial is Chase. It is kept because perfbench's exchange
@@ -72,26 +67,25 @@ func ChaseSerial(src *instance.Instance, ms ...*mapping.Mapping) (*instance.Inst
 // prepare validates the mapping set and resolves each mapping once,
 // reporting the earliest mapping's error first (ambiguity before
 // analysis failure).
-func prepare(ms []*mapping.Mapping) ([]*mapping.Info, *nr.Catalog, error) {
+func prepare(ms []*mapping.Mapping) ([]*mapping.Info, error) {
 	if len(ms) == 0 {
-		return nil, nil, fmt.Errorf("chase: no mappings given")
+		return nil, fmt.Errorf("chase: no mappings given")
 	}
-	tgtCat := ms[0].Tgt
 	infos := make([]*mapping.Info, len(ms))
 	for i, m := range ms {
-		if m.Tgt != tgtCat {
-			return nil, nil, fmt.Errorf("chase: mapping %s targets a different schema", m.Name)
+		if m.Tgt != ms[0].Tgt {
+			return nil, fmt.Errorf("chase: mapping %s targets a different schema", m.Name)
 		}
 		if m.Ambiguous() {
-			return nil, nil, fmt.Errorf("chase: mapping %s is ambiguous; select an interpretation first", m.Name)
+			return nil, fmt.Errorf("chase: mapping %s is ambiguous; select an interpretation first", m.Name)
 		}
 		info, err := m.Analyze()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		infos[i] = info
 	}
-	return infos, tgtCat, nil
+	return infos, nil
 }
 
 // MustChase is Chase, panicking on error.
@@ -101,29 +95,6 @@ func MustChase(src *instance.Instance, ms ...*mapping.Mapping) *instance.Instanc
 		panic(err)
 	}
 	return out
-}
-
-func chaseOne(ctx context.Context, src *instance.Instance, m *mapping.Mapping, info *mapping.Info, out *instance.Instance, o *obs.Obs) error {
-	e := newEvaluator(src, m, info)
-	e.ctx = ctx
-	plan, err := planTarget(m, info, e)
-	if err != nil {
-		return err
-	}
-	sp, _ := o.StartCtx(ctx, obs.SpanChaseMapping)
-	err = e.each(func(asg assignment) error {
-		plan.emit(asg, out)
-		return nil
-	})
-	if o != nil {
-		o.Counter(obs.MChaseAssignments).Add(plan.nAsg)
-		o.Counter(obs.MChaseTuples).Add(plan.nTuples)
-		o.Counter(obs.MChaseNulls).Add(plan.nNulls)
-		o.Counter(obs.MChaseSetIDs).Add(plan.nSetIDs)
-		sp.Attr("mapping", m.Name).Attr("assignments", plan.nAsg).
-			Attr("tuples", plan.nTuples).Attr("nulls", plan.nNulls).End()
-	}
-	return err
 }
 
 // targetPlan is one mapping's exists clause compiled against its for
@@ -153,6 +124,11 @@ type targetPlan struct {
 	// target equality class, which must agree for the assignment to
 	// fire. Only groups of two or more are kept.
 	checks [][]slotRef
+	// poss is the mapping's poss(m, SK), the expressions skolemArgs
+	// reads; sks locates each grouping assignment of the mapping, in
+	// its SKs order, in vars.
+	poss []mapping.Expr
+	sks  []skSite
 	// skVals/skArgs are the assignment's Skolem arguments, hashed once
 	// per emit and retained, on the first intern miss, as one clone
 	// shared by every null and SetID minted over them. termVals/termArgs
@@ -161,11 +137,18 @@ type targetPlan struct {
 	skArgs   instance.TermArgs
 	termVals []instance.Value
 	termArgs instance.TermArgs
-	// nAsg/nTuples/nNulls/nSetIDs count this chase's work (plain ints:
-	// the plan is private to one chaseOne call); chaseOne flushes them
-	// to the observer's counters once per mapping, keeping atomics off
-	// the per-assignment path.
+	// nAsg/nTuples/nNulls/nSetIDs count one run's work (plain ints: a
+	// program serves one run at a time); runInto flushes them to the
+	// observer's counters once per mapping, keeping atomics off the
+	// per-assignment path.
 	nAsg, nTuples, nNulls, nSetIDs int64
+}
+
+// skSite is where one grouping assignment's term is built: set field
+// field of exists variable v.
+type skSite struct {
+	fn       string
+	v, field int
 }
 
 // varPlan is the build plan for one exists variable's tuple, aligned
@@ -203,9 +186,12 @@ type insertStep struct {
 	field  int
 }
 
-func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPlan, error) {
+// compileTarget compiles m's exists clause against the compiled for
+// clause e.
+func compileTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (targetPlan, error) {
 	poss := m.Poss()
-	p := &targetPlan{
+	p := targetPlan{
+		poss:       poss,
 		vars:       make([]varPlan, len(info.TgtOrder)),
 		skolemArgs: make([]slotRef, len(poss)),
 		skVals:     make([]instance.Value, len(poss)),
@@ -276,19 +262,13 @@ func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPl
 		for j, f := range st.SetFields {
 			sk := m.SKForSet(mapping.E(v, f))
 			if sk == nil {
-				return nil, fmt.Errorf("chase: mapping %s has no grouping function for %s.%s (call AddDefaultSKs)", m.Name, v, f)
+				return targetPlan{}, fmt.Errorf("chase: mapping %s has no grouping function for %s.%s (call AddDefaultSKs)", m.Name, v, f)
 			}
 			vp.setFn[j] = sk.SK.Fn
-			if !slices.Equal(sk.SK.Args, poss) {
-				refs := make([]slotRef, len(sk.SK.Args))
-				for k, x := range sk.SK.Args {
-					refs[k] = e.ref(x)
-				}
-				vp.setArgs[j] = refs
-			}
+			vp.setArgs[j] = p.groupArgs(e, sk.SK.Args, nil)
 			child := st.Child(f)
 			if child == nil {
-				return nil, fmt.Errorf("chase: mapping %s: cannot resolve target set %s.%s", m.Name, st.Path, f)
+				return targetPlan{}, fmt.Errorf("chase: mapping %s: cannot resolve target set %s.%s", m.Name, st.Path, f)
 			}
 			vp.child[j] = child
 		}
@@ -320,7 +300,44 @@ func planTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (*targetPl
 			p.checks = append(p.checks, f)
 		}
 	}
+	p.sks = make([]skSite, len(m.SKs))
+	for k, a := range m.SKs {
+		v := varPos[a.Set.Var]
+		p.sks[k] = skSite{fn: a.SK.Fn, v: v, field: slices.Index(p.vars[v].st.SetFields, a.Set.Attr)}
+	}
 	return p, nil
+}
+
+// groupArgs resolves the arguments of a grouping term: nil when they
+// are all of poss in order, so the term takes the assignment's Skolem
+// arguments, and otherwise one ref per argument, appended to buf[:0]
+// (a fresh slice when buf is nil). The result is never nil for other
+// arguments: an empty one groups by nothing.
+func (p *targetPlan) groupArgs(e *evaluator, args []mapping.Expr, buf []slotRef) []slotRef {
+	if slices.Equal(args, p.poss) {
+		return nil
+	}
+	if buf == nil {
+		buf = make([]slotRef, 0, len(args))
+	}
+	refs := buf[:0]
+	for _, x := range args {
+		refs = append(refs, e.ref(x))
+	}
+	return refs
+}
+
+// reset drops what a run left in the plan's scratch (values of its
+// source and output instances) and zeroes its counters.
+func (p *targetPlan) reset() {
+	p.nAsg, p.nTuples, p.nNulls, p.nSetIDs = 0, 0, 0, 0
+	clear(p.skVals)
+	clear(p.termVals[:cap(p.termVals)])
+	p.skArgs, p.termArgs = instance.TermArgs{}, instance.TermArgs{}
+	for i := range p.vars {
+		p.vars[i].scratch.Clear()
+		clear(p.vars[i].occ)
+	}
 }
 
 // emit materializes the target tuples of one satisfying assignment.
@@ -410,7 +427,7 @@ func IsSolution(src, tgt *instance.Instance, ms ...*mapping.Mapping) (bool, erro
 		if err != nil {
 			return false, err
 		}
-		e := newEvaluator(src, m, info)
+		e := forClause(src, m, info)
 		holds := true
 		err = e.each(func(asg assignment) error {
 			if !holds {

@@ -8,8 +8,8 @@ import (
 	"muse/internal/scenarios"
 )
 
-// TestReEmitAllocatesNothing chases each mapping, then emits every
-// assignment a second time into the same output: the nulls it mints hit
+// TestReEmitAllocatesNothing runs each mapping's compiled program, then
+// emits every assignment a second time into the same output: the nulls it mints hit
 // the intern table, its SetIDs hit the occurrence table, and its tuples
 // dedupe before any copy, so a re-emit allocates nothing and adds
 // nothing. TPCH's default grouping (every SetID over all source values)
@@ -48,18 +48,15 @@ func TestReEmitAllocatesNothing(t *testing.T) {
 			if m.Ambiguous() {
 				m = m.Interpretation(make([]int, len(m.OrGroups)))
 			}
-			info, err := m.Analyze()
+			p, err := Compile(m, c.src.Cat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := newEvaluator(c.src, m, info)
-			plan, err := planTarget(m, info, e)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p.e.start(nil, c.src)
+			plan := &p.plan
 			out := instance.New(m.Tgt)
 			var asgs []assignment
-			if err := e.each(func(asg assignment) error {
+			if err := p.e.each(func(asg assignment) error {
 				asgs = append(asgs, append(assignment(nil), asg...))
 				plan.emit(asg, out)
 				return nil
@@ -82,6 +79,7 @@ func TestReEmitAllocatesNothing(t *testing.T) {
 				t.Errorf("mapping %s: re-emitting changed the output (%d→%d tuples, %d→%d interned, %d→%d occurrences)",
 					m.Name, tuples, out.TupleCount(), interned, out.Interned(), sets, len(out.AllSets()))
 			}
+			p.finish()
 		}
 	}
 }

@@ -42,21 +42,10 @@ type generator struct {
 	// (both sides bound at or before it).
 	joins []join
 	// probe lists the earlier-bound values a top-level generator probes
-	// its index with; idx is keyed by the same values read from the
-	// generator's own set. Both are nil when the generator scans.
+	// its index with; idx is the position of that index in the
+	// evaluator's indexSlots, or -1 when the generator scans.
 	probe []slotRef
-	idx   *index
-	// top is the generator's top-level occurrence, resolved on first use.
-	top *instance.SetVal
-}
-
-// index is a top-level set's instance.Index over some of its slots,
-// built on the first probe. A bucket may hold tuples whose values only
-// collide in hash; the generator's join checks, which cover every
-// probed equality, drop them.
-type index struct {
-	slots []int
-	x     *instance.Index
+	idx   int
 }
 
 // holds reports whether every join of g holds on asg. An equality over
@@ -72,19 +61,33 @@ func (g *generator) holds(asg assignment) bool {
 }
 
 // evaluator enumerates the satisfying assignments of a mapping's for
-// clause over a source instance. The for clause is compiled once: each
-// expression becomes a (generator position, slot) pair, and each
-// top-level generator joined to earlier ones gets one hash index over
-// all of its join attributes (composite when there are several).
+// clause. It is compiled once for a source catalog: each expression
+// becomes a (generator position, slot) pair, and each top-level
+// generator joined to earlier ones gets one hash index over all of its
+// join attributes (composite when there are several). A run binds it
+// to one instance of that catalog (start) and drops the instance again
+// (finish); everything a run derives from its instance lives in the
+// per-run fields.
 type evaluator struct {
-	src  *instance.Instance
 	gens []generator
 	// pos maps each for-variable to its generator position; layouts
-	// holds the set type whose slot layout src's tuples follow, per
-	// generator.
+	// holds the set type whose slot layout the catalog's tuples follow,
+	// per generator.
 	pos     map[string]int
 	layouts []*nr.SetType
+	// indexSlots lists the slots of each distinct probe index.
+	// Generators over one set probing the same slots share an index. A
+	// bucket may hold tuples whose values only collide in hash; the
+	// generator's join checks, which cover every probed equality, drop
+	// them.
+	indexSlots [][]int
 
+	// Per-run state. tops holds each generator's top-level occurrence
+	// and indexes each index over it, both resolved on first use
+	// because both belong to the run's instance.
+	src     *instance.Instance
+	tops    []*instance.SetVal
+	indexes []*instance.Index
 	asg     assignment
 	keyVals []instance.Value // probe scratch
 
@@ -113,22 +116,21 @@ func (e *evaluator) cancelled() error {
 	return e.ctx.Err()
 }
 
-// newEvaluator compiles the enumeration plan from a mapping's memoized
-// analysis (callers obtain info once via m.Analyze and thread it
-// through, so analysis runs once per mapping per process).
-func newEvaluator(src *instance.Instance, m *mapping.Mapping, info *mapping.Info) *evaluator {
+// compileEvaluator compiles the enumeration plan of m's for clause for
+// instances of cat, from the mapping's memoized analysis. When cat is
+// not m.Src, each set's slots follow cat's own set type at the same
+// path.
+func compileEvaluator(m *mapping.Mapping, info *mapping.Info, cat *nr.Catalog) evaluator {
 	n := len(m.For)
-	e := &evaluator{src: src, gens: make([]generator, n), pos: make(map[string]int, n),
-		layouts: make([]*nr.SetType, n), asg: make(assignment, n)}
+	e := evaluator{gens: make([]generator, n), pos: make(map[string]int, n),
+		layouts: make([]*nr.SetType, n), tops: make([]*instance.SetVal, n), asg: make(assignment, n)}
 	for i, g := range m.For {
 		e.pos[g.Var] = i
 		st := info.SrcVars[g.Var]
 		e.gens[i].st = st
-		// Slots follow src's own catalog: an instance of another catalog
-		// object lays out each set by its own schema.
 		e.layouts[i] = st
-		if src.Cat != m.Src {
-			if it := src.Cat.ByPath(st.Path); it != nil {
+		if cat != m.Src {
+			if it := cat.ByPath(st.Path); it != nil {
 				e.layouts[i] = it
 			}
 		}
@@ -158,22 +160,24 @@ func newEvaluator(src *instance.Instance, m *mapping.Mapping, info *mapping.Info
 		g.probe = append(g.probe, other)
 		probeSlots[at] = append(probeSlots[at], mine.slot)
 	}
-	// Generators over one set probing the same slots share an index.
 	for i := range e.gens {
 		g := &e.gens[i]
+		g.idx = -1
 		if g.probe == nil {
 			continue
 		}
 		for k := range i {
-			if o := &e.gens[k]; o.idx != nil && e.layouts[k] == e.layouts[i] && slices.Equal(o.idx.slots, probeSlots[i]) {
+			if o := &e.gens[k]; o.idx >= 0 && e.layouts[k] == e.layouts[i] && slices.Equal(e.indexSlots[o.idx], probeSlots[i]) {
 				g.idx = o.idx
 				break
 			}
 		}
-		if g.idx == nil {
-			g.idx = &index{slots: probeSlots[i]}
+		if g.idx < 0 {
+			g.idx = len(e.indexSlots)
+			e.indexSlots = append(e.indexSlots, probeSlots[i])
 		}
 	}
+	e.indexes = make([]*instance.Index, len(e.indexSlots))
 	return e
 }
 
@@ -199,6 +203,21 @@ func (e *evaluator) value(asg assignment, x mapping.Expr) instance.Value {
 	return asg[i].Get(x.Attr)
 }
 
+// start binds a run to src under ctx (nil: never polled).
+func (e *evaluator) start(ctx context.Context, src *instance.Instance) {
+	e.src, e.ctx, e.steps = src, ctx, 0
+}
+
+// finish drops everything the run read from its instance, so the
+// evaluator pins no instance between runs.
+func (e *evaluator) finish() {
+	e.src, e.ctx = nil, nil
+	clear(e.tops)
+	clear(e.indexes)
+	clear(e.asg)
+	clear(e.keyVals[:cap(e.keyVals)])
+}
+
 // each invokes fn for every assignment satisfying the for clause. The
 // assignment is reused across calls: fn must copy what it keeps.
 func (e *evaluator) each(fn func(assignment) error) error {
@@ -210,7 +229,7 @@ func (e *evaluator) enumerate(i int, fn func(assignment) error) error {
 		return fn(e.asg)
 	}
 	g := &e.gens[i]
-	for _, t := range e.candidates(g) {
+	for _, t := range e.candidates(i) {
 		if err := e.cancelled(); err != nil {
 			return err
 		}
@@ -224,11 +243,12 @@ func (e *evaluator) enumerate(i int, fn func(assignment) error) error {
 	return nil
 }
 
-// candidates returns the tuples generator g may bind to, in set order:
+// candidates returns the tuples generator i may bind to, in set order:
 // a nested generator's occurrence, the index bucket of a joined
 // top-level generator, or the whole top-level set. The slice is the
 // source's own and read-only.
-func (e *evaluator) candidates(g *generator) []*instance.Tuple {
+func (e *evaluator) candidates(i int) []*instance.Tuple {
+	g := &e.gens[i]
 	if g.nested {
 		ref, _ := g.parent.of(e.asg).(*instance.SetRef)
 		if ref == nil {
@@ -239,22 +259,34 @@ func (e *evaluator) candidates(g *generator) []*instance.Tuple {
 		}
 		return nil
 	}
-	if g.top == nil {
-		g.top = e.src.Top(g.st)
+	top := e.tops[i]
+	if top == nil {
+		top = e.src.Top(g.st)
+		e.tops[i] = top
 	}
-	if g.idx == nil {
-		return g.top.View()
+	if g.idx < 0 {
+		return top.View()
 	}
 	vals := e.keyVals[:0]
 	for _, r := range g.probe {
 		vals = append(vals, r.of(e.asg))
 	}
 	e.keyVals = vals
-	if g.idx.x == nil {
-		g.idx.x = instance.NewIndex(g.top.View(), g.idx.slots)
+	x := e.indexes[g.idx]
+	if x == nil {
+		x = instance.NewIndex(top.View(), e.indexSlots[g.idx])
+		e.indexes[g.idx] = x
 	}
 	// A join over an unset slot never holds: Lookup finds no bucket.
-	return g.idx.x.Lookup(vals)
+	return x.Lookup(vals)
+}
+
+// forClause compiles m's for clause for src's catalog and binds it to
+// src: the one-shot evaluator of Assignments and IsSolution.
+func forClause(src *instance.Instance, m *mapping.Mapping, info *mapping.Info) *evaluator {
+	e := compileEvaluator(m, info, src.Cat)
+	e.start(nil, src)
+	return &e
 }
 
 // Assignments returns all satisfying assignments of m's for clause
@@ -265,7 +297,7 @@ func Assignments(src *instance.Instance, m *mapping.Mapping) ([]map[string]*inst
 	if err != nil {
 		return nil, err
 	}
-	e := newEvaluator(src, m, info)
+	e := forClause(src, m, info)
 	var out []map[string]*instance.Tuple
 	err = e.each(func(a assignment) error {
 		cp := make(map[string]*instance.Tuple, len(a))

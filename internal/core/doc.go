@@ -20,7 +20,11 @@
 // Muse-G has one question path and one probe loop. GroupingWizard.ask
 // builds, checks and poses the attribute probe, the multi-key question
 // and the group-more question; probeAll runs the probe sequence of
-// DesignSK and GroupLess.
+// DesignSK and GroupLess. DesignSK, GroupLess and GroupMore compile,
+// once per grouping function, the two-copy tableau the examples come
+// from and the mapping's chase program (chase.Compile); ask runs that
+// program on each example with the question's two argument lists, so
+// no question copies or compiles a mapping.
 //
 // Two calling conventions host the dialogs. Session.Run is the
 // callback form: it drives Muse-D then Muse-G, invoking the designer

@@ -25,7 +25,10 @@ func (w *GroupingWizard) GroupLess(m *mapping.Mapping, fn string, d GroupingDesi
 			candidates = append(candidates, e)
 		}
 	}
-	tb := compileTableau(m, w.SrcDeps, 2)
+	tb, err := w.questionTableau(m)
+	if err != nil {
+		return nil, err
+	}
 	confirmed, err := w.probeAll(tb, fn, poss, candidates, slices.Clone(sk.SK.Args), nil, d, &stats)
 	if err != nil {
 		return nil, err
@@ -46,7 +49,10 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
 	keep := slices.Clone(sk.SK.Args)
-	tb := compileTableau(m, w.SrcDeps, 2)
+	tb, err := w.questionTableau(m)
+	if err != nil {
+		return nil, err
+	}
 
 	for i := 0; i < len(keep); i++ {
 		if err := w.context().Err(); err != nil {
@@ -66,7 +72,6 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 				Kind: QuestionGroupMore, Mapping: m, SK: fn, Probe: probe,
 				Confirmed: rest, Include1: keep, Include2: rest,
 			}
-			var err error
 			if ans, err = w.ask(tb, q, []mapping.Expr{probe}, nil, d, &stats); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -105,7 +106,10 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 		sp.Attr("mapping", m.Name).Attr("sk", fn).Attr("questions", stats.Questions).End()
 	}()
 	keyAttrs, rest := keyCovered(m, w.SrcDeps)
-	tb := compileTableau(m, w.SrcDeps, 2)
+	tb, err := w.questionTableau(m)
+	if err != nil {
+		return nil, err
+	}
 	candidates := append(append([]mapping.Expr{}, keyAttrs...), rest...)
 	var alwaysDiffer []mapping.Expr
 
@@ -140,6 +144,19 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	return w.finish(m, fn, confirmed, stats), nil
 }
 
+// questionTableau compiles, once per grouping function, what each of
+// its questions runs on: the two-copy tableau its examples come from,
+// and m's chase compiled for m.Src, which its two scenarios run.
+func (w *GroupingWizard) questionTableau(m *mapping.Mapping) (*tableau, error) {
+	prog, err := chase.Compile(m, m.Src)
+	if err != nil {
+		return nil, err
+	}
+	tb := compileTableau(m, w.SrcDeps, 2)
+	tb.scenarios = prog
+	return tb, nil
+}
+
 // probeAll runs the probe sequence of Sec. III-A over candidates, in
 // order, starting from the confirmed attributes, and returns them
 // grown by every probe the designer accepts. The alwaysDiffer
@@ -152,15 +169,18 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 	// probe of Fig. 3(a) also decides p.cid).
 	eqClass := mapping.NewClasses(m.ForSat)
 	decidedOut := make(map[mapping.Expr]bool)
+	// The closure of the confirmed attributes changes only when a probe
+	// is accepted.
+	closure := closureOf(confirmed, imps)
 	for _, probe := range candidates {
 		if err := w.context().Err(); err != nil {
 			return nil, err
 		}
-		if coversPoss(confirmed, poss, imps) {
+		if coversPoss(closure, poss) {
 			// Thm 3.2 / Cor 3.3: everything left is inconsequential.
 			break
 		}
-		if inClosure(confirmed, probe, imps) {
+		if closure[probe.String()] {
 			// FD generalization of Thm 3.2: probe's membership cannot
 			// change the grouping semantics; skip the question.
 			continue
@@ -200,6 +220,7 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 		switch ans {
 		case 1:
 			confirmed = append(confirmed, probe)
+			closure = closureOf(confirmed, imps)
 		case 2:
 			decidedOut[probe] = true
 		}
@@ -210,15 +231,14 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 // ask poses one Muse-G question whose kind, mapping, grouping function,
 // probe and argument lists are set: it obtains an example on the
 // tableau tb already set up for the question, whose copies differ on
-// differ, and chases it under q.Include1 and q.Include2. When the two
+// differ, and runs tb's compiled chase on it with q.Include1 and
+// q.Include2 as the grouping function's arguments. When the two
 // scenarios coincide on a real example it falls back to the synthetic
 // one; when they coincide there too it poses nothing and returns 0.
 // Otherwise it checks the example against the source constraints,
 // attaches score's ranking when a ranker is attached, and returns the
 // designer's answer, 1 or 2.
 func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.Expr, score func(*rank.Scorer) rank.Ranking, d GroupingDesigner, stats *SKStats) (int, error) {
-	d1 := q.Mapping.WithSK(q.SK, q.Include1)
-	d2 := q.Mapping.WithSK(q.SK, q.Include2)
 	ie, real := w.obtainExample(tb, differ, stats)
 	// The probe span parents into the CURRENT request's trace —
 	// w.context() is re-pointed by Stepper.install per request, so the
@@ -226,11 +246,7 @@ func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.
 	// answer triggered this question.
 	sp, pctx := w.Obs.StartCtx(w.context(), obs.SpanMuseGProbe)
 	defer sp.End()
-	s1, err := chase.ChaseCtx(pctx, ie, w.Obs, d1)
-	if err != nil {
-		return 0, err
-	}
-	s2, err := chase.ChaseCtx(pctx, ie, w.Obs, d2)
+	s1, s2, err := w.scenarios(pctx, tb.scenarios, q, ie)
 	if err != nil {
 		return 0, err
 	}
@@ -242,10 +258,7 @@ func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.
 			real = false
 			stats.RealExamples--
 			stats.SyntheticExamples++
-			if s1, err = chase.ChaseCtx(pctx, ie, w.Obs, d1); err != nil {
-				return 0, err
-			}
-			if s2, err = chase.ChaseCtx(pctx, ie, w.Obs, d2); err != nil {
+			if s1, s2, err = w.scenarios(pctx, tb.scenarios, q, ie); err != nil {
 				return 0, err
 			}
 		}
@@ -278,6 +291,19 @@ func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.
 	}
 	stats.Questions++
 	return ans, nil
+}
+
+// scenarios runs p, the question's mapping compiled for its examples,
+// on example ie with q.Include1 and then q.Include2 as the arguments of
+// the grouping function q.SK.
+func (w *GroupingWizard) scenarios(ctx context.Context, p *chase.Program, q *GroupingQuestion, ie *instance.Instance) (s1, s2 *instance.Instance, err error) {
+	if s1, err = p.RunWithSK(ctx, ie, w.Obs, q.SK, q.Include1); err != nil {
+		return nil, nil, err
+	}
+	if s2, err = p.RunWithSK(ctx, ie, w.Obs, q.SK, q.Include2); err != nil {
+		return nil, nil, err
+	}
+	return s1, s2, nil
 }
 
 // probeSetup computes the agreement pattern of a probe (Sec. III-A) —
@@ -368,31 +394,25 @@ func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Exp
 }
 
 // coversPoss reports whether the closure of the confirmed attributes
-// under the lifted implications contains all of poss (Thm 3.2: the
-// rest is inconsequential).
-func coversPoss(confirmed, poss []mapping.Expr, imps []deps.Implication) bool {
-	if len(confirmed) == 0 {
+// contains all of poss (Thm 3.2: the rest is inconsequential).
+func coversPoss(closure map[string]bool, poss []mapping.Expr) bool {
+	if closure == nil {
 		return false
 	}
-	cl := closureOf(confirmed, imps)
 	for _, e := range poss {
-		if !cl[e.String()] {
+		if !closure[e.String()] {
 			return false
 		}
 	}
 	return true
 }
 
-// inClosure reports whether probe is functionally determined by the
-// confirmed attributes.
-func inClosure(confirmed []mapping.Expr, probe mapping.Expr, imps []deps.Implication) bool {
-	if len(confirmed) == 0 {
-		return false
-	}
-	return closureOf(confirmed, imps)[probe.String()]
-}
-
+// closureOf returns the closure of es under the lifted implications, or
+// nil for no attributes: nothing is implied by nothing.
 func closureOf(es []mapping.Expr, imps []deps.Implication) map[string]bool {
+	if len(es) == 0 {
+		return nil
+	}
 	start := make([]string, len(es))
 	for i, e := range es {
 		start[i] = e.String()

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"muse/internal/chase"
 	"muse/internal/deps"
 	"muse/internal/instance"
 	"muse/internal/mapping"
@@ -39,6 +40,11 @@ type tableau struct {
 
 	// classValue is every slot's synthetic constant (set by name).
 	classValue []instance.Value
+
+	// scenarios is m's chase compiled for m.Src, which a Muse-G
+	// question's two scenarios run (questionTableau); nil on the
+	// tableaux of retrieval and Muse-D.
+	scenarios *chase.Program
 }
 
 // fdRule applies one source FD to one pair of rows over its set: when

@@ -1,36 +1,125 @@
 package crosscheck
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"muse/internal/chase"
 	"muse/internal/homo"
 	"muse/internal/instance"
+	"muse/internal/mapping"
 	"muse/internal/nr"
 	"muse/internal/parser"
 )
 
 // CheckChase runs the chase oracle: on every case and its regrouped
-// twin (Regroup), Chase and NaiveChase must agree up to isomorphism.
-// Panics and error-behavior mismatches count as failures too.
+// twin (Regroup), Chase and NaiveChase must agree up to isomorphism,
+// and each mapping's compiled program, run once as it stands and once
+// per grouping function with random arguments, must give what ChaseCtx
+// gives for the regrouped mapping, in the same insertion order. Panics
+// and error-behavior mismatches count as failures too.
 func CheckChase(cfg Config) []Failure {
 	cfg = cfg.withDefaults()
 	cases := ChaseCases(cfg)
-	// Twins draw from their own stream: the cases the query oracle shares stay as they were.
+	// Twins and program arguments draw from their own streams: the
+	// cases the query oracle shares stay as they were.
 	rg := rand.New(rand.NewSource(cfg.Seed + 3))
 	for _, c := range cases {
 		cases = append(cases, Regroup(rg, c))
 	}
+	rp := rand.New(rand.NewSource(cfg.Seed + 4))
 	var fails []Failure
 	for _, c := range cases {
 		cfg.logf("  chase case %s (%d tuples, %d mappings)", c.Name, c.Src.TupleCount(), len(c.Ms))
-		if f := checkChaseCase(c); f != nil {
-			f.Seed = cfg.Seed
-			fails = append(fails, *f)
+		for _, f := range []*Failure{checkChaseCase(c), checkProgramCase(c, rp)} {
+			if f != nil {
+				f.Seed = cfg.Seed
+				fails = append(fails, *f)
+			}
 		}
 	}
 	return fails
+}
+
+// checkProgramCase runs one compiled program per mapping of c over c's
+// source: as the mapping stands, then for each grouping function with
+// a random subset of poss (the empty one included) drawn from r. Each
+// run must equal ChaseCtx of the correspondingly regrouped mapping, in
+// insertion order; a mapping ChaseCtx refuses must not compile.
+func checkProgramCase(c *Case, r *rand.Rand) *Failure {
+	for _, m := range c.Ms {
+		if detail := checkProgram(c, m, r); detail != "" {
+			return &Failure{Oracle: "chase", Case: c.Name, Detail: "program of " + m.Name + " " + detail, Repro: reproCase(c)}
+		}
+	}
+	return nil
+}
+
+// checkProgram is checkProgramCase for mapping m; it describes the
+// first divergence, or returns "".
+func checkProgram(c *Case, m *mapping.Mapping, r *rand.Rand) string {
+	ctx := context.Background()
+	var p *chase.Program
+	errP := guard(func() (err error) { p, err = chase.Compile(m, c.Src.Cat); return err })
+	var want *instance.Instance
+	errW := guard(func() (err error) { want, err = chase.ChaseCtx(ctx, c.Src, nil, m); return err })
+	if (errP == nil) != (errW == nil) {
+		return fmt.Sprintf("error behavior diverged: Compile=%v ChaseCtx=%v", errP, errW)
+	}
+	if errP != nil {
+		return ""
+	}
+	if d := compareRun(want, "as it stands", func() (*instance.Instance, error) { return p.Run(ctx, c.Src, nil) }); d != "" {
+		return d
+	}
+	for _, sk := range m.SKs {
+		fn, args := sk.SK.Fn, randomArgs(r, m.Poss())
+		what := fmt.Sprintf("regrouped by %s%v", fn, args)
+		if err := guard(func() (err error) { want, err = chase.ChaseCtx(ctx, c.Src, nil, m.WithSK(fn, args)); return err }); err != nil {
+			return what + ": ChaseCtx failed: " + err.Error()
+		}
+		if d := compareRun(want, what, func() (*instance.Instance, error) { return p.RunWithSK(ctx, c.Src, nil, fn, args) }); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+// compareRun runs a program, guarded, and describes how its output
+// differs from want, or returns "".
+func compareRun(want *instance.Instance, what string, runFn func() (*instance.Instance, error)) string {
+	var got *instance.Instance
+	if err := guard(func() (err error) { got, err = runFn(); return err }); err != nil {
+		return what + " failed: " + err.Error()
+	}
+	if !sameInOrder(got, want) {
+		return what + " differs from ChaseCtx"
+	}
+	return ""
+}
+
+// sameInOrder reports whether a and b hold the same occurrences in the
+// same creation order, each with the same tuples in the same insertion
+// order: the same bytes under any rendering.
+func sameInOrder(a, b *instance.Instance) bool {
+	as, bs := a.AllSets(), b.AllSets()
+	if len(as) != len(bs) {
+		return false
+	}
+	for i, x := range as {
+		y := bs[i]
+		if x.Type != y.Type || !instance.SameValue(x.ID, y.ID) || x.Len() != y.Len() {
+			return false
+		}
+		yv := y.View()
+		for k, t := range x.View() {
+			if !instance.SameTuple(t, yv[k]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // naiveBudget bounds the estimated leaf visits of one NaiveChase call.

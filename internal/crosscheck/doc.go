@@ -8,7 +8,9 @@
 //
 //   - chase (CheckChase): Chase vs NaiveChase, a from-scratch no-index
 //     nested-loop reference evaluator, compared up to instance
-//     isomorphism via internal/homo.
+//     isomorphism via internal/homo; and one compiled chase.Program per
+//     mapping, run as it stands and regrouped at random, vs ChaseCtx of
+//     the regrouped mapping, identical in insertion order.
 //   - query (CheckQuery): the cost-based planner (full, Limit, First,
 //     Neq pushdown) vs the naive scan evaluator on generated
 //     conjunctive probes.

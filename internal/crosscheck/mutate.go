@@ -303,11 +303,17 @@ func Regroup(r *rand.Rand, c *Case) *Case {
 	twin := &Case{Name: c.Name + "-regroup", Src: c.Src}
 	for _, m := range c.Ms {
 		for _, sk := range m.SKs {
-			args := append([]mapping.Expr(nil), m.Poss()...)
-			r.Shuffle(len(args), func(i, j int) { args[i], args[j] = args[j], args[i] })
-			m = m.WithSK(sk.SK.Fn, args[:r.Intn(len(args)+1)])
+			m = m.WithSK(sk.SK.Fn, randomArgs(r, m.Poss()))
 		}
 		twin.Ms = append(twin.Ms, m)
 	}
 	return twin
+}
+
+// randomArgs returns a random subset of poss in random order, possibly
+// empty.
+func randomArgs(r *rand.Rand, poss []mapping.Expr) []mapping.Expr {
+	args := append([]mapping.Expr(nil), poss...)
+	r.Shuffle(len(args), func(i, j int) { args[i], args[j] = args[j], args[i] })
+	return args[:r.Intn(len(args)+1)]
 }

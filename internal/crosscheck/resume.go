@@ -209,7 +209,6 @@ type walEnv struct {
 	dir     string
 	token   string
 	pending string // renderStepQ of the question after the answers
-	answers int
 }
 
 // seedWALDialog creates a WAL-backed fig1 session (in memory when dir
@@ -217,7 +216,7 @@ type walEnv struct {
 // path), and tears the whole stack down without Complete/Delete — a
 // crash in miniature.
 func seedWALDialog(dir string, seed int64, answers int) (walEnv, error) {
-	env := walEnv{dir: dir, answers: answers}
+	env := walEnv{dir: dir}
 	mg := server.NewManager(server.Builtin(), obs.New())
 	if dir != "" {
 		ws, _, err := walstore.Open(dir, walstore.Options{})

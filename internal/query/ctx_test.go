@@ -3,9 +3,9 @@ package query
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
-	"time"
 
 	"muse/internal/instance"
 	"muse/internal/nr"
@@ -13,20 +13,24 @@ import (
 )
 
 // crossQueryScenario builds an instance and a deliberately unindexable
-// query (a three-way cross product filtered by inequalities that never
-// all hold), so evaluation visits n^3 candidate combinations.
-func crossQueryScenario(n int) (*instance.Instance, *Query) {
+// query: a three-way cross product over n tuples per set, whose bound
+// attribute takes one of domain values, filtered by inequalities that
+// make the three bound values pairwise distinct. Each tuple also has a
+// key of its own, left unbound, so no two tuples of a set coincide.
+// With no equality to index on, evaluation visits on the order of n^3
+// candidate combinations; with domain 2, by pigeonhole, none matches.
+func crossQueryScenario(n, domain int) (*instance.Instance, *Query) {
 	src := nr.MustCatalog(nr.MustSchema("S", nr.Record(
-		nr.F("A", nr.SetOf(nr.Record(nr.F("a", nr.StringType())))),
-		nr.F("B", nr.SetOf(nr.Record(nr.F("b", nr.StringType())))),
-		nr.F("C", nr.SetOf(nr.Record(nr.F("c", nr.StringType())))),
+		nr.F("A", nr.SetOf(nr.Record(nr.F("k", nr.StringType()), nr.F("a", nr.StringType())))),
+		nr.F("B", nr.SetOf(nr.Record(nr.F("k", nr.StringType()), nr.F("b", nr.StringType())))),
+		nr.F("C", nr.SetOf(nr.Record(nr.F("k", nr.StringType()), nr.F("c", nr.StringType())))),
 	)))
 	in := instance.New(src)
 	for i := 0; i < n; i++ {
-		s := strconv.Itoa(i)
-		in.MustInsertVals("A", "v"+s)
-		in.MustInsertVals("B", "v"+s)
-		in.MustInsertVals("C", "v"+s)
+		k, v := strconv.Itoa(i), "v"+strconv.Itoa(i%domain)
+		in.MustInsertVals("A", "a"+k, v)
+		in.MustInsertVals("B", "b"+k, v)
+		in.MustInsertVals("C", "c"+k, v)
 	}
 	q := &Query{
 		Src: src,
@@ -35,32 +39,34 @@ func crossQueryScenario(n int) (*instance.Instance, *Query) {
 			{Var: "y", Set: nr.ParsePath("B"), Bind: map[string]string{"b": "vb"}},
 			{Var: "z", Set: nr.ParsePath("C"), Bind: map[string]string{"c": "vc"}},
 		},
-		// No equalities to index on; the inequalities only prune at the
-		// deepest level, so the search space stays n^3.
 		Neq: [][2]string{{"va", "vb"}, {"vb", "vc"}, {"va", "vc"}},
 	}
 	return in, q
 }
 
+// TestEvalCtxCancelStopsPromptly: a cancelled context stops a search
+// that, matching nothing, would otherwise run until the search budget
+// ends it, some n^3/2 rows in. The context cancels from its second Err
+// call, so the first poll inside the search aborts, within the first
+// few candidate lists of n rows, whatever the timing.
 func TestEvalCtxCancelStopsPromptly(t *testing.T) {
-	in, q := crossQueryScenario(200)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := q.Eval(in, Options{Ctx: ctx})
+	const n = 200
+	in, q := crossQueryScenario(n, 2)
+	o := obs.New()
+	ms, err := q.Eval(in, Options{Ctx: &cancelOnSecondErr{Context: context.Background()}, Obs: o})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Eval after cancel: err = %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("cancelled Eval took %v, want prompt abort", elapsed)
+	if len(ms) != 0 {
+		t.Fatalf("cancelled Eval returned %d matches", len(ms))
+	}
+	if scanned := o.Reg.Counter(obs.MQueryRowsScanned).Value(); scanned > 5*n {
+		t.Fatalf("cancelled Eval scanned %d rows, want at most %d", scanned, 5*n)
 	}
 }
 
 func TestEvalCtxAlreadyCancelled(t *testing.T) {
-	in, q := crossQueryScenario(4)
+	in, q := crossQueryScenario(4, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ms, err := q.Eval(in, Options{Ctx: ctx})
@@ -72,11 +78,16 @@ func TestEvalCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// TestEvalCtxBackgroundUnchanged: threading a live context changes no
+// match of a query that has some.
 func TestEvalCtxBackgroundUnchanged(t *testing.T) {
-	in, q := crossQueryScenario(6)
+	in, q := crossQueryScenario(6, 3)
 	plain, err := q.Eval(in, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(plain) == 0 {
+		t.Fatal("the three-valued cross product has no matches")
 	}
 	withCtx, err := q.Eval(in, Options{Ctx: context.Background()})
 	if err != nil {
@@ -84,6 +95,11 @@ func TestEvalCtxBackgroundUnchanged(t *testing.T) {
 	}
 	if len(plain) != len(withCtx) {
 		t.Fatalf("ctx-threaded Eval returned %d matches, plain %d", len(withCtx), len(plain))
+	}
+	for i := range plain {
+		if !slices.Equal(plain[i].Tuples, withCtx[i].Tuples) {
+			t.Fatalf("match %d differs with a context", i)
+		}
 	}
 }
 
