@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"muse/internal/mapping"
+	"muse/internal/obs"
 )
 
 // GroupLess refines an already-designed grouping function by asking
@@ -19,6 +20,7 @@ func (w *GroupingWizard) GroupLess(m *mapping.Mapping, fn string, d GroupingDesi
 	}
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
+	defer endSKSpan(w.Obs.Start(obs.SpanMuseGSK), &stats)
 	var candidates []mapping.Expr
 	for _, e := range poss {
 		if !slices.Contains(sk.SK.Args, e) {
@@ -48,6 +50,7 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 	}
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
+	defer endSKSpan(w.Obs.Start(obs.SpanMuseGSK), &stats)
 	keep := slices.Clone(sk.SK.Args)
 	tb, err := w.questionTableau(m)
 	if err != nil {

@@ -101,10 +101,7 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 	}
 	poss := m.Poss()
 	stats := SKStats{Mapping: m.Name, SK: fn, PossSize: len(poss)}
-	sp := w.Obs.Start(obs.SpanMuseGSK)
-	defer func() {
-		sp.Attr("mapping", m.Name).Attr("sk", fn).Attr("questions", stats.Questions).End()
-	}()
+	defer endSKSpan(w.Obs.Start(obs.SpanMuseGSK), &stats)
 	keyAttrs, rest := keyCovered(m, w.SrcDeps)
 	tb, err := w.questionTableau(m)
 	if err != nil {
@@ -142,6 +139,13 @@ func (w *GroupingWizard) DesignSK(m *mapping.Mapping, fn string, d GroupingDesig
 		return nil, err
 	}
 	return w.finish(m, fn, confirmed, stats), nil
+}
+
+// endSKSpan ends the museg.design_sk span that DesignSK, GroupLess and
+// GroupMore each open for one grouping function's design, with the
+// questions the design asked.
+func endSKSpan(sp *obs.Span, stats *SKStats) {
+	sp.Attr("mapping", stats.Mapping).Attr("sk", stats.SK).Attr("questions", stats.Questions).End()
 }
 
 // questionTableau compiles, once per grouping function, what each of

@@ -182,3 +182,50 @@ func TestIncrementalMuseGObsCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignSKSpans: DesignSK, GroupLess and GroupMore each record one
+// museg.design_sk span naming the mapping and the grouping function,
+// whose questions attribute is the count the call appended to the
+// wizard's stats.
+func TestDesignSKSpans(t *testing.T) {
+	type design func(*core.GroupingWizard, *mapping.Mapping, string, core.GroupingDesigner) (*mapping.Mapping, error)
+	cname, location := mapping.E("c", "cname"), mapping.E("c", "location")
+	for _, tc := range []struct {
+		name          string
+		from, desired []mapping.Expr // from nil: Fig. 1's m2 as given
+		run           design
+	}{
+		{"DesignSK", nil, []mapping.Expr{cname}, (*core.GroupingWizard).DesignSK},
+		{"GroupLess", []mapping.Expr{cname}, []mapping.Expr{cname, location}, (*core.GroupingWizard).GroupLess},
+		{"GroupMore", []mapping.Expr{cname, location}, []mapping.Expr{cname}, (*core.GroupingWizard).GroupMore},
+	} {
+		fig := scenarios.NewFigure1(true)
+		m := fig.M2
+		if tc.from != nil {
+			m = m.WithSK("SKProjects", tc.from)
+		}
+		w := core.NewGroupingWizard(fig.SrcDeps, fig.Source)
+		w.Obs = obs.New()
+		if _, err := tc.run(w, m, "SKProjects", designer.NewGroupingOracle("SKProjects", tc.desired)); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.Stats.SKs) != 1 || w.Stats.SKs[0].Questions == 0 {
+			t.Fatalf("%s: wizard stats %+v, want one grouping function with questions", tc.name, w.Stats.SKs)
+		}
+		if w.Obs.Tr.Count() > obs.DefaultRingSize {
+			t.Fatalf("%s: %d spans overflow the %d-span ring", tc.name, w.Obs.Tr.Count(), obs.DefaultRingSize)
+		}
+		var spans []map[string]any
+		for _, rec := range w.Obs.Tr.Finished() {
+			if rec.Name == obs.SpanMuseGSK {
+				spans = append(spans, rec.AttrMap())
+			}
+		}
+		if len(spans) != 1 {
+			t.Fatalf("%s: %d %s spans, want 1", tc.name, len(spans), obs.SpanMuseGSK)
+		}
+		if a := spans[0]; a["mapping"] != m.Name || a["sk"] != "SKProjects" || a["questions"] != w.Stats.SKs[0].Questions {
+			t.Errorf("%s: span attributes %v, want mapping %s, sk SKProjects, questions %d", tc.name, a, m.Name, w.Stats.SKs[0].Questions)
+		}
+	}
+}

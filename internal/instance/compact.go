@@ -12,6 +12,7 @@ import (
 // stable within one rendering (equal terms get equal short names).
 func (in *Instance) StringCompact() string {
 	short := &shortener{sets: make(map[string]int)}
+	w := in.newSetWriter(short.value)
 	var b strings.Builder
 	for _, st := range in.Cat.TopLevel() {
 		s := in.Set(TopID(st))
@@ -19,7 +20,7 @@ func (in *Instance) StringCompact() string {
 			continue
 		}
 		fmt.Fprintf(&b, "%s:\n", st.Path)
-		in.writeSetCompact(&b, s, "  ", short)
+		w.write(&b, s, "  ")
 	}
 	return b.String()
 }
@@ -133,24 +134,4 @@ func (a *arena) newVals(n int) []Value {
 	v := a.vals[:n:n]
 	a.vals = a.vals[n:]
 	return v
-}
-
-func (in *Instance) writeSetCompact(b *strings.Builder, s *SetVal, indent string, sh *shortener) {
-	for _, t := range s.Sorted() {
-		var parts []string
-		for _, a := range t.Set.Atoms {
-			parts = append(parts, sh.value(t.Get(a)))
-		}
-		fmt.Fprintf(b, "%s(%s)\n", indent, strings.Join(parts, ", "))
-		for _, f := range t.Set.SetFields {
-			ref, ok := t.Get(f).(*SetRef)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(b, "%s%s = %s:\n", indent+"  ", f, sh.value(ref))
-			if child := in.Set(ref); child != nil {
-				in.writeSetCompact(b, child, indent+"    ", sh)
-			}
-		}
-	}
 }

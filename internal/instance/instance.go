@@ -501,13 +501,19 @@ func (in *Instance) Equal(other *Instance) bool {
 // that references them.
 func (in *Instance) String() string {
 	var b strings.Builder
+	w := in.newSetWriter(func(v Value) string {
+		if v == nil {
+			return "_"
+		}
+		return v.String()
+	})
 	for _, st := range in.Cat.TopLevel() {
 		s := in.Set(TopID(st))
 		if s == nil {
 			continue
 		}
 		fmt.Fprintf(&b, "%s:\n", st.Path)
-		in.writeSet(&b, s, "  ")
+		w.write(&b, s, "  ")
 	}
 	// Orphan occurrences (nested sets never referenced) are rendered
 	// at the end to keep the output total.
@@ -517,7 +523,7 @@ func (in *Instance) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "[unreferenced] %s:\n", s.ID)
-		in.writeSet(&b, s, "  ")
+		w.write(&b, s, "  ")
 	}
 	return b.String()
 }
@@ -557,25 +563,43 @@ func (s *SetVal) Sorted() []*Tuple {
 	return out
 }
 
-func (in *Instance) writeSet(b *strings.Builder, s *SetVal, indent string) {
-	for _, t := range s.Sorted() {
-		var parts []string
-		for _, v := range t.vals[:len(t.Set.Atoms)] {
-			if v != nil {
-				parts = append(parts, v.String())
-			} else {
-				parts = append(parts, "_")
-			}
+// setWriter prints occurrences with each nested occurrence under every
+// tuple that references it, rendering values through value. It sorts
+// each occurrence once per rendering, however many tuples reference it.
+type setWriter struct {
+	in     *Instance
+	value  func(Value) string
+	sorted map[*SetVal][]*Tuple
+}
+
+func (in *Instance) newSetWriter(value func(Value) string) *setWriter {
+	return &setWriter{in: in, value: value, sorted: make(map[*SetVal][]*Tuple)}
+}
+
+func (w *setWriter) write(b *strings.Builder, s *SetVal, indent string) {
+	ts := s.list // a set of one tuple is in order already
+	if len(ts) > 1 {
+		var ok bool
+		if ts, ok = w.sorted[s]; !ok {
+			ts = s.Sorted()
+			w.sorted[s] = ts
+		}
+	}
+	for _, t := range ts {
+		atoms := len(t.Set.Atoms)
+		parts := make([]string, atoms)
+		for i, v := range t.vals[:atoms] {
+			parts[i] = w.value(v)
 		}
 		fmt.Fprintf(b, "%s(%s)\n", indent, strings.Join(parts, ", "))
 		for i, f := range t.Set.SetFields {
-			ref, ok := t.vals[len(t.Set.Atoms)+i].(*SetRef)
+			ref, ok := t.vals[atoms+i].(*SetRef)
 			if !ok {
 				continue
 			}
-			fmt.Fprintf(b, "%s%s = %s:\n", indent+"  ", f, ref)
-			if child := in.Set(ref); child != nil {
-				in.writeSet(b, child, indent+"    ")
+			fmt.Fprintf(b, "%s%s = %s:\n", indent+"  ", f, w.value(ref))
+			if child := w.in.Set(ref); child != nil {
+				w.write(b, child, indent+"    ")
 			}
 		}
 	}

@@ -73,13 +73,12 @@ const (
 	MSrvResumes          = "muse_server_resume_total"            // sessions rebuilt from the store on token miss
 
 	// durable session store (internal/server/walstore)
-	MSrvWALAppends     = "muse_server_wal_appends_total"     // records appended
-	MSrvWALFsyncs      = "muse_server_wal_fsyncs_total"      // fsyncs issued for appended records
-	MSrvWALBytes       = "muse_server_wal_bytes_total"       // bytes appended
-	MSrvWALCompactions = "muse_server_wal_compactions_total" // per-token compactions (Complete)
-	MSrvWALRecovered   = "muse_server_wal_recovered_total"   // token logs recovered at boot
-	MSrvWALTornTails   = "muse_server_wal_torn_tails_total"  // torn final records truncated at boot
-	MSrvWALCorrupt     = "muse_server_wal_corrupt_total"     // logs refused at boot (mid-file corruption)
+	MSrvWALAppends   = "muse_server_wal_appends_total"    // records appended
+	MSrvWALFsyncs    = "muse_server_wal_fsyncs_total"     // fsyncs issued for appended records
+	MSrvWALBytes     = "muse_server_wal_bytes_total"      // bytes appended
+	MSrvWALRecovered = "muse_server_wal_recovered_total"  // token logs recovered at boot
+	MSrvWALTornTails = "muse_server_wal_torn_tails_total" // torn final records truncated at boot
+	MSrvWALCorrupt   = "muse_server_wal_corrupt_total"    // logs refused at boot (mid-file corruption)
 )
 
 // SrvStepSecondsBounds buckets the server's per-step latency

@@ -91,10 +91,10 @@ type Session struct {
 func (s *Session) Release() { s.mu.Unlock() }
 
 // MarkFinished records the dialog's terminal step once; further calls
-// are no-ops. With a store attached the token's durable state is
-// compacted to its terminal snapshot (best-effort: a failed compaction
-// leaves the full log, which is merely larger, not wrong). Call with
-// the session acquired.
+// are no-ops. With a store attached the token is marked complete
+// (best-effort: a failed Complete leaves a log that replays to the
+// same terminal step, only without Done). Call with the session
+// acquired.
 func (s *Session) MarkFinished(mg *Manager) {
 	if !s.finished {
 		s.finished = true

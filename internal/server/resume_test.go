@@ -193,6 +193,73 @@ func TestResumeAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestFinishedDialogAcrossReplicas: a dialog finished on replica A
+// (its log ends in a done record) resumes on replica B, opened fresh
+// over the same WAL directory, at its terminal step: B serves the
+// byte-identical result and completes the token again, which appends a
+// second done record that still loads as done.
+func TestFinishedDialogAcrossReplicas(t *testing.T) {
+	answers, _ := fig1Answers(t)
+	dir := t.TempDir()
+	replica := func() (*server.Manager, string) {
+		ws, _, err := walstore.Open(dir, walstore.Options{Fsync: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mg := server.NewManager(server.Builtin(), obs.New())
+		mg.Store = ws
+		ts := httptest.NewServer(server.New(mg))
+		t.Cleanup(func() { ts.Close(); mg.Close(); ws.Close() })
+		return mg, ts.URL
+	}
+	doneRecords := func(token string) int {
+		data, err := os.ReadFile(filepath.Join(dir, token+".wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(data), `"r":{"op":"done"}`)
+	}
+
+	_, a := replica()
+	token := createFig1(t, a)
+	answerFig1(t, a, token, answers, 0, len(answers))
+	status, want := rawStep(t, "GET", a+"/v1/sessions/"+token+"/result", "")
+	if status != http.StatusOK {
+		t.Fatalf("result on A: status %d body %s", status, want)
+	}
+	if n := doneRecords(token); n != 1 {
+		t.Fatalf("log holds %d done records after A finished, want 1", n)
+	}
+
+	mgB, b := replica()
+	status, got := rawStep(t, "GET", b+"/v1/sessions/"+token+"/result", "")
+	if status != http.StatusOK {
+		t.Fatalf("result on B: status %d body %s", status, got)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("B's result differs from A's:\n--- A ---\n%s\n--- B ---\n%s", want, got)
+	}
+	if n := mgB.Obs.Registry().Counter(obs.MSrvResumes).Value(); n != 1 {
+		t.Fatalf("B resumed %d times, want 1", n)
+	}
+	if n := doneRecords(token); n != 2 {
+		t.Fatalf("log holds %d done records after B served the result, want 2", n)
+	}
+
+	ws, stats, err := walstore.Open(dir, walstore.Options{Fsync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	if stats.Sessions != 1 || stats.TornTails != 0 || stats.Corrupt != 0 {
+		t.Fatalf("third open: recovery stats = %+v", stats)
+	}
+	ss, ok, err := ws.Load(token)
+	if err != nil || !ok || !ss.Done || len(ss.Answers) != len(answers) {
+		t.Fatalf("third open: Load ok=%v err=%v done=%v answers=%d, want done with %d", ok, err, ss.Done, len(ss.Answers), len(answers))
+	}
+}
+
 // TestTornTailResumesEarlier: a crash mid-append loses only the final,
 // never-acknowledged record; the dialog resumes one answer back.
 func TestTornTailResumesEarlier(t *testing.T) {

@@ -23,8 +23,8 @@ type StoredSession struct {
 	Scenario string
 	// Answers is the ordered accepted-answer prefix.
 	Answers []core.Answer
-	// Done records that the dialog reached its terminal step (the
-	// store was compacted); a resume replays to the terminal state.
+	// Done records that the dialog reached its terminal step
+	// (Complete); a resume still replays every answer to reach it.
 	Done bool
 }
 
@@ -44,9 +44,9 @@ type SessionStore interface {
 	// known. A store that finds state it cannot trust returns an error
 	// (mapped to ErrGone by the manager).
 	Load(token string) (StoredSession, bool, error)
-	// Complete marks the dialog terminal; stores may compact the token
-	// to a single snapshot. The state stays loadable (a client may still
-	// fetch the result after a restart) until Delete.
+	// Complete marks the dialog terminal; calling it again is harmless.
+	// The state stays loadable (a client may still fetch the result
+	// after a restart) until Delete.
 	Complete(token string) error
 	// Delete drops the token's state, reporting whether it existed.
 	Delete(token string) (bool, error)

@@ -9,11 +9,14 @@
 //	{"c":"<crc32c of r, hex>","r":{"op":...}}
 //
 // Three record kinds: "create" (scenario) opens the log, "answer"
-// (seq, answer) logs one accepted answer, and "snapshot" (scenario,
-// answers, done) is the compacted form Complete rewrites the file to.
-// Append fsyncs by default before returning, and the manager
-// acknowledges an answer only after Append returns: an acknowledged
-// answer survives a kill -9.
+// (seq, answer) logs one accepted answer, and "done" marks the dialog
+// finished (Complete appends it; a repeat is harmless, an answer after
+// it is corruption). Logs written by earlier versions may instead hold
+// one "snapshot" (scenario, answers, done) record; it still loads, but
+// nothing writes it any more. Every record is an append: Append fsyncs
+// by default before returning, and the manager acknowledges an answer
+// only after Append returns, so an acknowledged answer survives a
+// kill -9.
 //
 // Recovery: Open scans every log. A torn tail — a final record cut
 // short by a crash mid-write — is truncated away (the dialog resumes
@@ -78,11 +81,12 @@ type Store struct {
 	mu    sync.Mutex
 	files map[string]*os.File // open append handles, one per live token
 
-	mAppends, mFsyncs, mBytes, mCompactions *obs.Counter
-	mRecovered, mTornTails, mCorrupt        *obs.Counter
+	mAppends, mFsyncs, mBytes        *obs.Counter
+	mRecovered, mTornTails, mCorrupt *obs.Counter
 }
 
-// rec is one WAL record (the "r" of the envelope).
+// rec is one WAL record (the "r" of the envelope). Answers and Done
+// are read from snapshot records only.
 type rec struct {
 	Op       string        `json:"op"`
 	Scenario string        `json:"scenario,omitempty"`
@@ -107,16 +111,15 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 		return nil, RecoveryStats{}, err
 	}
 	s := &Store{
-		dir:          dir,
-		fsync:        opts.Fsync,
-		files:        make(map[string]*os.File),
-		mAppends:     opts.Reg.Counter(obs.MSrvWALAppends),
-		mFsyncs:      opts.Reg.Counter(obs.MSrvWALFsyncs),
-		mBytes:       opts.Reg.Counter(obs.MSrvWALBytes),
-		mCompactions: opts.Reg.Counter(obs.MSrvWALCompactions),
-		mRecovered:   opts.Reg.Counter(obs.MSrvWALRecovered),
-		mTornTails:   opts.Reg.Counter(obs.MSrvWALTornTails),
-		mCorrupt:     opts.Reg.Counter(obs.MSrvWALCorrupt),
+		dir:        dir,
+		fsync:      opts.Fsync,
+		files:      make(map[string]*os.File),
+		mAppends:   opts.Reg.Counter(obs.MSrvWALAppends),
+		mFsyncs:    opts.Reg.Counter(obs.MSrvWALFsyncs),
+		mBytes:     opts.Reg.Counter(obs.MSrvWALBytes),
+		mRecovered: opts.Reg.Counter(obs.MSrvWALRecovered),
+		mTornTails: opts.Reg.Counter(obs.MSrvWALTornTails),
+		mCorrupt:   opts.Reg.Counter(obs.MSrvWALCorrupt),
 	}
 	var stats RecoveryStats
 	entries, err := os.ReadDir(dir)
@@ -126,8 +129,8 @@ func Open(dir string, opts Options) (*Store, RecoveryStats, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".wal") {
-			// Leftover .tmp files are abandoned compactions whose rename
-			// never happened; the original .wal is still authoritative.
+			// A leftover .tmp file is a compaction an earlier version
+			// abandoned before its rename; the .wal is authoritative.
 			if strings.HasSuffix(name, ".tmp") {
 				os.Remove(filepath.Join(dir, name))
 			}
@@ -210,15 +213,26 @@ func (s *Store) Append(token, scenario string, seq int, a core.Answer) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.files[token]
-	if !ok {
-		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("walstore: opening log: %w", err)
-		}
-		s.files[token] = f
+	f, err := s.handleLocked(token, path)
+	if err != nil {
+		return err
 	}
 	return s.appendLocked(f, rec{Op: "answer", Seq: seq, Answer: &a})
+}
+
+// handleLocked returns the token's append handle, opening the log
+// O_APPEND when this replica holds none (a handed-off or recovered
+// token).
+func (s *Store) handleLocked(token, path string) (*os.File, error) {
+	if f, ok := s.files[token]; ok {
+		return f, nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("walstore: opening log: %w", err)
+	}
+	s.files[token] = f
+	return f, nil
 }
 
 // appendLocked writes one checksummed record line and, when the store
@@ -279,8 +293,8 @@ func decodeLine(line []byte) (rec, error) {
 // StoredSession. goodLen is the byte offset past the last whole,
 // checksum-clean record: anything beyond it is a torn tail (crash
 // mid-append) the caller may truncate. A bad record *before* the tail,
-// or a record sequence that doesn't fold (answers out of order, no
-// opening create), is ErrCorrupt.
+// or a record sequence that doesn't fold (answers out of order or
+// after done, no opening create), is ErrCorrupt.
 func readLog(path string) (server.StoredSession, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -333,9 +347,17 @@ func foldRec(ss *server.StoredSession, opened *bool, r rec) error {
 		}
 		*opened = true
 		ss.Scenario, ss.Answers, ss.Done = r.Scenario, r.Answers, r.Done
+	case "done":
+		if !*opened {
+			return errors.New("done before create")
+		}
+		ss.Done = true
 	case "answer":
 		if !*opened {
 			return errors.New("answer before create")
+		}
+		if ss.Done {
+			return errors.New("answer after done")
 		}
 		if r.Answer == nil {
 			return errors.New("answer record without an answer")
@@ -369,9 +391,10 @@ func (s *Store) Load(token string) (server.StoredSession, bool, error) {
 	return ss, true, nil
 }
 
-// Complete implements server.SessionStore: compact the log to a single
-// snapshot record via tmp-write + rename, so the compaction is atomic
-// and a crash at any point leaves a loadable log.
+// Complete implements server.SessionStore: append one "done" record
+// and close the token's handle, since a finished dialog logs no more
+// answers. Completing again (a replica serving a handed-off dialog's
+// result) appends another, which loads the same.
 func (s *Store) Complete(token string) error {
 	path, err := s.path(token)
 	if err != nil {
@@ -379,42 +402,16 @@ func (s *Store) Complete(token string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ss, _, err := readLog(path)
+	f, err := s.handleLocked(token, path)
 	if err != nil {
 		return err
 	}
-	line, err := encodeRec(rec{Op: "snapshot", Scenario: ss.Scenario, Answers: ss.Answers, Done: true})
-	if err != nil {
-		return err
+	err = s.appendLocked(f, rec{Op: "done"})
+	delete(s.files, token)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("walstore: closing log: %w", cerr)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("walstore: compacting: %w", err)
-	}
-	if _, err := f.Write(line); err == nil && s.fsync {
-		err = f.Sync()
-	} else if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("walstore: compacting: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("walstore: compacting: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("walstore: compacting: %w", err)
-	}
-	// The old append handle points at the replaced inode; drop it.
-	if old, ok := s.files[token]; ok {
-		old.Close()
-		delete(s.files, token)
-	}
-	s.syncDirLocked()
-	s.mCompactions.Inc()
-	return nil
+	return err
 }
 
 // Delete implements server.SessionStore.
@@ -482,7 +479,7 @@ func (s *Store) Close() error {
 	return first
 }
 
-// syncDirLocked makes a rename/unlink durable. Best-effort: some
+// syncDirLocked makes an unlink durable. Best-effort: some
 // filesystems refuse directory fsync, and the contents themselves are
 // already synced.
 func (s *Store) syncDirLocked() {

@@ -1,9 +1,11 @@
 package walstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,34 +145,102 @@ func TestChecksumMismatchIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestCompleteCompacts(t *testing.T) {
+// oldSnapshotLog is a finished dialog's log as earlier versions left
+// it: Complete rewrote the 6-answer log seed writes into one snapshot
+// record.
+const oldSnapshotLog = `{"c":"18fbd5d9","r":{"op":"snapshot","scenario":"fig1","answers":[{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null},{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null},{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null}],"done":true}}` + "\n"
+
+// TestCompleteAppendsDone: Complete appends one done record to the
+// same file, a repeated done is harmless, and everything after it is
+// held to the log's rules: an answer after done is corruption, a torn
+// done is a torn tail, and a log in the old snapshot format still
+// loads as done.
+func TestCompleteAppendsDone(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, tok+".wal")
 	s, _ := open(t, dir)
 	seed(t, s, 6)
-	big, _ := os.Stat(filepath.Join(dir, tok+".wal"))
+	before, _ := os.ReadFile(path)
+	fiBefore, _ := os.Stat(path)
 	if err := s.Complete(tok); err != nil {
 		t.Fatal(err)
 	}
-	small, _ := os.Stat(filepath.Join(dir, tok+".wal"))
-	if small.Size() >= big.Size() {
-		t.Fatalf("compaction did not shrink the log: %d -> %d bytes", big.Size(), small.Size())
+	after, _ := os.ReadFile(path)
+	fiAfter, _ := os.Stat(path)
+	added, ok := bytes.CutPrefix(after, before)
+	if !ok || bytes.Count(added, []byte("\n")) != 1 {
+		t.Fatalf("Complete did not append exactly one line: %q", added)
 	}
-	ss, ok, err := s.Load(tok)
-	if err != nil || !ok {
-		t.Fatalf("Load after compaction: ok=%v err=%v", ok, err)
+	if r, err := decodeLine(bytes.TrimSuffix(added, []byte("\n"))); err != nil || r.Op != "done" {
+		t.Fatalf("appended line decodes to %+v, %v; want op done", r, err)
 	}
-	if !ss.Done || len(ss.Answers) != 6 {
-		t.Fatalf("compacted state = done=%v answers=%d, want done with 6 answers", ss.Done, len(ss.Answers))
+	if !os.SameFile(fiBefore, fiAfter) {
+		t.Fatal("Complete replaced the log file")
 	}
-	// The compacted log survives a reopen too.
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Complete left a .wal.tmp: %v", err)
+	}
+	loadDone := func(s *Store, want bool) {
+		t.Helper()
+		ss, ok, err := s.Load(tok)
+		if err != nil || !ok || ss.Done != want || len(ss.Answers) != 6 {
+			t.Fatalf("Load: ok=%v err=%v done=%v answers=%d, want done=%v with 6 answers", ok, err, ss.Done, len(ss.Answers), want)
+		}
+	}
+	loadDone(s, true)
 	s.Close()
 	s2, stats := open(t, dir)
-	if stats.Sessions != 1 {
-		t.Fatalf("recovery stats after compaction = %+v", stats)
+	if stats.Sessions != 1 || stats.TornTails != 0 || stats.Corrupt != 0 {
+		t.Fatalf("recovery stats after Complete = %+v", stats)
 	}
-	if ss, _, _ := s2.Load(tok); !ss.Done {
-		t.Fatal("compacted snapshot lost across reopen")
+	loadDone(s2, true)
+
+	// A replica serving a handed-off dialog's result completes it again.
+	if err := s2.Complete(tok); err != nil {
+		t.Fatal(err)
 	}
+	loadDone(s2, true)
+	done, _ := os.ReadFile(path)
+
+	t.Run("answer after done", func(t *testing.T) {
+		if err := s2.Append(tok, "fig1", 7, core.Answer{Scenario: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s2.Load(tok); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load: err=%v, want ErrCorrupt", err)
+		}
+		if _, stats := open(t, dir); stats.Corrupt != 1 || stats.Sessions != 0 {
+			t.Fatalf("recovery stats = %+v, want 1 corrupt", stats)
+		}
+	})
+
+	t.Run("torn done", func(t *testing.T) {
+		if err := os.WriteFile(path, append(slices.Clone(before), done[len(before):len(before)+10]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, stats := open(t, dir)
+		if stats.Sessions != 1 || stats.TornTails != 1 || stats.Corrupt != 0 {
+			t.Fatalf("recovery stats = %+v, want 1 torn tail", stats)
+		}
+		loadDone(s, false)
+	})
+
+	t.Run("old snapshot format", func(t *testing.T) {
+		if err := os.WriteFile(path, []byte(oldSnapshotLog), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, stats := open(t, dir)
+		if stats.Sessions != 1 || stats.TornTails != 0 || stats.Corrupt != 0 {
+			t.Fatalf("recovery stats = %+v", stats)
+		}
+		loadDone(s, true)
+		ss, _, _ := s.Load(tok)
+		for i, a := range ss.Answers {
+			if a.Scenario != 1+(i+1)%2 {
+				t.Fatalf("answer %d = %+v, want scenario %d", i+1, a, 1+(i+1)%2)
+			}
+		}
+	})
 }
 
 func TestDelete(t *testing.T) {
@@ -228,7 +298,7 @@ func TestTokensFiltersNonTokenFiles(t *testing.T) {
 	s, _ := open(t, dir)
 	seed(t, s, 2)
 	for _, plant := range []string{
-		tok + ".wal.tmp",                     // compaction in flight (or abandoned, pre-sweep)
+		tok + ".wal.tmp",                     // an earlier version's abandoned compaction, pre-sweep
 		"notes.wal",                          // stray file with the right suffix, wrong name
 		"ABCDEF00112233445566778899aabb.wal", // uppercase: not a minted token
 		"readme.txt",
@@ -248,5 +318,42 @@ func TestTokensFiltersNonTokenFiles(t *testing.T) {
 		if _, ok, err := s.Load(token); err != nil || !ok {
 			t.Fatalf("reported token %q does not load: ok=%v err=%v", token, ok, err)
 		}
+	}
+}
+
+// BenchmarkWALDialog is the store's share of one fig1-length dialog:
+// Create, one Append per answer, Complete and Delete, with and without
+// an fsync per record.
+func BenchmarkWALDialog(b *testing.B) {
+	const answers = 11 // fig1's dialog length
+	for _, fsync := range []bool{false, true} {
+		name := "fsync=off"
+		if fsync {
+			name = "fsync=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, _, err := Open(b.TempDir(), Options{Fsync: fsync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.Create(tok, "fig1"); err != nil {
+					b.Fatal(err)
+				}
+				for seq := 1; seq <= answers; seq++ {
+					if err := s.Append(tok, "fig1", seq, core.Answer{Scenario: 1 + seq%2}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.Complete(tok); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Delete(tok); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
