@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -201,38 +202,20 @@ func TestResumeAcrossRestart(t *testing.T) {
 func TestFinishedDialogAcrossReplicas(t *testing.T) {
 	answers, _ := fig1Answers(t)
 	dir := t.TempDir()
-	replica := func() (*server.Manager, string) {
-		ws, _, err := walstore.Open(dir, walstore.Options{Fsync: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg := server.NewManager(server.Builtin(), obs.New())
-		mg.Store = ws
-		ts := httptest.NewServer(server.New(mg))
-		t.Cleanup(func() { ts.Close(); mg.Close(); ws.Close() })
-		return mg, ts.URL
-	}
-	doneRecords := func(token string) int {
-		data, err := os.ReadFile(filepath.Join(dir, token+".wal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Count(string(data), `"r":{"op":"done"}`)
-	}
 
-	_, a := replica()
-	token := createFig1(t, a)
-	answerFig1(t, a, token, answers, 0, len(answers))
-	status, want := rawStep(t, "GET", a+"/v1/sessions/"+token+"/result", "")
+	_, a := walReplica(t, dir)
+	token := createFig1(t, a.URL)
+	answerFig1(t, a.URL, token, answers, 0, len(answers))
+	status, want := rawStep(t, "GET", a.URL+"/v1/sessions/"+token+"/result", "")
 	if status != http.StatusOK {
 		t.Fatalf("result on A: status %d body %s", status, want)
 	}
-	if n := doneRecords(token); n != 1 {
+	if n := countDone(t, dir, token); n != 1 {
 		t.Fatalf("log holds %d done records after A finished, want 1", n)
 	}
 
-	mgB, b := replica()
-	status, got := rawStep(t, "GET", b+"/v1/sessions/"+token+"/result", "")
+	mgB, b := walReplica(t, dir)
+	status, got := rawStep(t, "GET", b.URL+"/v1/sessions/"+token+"/result", "")
 	if status != http.StatusOK {
 		t.Fatalf("result on B: status %d body %s", status, got)
 	}
@@ -242,7 +225,7 @@ func TestFinishedDialogAcrossReplicas(t *testing.T) {
 	if n := mgB.Obs.Registry().Counter(obs.MSrvResumes).Value(); n != 1 {
 		t.Fatalf("B resumed %d times, want 1", n)
 	}
-	if n := doneRecords(token); n != 2 {
+	if n := countDone(t, dir, token); n != 2 {
 		t.Fatalf("log holds %d done records after B served the result, want 2", n)
 	}
 
@@ -258,6 +241,89 @@ func TestFinishedDialogAcrossReplicas(t *testing.T) {
 	if err != nil || !ok || !ss.Done || len(ss.Answers) != len(answers) {
 		t.Fatalf("third open: Load ok=%v err=%v done=%v answers=%d, want done with %d", ok, err, ss.Done, len(ss.Answers), len(answers))
 	}
+}
+
+// TestCancelledDialogResumesAfterDone: an answer whose request was
+// cancelled fails the session terminally, and polling that failed step
+// completes the token, so its log holds a done record. The failure is
+// not logged: a replica opened over the same directory replays to the
+// next pending question and accepts its answer after the done record.
+// That acknowledged answer must survive another reopen, and the dialog
+// must run on to the reference result.
+func TestCancelledDialogResumesAfterDone(t *testing.T) {
+	answers, wantMappings := fig1Answers(t)
+	dir := t.TempDir()
+
+	_, a := walReplica(t, dir)
+	token := createFig1(t, a.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/v1/sessions/"+token+"/answer",
+		strings.NewReader(fmt.Sprintf(`{"scenario":%d}`, answers[0].Scenario))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	a.Config.Handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusGatewayTimeout && rec.Code != http.StatusOK {
+		t.Fatalf("cancelled answer: status %d body %s", rec.Code, rec.Body)
+	}
+	status, body := api(t, "GET", a.URL+"/v1/sessions/"+token, nil)
+	if state := body["step"].(map[string]any)["state"]; status != http.StatusOK || state != "failed" {
+		t.Fatalf("step after the cancelled answer: status %d state %v, want failed", status, state)
+	}
+	if n := countDone(t, dir, token); n != 1 {
+		t.Fatalf("log holds %d done records after the failed step, want 1", n)
+	}
+
+	_, b := walReplica(t, dir)
+	status, body = api(t, "GET", b.URL+"/v1/sessions/"+token, nil)
+	if state := body["step"].(map[string]any)["state"]; status != http.StatusOK || state != "grouping_question" {
+		t.Fatalf("resume on B: status %d state %v, want the second question", status, state)
+	}
+	answerFig1(t, b.URL, token, answers, 1, 2)
+
+	_, c := walReplica(t, dir)
+	status, body = api(t, "GET", c.URL+"/v1/sessions/"+token, nil)
+	if status != http.StatusOK {
+		t.Fatalf("resume on C: status %d body %v", status, body)
+	}
+	answerFig1(t, c.URL, token, answers, 2, len(answers))
+	status, result := api(t, "GET", c.URL+"/v1/sessions/"+token+"/result", nil)
+	if status != http.StatusOK {
+		t.Fatalf("result on C: status %d body %v", status, result)
+	}
+	texts := result["mappings"].([]any)
+	if len(texts) != len(wantMappings) {
+		t.Fatalf("result has %d mappings, want %d", len(texts), len(wantMappings))
+	}
+	for i, m := range texts {
+		if got := m.(map[string]any)["text"].(string); got != wantMappings[i] {
+			t.Fatalf("mapping %d diverged:\n%s\nwant:\n%s", i, got, wantMappings[i])
+		}
+	}
+}
+
+// walReplica boots one manager and server over a fresh walstore.Open
+// of dir, as a replica sharing the WAL directory would.
+func walReplica(t *testing.T, dir string) (*server.Manager, *httptest.Server) {
+	t.Helper()
+	ws, _, err := walstore.Open(dir, walstore.Options{Fsync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg := server.NewManager(server.Builtin(), obs.New())
+	mg.Store = ws
+	ts := httptest.NewServer(server.New(mg))
+	t.Cleanup(func() { ts.Close(); mg.Close(); ws.Close() })
+	return mg, ts
+}
+
+// countDone counts the done records in token's log.
+func countDone(t *testing.T, dir, token string) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, token+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(data), `"r":{"op":"done"}`)
 }
 
 // TestTornTailResumesEarlier: a crash mid-append loses only the final,

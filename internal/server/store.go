@@ -23,8 +23,10 @@ type StoredSession struct {
 	Scenario string
 	// Answers is the ordered accepted-answer prefix.
 	Answers []core.Answer
-	// Done records that the dialog reached its terminal step
-	// (Complete); a resume still replays every answer to reach it.
+	// Done records that the dialog reached a terminal step (Complete);
+	// a resume still replays every answer to reach it. It stays set if
+	// answers follow: a dialog whose terminal step was a cancelled
+	// request replays to its next pending question and goes on.
 	Done bool
 }
 

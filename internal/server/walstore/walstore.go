@@ -9,14 +9,16 @@
 //	{"c":"<crc32c of r, hex>","r":{"op":...}}
 //
 // Three record kinds: "create" (scenario) opens the log, "answer"
-// (seq, answer) logs one accepted answer, and "done" marks the dialog
-// finished (Complete appends it; a repeat is harmless, an answer after
-// it is corruption). Logs written by earlier versions may instead hold
-// one "snapshot" (scenario, answers, done) record; it still loads, but
-// nothing writes it any more. Every record is an append: Append fsyncs
-// by default before returning, and the manager acknowledges an answer
-// only after Append returns, so an acknowledged answer survives a
-// kill -9.
+// (seq, answer) logs one accepted answer, and "done" marks that the
+// dialog reached a terminal step (Complete appends it). A repeated
+// done is harmless, and answers may follow one: a dialog that failed
+// because its request was cancelled replays to its next pending
+// question and goes on. Logs written by earlier versions may instead
+// hold one "snapshot" (scenario, answers, done) record; it still
+// loads, but nothing writes it any more. Every record is an append:
+// Append fsyncs by default before returning, and the manager
+// acknowledges an answer only after Append returns, so an acknowledged
+// answer survives a kill -9.
 //
 // Recovery: Open scans every log. A torn tail — a final record cut
 // short by a crash mid-write — is truncated away (the dialog resumes
@@ -293,8 +295,8 @@ func decodeLine(line []byte) (rec, error) {
 // StoredSession. goodLen is the byte offset past the last whole,
 // checksum-clean record: anything beyond it is a torn tail (crash
 // mid-append) the caller may truncate. A bad record *before* the tail,
-// or a record sequence that doesn't fold (answers out of order or
-// after done, no opening create), is ErrCorrupt.
+// or a record sequence that doesn't fold (answers out of order, no
+// opening create), is ErrCorrupt.
 func readLog(path string) (server.StoredSession, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -355,9 +357,6 @@ func foldRec(ss *server.StoredSession, opened *bool, r rec) error {
 	case "answer":
 		if !*opened {
 			return errors.New("answer before create")
-		}
-		if ss.Done {
-			return errors.New("answer after done")
 		}
 		if r.Answer == nil {
 			return errors.New("answer record without an answer")

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"muse/internal/core"
+	"muse/internal/server"
 )
 
 const tok = "00112233445566778899aabbccddeeff"
@@ -151,10 +153,9 @@ func TestChecksumMismatchIsCorrupt(t *testing.T) {
 const oldSnapshotLog = `{"c":"18fbd5d9","r":{"op":"snapshot","scenario":"fig1","answers":[{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null},{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null},{"Scenario":2,"Choices":null},{"Scenario":1,"Choices":null}],"done":true}}` + "\n"
 
 // TestCompleteAppendsDone: Complete appends one done record to the
-// same file, a repeated done is harmless, and everything after it is
-// held to the log's rules: an answer after done is corruption, a torn
-// done is a torn tail, and a log in the old snapshot format still
-// loads as done.
+// same file, a repeated done is harmless, answers logged after a done
+// load as MemStore loads the same calls, a torn done is a torn tail,
+// and a log in the old snapshot format still loads as done.
 func TestCompleteAppendsDone(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, tok+".wal")
@@ -202,15 +203,31 @@ func TestCompleteAppendsDone(t *testing.T) {
 	loadDone(s2, true)
 	done, _ := os.ReadFile(path)
 
+	// A dialog whose terminal step was a cancelled request replays to
+	// its next pending question and goes on: the answers it logs after
+	// done were acknowledged and must load.
 	t.Run("answer after done", func(t *testing.T) {
 		if err := s2.Append(tok, "fig1", 7, core.Answer{Scenario: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s2.Load(tok); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Load: err=%v, want ErrCorrupt", err)
+		ms := server.NewMemStore()
+		ms.Create(tok, "fig1")
+		for i := 1; i <= 6; i++ {
+			ms.Append(tok, "fig1", i, core.Answer{Scenario: 1 + i%2})
 		}
-		if _, stats := open(t, dir); stats.Corrupt != 1 || stats.Sessions != 0 {
-			t.Fatalf("recovery stats = %+v, want 1 corrupt", stats)
+		ms.Complete(tok)
+		ms.Complete(tok)
+		ms.Append(tok, "fig1", 7, core.Answer{Scenario: 1})
+		want, _, _ := ms.Load(tok)
+		if got, ok, err := s2.Load(tok); err != nil || !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Load: ok=%v err=%v %+v, want %+v", ok, err, got, want)
+		}
+		s3, stats := open(t, dir)
+		if stats.Sessions != 1 || stats.TornTails != 0 || stats.Corrupt != 0 {
+			t.Fatalf("recovery stats = %+v", stats)
+		}
+		if got, ok, err := s3.Load(tok); err != nil || !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened Load: ok=%v err=%v %+v, want %+v", ok, err, got, want)
 		}
 	})
 
