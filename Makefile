@@ -4,7 +4,8 @@
 # (concurrent index building in
 # internal/query and the wizards, then the uniqueness verdicts, the
 # refutation rule and the shared instance index and distinct counter
-# repeated), a repeated race pass over concurrent reads of one shared
+# repeated), a repeated race pass over the stepper's answer path, a
+# repeated race pass over concurrent reads of one shared
 # instance, benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
 # paying for a full sweep), an observability smoke run (an end-to-end
@@ -19,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench loc
+.PHONY: ci vet build test race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench loc
 
-ci: vet build race race-retrieval race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
+ci: vet build race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
 
 # vet also fails on any tracked Go file gofmt would rewrite.
 vet:
@@ -42,6 +43,12 @@ race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
 	$(GO) test -race -count=10 -run 'Unique|Refute' ./internal/query
 	$(GO) test -race -count=10 -run 'Index|CountDistinct' ./internal/instance
+
+# The stepper's answer path under the race detector, repeated at two
+# core counts: an answer under a cancelled context must never report
+# success, however the pipeline's end and the cancellation interleave.
+race-wizard:
+	$(GO) test -race -run TestWizardOracle -count=100 -cpu 2,4 ./internal/crosscheck
 
 # Server sessions read one source instance at once. Values carry no
 # caches, so no read writes to the instance; repeat the concurrent-read
@@ -172,9 +179,10 @@ server-smoke:
 	if [ -s $$tmp/addr ]; then \
 		base="http://$$(cat $$tmp/addr)"; \
 		bash docs/walkthrough.sh "$$base" && \
-		curl -fsS "$$base/metrics" | grep -q '^muse_server_sessions_started_total 1' && \
-		curl -fsS "$$base/metrics" | grep -q '^muse_server_sessions_finished_total 1' && \
-		curl -fsS "$$base/metrics" | grep -q '^muse_server_answers_total 11' && \
+		curl -fsS "$$base/metrics" >$$tmp/metrics.txt && \
+		grep -q '^muse_server_sessions_started_total 1' $$tmp/metrics.txt && \
+		grep -q '^muse_server_sessions_finished_total 1' $$tmp/metrics.txt && \
+		grep -q '^muse_server_answers_total 11' $$tmp/metrics.txt && \
 		kill -TERM $$pid && wait $$pid && st=$$? && \
 		echo "server-smoke: session, metrics and graceful shutdown OK"; \
 	else \
@@ -204,7 +212,8 @@ server-smoke:
 			curl -fsS "$$base2/v1/sessions/$$token" | jq -cS .step >$$tmp/after.json && \
 			cmp -s $$tmp/before.json $$tmp/after.json && \
 			bash docs/walkthrough.sh "$$base2" "$$token" 3 && \
-			curl -fsS "$$base2/metrics" | grep -q '^muse_server_resume_total 1' && \
+			curl -fsS "$$base2/metrics" >$$tmp/metrics2.txt && \
+			grep -q '^muse_server_resume_total 1' $$tmp/metrics2.txt && \
 			kill -TERM $$pid && wait $$pid && st=$$? && \
 			echo "server-smoke: WAL kill/restart resume byte-identical OK"; \
 		else \
@@ -253,7 +262,8 @@ resume-smoke:
 		$$tmp/museload -addr-file $$tmp/addr -seed 7 -concurrency 4 -dialogs 12 \
 			-kill-resume 1 -resume-pause 700ms -report $$tmp/load.json && \
 		jq -e '.errors_total == 0 and .resume_checks >= 1' $$tmp/load.json >/dev/null && \
-		curl -fsS "$$base/metrics" | grep -q '^muse_server_resume_total [1-9]' && \
+		curl -fsS "$$base/metrics" >$$tmp/metrics.txt && \
+		grep -q '^muse_server_resume_total [1-9]' $$tmp/metrics.txt && \
 		kill -TERM $$pid && wait $$pid && st=$$? && \
 		echo "resume-smoke: $$(jq -r '.resume_checks' $$tmp/load.json) byte-identical WAL resume(s), 0 errors"; \
 	else \

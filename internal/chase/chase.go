@@ -120,10 +120,10 @@ type targetPlan struct {
 	// an assignment (all source atoms, in order), and the arguments of
 	// every grouping term over all of them.
 	skolemArgs []slotRef
-	// checks are the consistency groups: source expressions feeding one
-	// target equality class, which must agree for the assignment to
-	// fire. Only groups of two or more are kept.
-	checks [][]slotRef
+	// checks are the where clause's implied equalities
+	// (mapping.FeedEqs), each a pair of source values that must agree
+	// for the assignment to fire.
+	checks [][2]slotRef
 	// poss is the mapping's poss(m, SK), the expressions skolemArgs
 	// reads; sks locates each grouping assignment of the mapping, in
 	// its SKs order, in vars.
@@ -203,39 +203,16 @@ func compileTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (target
 	for i, v := range info.TgtOrder {
 		varPos[v] = i
 	}
-	// Union-find over target atom slots, merged by the exists-satisfy
-	// equalities; where-clause equalities attach source expressions to
-	// classes.
-	parent := make(map[mapping.Expr]mapping.Expr)
-	var find func(x mapping.Expr) mapping.Expr
-	find = func(x mapping.Expr) mapping.Expr {
-		px, ok := parent[x]
-		if !ok || px == x {
-			return x
-		}
-		root := find(px)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b mapping.Expr) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, q := range m.ExistsSat {
-		union(q.L, q.R)
-	}
+	// The target atom classes of the exists-satisfy equalities; the
+	// where clause attaches source expressions to classes, and a class
+	// takes its first feed's value (FeedEqs equates the others with it).
+	tgt := mapping.NewClasses(m.ExistsSat)
 	classSource := make(map[mapping.Expr]mapping.Expr) // class root → source expr
 	for _, q := range m.Where {
-		root := find(q.R)
-		if prev, ok := classSource[root]; ok && prev != q.L {
-			// Two different source expressions feed one target slot;
-			// they must be equal for the mapping to be satisfiable. The
-			// chase equates them by checking at emit time.
-			continue
+		root := tgt.Find(q.R)
+		if _, ok := classSource[root]; !ok {
+			classSource[root] = q.L
 		}
-		classSource[root] = q.L
 	}
 	for vi, v := range info.TgtOrder {
 		st := info.TgtVars[v]
@@ -249,8 +226,7 @@ func compileTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (target
 		vp.child = make([]*nr.SetType, len(st.SetFields))
 		vp.occ = make([]*instance.SetVal, len(st.SetFields))
 		for i, a := range st.Atoms {
-			slot := mapping.E(v, a)
-			root := find(slot)
+			root := tgt.Find(mapping.E(v, a))
 			if srcExpr, ok := classSource[root]; ok {
 				vp.atomSrc[i] = e.ref(srcExpr)
 			} else {
@@ -281,24 +257,8 @@ func compileTarget(m *mapping.Mapping, info *mapping.Info, e *evaluator) (target
 		}
 		p.inserts = append(p.inserts, s)
 	}
-	// Consistency groups: where equalities that share a class must
-	// agree at emit time; record them in first-appearance order.
-	groups := make(map[mapping.Expr]int)
-	var feeds [][]slotRef
-	for _, q := range m.Where {
-		root := find(q.R)
-		gi, ok := groups[root]
-		if !ok {
-			gi = len(feeds)
-			groups[root] = gi
-			feeds = append(feeds, nil)
-		}
-		feeds[gi] = append(feeds[gi], e.ref(q.L))
-	}
-	for _, f := range feeds {
-		if len(f) >= 2 {
-			p.checks = append(p.checks, f)
-		}
+	for _, q := range m.FeedEqs() {
+		p.checks = append(p.checks, [2]slotRef{e.ref(q.L), e.ref(q.R)})
 	}
 	p.sks = make([]skSite, len(m.SKs))
 	for k, a := range m.SKs {
@@ -343,15 +303,11 @@ func (p *targetPlan) reset() {
 // emit materializes the target tuples of one satisfying assignment.
 func (p *targetPlan) emit(asg assignment, out *instance.Instance) {
 	p.nAsg++
-	// Enforce multi-feed consistency: if several source expressions
-	// feed one target slot, the assignment only fires when they agree
-	// (the mapping asserts their equality).
-	for _, feeds := range p.checks {
-		first := feeds[0].of(asg)
-		for _, f := range feeds[1:] {
-			if !instance.SameValue(first, f.of(asg)) {
-				return // unsatisfiable for this assignment: no tuples
-			}
+	// The assignment fires only when the where clause's implied
+	// equalities hold (an unset value equals an unset value).
+	for _, c := range p.checks {
+		if !instance.SameValue(c[0].of(asg), c[1].of(asg)) {
+			return // unsatisfiable for this assignment: no tuples
 		}
 	}
 	// The Skolem arguments shared by all nulls of this assignment, and

@@ -288,24 +288,3 @@ func forClause(src *instance.Instance, m *mapping.Mapping, info *mapping.Info) *
 	e.start(nil, src)
 	return &e
 }
-
-// Assignments returns all satisfying assignments of m's for clause
-// over src (copied maps, safe to retain). Exported for the query
-// engine's and wizards' reuse in tests.
-func Assignments(src *instance.Instance, m *mapping.Mapping) ([]map[string]*instance.Tuple, error) {
-	info, err := m.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	e := forClause(src, m, info)
-	var out []map[string]*instance.Tuple
-	err = e.each(func(a assignment) error {
-		cp := make(map[string]*instance.Tuple, len(a))
-		for i, g := range m.For {
-			cp[g.Var] = a[i]
-		}
-		out = append(out, cp)
-		return nil
-	})
-	return out, err
-}

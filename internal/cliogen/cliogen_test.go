@@ -10,6 +10,7 @@ import (
 	"muse/internal/deps"
 	"muse/internal/designer"
 	"muse/internal/homo"
+	"muse/internal/mapping"
 	"muse/internal/scenarios"
 )
 
@@ -104,7 +105,7 @@ func TestGeneratedMappingsClosedUnderRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range set.Mappings {
-		if !m.ClosedUnderRefs(f.SrcDeps) {
+		if !closedUnderRefs(m, f.SrcDeps) {
 			t.Errorf("generated mapping %s is not closed under referential constraints:\n%s", m.Name, m)
 		}
 	}
@@ -178,4 +179,24 @@ func TestEmptyCorrs(t *testing.T) {
 	if len(set.Mappings) != 0 {
 		t.Errorf("no arrows generated %d mappings", len(set.Mappings))
 	}
+}
+
+// closedUnderRefs reports whether every for-variable's referential
+// constraints are witnessed inside m's for clause: some variable over
+// the referenced set is joined to it through the satisfy equalities.
+func closedUnderRefs(m *mapping.Mapping, src *deps.Set) bool {
+	info := m.MustAnalyze()
+	eq := mapping.NewClasses(m.ForSat)
+	for _, v := range info.SrcOrder {
+	refs:
+		for _, r := range src.RefsOf(info.SrcVars[v]) {
+			for _, w := range info.SrcOrder {
+				if info.SrcVars[w].Path.Equal(r.ToSet) && eq.Joined(v, w, r) {
+					continue refs
+				}
+			}
+			return false
+		}
+	}
+	return true
 }

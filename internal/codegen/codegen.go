@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"muse/internal/mapping"
@@ -106,42 +107,30 @@ func fromWhere(m *mapping.Mapping) (string, string) {
 	for _, g := range m.For {
 		tables = append(tables, fmt.Sprintf("%s AS %s", strings.ReplaceAll(g.Root.String(), ".", "_"), g.Var))
 	}
+	// The satisfy clause and the where clause's implied equalities
+	// select the rows the chase fires on.
 	var conds []string
-	for _, q := range m.ForSat {
+	for _, q := range append(slices.Clip(m.ForSat), m.FeedEqs()...) {
 		conds = append(conds, fmt.Sprintf("%s.%s = %s.%s", q.L.Var, columnName(q.L.Attr), q.R.Var, columnName(q.R.Attr)))
 	}
 	return strings.Join(tables, ", "), strings.Join(conds, " AND ")
 }
 
 // solveTargetSlots resolves each target atom slot to a SQL expression:
-// the source column feeding it (directly or through exists-satisfy
-// equalities), or NULL.
+// the first source column feeding it (directly or through
+// exists-satisfy equalities), as in the chase, or NULL.
 func solveTargetSlots(m *mapping.Mapping, info *mapping.Info) map[string]string {
-	parent := make(map[mapping.Expr]mapping.Expr)
-	var find func(x mapping.Expr) mapping.Expr
-	find = func(x mapping.Expr) mapping.Expr {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	for _, q := range m.ExistsSat {
-		ra, rb := find(q.L), find(q.R)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	tgt := mapping.NewClasses(m.ExistsSat)
 	feed := make(map[mapping.Expr]string)
 	for _, q := range m.Where {
-		feed[find(q.R)] = q.L.Var + "." + columnName(q.L.Attr)
+		if root := tgt.Find(q.R); feed[root] == "" {
+			feed[root] = q.L.Var + "." + columnName(q.L.Attr)
+		}
 	}
 	out := make(map[string]string)
 	for _, v := range info.TgtOrder {
 		for _, a := range info.TgtVars[v].Atoms {
-			if expr, ok := feed[find(mapping.E(v, a))]; ok {
+			if expr, ok := feed[tgt.Find(mapping.E(v, a))]; ok {
 				out[slotKey(v, a)] = expr
 			} else {
 				out[slotKey(v, a)] = "NULL"

@@ -58,6 +58,27 @@ func TestSQLForM2(t *testing.T) {
 	}
 }
 
+// TestSQLMultiFeed: feeding o.oname from both c.cname and e.ename
+// implies c.cname = e.ename, and the generated SQL selects only the
+// rows on which it holds, as the chase fires only on them.
+func TestSQLMultiFeed(t *testing.T) {
+	f := scenarios.NewFigure1(false)
+	m := f.M2.Clone()
+	m.Where = append(m.Where, mapping.Eq{L: mapping.E("e", "ename"), R: mapping.E("o", "oname")})
+	sql, err := codegen.SQL(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"WHERE p.cid = c.cid AND e.eid = p.manager AND c.cname = e.ename",
+		"SELECT DISTINCT c.cname, 'SKProjects(' ||",
+	} {
+		if !strings.Contains(sql, want) {
+			t.Errorf("SQL missing %q:\n%s", want, sql)
+		}
+	}
+}
+
 func TestSQLNullsForUncovered(t *testing.T) {
 	// m1 covers only oname; the Projects SetID column is still minted.
 	f := scenarios.NewFigure1(false)

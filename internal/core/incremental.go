@@ -41,8 +41,7 @@ func (w *GroupingWizard) GroupLess(m *mapping.Mapping, fn string, d GroupingDesi
 // GroupMore refines an already-designed grouping function by asking,
 // for each current argument, whether it can be dropped — merging
 // nested sets into bigger ones (Incremental Muse-G, Sec. III-C). An
-// argument the others force to agree, or whose removal changes no
-// example, is dropped without a question.
+// argument the others force to agree is dropped without a question.
 func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesigner) (*mapping.Mapping, error) {
 	sk := m.SKFor(fn)
 	if sk == nil {
@@ -67,22 +66,22 @@ func (w *GroupingWizard) GroupMore(m *mapping.Mapping, fn string, d GroupingDesi
 		// differs. Scenario 1 keeps the argument (two groups),
 		// scenario 2 drops it (one group). The other attributes agree
 		// where they can, as in a Muse-G probe. An argument the others
-		// force to agree is redundant and, like one whose removal
-		// changes no example (ask's 0), is dropped without asking.
-		ans := 0
+		// force to agree is redundant and is dropped without asking.
 		if probeSetup(tb, poss, rest, nil, probe, nil) {
 			q := &GroupingQuestion{
 				Kind: QuestionGroupMore, Mapping: m, SK: fn, Probe: probe,
 				Confirmed: rest, Include1: keep, Include2: rest,
 			}
-			if ans, err = w.ask(tb, q, []mapping.Expr{probe}, nil, d, &stats); err != nil {
+			ans, err := w.ask(tb, q, []mapping.Expr{probe}, nil, d, &stats)
+			if err != nil {
 				return nil, err
 			}
+			if ans == 1 {
+				continue
+			}
 		}
-		if ans != 1 {
-			keep = rest
-			i--
-		}
+		keep = rest
+		i--
 	}
 	return w.finish(m, fn, keep, stats), nil
 }

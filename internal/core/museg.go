@@ -7,7 +7,6 @@ import (
 
 	"muse/internal/chase"
 	"muse/internal/deps"
-	"muse/internal/homo"
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
@@ -168,10 +167,11 @@ func (w *GroupingWizard) questionTableau(m *mapping.Mapping) (*tableau, error) {
 func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, confirmed, alwaysDiffer []mapping.Expr, d GroupingDesigner, stats *SKStats) ([]mapping.Expr, error) {
 	m := tb.m
 	imps := tableauImplications(m, w.SrcDeps)
-	// Attributes joined by satisfy equalities always carry the same
-	// value, so one probe decides the whole equality class (the c.cid
-	// probe of Fig. 3(a) also decides p.cid).
-	eqClass := mapping.NewClasses(m.ForSat)
+	// Attributes joined by satisfy equalities, or by the where clause's
+	// implied ones, carry the same value in every fired assignment, so
+	// one probe decides the whole equality class (the c.cid probe of
+	// Fig. 3(a) also decides p.cid).
+	eqClass := mapping.NewClasses(sourceEqs(m))
 	decidedOut := make(map[mapping.Expr]bool)
 	// The closure of the confirmed attributes changes only when a probe
 	// is accepted.
@@ -221,11 +221,10 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 		if err != nil {
 			return nil, err
 		}
-		switch ans {
-		case 1:
+		if ans == 1 {
 			confirmed = append(confirmed, probe)
 			closure = closureOf(confirmed, imps)
-		case 2:
+		} else {
 			decidedOut[probe] = true
 		}
 	}
@@ -236,10 +235,9 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 // probe and argument lists are set: it obtains an example on the
 // tableau tb already set up for the question, whose copies differ on
 // differ, and runs tb's compiled chase on it with q.Include1 and
-// q.Include2 as the grouping function's arguments. When the two
-// scenarios coincide on a real example it falls back to the synthetic
-// one; when they coincide there too it poses nothing and returns 0.
-// Otherwise it checks the example against the source constraints,
+// q.Include2 as the grouping function's arguments. The two scenarios
+// differ by construction (DESIGN.md §5, "Questions are decided before
+// examples"). It checks the example against the source constraints,
 // attaches score's ranking when a ranker is attached, and returns the
 // designer's answer, 1 or 2.
 func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.Expr, score func(*rank.Scorer) rank.Ranking, d GroupingDesigner, stats *SKStats) (int, error) {
@@ -253,22 +251,6 @@ func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.
 	s1, s2, err := w.scenarios(pctx, tb.scenarios, q, ie)
 	if err != nil {
 		return 0, err
-	}
-	if homo.Isomorphic(s1, s2) {
-		if real {
-			// The real example is too coincidental to differentiate the
-			// scenarios; fall back to the synthetic instance.
-			ie = tb.synthetic()
-			real = false
-			stats.RealExamples--
-			stats.SyntheticExamples++
-			if s1, s2, err = w.scenarios(pctx, tb.scenarios, q, ie); err != nil {
-				return 0, err
-			}
-		}
-		if homo.Isomorphic(s1, s2) {
-			return 0, nil
-		}
 	}
 	if w.SrcDeps != nil {
 		if v := w.SrcDeps.Check(ie); len(v) > 0 {

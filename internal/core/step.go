@@ -303,7 +303,13 @@ func (st *Stepper) Answer(ctx context.Context, a Answer) (Step, error) {
 	// computing that question (request context cancelled) still has the
 	// complete accepted prefix available for replay.
 	st.accepted = append(st.accepted, cloneAnswer(a))
-	return st.Step(ctx)
+	step, err := st.Step(ctx)
+	if err == nil && step.Done && ctx != nil && ctx.Err() != nil {
+		// The pipeline ended on the request's dead context before Step
+		// looked at ctx: the answer stays accepted, the request fails.
+		return Step{}, ctx.Err()
+	}
+	return step, err
 }
 
 // cloneAnswer deep-copies an answer so the log is immune to callers
@@ -322,17 +328,6 @@ func cloneAnswer(a Answer) Answer {
 // Accepted reports how many answers the dialog has accepted so far.
 // Like Step/Answer it must be called with the stepper serialized.
 func (st *Stepper) Accepted() int { return len(st.accepted) }
-
-// Snapshot returns the ordered accepted answers — everything needed
-// (with the scenario) to rebuild the dialog on any replica via
-// ResumeStepper. The slice and its choice lists are fresh copies.
-func (st *Stepper) Snapshot() []Answer {
-	out := make([]Answer, len(st.accepted))
-	for i, a := range st.accepted {
-		out[i] = cloneAnswer(a)
-	}
-	return out
-}
 
 // ResumeStepper rebuilds a dialog from an accepted-answer snapshot by
 // replaying it through the ordinary step path over a fresh session:

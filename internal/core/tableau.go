@@ -53,9 +53,9 @@ type tableau struct {
 type fdRule struct{ from, to []int32 }
 
 // compileTableau lays out copies of m's canonical tableau, merges the
-// satisfy equalities within each copy, compiles src's FDs (declared and
-// key-induced) into rules, and names the classes with no attribute
-// agreeing across copies.
+// equalities of sourceEqs within each copy, compiles src's FDs
+// (declared and key-induced) into rules, and names the classes with no
+// attribute agreeing across copies.
 func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
 	info := m.MustAnalyze()
 	tb := &tableau{m: m, info: info, copies: copies, slot: make(map[mapping.Expr]int32)}
@@ -72,13 +72,14 @@ func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
 	for s := range tb.parent {
 		tb.parent[s] = int32(s)
 	}
+	eqs := sourceEqs(m)
 	for c := 1; c <= copies; c++ {
 		for _, v := range info.SrcOrder {
 			for _, a := range info.SrcVars[v].Atoms {
 				tb.ids = append(tb.ids, "x_"+v+"_"+strings.ReplaceAll(a, ".", "_")+"_"+strconv.Itoa(c))
 			}
 		}
-		for _, q := range m.ForSat {
+		for _, q := range eqs {
 			tb.union(tb.at(c, tb.slot[q.L]), tb.at(c, tb.slot[q.R]))
 		}
 	}
@@ -400,13 +401,25 @@ func (tb *tableau) atomIndex(c int, v string) int {
 	panic(fmt.Sprintf("core: no for-variable %q", v))
 }
 
-// tableauImplications lifts the source FDs and the satisfy equalities
-// to implications over "var.attr" strings, for attribute-closure
-// reasoning on poss(m, SK) (Thm 3.2 and its FD generalization).
+// sourceEqs returns the equalities every assignment the chase fires on
+// satisfies: the satisfy clause, then the where clause's implied
+// equalities (mapping.FeedEqs).
+func sourceEqs(m *mapping.Mapping) []mapping.Eq {
+	feeds := m.FeedEqs()
+	if len(feeds) == 0 {
+		return m.ForSat
+	}
+	return append(slices.Clip(m.ForSat), feeds...)
+}
+
+// tableauImplications lifts the source FDs and the equalities of
+// sourceEqs to implications over "var.attr" strings, for
+// attribute-closure reasoning on poss(m, SK) (Thm 3.2 and its FD
+// generalization).
 func tableauImplications(m *mapping.Mapping, src *deps.Set) []deps.Implication {
 	info := m.MustAnalyze()
 	var imps []deps.Implication
-	for _, q := range m.ForSat {
+	for _, q := range sourceEqs(m) {
 		l, r := q.L.String(), q.R.String()
 		imps = append(imps,
 			deps.Implication{From: []string{l}, To: []string{r}},

@@ -1,7 +1,9 @@
 package crosscheck
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"muse/internal/chase"
@@ -71,8 +73,29 @@ func TestQueryOracle(t *testing.T) {
 func TestWizardOracle(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cases = 2
-	for _, f := range CheckWizard(cfg) {
+	for _, f := range checkDialogs(cfg.withDefaults()) {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestCoincideLeg runs the wizard family's coincide leg: no Muse-G
+// question shows two scenarios that coincide, on random scenarios
+// under keys and FDs, on mutated Sec. VI instances and on multi-feed
+// mappings, and each kind of input poses questions.
+func TestCoincideLeg(t *testing.T) {
+	var lines []string
+	cfg := testConfig()
+	cfg.Logf = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	for _, f := range checkCoincide(cfg) {
+		t.Errorf("%s", f)
+	}
+	if len(lines) != 3 {
+		t.Fatalf("coincide leg logged %q, want one line per kind of input", lines)
+	}
+	for _, l := range lines {
+		if strings.Contains(l, " 0 questions") {
+			t.Errorf("an input kind posed no question: %s", l)
+		}
 	}
 }
 

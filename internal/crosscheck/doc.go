@@ -15,7 +15,9 @@
 //     Neq pushdown) vs the naive scan evaluator on generated
 //     conjunctive probes.
 //   - wizard (CheckWizard): Stepper dialogs vs Session.Run
-//     byte-identity under seeded valid and invalid answer sequences.
+//     byte-identity under seeded valid and invalid answer sequences;
+//     its coincide leg requires every Muse-G question's two scenarios
+//     to differ, on random, multi-feed and mutated Sec. VI designs.
 //   - resume (CheckResume): a dialog rebuilt by replay, in process and
 //     through a reopened WAL store, vs the uninterrupted dialog.
 //   - server (CheckServer): wire sessions vs in-process sessions plus

@@ -13,11 +13,13 @@ import (
 )
 
 // Case is one chase-oracle input: a source instance plus an
-// unambiguous mapping set over it.
+// unambiguous mapping set over it. Deps holds the source constraints
+// a random scenario was generated under (nil on the builtin cases).
 type Case struct {
 	Name string
 	Src  *instance.Instance
 	Ms   []*mapping.Mapping
+	Deps *deps.Set
 }
 
 // adversarialValues are constants the mutator injects alongside values
@@ -227,7 +229,7 @@ func RandomScenario(r *rand.Rand, name string) (*Case, bool) {
 			in.InsertTop(st, t)
 		}
 	}
-	return &Case{Name: name, Src: in, Ms: disambiguate(set)}, true
+	return &Case{Name: name, Src: in, Ms: disambiguate(set), Deps: srcDeps}, true
 }
 
 // randomSourceSchema draws a flat relational source schema: 1–3

@@ -84,9 +84,17 @@ func (rc *recorder) SelectValues(q *core.ChoiceQuestion) ([][]int, error) {
 // over a fresh copy of the same scenario replays the recorded answers
 // — questions, question order, and the refined mapping set must be
 // byte-identical, and injected invalid answers must bounce with
-// ErrInvalidAnswer leaving the pending question untouched.
+// ErrInvalidAnswer leaving the pending question untouched. Its
+// coincide leg then requires every Muse-G question to show two
+// scenarios that differ (checkCoincide).
 func CheckWizard(cfg Config) []Failure {
 	cfg = cfg.withDefaults()
+	return append(checkDialogs(cfg), checkCoincide(cfg)...)
+}
+
+// checkDialogs is the wizard oracle's dialog differential and its
+// cancelled-answer fault.
+func checkDialogs(cfg Config) []Failure {
 	var fails []Failure
 	for _, wc := range wizardCases() {
 		// cfg.Cases random answer sequences per scenario, each with its

@@ -2,7 +2,6 @@ package deps
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -219,19 +218,6 @@ func (s *Set) RefsOf(st *nr.SetType) []Ref {
 	return out
 }
 
-// SingleKeyed reports whether every nested set of the schema has at
-// most one declared key (the common case; Corollary 3.3 applies).
-func (s *Set) SingleKeyed() bool {
-	count := make(map[string]int)
-	for _, k := range s.Keys {
-		count[k.Set.String()]++
-		if count[k.Set.String()] > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Closure computes the attribute closure of start under the FDs (and
 // key-induced FDs) of the set.
 func (s *Set) Closure(st *nr.SetType, start []string) map[string]bool {
@@ -412,16 +398,4 @@ func CloseOver(imps []Implication, start []string) map[string]bool {
 		}
 	}
 	return closed
-}
-
-// SortedMembers returns the members of a closure set, sorted.
-func SortedMembers(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for a, ok := range m {
-		if ok {
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package homo
 
 import (
+	"maps"
 	"sort"
 
 	"muse/internal/instance"
@@ -22,13 +23,50 @@ func Equivalent(a, b *instance.Instance) bool {
 // Isomorphic reports whether a one-to-one homomorphism exists in both
 // directions. The probe instances Muse constructs are chosen so that
 // design alternatives yield non-isomorphic (even when homomorphically
-// equivalent) target instances.
+// equivalent) target instances. Such homomorphisms map the SetIDs of
+// each set type one-to-one, so instances whose reachable tuples
+// reference different numbers of them differ without a search.
 func Isomorphic(a, b *instance.Instance) bool {
+	if !maps.Equal(setIDCounts(a), setIDCounts(b)) {
+		return false
+	}
 	if _, ok := find(a, b, true); !ok {
 		return false
 	}
 	_, ok := find(b, a, true)
 	return ok
+}
+
+// setIDCounts counts, per set type path, the distinct SetIDs that the
+// tuples reachable from in's top-level sets reference: the SetIDs a
+// search binds.
+func setIDCounts(in *instance.Instance) map[string]int {
+	counts := make(map[string]int)
+	var seen instance.VecMap[bool]
+	var walk func(s *instance.SetVal)
+	walk = func(s *instance.SetVal) {
+		for _, t := range s.View() {
+			for _, f := range s.Type.SetFields {
+				ref, ok := t.Get(f).(*instance.SetRef)
+				if !ok {
+					continue
+				}
+				if _, dup := seen.Get([]instance.Value{ref}); !dup {
+					seen.Put([]instance.Value{ref}, true)
+					counts[s.Type.Child(f).Path.String()]++
+					if occ := in.Set(ref); occ != nil {
+						walk(occ)
+					}
+				}
+			}
+		}
+	}
+	for _, st := range in.Cat.TopLevel() {
+		if top := in.Set(instance.TopID(st)); top != nil {
+			walk(top)
+		}
+	}
+	return counts
 }
 
 // Find returns a homomorphism a → b as a table from a's nulls and

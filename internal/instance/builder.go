@@ -31,14 +31,6 @@ func (in *Instance) InsertRow(path string, row Row) error {
 	return nil
 }
 
-// MustInsertRow is InsertRow, panicking on error. For tests and
-// statically known data.
-func (in *Instance) MustInsertRow(path string, row Row) {
-	if err := in.InsertRow(path, row); err != nil {
-		panic(err)
-	}
-}
-
 // MustInsertVals inserts a row giving values positionally in the set
 // type's atom order.
 func (in *Instance) MustInsertVals(path string, vals ...string) {

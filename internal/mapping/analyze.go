@@ -28,12 +28,6 @@ func (in *Info) VarSet(v string) *nr.SetType {
 	return in.TgtVars[v]
 }
 
-// IsSrcVar reports whether v is bound in the for clause.
-func (in *Info) IsSrcVar(v string) bool { _, ok := in.SrcVars[v]; return ok }
-
-// IsTgtVar reports whether v is bound in the exists clause.
-func (in *Info) IsTgtVar(v string) bool { _, ok := in.TgtVars[v]; return ok }
-
 // Analyze resolves and validates the mapping, caching the result. It
 // checks that: variables are uniquely named and bound before use;
 // generators reference existing (top-level or parent-nested) sets;

@@ -24,12 +24,6 @@ func TestAnalyzeFig1(t *testing.T) {
 	if got := info.TgtVars["p1"].Path.String(); got != "Orgs.Projects" {
 		t.Errorf("p1 ranges over %s", got)
 	}
-	if !info.IsSrcVar("c") || info.IsSrcVar("o") {
-		t.Error("IsSrcVar misclassifies")
-	}
-	if !info.IsTgtVar("e1") || info.IsTgtVar("e") {
-		t.Error("IsTgtVar misclassifies")
-	}
 	if info.VarSet("zzz") != nil {
 		t.Error("VarSet returns something for unbound variable")
 	}
@@ -369,5 +363,35 @@ func TestSKForSet(t *testing.T) {
 	}
 	if f.M2.SKForSet(mapping.E("o", "Nope")) != nil {
 		t.Error("SKForSet invented an assignment")
+	}
+}
+
+// TestFeedEqs: the where clause's implied equalities, one from each
+// class's first feed to each later, different one, in where-clause
+// order, with classes joined through the exists-satisfy clause.
+func TestFeedEqs(t *testing.T) {
+	if eqs := fig1(t).M2.FeedEqs(); len(eqs) != 0 {
+		t.Errorf("m2 has one feed per target class, FeedEqs = %v", eqs)
+	}
+	E := mapping.E
+	m := &mapping.Mapping{
+		ExistsSat: []mapping.Eq{{L: E("p1", "manager"), R: E("e1", "eid")}},
+		Where: []mapping.Eq{
+			{L: E("c", "cname"), R: E("o", "oname")},
+			{L: E("e", "eid"), R: E("e1", "eid")},
+			{L: E("p", "manager"), R: E("p1", "manager")}, // joined to e1.eid
+			{L: E("e", "ename"), R: E("o", "oname")},
+			{L: E("c", "cname"), R: E("o", "oname")}, // repeats the first feed
+			{L: E("p", "pname"), R: E("o", "oname")},
+			{L: E("p", "manager"), R: E("e1", "eid")}, // repeats a later feed
+		},
+	}
+	var got []string
+	for _, q := range m.FeedEqs() {
+		got = append(got, q.String())
+	}
+	want := []string{"e.eid = p.manager", "c.cname = e.ename", "c.cname = p.pname"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("FeedEqs = %q, want %q", got, want)
 	}
 }

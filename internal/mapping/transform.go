@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 
 	"muse/internal/deps"
 	"muse/internal/nr"
@@ -188,92 +189,27 @@ func (m *Mapping) MultiInterpretation(selected [][]int) ([]*Mapping, error) {
 	}
 }
 
-// CloseUnderRefs extends the for clause (and its satisfy equalities)
-// so the mapping is closed under the given source referential
-// constraints (Sec. II: "a mapping that is not closed under
-// referential constraints can always be transformed into an
-// equivalent one ... by chasing"). Constraints must be acyclic; the
-// chase is capped and an error is returned if it does not terminate.
-func (m *Mapping) CloseUnderRefs(src *deps.Set) error {
-	info, err := m.Analyze()
-	if err != nil {
-		return err
-	}
-	fresh := 0
-	// Work on growing copies of the clauses.
-	for round := 0; ; round++ {
-		// Acyclic constraint sets close after at most one round per
-		// stratum; far fewer than this cap.
-		if round > 50 {
-			return fmt.Errorf("mapping %s: referential-constraint chase did not terminate (cyclic constraints?)", m.Name)
-		}
-		applied := false
-		for _, v := range append([]string{}, info.SrcOrder...) {
-			st := info.SrcVars[v]
-			for _, r := range src.RefsOf(st) {
-				if m.refSatisfied(info, v, r) {
-					continue
-				}
-				to := m.Src.ByPath(r.ToSet)
-				if to == nil {
-					return fmt.Errorf("mapping %s: constraint %s references unknown set %s", m.Name, r.Name, r.ToSet)
-				}
-				if to.Parent != nil {
-					return fmt.Errorf("mapping %s: constraint %s targets nested set %s; closing over nested targets is not supported", m.Name, r.Name, r.ToSet)
-				}
-				fresh++
-				w := fmt.Sprintf("_%s%d", r.Name, fresh)
-				for info.VarSet(w) != nil {
-					fresh++
-					w = fmt.Sprintf("_%s%d", r.Name, fresh)
-				}
-				m.For = append(m.For, FromRoot(w, r.ToSet.String()))
-				for i := range r.FromAttrs {
-					m.ForSat = append(m.ForSat, Eq{L: E(v, r.FromAttrs[i]), R: E(w, r.ToAttrs[i])})
-				}
-				m.invalidate()
-				info, err = m.Analyze()
-				if err != nil {
-					return err
-				}
-				applied = true
-			}
-		}
-		if !applied {
-			return nil
-		}
-	}
-}
-
-// ClosedUnderRefs reports whether every for-variable's referential
-// constraints are witnessed inside the for clause.
-func (m *Mapping) ClosedUnderRefs(src *deps.Set) bool {
-	info, err := m.Analyze()
-	if err != nil {
-		return false
-	}
-	for _, v := range info.SrcOrder {
-		for _, r := range src.RefsOf(info.SrcVars[v]) {
-			if !m.refSatisfied(info, v, r) {
-				return false
+// FeedEqs returns the equalities between source expressions that the
+// where clause implies: when two or more where-equalities feed one
+// class of target atoms (the classes of the exists-satisfy clause),
+// one equality from the first source expression to each later,
+// different one, in where-clause order. The chase fires an assignment
+// only when these equalities hold, so for its fired assignments they
+// are as binding as the satisfy clause.
+func (m *Mapping) FeedEqs() []Eq {
+	tgt := NewClasses(m.ExistsSat)
+	roots := make([]Expr, len(m.Where))
+	var eqs []Eq
+	for i, q := range m.Where {
+		roots[i] = tgt.Find(q.R)
+		// The class's first feed is its earliest where-equality.
+		if j := slices.Index(roots[:i], roots[i]); j >= 0 {
+			if eq := (Eq{L: m.Where[j].L, R: q.L}); eq.L != eq.R && !slices.Contains(eqs, eq) {
+				eqs = append(eqs, eq)
 			}
 		}
 	}
-	return true
-}
-
-// refSatisfied reports whether some for-variable w over r.ToSet is
-// joined to v on the constraint's attribute pairs via the satisfy
-// equalities (checked up to the reflexive-transitive closure of the
-// equalities).
-func (m *Mapping) refSatisfied(info *Info, v string, r deps.Ref) bool {
-	eq := NewClasses(m.ForSat)
-	for _, w := range info.SrcOrder {
-		if info.SrcVars[w].Path.Equal(r.ToSet) && eq.Joined(v, w, r) {
-			return true
-		}
-	}
-	return false
+	return eqs
 }
 
 // Classes is a union-find over attribute expressions: the classes of

@@ -121,27 +121,3 @@ func validateType(schema string, t *Type, at Path) error {
 		return fmt.Errorf("nr: schema %s: unknown kind %d at %q", schema, int(t.Kind), at)
 	}
 }
-
-// Resolve walks the path from the schema root and returns the type it
-// names. Set types are traversed transparently: a label following a
-// set field is looked up in the set's element record. The returned
-// type is the type of the final field itself (so resolving
-// ["Companies"] yields the SetOf type, not its element).
-func (s *Schema) Resolve(p Path) (*Type, error) {
-	t := s.Root
-	for i, label := range p {
-		// Descend through sets to their element records.
-		for t.Kind == KindSet {
-			t = t.Elem
-		}
-		if t.Kind != KindRecord && t.Kind != KindChoice {
-			return nil, fmt.Errorf("nr: schema %s: path %q: %q is not addressable inside an atomic type", s.Name, p, label)
-		}
-		f, ok := t.Field(label)
-		if !ok {
-			return nil, fmt.Errorf("nr: schema %s: path %q: no field %q at %q", s.Name, p, label, Path(p[:i]))
-		}
-		t = f.Type
-	}
-	return t, nil
-}

@@ -271,33 +271,12 @@ func (c *Catalog) ByName(name string) (*SetType, error) {
 	return found, nil
 }
 
-// BySKName returns the set type whose Skolem name matches, or nil.
-func (c *Catalog) BySKName(sk string) *SetType {
-	for _, st := range c.Sets {
-		if st.skName == sk {
-			return st
-		}
-	}
-	return nil
-}
-
 // TopLevel returns the top-level set types in declaration order.
 func (c *Catalog) TopLevel() []*SetType {
 	var out []*SetType
 	for _, st := range c.Sets {
 		if st.Parent == nil {
 			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Children returns the child set types of st in declaration order.
-func (c *Catalog) Children(st *SetType) []*SetType {
-	var out []*SetType
-	for _, child := range c.Sets {
-		if child.Parent == st {
-			out = append(out, child)
 		}
 	}
 	return out

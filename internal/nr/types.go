@@ -84,11 +84,6 @@ func Choice(fields ...Field) *Type {
 // F is shorthand for constructing a Field.
 func F(label string, t *Type) Field { return Field{Label: label, Type: t} }
 
-// IsAtomic reports whether t is one of the atomic types.
-func (t *Type) IsAtomic() bool {
-	return t.Kind == KindString || t.Kind == KindInt
-}
-
 // Field returns the field with the given label and true, or a zero
 // Field and false if t is not a record/choice or has no such field.
 func (t *Type) Field(label string) (Field, bool) {

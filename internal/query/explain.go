@@ -7,26 +7,13 @@ import (
 )
 
 // Plan is the exported view of a planned query, for EXPLAIN-style
-// inspection. Obtain one with Query.PlanWith; Eval computes the same
-// plan internally (the planner is deterministic, so the two always
-// agree for a given query, store and instance). Eval skips planning
-// when refute proves the query empty (refute.go), so the plan shown
-// applies only to queries that are not refuted.
+// inspection: Eval attaches its Explain to the query.eval span of a
+// trace that asks for detail. The planner is deterministic, so a plan
+// is a function of the query, store and instance. Eval skips planning
+// when refute proves the query empty (refute.go), so a plan exists
+// only for queries that are not refuted.
 type Plan struct {
 	p planned
-}
-
-// PlanWith validates the query and plans it against the store's
-// statistics, exactly as Eval would. The store must
-// index the instance the query will run over — statistics drive both
-// the atom order and the tier choices. Eval skips planning when refute
-// proves the query empty (refute.go), so the plan shown applies only
-// to queries that are not refuted.
-func (q *Query) PlanWith(store *IndexStore) (*Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return &Plan{p: q.plan(store)}, nil
 }
 
 // Explain renders the plan as one line per execution position:

@@ -132,8 +132,10 @@ func TestByName(t *testing.T) {
 
 func TestFigureFixtures(t *testing.T) {
 	f1 := scenarios.NewFigure1(true)
-	if !f1.SrcDeps.SingleKeyed() {
-		t.Error("Figure 1 with keys should be single-keyed")
+	for _, st := range f1.Src.Sets {
+		if !f1.SrcDeps.SingleKeyedFDs(st) {
+			t.Errorf("Figure 1 with keys should be single-keyed, %s is not", st.Path)
+		}
 	}
 	if v := f1.SrcDeps.Check(f1.Source); len(v) != 0 {
 		t.Errorf("Fig. 2 source instance invalid: %v", v[0])

@@ -303,7 +303,7 @@ func NewStepper(ctx context.Context, s *Session, set *MappingSet) *Stepper {
 }
 
 // ResumeStepper rebuilds a dialog by replaying previously accepted
-// answers (a Stepper.Snapshot, or a durable answer log) through a
+// answers (a durable answer log, as the session server keeps) through a
 // fresh session. Dialogs are deterministic, so the resumed stepper
 // asks the same remaining questions a never-interrupted one would.
 func ResumeStepper(ctx context.Context, s *Session, set *MappingSet, answers []Answer) (*Stepper, error) {
