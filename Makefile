@@ -63,6 +63,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadCSV' -benchtime=1x ./internal/load
 	$(GO) test -run '^$$' -bench 'BenchmarkWALDialog/fsync=off' -benchtime=1x ./internal/server/walstore
+	$(GO) test -run '^$$' -bench 'BenchmarkServerStep$$|BenchmarkServerDialog$$' -benchtime=1x ./internal/server
 
 # Scaled-chase smoke: one SF2 TPCH chase with retained-heap reporting
 # (the "scenario firehose" shape). Catches bit-rot in the scaled

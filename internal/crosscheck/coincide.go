@@ -57,8 +57,9 @@ func (c *coincideDesigner) ChooseScenario(q *core.GroupingQuestion) (int, error)
 // question's scenarios did not differ or the wizard failed. Inputs
 // come from the leg's own rand stream: random scenarios under keys
 // and FDs, and multi-feed twins of their mappings, each without and
-// with the real instance; and the Sec. VI scenarios on mutated
-// instances, under their constraints when those still hold.
+// with the real instance; and the Sec. VI scenarios, on their
+// generated instances under their constraints and on mutated
+// instances, under those constraints when they still hold.
 func checkCoincide(cfg Config) []Failure {
 	r := rand.New(rand.NewSource(cfg.Seed*31 + 5))
 	inputs := make(map[string][]coincideInput)
@@ -87,11 +88,12 @@ func checkCoincide(cfg Config) []Failure {
 		if err != nil {
 			panic(fmt.Sprintf("crosscheck: scenario %s failed to generate: %v", s.Name, err))
 		}
-		in, d := MutateInstance(r, s.NewInstance(cfg.Scale)), s.Src
+		ms, src := disambiguate(set), s.NewInstance(cfg.Scale)
+		in, d := MutateInstance(r, src), s.Src
 		if !d.Valid(in) {
 			d = nil
 		}
-		inputs["secvi"] = append(inputs["secvi"], coincideInput{s.Name + "-mut", d, in, disambiguate(set)})
+		inputs["secvi"] = append(inputs["secvi"], coincideInput{s.Name, s.Src, src, ms}, coincideInput{s.Name + "-mut", d, in, ms})
 	}
 
 	var fails []Failure

@@ -77,12 +77,21 @@ func FormatDeps(d *deps.Set) string {
 // FormatMapping renders a mapping in the document syntax (the paper's
 // notation wrapped in "mapping name { ... }").
 func FormatMapping(m *mapping.Mapping) string {
+	body := m.String()
+	if m.Name != "" {
+		body = body[len(m.Name)+len(": "):] // String's "name: " prefix
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "mapping %s {\n", m.Name)
-	body := m.Clone()
-	body.Name = ""
-	for _, line := range strings.Split(strings.TrimPrefix(body.String(), ": "), "\n") {
-		fmt.Fprintf(&b, "  %s\n", line)
+	b.Grow(len(m.Name) + len(body) + 32)
+	b.WriteString("mapping ")
+	b.WriteString(m.Name)
+	b.WriteString(" {\n")
+	for more := true; more; {
+		var line string
+		line, body, more = strings.Cut(body, "\n")
+		b.WriteString("  ")
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
 	b.WriteString("}\n")
 	return b.String()

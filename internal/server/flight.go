@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -110,11 +109,7 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	steps, captured := s.Flight.Steps()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		ThresholdNS int64      `json:"threshold_ns"`
 		Captured    int64      `json:"captured"`
 		Steps       []SlowStep `json:"steps"`

@@ -10,13 +10,12 @@ import (
 )
 
 // jw is a small JSON writer producing output byte-identical to an
-// encoding/json Encoder with SetIndent("", "  ") over the equivalent
-// map[string]any tree: two-space indentation, ": " after keys, HTML
-// escaping (<, >, &), a trailing newline after the document. Callers
-// are responsible for emitting object keys in sorted order — that is
-// what map encoding produces — and the differential test in
-// render_direct_test.go holds the direct renderer to exactly that
-// contract on full dialogs.
+// encoding/json Encoder over the equivalent map[string]any tree:
+// compact (no insignificant whitespace), HTML escaping (<, >, &), a
+// trailing newline after the document. Callers are responsible for
+// emitting object keys in sorted order — that is what map encoding
+// produces — and the differential test in render_direct_test.go holds
+// the direct renderer to exactly that contract on full dialogs.
 //
 // The writer, its buffer, and its value scratch are pooled; the step
 // path serves a response without allocating the body.
@@ -48,25 +47,16 @@ func (w *jw) bytes() []byte { return w.buf.Bytes() }
 // finish terminates the document the way Encoder.Encode does.
 func (w *jw) finish() { w.buf.WriteByte('\n') }
 
-func (w *jw) newlineIndent() {
-	w.buf.WriteByte('\n')
-	for i := 0; i < len(w.stack); i++ {
-		w.buf.WriteString("  ")
-	}
-}
-
 // elem positions the writer for the next value: inside an array it
-// writes the separator and indentation; after a key or at top level
-// the value lands in place.
+// writes the separator; after a key or at top level the value lands
+// in place.
 func (w *jw) elem() {
 	if n := len(w.stack); n > 0 {
 		switch w.stack[n-1] {
 		case 'a':
 			w.stack[n-1] = 'A'
-			w.newlineIndent()
 		case 'A':
 			w.buf.WriteByte(',')
-			w.newlineIndent()
 		}
 	}
 }
@@ -78,12 +68,7 @@ func (w *jw) openObj() {
 }
 
 func (w *jw) closeObj() {
-	n := len(w.stack)
-	had := w.stack[n-1] == 'O'
-	w.stack = w.stack[:n-1]
-	if had {
-		w.newlineIndent()
-	}
+	w.stack = w.stack[:len(w.stack)-1]
 	w.buf.WriteByte('}')
 }
 
@@ -94,12 +79,7 @@ func (w *jw) openArr() {
 }
 
 func (w *jw) closeArr() {
-	n := len(w.stack)
-	had := w.stack[n-1] == 'A'
-	w.stack = w.stack[:n-1]
-	if had {
-		w.newlineIndent()
-	}
+	w.stack = w.stack[:len(w.stack)-1]
 	w.buf.WriteByte(']')
 }
 
@@ -109,9 +89,8 @@ func (w *jw) key(k string) {
 		w.buf.WriteByte(',')
 	}
 	w.stack[n-1] = 'O'
-	w.newlineIndent()
 	writeEscapedString(&w.buf, k)
-	w.buf.WriteString(": ")
+	w.buf.WriteByte(':')
 }
 
 func (w *jw) str(s string) {

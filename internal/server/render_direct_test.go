@@ -11,15 +11,13 @@ import (
 	"muse/internal/obs"
 )
 
-// encodeRef renders body the way writeJSON historically did — an
-// encoding/json Encoder with two-space indentation — and is the
-// reference the direct renderer must match byte for byte.
+// encodeRef renders body the way writeJSON does — compact
+// encoding/json Encoder output — and is the reference the direct
+// renderer must match byte for byte.
 func encodeRef(t *testing.T, body any) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(body); err != nil {
+	if err := json.NewEncoder(&b).Encode(body); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

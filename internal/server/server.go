@@ -212,12 +212,13 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, body)
 }
 
+// writeJSON writes body as one compact JSON document ended by a
+// newline, the encoding every response shares with the direct
+// renderer (json.go).
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body) // nothing to do about a failed write
+	json.NewEncoder(w).Encode(body) // nothing to do about a failed write
 }
 
 // writeDecodeError maps a request-body decode failure: an oversized

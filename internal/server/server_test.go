@@ -293,6 +293,53 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestResponsesAreCompact drives fig1 through every JSON route and
+// requires each body to be one compact JSON document ended by exactly
+// one newline: byte for byte what json.Encoder writes unindented.
+func TestResponsesAreCompact(t *testing.T) {
+	ts, _ := tracedServer(t, nil)
+	check := func(route string, want, status int, body []byte) {
+		t.Helper()
+		if status != want {
+			t.Fatalf("%s: status %d, want %d: %s", route, status, want, body)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s: not valid JSON: %v", route, err)
+		}
+		if compact.WriteByte('\n'); !bytes.Equal(body, compact.Bytes()) {
+			t.Errorf("%s: body is not its compact form and one newline: %.160q", route, body)
+		}
+	}
+
+	status, body := rawStep(t, "POST", ts.URL+"/v1/sessions", `{"scenario":"fig1"}`)
+	check("create", http.StatusCreated, status, body)
+	var created struct {
+		Token string `json:"token"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	session := ts.URL + "/v1/sessions/" + created.Token
+
+	status, body = rawStep(t, "GET", session, "")
+	check("question", http.StatusOK, status, body)
+	for i, a := range fig1Script {
+		status, body = rawStep(t, "POST", session+"/answer", fmt.Sprintf(`{"scenario":%d}`, a))
+		check(fmt.Sprintf("answer %d", i+1), http.StatusOK, status, body)
+	}
+	status, body = rawStep(t, "GET", session+"/result", "")
+	check("result", http.StatusOK, status, body)
+	status, body = rawStep(t, "DELETE", session, "")
+	check("delete", http.StatusOK, status, body)
+	status, body = rawStep(t, "GET", ts.URL+"/healthz", "")
+	check("healthz", http.StatusOK, status, body)
+	status, body = rawStep(t, "GET", session, "")
+	check("error", http.StatusNotFound, status, body)
+	status, body = rawStep(t, "GET", ts.URL+"/debug/slow", "")
+	check("debug/slow", http.StatusOK, status, body)
+}
+
 // TestCancelledRequestFailsSession: creating a session under an
 // already-dead request context aborts the wizard work and leaves the
 // session terminally failed (cancellation is session-fatal; dialogs
