@@ -60,7 +60,7 @@ race-instance:
 # instances); bench-scaled-smoke runs its SF2 half on its own.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval|BenchmarkProbeQuestion$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau|BenchmarkProbeDecide' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadCSV' -benchtime=1x ./internal/load
 	$(GO) test -run '^$$' -bench 'BenchmarkWALDialog/fsync=off' -benchtime=1x ./internal/server/walstore
 	$(GO) test -run '^$$' -bench 'BenchmarkServerStep$$|BenchmarkServerDialog$$' -benchtime=1x ./internal/server

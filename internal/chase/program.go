@@ -97,6 +97,22 @@ func (p *Program) RunWithSK(ctx context.Context, src *instance.Instance, o *obs.
 	return p.Run(ctx, src, o)
 }
 
+// EachAssignment calls fn with every assignment of the program's for
+// clause over src that satisfies its satisfy clause, in the order a run
+// fires them: one tuple per for-clause generator, in for-clause order.
+// The slice is reused across calls, so fn must copy what it keeps. A
+// cancelled ctx (nil: never polled) stops the enumeration with
+// ctx.Err(). src must be an instance of the catalog the program was
+// compiled for.
+func (p *Program) EachAssignment(ctx context.Context, src *instance.Instance, fn func([]*instance.Tuple) error) error {
+	if src.Cat != p.cat {
+		return fmt.Errorf("chase: mapping %s was compiled for another source catalog", p.m.Name)
+	}
+	p.e.start(ctx, src)
+	defer p.e.finish()
+	return p.e.each(func(asg assignment) error { return fn(asg) })
+}
+
 // run chases src with each program in order into one output instance of
 // their common target catalog, under one "chase" span.
 func run(ctx context.Context, src *instance.Instance, o *obs.Obs, progs ...*Program) (*instance.Instance, error) {

@@ -42,6 +42,11 @@ type Env struct {
 	// the wizards installs the per-request context here before resuming
 	// the dialog (see Stepper); nil means context.Background().
 	Ctx context.Context
+
+	// tables holds the session's assignment tables over Real (assign.go),
+	// built on first use and dropped with the session. They are session
+	// state, not shared like Store.
+	tables assignTables
 }
 
 // context returns the bounding context, defaulting to Background.

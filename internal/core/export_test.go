@@ -1,5 +1,13 @@
 package core
 
+import (
+	"context"
+	"slices"
+
+	"muse/internal/mapping"
+	"muse/internal/query"
+)
+
 // Snapshot returns the ordered accepted answers — everything needed
 // (with the scenario) to rebuild the dialog on any replica via
 // ResumeStepper. The slice and its choice lists are fresh copies.
@@ -10,3 +18,42 @@ func (st *Stepper) Snapshot() []Answer {
 	}
 	return out
 }
+
+// ProbeRetrieval is a copy of a probe retrieval as the wizard ran it:
+// its tableau in the probe's partition, its query, and its decision on
+// the wizard's assignment tables.
+type ProbeRetrieval struct {
+	d probeDecision
+	// Query is the probe query the kernel searches.
+	Query *query.Query
+}
+
+// LastRetrieval copies the probe retrieval that obtained the example of
+// the question the wizard posed last, or returns nil when its copies
+// differ on more than one attribute.
+func (w *GroupingWizard) LastRetrieval() *ProbeRetrieval {
+	d := w.decision
+	if d.probe < 0 {
+		return nil
+	}
+	tb := *d.tb
+	tb.parent = slices.Clone(tb.parent)
+	tb.keys, tb.filter, tb.least = nil, nil, nil
+	d.tb = &tb
+	for e, s := range tb.slot {
+		if s == d.probe {
+			return &ProbeRetrieval{d: d, Query: tb.realQuery([]mapping.Expr{e})}
+		}
+	}
+	panic("core: the probed slot names no attribute")
+}
+
+// Decide decides the retrieval on the wizard's assignment table of its
+// mapping, as obtainExample does: whether it has the decided shape and,
+// when it has, whether the table proves its query empty.
+func (p *ProbeRetrieval) Decide() (shaped, empty bool, err error) {
+	return p.d.decide(context.Background())
+}
+
+// Tables returns how many assignment tables the wizard holds.
+func (w *GroupingWizard) Tables() int { return len(w.tables.byName) }

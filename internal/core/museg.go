@@ -10,7 +10,6 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
 	"muse/internal/rank"
 )
 
@@ -28,6 +27,10 @@ type GroupingWizard struct {
 	Prefetch bool
 	// Stats accumulates per-grouping-function effort.
 	Stats Stats
+
+	// decision decides each probe retrieval on its mapping's assignment
+	// table before the kernel would plan it (obtainExample).
+	decision probeDecision
 }
 
 // finish records one designed grouping function, mirrors its
@@ -196,7 +199,7 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 			continue
 		}
 		if w.InstanceOnly && w.Real != nil {
-			implied, err := w.dataImplied(m, confirmed, probe)
+			implied, err := w.dataImplied(tb, confirmed, probe)
 			if err != nil {
 				return nil, err
 			}
@@ -320,14 +323,16 @@ func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapp
 }
 
 // obtainExample retrieves a real example via the probe query, falling
-// back to the synthetic instance when the search finds none within
-// its budget.
+// back to the synthetic instance when the query is refuted, decided
+// empty on the assignment table, or searched without a match within its
+// budget.
 func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
 		q := tb.realQuery(differ)
-		match, ok, _ := q.First(w.Real, w.retrieval())
+		w.decision = newProbeDecision(&w.Env, tb, differ)
+		match, ok, _ := q.FirstDecided(w.Real, w.retrieval(), &w.decision)
 		if ok {
 			stats.RealExamples++
 			ie := tb.fromMatch(match, w.Real)
@@ -345,38 +350,19 @@ func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats
 // attribute is constant within every group of assignments that agree
 // on the confirmed attributes — in which case including it cannot
 // change the grouping of any tuple of this instance. The assignments
-// are enumerated through the shared index store (the mapping's
-// canonical tableau as a query); an enumeration that exhausts the
-// search budget conservatively keeps the question.
-func (w *GroupingWizard) dataImplied(m *mapping.Mapping, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
-	tb := compileTableau(m, nil, 1)
-	q := tb.realQuery(nil)
-	matches, err := q.Eval(w.Real, w.retrieval())
+// are the rows of the mapping's assignment table that keep the satisfy
+// and where equalities, which are what the chase fires on.
+func (w *GroupingWizard) dataImplied(tb *tableau, confirmed []mapping.Expr, probe mapping.Expr) (bool, error) {
+	t, err := w.assignments(w.context(), tb)
 	if err != nil {
-		if err == query.ErrBudget {
-			return false, nil
-		}
 		return false, err
 	}
-	// Each group of the confirmed values maps to its probed value (nil
-	// when unset).
-	var groups instance.VecMap[instance.Value]
-	var gkey []instance.Value
-	for _, match := range matches {
-		gkey = gkey[:0]
-		for _, e := range confirmed {
-			gkey = append(gkey, match.Tuples[tb.atomIndex(1, e.Var)].Get(e.Attr))
-		}
-		pv := match.Tuples[tb.atomIndex(1, probe.Var)].Get(probe.Attr)
-		if prev, ok := groups.Get(gkey); ok {
-			if !instance.SameValue(prev, pv) {
-				return false, nil
-			}
-			continue
-		}
-		groups.Put(gkey, pv)
+	keys := make([]int32, len(confirmed))
+	for i, e := range confirmed {
+		keys[i] = tb.slot[e]
 	}
-	return true, nil
+	found, _ := t.witness(&w.tables.hash, keys, t.eqs, tb.slot[probe])
+	return !found, nil
 }
 
 // coversPoss reports whether the closure of the confirmed attributes

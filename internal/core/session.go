@@ -73,6 +73,9 @@ func (s *Session) Run(set *mapping.Set, gd GroupingDesigner, dd DisambiguationDe
 	if err != nil {
 		return nil, err
 	}
+	// The assignment tables serve this dialog's questions only; a server
+	// keeps a finished dialog's session for its result, not its tables.
+	defer func() { s.Grouping.tables = assignTables{} }()
 	var out []*mapping.Mapping
 	for _, m := range unambiguous.Mappings {
 		refined, err := s.Grouping.DesignMapping(m, gd)

@@ -45,6 +45,11 @@ type tableau struct {
 	// question's two scenarios run (questionTableau); nil on the
 	// tableaux of retrieval and Muse-D.
 	scenarios *chase.Program
+
+	// keys and filter lay out the current probe for its decision on the
+	// assignment table (decidedShape); least is their scratch.
+	keys, filter []int32
+	least        []int32
 }
 
 // fdRule applies one source FD to one pair of rows over its set: when
@@ -262,6 +267,47 @@ func (tb *tableau) name() {
 		}
 		tb.classValue[s] = tb.classValue[r]
 	}
+}
+
+// decidedShape reports whether the current partition has the shape the
+// assignment table decides: the slots of each copy fall into the same
+// within-copy groups, and a class that spans both copies joins a group of
+// copy-1 slots with the same group of copy-2 slots. It then fills keys
+// with the least copy-1 slot of each class that spans both copies, and
+// filter with each other copy-1 slot of a group paired with the group's
+// least slot, flattened. A probe query's match is then two assignments
+// that each carry one value per filter pair, agree on keys and differ on
+// the probed slot.
+func (tb *tableau) decidedShape() bool {
+	n := len(tb.parent)
+	if tb.least == nil {
+		tb.least = make([]int32, 2*n)
+	}
+	// least1[r] and least2[r] are the least copy-1 slot of class r in
+	// copy 1 and in copy 2, or -1 when it has none there.
+	least1, least2 := tb.least[:n], tb.least[n:]
+	for i := range tb.least {
+		tb.least[i] = -1
+	}
+	for s := tb.width - 1; s >= 0; s-- {
+		least1[tb.find(s)] = s
+		least2[tb.find(tb.at(2, s))] = s
+	}
+	tb.keys, tb.filter = tb.keys[:0], tb.filter[:0]
+	for s := int32(0); s < tb.width; s++ {
+		a, b := tb.find(s), tb.find(tb.at(2, s))
+		g := least1[a]
+		if g != least2[b] || a != b && (least2[a] >= 0 || least1[b] >= 0) {
+			return false
+		}
+		switch {
+		case g != s:
+			tb.filter = append(tb.filter, s, g)
+		case a == b:
+			tb.keys = append(tb.keys, s)
+		}
+	}
+	return true
 }
 
 // classID returns the stable identifier of slot s's class, used as the

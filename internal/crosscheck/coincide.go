@@ -56,12 +56,17 @@ func (c *coincideDesigner) ChooseScenario(q *core.GroupingQuestion) (int, error)
 // input under a coincideDesigner and reports the inputs where a
 // question's scenarios did not differ or the wizard failed. Inputs
 // come from the leg's own rand stream: random scenarios under keys
-// and FDs, and multi-feed twins of their mappings, each without and
-// with the real instance; and the Sec. VI scenarios, on their
-// generated instances under their constraints and on mutated
-// instances, under those constraints when they still hold.
+// and FDs, each without and with the real instance, and multi-feed
+// twins of their mappings, without a real instance and each on its
+// feed variant (feedVariant, when the constraints still hold there);
+// and the Sec. VI scenarios, on their generated instances under their
+// constraints and on mutated instances, under those constraints when
+// they still hold.
 func checkCoincide(cfg Config) []Failure {
 	r := rand.New(rand.NewSource(cfg.Seed*31 + 5))
+	// The feed variants draw from their own stream, so every other input
+	// and answer is the same with and without them.
+	rv := rand.New(rand.NewSource(cfg.Seed*31 + 6))
 	inputs := make(map[string][]coincideInput)
 	for drawn, attempts := 0, 0; drawn < 4*cfg.Cases && attempts < 80*cfg.Cases; attempts++ {
 		c, ok := RandomScenario(r, fmt.Sprintf("rnd-%d-%d", cfg.Seed, attempts))
@@ -76,11 +81,16 @@ func checkCoincide(cfg Config) []Failure {
 				twins = append(twins, t)
 			}
 		}
-		for _, real := range []*instance.Instance{nil, c.Src} {
-			inputs["random"] = append(inputs["random"], coincideInput{c.Name, d, real, c.Ms})
-			if twins != nil {
-				inputs["multifeed"] = append(inputs["multifeed"], coincideInput{c.Name, d, real, twins})
+		inputs["random"] = append(inputs["random"], coincideInput{c.Name, d, nil, c.Ms}, coincideInput{c.Name, d, c.Src, c.Ms})
+		if twins != nil {
+			inputs["multifeed"] = append(inputs["multifeed"], coincideInput{c.Name, d, nil, twins})
+		}
+		for _, t := range twins {
+			in := feedVariant(rv, t, c.Src)
+			if !d.Valid(in) {
+				in = c.Src
 			}
+			inputs["multifeed"] = append(inputs["multifeed"], coincideInput{c.Name, d, in, []*mapping.Mapping{t}})
 		}
 	}
 	for _, s := range scenarios.All() {

@@ -68,6 +68,27 @@ func TestQueryOracle(t *testing.T) {
 	}
 }
 
+// TestDecideLeg runs the query family's decide leg: every assignment
+// table decision agrees with the naive scan, and the leg decides probes
+// empty and non-empty and meets probes outside the decided shape.
+func TestDecideLeg(t *testing.T) {
+	var lines []string
+	cfg := testConfig()
+	cfg.Logf = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	for _, f := range checkDecide(cfg.withDefaults()) {
+		t.Errorf("%s", f)
+	}
+	if len(lines) != 1 {
+		t.Fatalf("decide leg logged %q, want one line", lines)
+	}
+	t.Log(lines[0])
+	for _, none := range []string{" 0 decided empty", " 0 non-empty", " 0 outside"} {
+		if strings.Contains(lines[0], none) {
+			t.Errorf("the leg met no probe of a kind: %s", lines[0])
+		}
+	}
+}
+
 // TestWizardOracle runs the Stepper-vs-Session.Run differential with
 // invalid-answer injection.
 func TestWizardOracle(t *testing.T) {

@@ -20,10 +20,11 @@ const queryCap = 100
 // CheckQuery runs the query oracle: seeded random conjunctive probes
 // over the base-case instances (and mutated variants), each evaluated
 // by the naive scan reference and by the cost-based planner — in full,
-// with Limit, and via First — and compared.
+// with Limit, and via First — and compared; then the decide leg, which
+// compares Muse-G's assignment-table decisions with the naive scan.
 func CheckQuery(cfg Config) []Failure {
 	fails, _ := checkQueries(cfg)
-	return fails
+	return append(fails, checkDecide(cfg.withDefaults())...)
 }
 
 // checkQueries is CheckQuery, also returning how many probes the

@@ -18,6 +18,7 @@ const (
 	MQueryRowsScanned  = "muse_query_rows_scanned_total"  // candidate tuples considered
 	MQueryRowsReturned = "muse_query_rows_returned_total" // matches returned
 	MQueryRefuted      = "muse_query_refuted_total"       // Evals refuted before planning (no search)
+	MQueryDecided      = "muse_query_decided_total"       // Evals an assignment table proved empty (no plan, no search)
 	HQueryEvalSeconds  = "muse_query_eval_seconds"        // Eval latency histogram
 
 	// planner tier choice, one counter per access tier
@@ -94,9 +95,10 @@ var SrvStepSecondsBounds = []float64{
 const (
 	SpanChase        = "chase"              // one Chase call: mappings, workers
 	SpanChaseMapping = "chase.mapping"      // one mapping's chase: mapping, assignments, tuples, nulls
-	SpanQueryEval    = "query.eval"         // one Eval: atoms, matches, scanned, refuted
+	SpanQueryEval    = "query.eval"         // one Eval: atoms, matches, scanned, refuted, decided
 	SpanMuseGSK      = "museg.design_sk"    // one grouping function: mapping, sk, questions
 	SpanMuseGProbe   = "museg.probe"        // one probe question's compute: probe, real
+	SpanMuseGTable   = "museg.table"        // one assignment-table build: mapping, rows
 	SpanMuseD        = "mused.disambiguate" // one Muse-D question: mapping, alternatives, real
 	SpanGen          = "gen.generate"       // one mapping-generation run
 	SpanSrvRequest   = "server.request"     // one HTTP request: route, status, request id

@@ -110,6 +110,19 @@ func (q *Query) Validate() error {
 	return nil
 }
 
+// A Decider proves, without planning or searching, that a query has no
+// match on the instance it is evaluated on. FirstDecided consults it
+// after refutation and before planning.
+type Decider interface {
+	// Empty reports whether the query is proved to have no match. ctx
+	// carries the query.eval span, so work Empty does can open spans
+	// beneath it.
+	Empty(ctx context.Context) bool
+	// Explain renders the proof of the last Empty that returned true,
+	// for the query.eval span of a trace that asks for detail.
+	Explain() string
+}
+
 // Eval evaluates the query over the instance. A query whose
 // inequalities the instance's unique attributes refute returns no
 // matches without a search. Otherwise atoms are internally reordered
@@ -117,6 +130,12 @@ func (q *Query) Validate() error {
 // index store's statistics), which keeps the backtracking join
 // index-driven; results report tuples in the original atom order.
 func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
+	return q.eval(in, opt, nil)
+}
+
+// eval is Eval, with d (nil: none) consulted between refutation and
+// planning.
+func (q *Query) eval(in *instance.Instance, opt Options, d Decider) ([]Match, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -130,12 +149,13 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 	o := opt.Obs
 	var evalStart time.Time
 	var sp *obs.Span
+	ctx := opt.Ctx
 	if o != nil {
 		evalStart = time.Now()
-		sp, _ = o.StartCtx(opt.Ctx, obs.SpanQueryEval)
+		sp, ctx = o.StartCtx(opt.Ctx, obs.SpanQueryEval)
 		o.Counter(obs.MQueryEvals).Inc()
 	}
-	out, scanned, err := q.evalPlanned(in, opt, sp)
+	out, scanned, err := q.evalPlanned(ctx, in, opt, sp, d)
 	if o != nil {
 		o.Counter(obs.MQueryRowsScanned).Add(scanned)
 		o.Counter(obs.MQueryRowsReturned).Add(int64(len(out)))
@@ -146,9 +166,10 @@ func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
 }
 
 // evalPlanned refutes the query from the instance's unique attributes
-// when it can (refute.go), and otherwise plans it, compiles the plan
-// into its slot-resolved kernel, and runs the backtracking search.
-func (q *Query) evalPlanned(in *instance.Instance, opt Options, sp *obs.Span) ([]Match, int64, error) {
+// when it can (refute.go), then lets d decide it when d is non-nil, and
+// otherwise plans it, compiles the plan into its slot-resolved kernel,
+// and runs the backtracking search. ctx carries sp, the query.eval span.
+func (q *Query) evalPlanned(ctx context.Context, in *instance.Instance, opt Options, sp *obs.Span, d Decider) ([]Match, int64, error) {
 	if err := q.checkLayout(in); err != nil {
 		return nil, 0, err
 	}
@@ -164,6 +185,18 @@ func (q *Query) evalPlanned(in *instance.Instance, opt Options, sp *obs.Span) ([
 			sp.Attr("refuted", true)
 			if obs.DetailFromContext(opt.Ctx) {
 				sp.Attr("explain", r.explain())
+			}
+		}
+		return nil, 0, nil
+	}
+	if d != nil && d.Empty(ctx) {
+		if o := opt.Obs; o != nil {
+			o.Counter(obs.MQueryDecided).Inc()
+		}
+		if sp != nil {
+			sp.Attr("decided", true)
+			if obs.DetailFromContext(opt.Ctx) {
+				sp.Attr("explain", d.Explain())
 			}
 		}
 		return nil, 0, nil
@@ -206,8 +239,15 @@ func (q *Query) checkLayout(in *instance.Instance) error {
 // instance; a search that stops early also reports not-found, with the
 // error. opt.Limit is forced to 1.
 func (q *Query) First(in *instance.Instance, opt Options) (Match, bool, error) {
+	return q.FirstDecided(in, opt, nil)
+}
+
+// FirstDecided is First, with d consulted after refutation and before
+// planning: a query d proves empty reports not-found with no plan, no
+// index build and no search, and counts in muse_query_decided_total.
+func (q *Query) FirstDecided(in *instance.Instance, opt Options, d Decider) (Match, bool, error) {
 	opt.Limit = 1
-	ms, err := q.Eval(in, opt)
+	ms, err := q.eval(in, opt, d)
 	if len(ms) > 0 {
 		return ms[0], true, nil
 	}

@@ -68,8 +68,11 @@ func createSession(b *testing.B, h http.Handler) (string, int) {
 // the full HTTP stack (mux, manager, Stepper, wizard, render, JSON)
 // and reports per-step cost: each op is one step-producing request
 // (the create or one answer), so it includes the wizard work of
-// computing each question. body_B/op is the mean step body size.
-// Compare against BENCH_server_baseline.json.
+// computing each question. body_B/op is the mean step body size. It
+// runs with metrics and tracing on (obs.New()), so it does not measure
+// what BENCH_server_baseline.json records: those rows are nil-obs
+// figures, which TestBenchGuard's BenchmarkServerDialog loop measures
+// (bench_guard_test.go, `make bench-guard`).
 func BenchmarkServerDialog(b *testing.B) {
 	mg := server.NewManager(server.Builtin(), obs.New())
 	mg.MaxSessions = 16
@@ -114,8 +117,11 @@ func BenchmarkServerDialog(b *testing.B) {
 // wizard work. This is the wire-path acceptance benchmark of the
 // museload PR (the wizard compute inside BenchmarkServerDialog has its
 // own benchmarks and baselines from the chase/retrieval passes);
-// body_B/op is the step's body size. Compare against
-// BENCH_server_baseline.json.
+// body_B/op is the step's body size. It runs with metrics and tracing
+// on (obs.New()), so it does not measure what
+// BENCH_server_baseline.json records: those rows are nil-obs figures,
+// which TestBenchGuard's BenchmarkServerStep loop measures
+// (bench_guard_test.go, `make bench-guard`).
 func BenchmarkServerStep(b *testing.B) {
 	mg := server.NewManager(server.Builtin(), obs.New())
 	mg.Store = server.NewMemStore() // durability on, like a deployed server
