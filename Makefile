@@ -2,9 +2,8 @@
 # vet (go vet plus a gofmt check), build, the full test suite under
 # the race detector, a focused race pass over the retrieval path
 # (concurrent index building in
-# internal/query and the wizards, then the uniqueness verdicts, the
-# refutation rule and the shared instance index and distinct counter
-# repeated), a repeated race pass over the stepper's answer path, a
+# internal/query and the wizards, then the uniqueness verdicts and the
+# shared instance index and distinct counter repeated), a repeated race pass over the stepper's answer path, a
 # repeated race pass over concurrent reads of one shared
 # instance, benchmark smoke
 # runs (one iteration; catch bit-rot in the bench harness without
@@ -41,7 +40,7 @@ race:
 
 race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
-	$(GO) test -race -count=10 -run 'Unique|Refute' ./internal/query
+	$(GO) test -race -count=10 -run 'Unique' ./internal/query
 	$(GO) test -race -count=10 -run 'Index|CountDistinct' ./internal/instance
 
 # The stepper's answer path under the race detector, repeated at two
@@ -60,7 +59,7 @@ race-instance:
 # instances); bench-scaled-smoke runs its SF2 half on its own.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChaseFig2$$|BenchmarkChaseScenario$$|BenchmarkProbeRetrieval|BenchmarkProbeQuestion$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau|BenchmarkProbeDecide' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkProbeTableau|BenchmarkProbeDecide|BenchmarkProbeRefute' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadCSV' -benchtime=1x ./internal/load
 	$(GO) test -run '^$$' -bench 'BenchmarkWALDialog/fsync=off' -benchtime=1x ./internal/server/walstore
 	$(GO) test -run '^$$' -bench 'BenchmarkServerStep$$|BenchmarkServerDialog$$' -benchtime=1x ./internal/server

@@ -75,10 +75,8 @@ func (e *Env) assignments(ctx context.Context, tb *tableau) (*assignTable, error
 	if e.Real.Cat != m.Src {
 		// Like the probe queries, read an instance of another catalog
 		// only where it lays each set out as m.Src does.
-		for _, st := range tb.info.SrcVars {
-			if it := e.Real.Cat.ByPath(st.Path); it == nil || !slices.Equal(it.Atoms, st.Atoms) || !slices.Equal(it.SetFields, st.SetFields) {
-				return nil, fmt.Errorf("core: set %s of mapping %s is laid out differently in the real instance", st, m.Name)
-			}
+		if !tb.laidOutIn(e.Real.Cat) {
+			return nil, fmt.Errorf("core: mapping %s's sets are laid out differently in the real instance", m.Name)
 		}
 		var err error
 		if prog, err = chase.Compile(m, e.Real.Cat); err != nil {
@@ -218,32 +216,48 @@ func (h *rowHash) reset(rows int) {
 	clear(h.slots)
 }
 
-// probeDecision decides the current probe of a two-copy tableau on its
-// mapping's assignment table, for query.FirstDecided. A Muse-G probe
-// query binds every atom of both copies to its tableau class and
-// requires the probed slot's two classes to differ. When the probe has
-// the decided shape (decidedShape), a match is exactly two rows of the
-// table that keep the within-copy classes, agree on one slot of each
-// cross-copy class and differ on the probed slot, so the scan is exact.
+// probeDecision settles a retrieval on its tableau tb, for
+// query.FirstDecided: it refutes the retrieval's query from the real
+// instance's unique attributes (tableau.refute), and decides a Muse-G
+// probe on its mapping's assignment table. A Muse-G probe query binds
+// every atom of both copies to its tableau class and requires the
+// probed slot's two classes to differ. When the probe has the decided
+// shape (decidedShape), a match is exactly two rows of the table that
+// keep the within-copy classes, agree on one slot of each cross-copy
+// class and differ on the probed slot, so the scan is exact.
 type probeDecision struct {
 	env *Env
 	tb  *tableau
+	// neq is the retrieval's must-differ slot pairs, flattened.
+	neq []int32
 	// probe is the copy-1 slot of the probed attribute, or -1 when the
-	// copies must differ on more than one attribute.
+	// retrieval is no Muse-G probe whose copies differ on one attribute.
 	probe int32
-	// The last scan's table and count of kept rows, for Explain.
-	t    *assignTable
-	kept int
+	// Whether the last verdict was a refutation, and the last scan's
+	// table and count of kept rows, for Explain.
+	refuted bool
+	t       *assignTable
+	kept    int
 }
 
-// newProbeDecision prepares the decision of tb's current probe, whose
-// copies differ on differ.
-func newProbeDecision(env *Env, tb *tableau, differ []mapping.Expr) probeDecision {
-	d := probeDecision{env: env, tb: tb, probe: -1}
-	if len(differ) == 1 {
-		d.probe = tb.slot[differ[0]]
+// newProbeDecision prepares the decision of tb's current retrieval,
+// whose query requires the slot pairs of neq to differ. A Muse-G probe
+// whose copies differ on one attribute has one pair, its copy-1 slot
+// and that slot's twin.
+func newProbeDecision(env *Env, tb *tableau, neq []int32) probeDecision {
+	d := probeDecision{env: env, tb: tb, neq: neq, probe: -1}
+	if tb.copies == 2 && len(neq) == 2 {
+		d.probe = neq[0]
 	}
 	return d
+}
+
+// Refuted implements query.Decider. The tableau only reads an instance
+// that lays the for clause's sets out as the mapping's source does; the
+// search reports any other.
+func (d *probeDecision) Refuted(store *query.IndexStore) bool {
+	d.refuted = d.tb.laidOutIn(store.Instance().Cat) && d.tb.refute(store, d.neq)
+	return d.refuted
 }
 
 // Empty implements query.Decider. A probe it cannot decide, or whose
@@ -269,34 +283,45 @@ func (d *probeDecision) decide(ctx context.Context) (shaped, empty bool, err err
 	return true, !found, nil
 }
 
-// Explain implements query.Decider:
+// Explain implements query.Decider, with the refutation's proof
+// (tableau.explainRefuted) or the decision's:
 //
 //	decided: x_1 != x_2; 120 of 4548 assignments of m5 keep 2 within-copy equalities, no two that agree on 6 classes differ
 func (d *probeDecision) Explain() string {
+	if d.refuted {
+		return d.tb.explainRefuted()
+	}
 	s := d.probe
 	return fmt.Sprintf("decided: %s != %s; %d of %d assignments of %s keep %d within-copy equalities, no two that agree on %d classes differ",
 		d.tb.classID(s), d.tb.classID(d.tb.at(2, s)), d.kept, d.t.len(), d.t.m.Name, len(d.tb.filter)/2, len(d.tb.keys))
 }
 
-// ProbeDecision is one Muse-G probe retrieval decided on its mapping's
-// assignment table (DecideProbe).
+// Atoms implements query.Decider: one atom per for-clause variable and
+// copy.
+func (d *probeDecision) Atoms() int { return d.tb.copies * len(d.tb.m.For) }
+
+// ProbeDecision is one retrieval settled on its tableau (DecideProbe,
+// DecideChoice).
 type ProbeDecision struct {
-	// Query is the probe query the kernel searches when the table does
-	// not decide it.
+	// Query is the retrieval's query, which the kernel searches when
+	// nothing settles it.
 	Query *query.Query
-	// Shaped reports whether the probe has the shape the table decides,
-	// and Empty whether the table proves Query empty (false unless
-	// Shaped).
+	// Refuted reports whether the tableau refutes Query from the real
+	// instance's unique attributes.
+	Refuted bool
+	// Shaped reports whether the probe has the shape the assignment
+	// table decides, and Empty whether the table proves Query empty
+	// (false unless Shaped). DecideProbe decides refuted probes too.
 	Shaped, Empty bool
 }
 
 // DecideProbe sets up m's two-copy probe whose copies differ on differ
 // (the probed attribute first; differ is not empty), agree on confirmed
 // and leave decidedOut free, as the Muse-G probe loop does under the
-// source constraints src, and decides its query on real's assignment
-// table of m. ok is false when the constraints make the probe
-// unconstructible. The crosscheck harness compares each decision with
-// the reference evaluator.
+// source constraints src, refutes its query on the tableau and decides
+// it on real's assignment table of m. ok is false when the constraints
+// make the probe unconstructible. The crosscheck harness compares each
+// verdict with the reference evaluator.
 func DecideProbe(m *mapping.Mapping, src *deps.Set, real *instance.Instance, confirmed, decidedOut, differ []mapping.Expr) (d ProbeDecision, ok bool, err error) {
 	w := NewGroupingWizard(src, real)
 	tb, err := w.questionTableau(m)
@@ -310,10 +335,22 @@ func DecideProbe(m *mapping.Mapping, src *deps.Set, real *instance.Instance, con
 	if !probeSetup(tb, m.Poss(), confirmed, out, differ[0], differ[1:]) {
 		return d, false, nil
 	}
-	d.Query = tb.realQuery(differ)
-	pd := newProbeDecision(&w.Env, tb, differ)
+	pd := newProbeDecision(&w.Env, tb, tb.differPairs(differ))
+	d.Query = tb.realQuery(pd.neq)
+	d.Refuted = pd.Refuted(query.NewIndexStore(real))
 	if d.Shaped, d.Empty, err = pd.decide(context.Background()); err != nil {
 		return d, false, err
 	}
 	return d, true, nil
+}
+
+// DecideChoice sets up the one-copy retrieval of Muse-D's example for
+// the ambiguous mapping m under the source constraints src, as
+// Disambiguate does, and refutes its query on the tableau from real's
+// unique attributes. Muse-D decides nothing on assignment tables, so
+// Shaped and Empty are false.
+func DecideChoice(m *mapping.Mapping, src *deps.Set, real *instance.Instance) ProbeDecision {
+	tb := compileTableau(m, src, 1)
+	pd := newProbeDecision(&Env{SrcDeps: src, Real: real}, tb, tb.choicePairs())
+	return ProbeDecision{Query: tb.realQuery(pd.neq), Refuted: pd.Refuted(query.NewIndexStore(real))}
 }

@@ -5,7 +5,6 @@ import (
 
 	"muse/internal/core"
 	"muse/internal/designer"
-	"muse/internal/obs"
 	"muse/internal/query"
 	"muse/internal/scenarios"
 )
@@ -50,15 +49,14 @@ func m5Probes(tb testing.TB) (w *core.GroupingWizard, empty, nonEmpty []*core.Pr
 		tb.Fatal(err)
 	}
 	for _, p := range rec.taken {
-		o := obs.New()
-		if _, _, err := p.Query.First(w.Real, query.Options{Store: w.Store, Obs: o}); err != nil {
-			tb.Fatal(err)
+		if p.Refute() {
+			continue
 		}
 		shaped, isEmpty, err := p.Decide()
 		switch {
 		case err != nil:
 			tb.Fatal(err)
-		case o.Reg.Get(obs.MQueryRefuted) > 0, !shaped:
+		case !shaped:
 		case isEmpty:
 			empty = append(empty, p)
 		default:
@@ -112,6 +110,73 @@ func BenchmarkProbeDecide(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// g1Refuted designs every grouping function of TPCH's mappings at scale
+// 0.1 with a G1 designer, as TestTPCHG1ProbeWork does, and returns its
+// 18 probe retrievals, which the source's unique attributes all refute.
+func g1Refuted(tb testing.TB) []*core.ProbeRetrieval {
+	s := scenarios.TPCH()
+	set, err := s.Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := core.NewGroupingWizard(s.Src, s.NewInstance(0.1))
+	var probes []*core.ProbeRetrieval
+	for _, m := range set.Mappings {
+		if m.Ambiguous() {
+			m = m.Interpretation(make([]int, len(m.OrGroups)))
+		}
+		if len(m.SKs) == 0 {
+			continue
+		}
+		oracle, err := designer.StrategyOracle(designer.G1, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec := &probeSnapshots{w: w, d: oracle}
+		if _, err := w.DesignMapping(m, rec); err != nil {
+			tb.Fatal(err)
+		}
+		probes = append(probes, rec.taken...)
+	}
+	for _, p := range probes {
+		if !p.Refute() {
+			tb.Fatalf("a G1 probe is not refuted; its query requires %v to differ", p.Query.Neq)
+		}
+	}
+	if len(probes) != 18 {
+		tb.Fatalf("TPCH's G1 design posed %d probes, want 18", len(probes))
+	}
+	return probes
+}
+
+// TestProbeRefuteWarmAllocs: once the index store holds its statistics
+// and uniqueness verdicts, refuting a probe on its tableau allocates
+// nothing.
+func TestProbeRefuteWarmAllocs(t *testing.T) {
+	probes := g1Refuted(t)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range probes {
+			p.Refute()
+		}
+	}); allocs != 0 {
+		t.Errorf("refuting TPCH's %d G1 probes allocates %.1f times; want 0", len(probes), allocs)
+	}
+}
+
+// BenchmarkProbeRefute refutes the 18 probe retrievals of TPCH's G1
+// design at scale 0.1 on their tableaux, over the session's warm index
+// store: each op refutes all of them.
+func BenchmarkProbeRefute(b *testing.B) {
+	probes := g1Refuted(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range probes {
+			p.Refute()
+		}
 	}
 }
 

@@ -50,12 +50,12 @@ func scenarioQueries(t *testing.T, s *scenarios.Scenario) []*query.Query {
 		if len(poss) > 0 {
 			probe := poss[0]
 			if ptb.probe(nil, poss[1:], []mapping.Expr{probe}) {
-				qs = append(qs, ptb.realQuery([]mapping.Expr{probe}))
+				qs = append(qs, ptb.realQuery(ptb.differPairs([]mapping.Expr{probe})))
 			}
 		}
 		if len(poss) > 1 {
 			if probeSetup(ptb, poss, poss[:1], nil, poss[1], nil) {
-				qs = append(qs, ptb.realQuery([]mapping.Expr{poss[1]}))
+				qs = append(qs, ptb.realQuery(ptb.differPairs([]mapping.Expr{poss[1]})))
 			}
 		}
 		qs = append(qs, multiKeyQueries(w, m)...)
@@ -75,11 +75,11 @@ func multiKeyQueries(w *GroupingWizard, m *mapping.Mapping) []*query.Query {
 	var qs []*query.Query
 	tb := compileTableau(m, w.SrcDeps, 2)
 	if tb.probe(nil, rest, keyAttrs) {
-		qs = append(qs, tb.realQuery(keyAttrs))
+		qs = append(qs, tb.realQuery(tb.differPairs(keyAttrs)))
 	}
 	for _, probe := range rest {
 		if probeSetup(tb, rest, nil, nil, probe, keyAttrs) {
-			qs = append(qs, tb.realQuery([]mapping.Expr{probe}))
+			qs = append(qs, tb.realQuery(tb.differPairs([]mapping.Expr{probe})))
 		}
 	}
 	return qs

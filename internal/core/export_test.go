@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"muse/internal/mapping"
 	"muse/internal/query"
 )
 
@@ -20,8 +19,8 @@ func (st *Stepper) Snapshot() []Answer {
 }
 
 // ProbeRetrieval is a copy of a probe retrieval as the wizard ran it:
-// its tableau in the probe's partition, its query, and its decision on
-// the wizard's assignment tables.
+// its tableau in the probe's partition, its query, and its verdicts on
+// the wizard's index store and assignment tables.
 type ProbeRetrieval struct {
 	d probeDecision
 	// Query is the probe query the kernel searches.
@@ -36,21 +35,25 @@ func (w *GroupingWizard) LastRetrieval() *ProbeRetrieval {
 	if d.probe < 0 {
 		return nil
 	}
+	// The copy keeps the probe's partition and pairs; scratch the
+	// verdicts write is its own.
 	tb := *d.tb
-	tb.parent = slices.Clone(tb.parent)
-	tb.keys, tb.filter, tb.least = nil, nil, nil
-	d.tb = &tb
-	for e, s := range tb.slot {
-		if s == d.probe {
-			return &ProbeRetrieval{d: d, Query: tb.realQuery([]mapping.Expr{e})}
-		}
-	}
-	panic("core: the probed slot names no attribute")
+	tb.parent, tb.trail = slices.Clone(tb.parent), slices.Clone(tb.trail)
+	tb.neq = slices.Clone(d.neq)
+	tb.merged = make([]bool, len(tb.pairs))
+	tb.keys, tb.filter, tb.least, tb.shared, tb.facts, tb.factAttrs = nil, nil, nil, nil, nil, nil
+	d.tb, d.neq = &tb, tb.neq
+	return &ProbeRetrieval{d: d, Query: tb.realQuery(tb.neq)}
 }
 
+// Refute refutes the retrieval on its tableau from the unique
+// attributes of the wizard's index store, as obtainExample does first.
+func (p *ProbeRetrieval) Refute() bool { return p.d.Refuted(p.d.env.Store) }
+
 // Decide decides the retrieval on the wizard's assignment table of its
-// mapping, as obtainExample does: whether it has the decided shape and,
-// when it has, whether the table proves its query empty.
+// mapping, as obtainExample does when refutation settles nothing:
+// whether it has the decided shape and, when it has, whether the table
+// proves its query empty.
 func (p *ProbeRetrieval) Decide() (shaped, empty bool, err error) {
 	return p.d.decide(context.Background())
 }

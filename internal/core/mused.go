@@ -8,6 +8,7 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
+	"muse/internal/query"
 )
 
 // DisambiguationWizard is Muse-D: it resolves the or-predicates of an
@@ -83,21 +84,9 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	// One copy of the canonical tableau; the or-group alternatives must
 	// be pairwise distinguishable, so they are left in distinct classes
 	// (the canonical tableau only merges what the satisfy clause
-	// forces) and the real-example query adds the inequalities
-	// en1 ≠ en2 of Sec. IV-A.
+	// forces) and the real-example query requires them to differ.
 	tb := compileTableau(m, w.SrcDeps, 1)
-	q := tb.realQuery(nil)
-	for _, g := range m.OrGroups {
-		for i := 0; i < len(g.Alts); i++ {
-			for j := i + 1; j < len(g.Alts); j++ {
-				a, b := tb.slot[g.Alts[i]], tb.slot[g.Alts[j]]
-				if tb.find(a) == tb.find(b) {
-					continue // equivalent alternatives: indistinguishable by data
-				}
-				q.Neq = append(q.Neq, [2]string{tb.classID(a), tb.classID(b)})
-			}
-		}
-	}
+	dc := newProbeDecision(&w.Env, tb, tb.choicePairs())
 	// Obtain the example: real when the pattern (with inequalities)
 	// exists, synthetic otherwise.
 	var ie *instance.Instance
@@ -106,7 +95,7 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	if w.Real != nil {
 		opt := w.retrieval()
 		opt.Ctx = sctx
-		if match, ok, _ := q.First(w.Real, opt); ok {
+		if match, ok, _ := query.FirstDecided(w.Real, opt, &dc, func() *query.Query { return tb.realQuery(dc.neq) }); ok {
 			ie = tb.fromMatch(match, w.Real)
 			real = true
 			valueOf = func(e mapping.Expr) instance.Value {

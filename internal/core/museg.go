@@ -10,6 +10,7 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
+	"muse/internal/query"
 	"muse/internal/rank"
 )
 
@@ -28,8 +29,9 @@ type GroupingWizard struct {
 	// Stats accumulates per-grouping-function effort.
 	Stats Stats
 
-	// decision decides each probe retrieval on its mapping's assignment
-	// table before the kernel would plan it (obtainExample).
+	// decision settles each probe retrieval before the kernel would
+	// search it: refuted on the tableau, or decided on its mapping's
+	// assignment table (obtainExample).
 	decision probeDecision
 }
 
@@ -244,13 +246,13 @@ func (w *GroupingWizard) probeAll(tb *tableau, fn string, poss, candidates, conf
 // attaches score's ranking when a ranker is attached, and returns the
 // designer's answer, 1 or 2.
 func (w *GroupingWizard) ask(tb *tableau, q *GroupingQuestion, differ []mapping.Expr, score func(*rank.Scorer) rank.Ranking, d GroupingDesigner, stats *SKStats) (int, error) {
-	ie, real := w.obtainExample(tb, differ, stats)
 	// The probe span parents into the CURRENT request's trace —
 	// w.context() is re-pointed by Stepper.install per request, so the
-	// two scenario chases below land in the trace of the request whose
-	// answer triggered this question.
+	// example retrieval and the two scenario chases below land in the
+	// trace of the request whose answer triggered this question.
 	sp, pctx := w.Obs.StartCtx(w.context(), obs.SpanMuseGProbe)
 	defer sp.End()
+	ie, real := w.obtainExample(pctx, tb, differ, stats)
 	s1, s2, err := w.scenarios(pctx, tb.scenarios, q, ie)
 	if err != nil {
 		return 0, err
@@ -302,7 +304,8 @@ func (w *GroupingWizard) scenarios(ctx context.Context, p *chase.Program, q *Gro
 // compiled two-copy tableau. It reports false when the probe is
 // unconstructible (inconsequential).
 func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapping.Expr]bool, probe mapping.Expr, alwaysDiffer []mapping.Expr) bool {
-	excluded := make([]bool, tb.width)
+	excluded := tb.excluded
+	clear(excluded)
 	for k := range decidedOut {
 		excluded[tb.slot[k]] = true
 	}
@@ -313,26 +316,28 @@ func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapp
 	for _, e := range alwaysDiffer {
 		excluded[tb.slot[e]] = true
 	}
-	var undecided []mapping.Expr
+	tb.undecided = tb.undecided[:0]
 	for _, e := range poss {
 		if !excluded[tb.slot[e]] {
-			undecided = append(undecided, e)
+			tb.undecided = append(tb.undecided, e)
 		}
 	}
-	return tb.probe(confirmed, undecided, append([]mapping.Expr{probe}, alwaysDiffer...))
+	tb.mustDiffer = append(append(tb.mustDiffer[:0], probe), alwaysDiffer...)
+	return tb.probe(confirmed, tb.undecided, tb.mustDiffer)
 }
 
-// obtainExample retrieves a real example via the probe query, falling
-// back to the synthetic instance when the query is refuted, decided
-// empty on the assignment table, or searched without a match within its
-// budget.
-func (w *GroupingWizard) obtainExample(tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
+// obtainExample retrieves a real example under ctx, falling back to
+// the synthetic instance when the probe is refuted on the tableau,
+// decided empty on the assignment table, or searched without a match
+// within its budget. The probe query is built only for the search.
+func (w *GroupingWizard) obtainExample(ctx context.Context, tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
-		q := tb.realQuery(differ)
-		w.decision = newProbeDecision(&w.Env, tb, differ)
-		match, ok, _ := q.FirstDecided(w.Real, w.retrieval(), &w.decision)
+		w.decision = newProbeDecision(&w.Env, tb, tb.differPairs(differ))
+		opt := w.retrieval()
+		opt.Ctx = ctx
+		match, ok, _ := query.FirstDecided(w.Real, opt, &w.decision, func() *query.Query { return tb.realQuery(w.decision.neq) })
 		if ok {
 			stats.RealExamples++
 			ie := tb.fromMatch(match, w.Real)

@@ -102,6 +102,43 @@ func TestMuseGObsCounters(t *testing.T) {
 	}
 }
 
+// TestProbeRetrievalUnderProbeSpan: a question's example retrieval runs
+// inside its museg.probe span, so in a traced Fig. 1 design with a real
+// instance every query.eval span is a child of a museg.probe span.
+func TestProbeRetrievalUnderProbeSpan(t *testing.T) {
+	fig := scenarios.NewFigure1(true)
+	w := core.NewGroupingWizard(fig.SrcDeps, fig.Source)
+	w.Obs = obs.New()
+	oracle, err := designer.StrategyOracle(designer.G1, fig.M2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.DesignMapping(fig.M2, oracle); err != nil {
+		t.Fatal(err)
+	}
+	if w.Obs.Tr.Count() > obs.DefaultRingSize {
+		t.Fatalf("%d spans overflow the %d-span ring", w.Obs.Tr.Count(), obs.DefaultRingSize)
+	}
+	recs := w.Obs.Tr.Finished()
+	names := make(map[string]string, len(recs))
+	for _, rec := range recs {
+		names[rec.SpanID] = rec.Name
+	}
+	evals := 0
+	for _, rec := range recs {
+		if rec.Name != obs.SpanQueryEval {
+			continue
+		}
+		evals++
+		if parent := names[rec.ParentID]; parent != obs.SpanMuseGProbe {
+			t.Errorf("a query.eval span's parent is %q, want %s", parent, obs.SpanMuseGProbe)
+		}
+	}
+	if evals == 0 || evals != w.Stats.TotalQuestions() {
+		t.Errorf("%d query.eval spans for %d questions; want one per question", evals, w.Stats.TotalQuestions())
+	}
+}
+
 // joinQuery joins each Fig. 1 company to its projects and their
 // managers.
 func joinQuery(cat *nr.Catalog) *query.Query {

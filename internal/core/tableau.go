@@ -30,6 +30,7 @@ type tableau struct {
 	first  []int32                // copy-1 slot of each variable's first atom
 	sat    []int32                // parent links after the satisfy merges
 	rules  []fdRule               // source FDs per pair of rows, in chase order
+	pairs  []rowPair              // top-level rows over one set, in refute order
 	ids    []string               // per slot: the ID of a class it roots
 	short  []string               // per copy-1 slot: shortAttr of its atom
 
@@ -38,8 +39,12 @@ type tableau struct {
 	agreed []int32 // copy-1 slots merged across copies, in merge order
 	differ []int32 // copy-1 slots that must stay apart across copies
 
-	// classValue is every slot's synthetic constant (set by name).
+	// classValue is every slot's synthetic constant (set by name). minted
+	// holds each label's constants by ordinal, minted once per tableau,
+	// and count the ordinals name has used.
 	classValue []instance.Value
+	minted     map[string][]instance.Value
+	count      map[string]int
 
 	// scenarios is m's chase compiled for m.Src, which a Muse-G
 	// question's two scenarios run (questionTableau); nil on the
@@ -50,6 +55,34 @@ type tableau struct {
 	// assignment table (decidedShape); least is their scratch.
 	keys, filter []int32
 	least        []int32
+
+	// neq is the current retrieval's must-differ slot pairs, flattened
+	// (differPairs, choicePairs). excluded, undecided and mustDiffer are
+	// probeSetup's scratch.
+	neq                   []int32
+	excluded              []bool
+	undecided, mustDiffer []mapping.Expr
+
+	// refute's scratch, and the proof of its last refutation: the
+	// refuted pair's class IDs and the uniqueness facts used, whose
+	// attribute lists factAttrs holds.
+	merged    []bool
+	shared    []string
+	neqIDs    [2]string
+	facts     []uniqueFact
+	factAttrs []string
+}
+
+// rowPair is two top-level rows over one set, by their first slots.
+type rowPair struct {
+	st   *nr.SetType
+	a, b int32
+}
+
+// uniqueFact records that the set st holds attrs unique.
+type uniqueFact struct {
+	st    *nr.SetType
+	attrs []string
 }
 
 // fdRule applies one source FD to one pair of rows over its set: when
@@ -63,7 +96,8 @@ type fdRule struct{ from, to []int32 }
 // attribute agreeing across copies.
 func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
 	info := m.MustAnalyze()
-	tb := &tableau{m: m, info: info, copies: copies, slot: make(map[mapping.Expr]int32)}
+	tb := &tableau{m: m, info: info, copies: copies, slot: make(map[mapping.Expr]int32),
+		minted: make(map[string][]instance.Value), count: make(map[string]int)}
 	for _, v := range info.SrcOrder {
 		tb.first = append(tb.first, tb.width)
 		for _, a := range info.SrcVars[v].Atoms {
@@ -72,6 +106,7 @@ func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
 			tb.width++
 		}
 	}
+	tb.excluded = make([]bool, tb.width)
 	n := int32(copies) * tb.width
 	tb.parent = make([]int32, n)
 	for s := range tb.parent {
@@ -91,6 +126,7 @@ func compileTableau(m *mapping.Mapping, src *deps.Set, copies int) *tableau {
 	tb.sat = slices.Clone(tb.parent)
 	tb.classValue = make([]instance.Value, n)
 	tb.compileFDs(src)
+	tb.compilePairs()
 	tb.name()
 	return tb
 }
@@ -132,6 +168,28 @@ func (tb *tableau) compileFDs(src *deps.Set) {
 			}
 		}
 	}
+}
+
+// compilePairs lists, for refute, every pair of top-level rows over
+// one set, rows in copy-major and then for-clause order. Nested rows
+// never pair: their uniqueness would have to hold across occurrences.
+func (tb *tableau) compilePairs() {
+	var rows []rowPair // a row each, in a
+	for c := 1; c <= tb.copies; c++ {
+		for i, g := range tb.m.For {
+			if g.Root != nil {
+				rows = append(rows, rowPair{st: tb.info.SrcVars[g.Var], a: tb.at(c, tb.first[i])})
+			}
+		}
+	}
+	for i, x := range rows {
+		for _, y := range rows[i+1:] {
+			if x.st == y.st {
+				tb.pairs = append(tb.pairs, rowPair{x.st, x.a, y.a})
+			}
+		}
+	}
+	tb.merged = make([]bool, len(tb.pairs))
 }
 
 // at returns the slot of copy-1 slot s in copy c.
@@ -257,16 +315,102 @@ func (tb *tableau) name() {
 	}
 	tb.closeFDs()
 	clear(tb.classValue)
-	count := make(map[string]int) // constants minted per short label
+	clear(tb.count)
 	for s := range tb.parent {
 		r := tb.find(int32(s))
 		if tb.classValue[r] == nil {
 			short := tb.short[r%tb.width]
-			count[short]++
-			tb.classValue[r] = instance.C(short + strconv.Itoa(count[short]))
+			n := tb.count[short]
+			tb.count[short]++
+			if n == len(tb.minted[short]) {
+				tb.minted[short] = append(tb.minted[short], instance.C(short+strconv.Itoa(n+1)))
+			}
+			tb.classValue[r] = tb.minted[short][n]
 		}
 		tb.classValue[s] = tb.classValue[r]
 	}
+}
+
+// refute reports whether, on the instance store indexes, the current
+// partition forces one of the slot pairs of neq (flattened) into one
+// class. Two top-level rows over one set that agree on an attribute
+// list the instance holds unique are one tuple, so all their atom slots
+// are merged, on the trail and to a fixpoint; the merges are undone
+// before refute returns. Every row binds each of its atoms and pins
+// none, so a retrieval with a match is never refuted. A refutation
+// keeps its proof for explainRefuted.
+func (tb *tableau) refute(store *query.IndexStore, neq []int32) bool {
+	mark := len(tb.trail)
+	clear(tb.merged)
+	tb.facts, tb.factAttrs = tb.facts[:0], tb.factAttrs[:0]
+	for changed := true; changed; {
+		changed = false
+		for p, pr := range tb.pairs {
+			if tb.merged[p] {
+				continue
+			}
+			tb.shared = tb.shared[:0]
+			for k, a := range pr.st.Atoms {
+				if tb.find(pr.a+int32(k)) == tb.find(pr.b+int32(k)) {
+					tb.shared = append(tb.shared, a)
+				}
+			}
+			slices.Sort(tb.shared)
+			attrs := store.UniqueAttrs(pr.st, tb.shared)
+			if attrs == nil {
+				continue
+			}
+			for k := range int32(len(pr.st.Atoms)) {
+				tb.union(pr.a+k, pr.b+k)
+			}
+			tb.merged[p], changed = true, true
+			if !slices.ContainsFunc(tb.facts, func(f uniqueFact) bool { return f.st == pr.st && slices.Equal(f.attrs, attrs) }) {
+				n := len(tb.factAttrs)
+				tb.factAttrs = append(tb.factAttrs, attrs...)
+				tb.facts = append(tb.facts, uniqueFact{pr.st, tb.factAttrs[n:]})
+			}
+		}
+	}
+	refuted := -1
+	for k := 0; k < len(neq) && refuted < 0; k += 2 {
+		if tb.find(neq[k]) == tb.find(neq[k+1]) {
+			refuted = k
+		}
+	}
+	tb.undo(mark)
+	if refuted >= 0 {
+		// The query names each side after its class in the partition
+		// the merges were undone to.
+		tb.neqIDs = [2]string{tb.classID(neq[refuted]), tb.classID(neq[refuted+1])}
+	}
+	return refuted >= 0
+}
+
+// explainRefuted renders the last refutation's proof, naming the pair
+// by the query's value variables and the facts in the order used:
+//
+//	refuted: x_1 != x_2; lineitem unique on (l_extendedprice)
+func (tb *tableau) explainRefuted() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "refuted: %s != %s", tb.neqIDs[0], tb.neqIDs[1])
+	for _, f := range tb.facts {
+		fmt.Fprintf(&b, "; %s unique on (%s)", f.st.Path, strings.Join(f.attrs, ", "))
+	}
+	return b.String()
+}
+
+// laidOutIn reports whether cat lays out every set of the for clause
+// as m.Src does, so that retrieval may read an instance of cat.
+func (tb *tableau) laidOutIn(cat *nr.Catalog) bool {
+	if cat == tb.m.Src {
+		return true
+	}
+	for _, st := range tb.info.SrcVars {
+		if it := cat.ByPath(st.Path); it == nil || !slices.Equal(it.Atoms, st.Atoms) || !slices.Equal(it.SetFields, st.SetFields) {
+			return false
+		}
+	}
+	return true
 }
 
 // decidedShape reports whether the current partition has the shape the
@@ -368,9 +512,9 @@ func (tb *tableau) values(c, i int) []instance.Value {
 }
 
 // realQuery builds the Q_Ie retrieving tuples from the actual source
-// instance that realize the tableau's agree pattern, with the given
-// disagreement pairs enforced as inequalities.
-func (tb *tableau) realQuery(differ []mapping.Expr) *query.Query {
+// instance that realize the tableau's agree pattern, with the slot
+// pairs of neq (flattened) enforced as inequalities.
+func (tb *tableau) realQuery(neq []int32) *query.Query {
 	q := &query.Query{Src: tb.m.Src}
 	for c := 1; c <= tb.copies; c++ {
 		suffix := "__" + strconv.Itoa(c)
@@ -389,13 +533,42 @@ func (tb *tableau) realQuery(differ []mapping.Expr) *query.Query {
 			q.Atoms = append(q.Atoms, atom)
 		}
 	}
+	for k := 0; k < len(neq); k += 2 {
+		q.Neq = append(q.Neq, [2]string{tb.classID(neq[k]), tb.classID(neq[k+1])})
+	}
+	return q
+}
+
+// differPairs sets neq to the pairs a probe whose copies differ on
+// differ requires to differ: each attribute's copy-1 slot with its
+// twin in every other copy.
+func (tb *tableau) differPairs(differ []mapping.Expr) []int32 {
+	tb.neq = tb.neq[:0]
 	for _, e := range differ {
 		s := tb.slot[e]
 		for c := 2; c <= tb.copies; c++ {
-			q.Neq = append(q.Neq, [2]string{tb.classID(s), tb.classID(tb.at(c, s))})
+			tb.neq = append(tb.neq, s, tb.at(c, s))
 		}
 	}
-	return q
+	return tb.neq
+}
+
+// choicePairs sets neq to the pairs Muse-D's one-copy example requires
+// to differ (the en1 != en2 of Sec. IV-A): the alternatives of each
+// or-group, pairwise, unless the tableau already puts them in one
+// class, where no data can tell them apart.
+func (tb *tableau) choicePairs() []int32 {
+	tb.neq = tb.neq[:0]
+	for _, g := range tb.m.OrGroups {
+		for i := 0; i < len(g.Alts); i++ {
+			for j := i + 1; j < len(g.Alts); j++ {
+				if a, b := tb.slot[g.Alts[i]], tb.slot[g.Alts[j]]; tb.find(a) != tb.find(b) {
+					tb.neq = append(tb.neq, a, b)
+				}
+			}
+		}
+	}
+	return tb.neq
 }
 
 // fromMatch materializes the example instance from a real query match

@@ -4,96 +4,237 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 
+	"muse/internal/cliogen"
 	"muse/internal/core"
+	"muse/internal/deps"
 	"muse/internal/instance"
 	"muse/internal/mapping"
+	"muse/internal/nr"
 )
 
-// checkDecide is the query family's decide leg. Muse-G decides a probe
-// retrieval of the decided shape on its mapping's assignment table
-// instead of searching it (core.DecideProbe); the leg checks that every
-// such decision agrees with the reference evaluator on the same probe
-// query. Inputs come from the leg's own rand stream: random scenarios
-// under random keys and FDs, and the multi-feed twins of their mappings
-// (each on its feed variant too), on the scenario's instance and on
-// MutateInstance copies, which bring unset slots, replaced values and
-// FD violations. Each probe draws its probed, confirmed and decided-out
+// checkDecide is the query family's decide leg. Muse-G refutes a probe
+// retrieval on its tableau from the instance's unique attributes, and
+// decides one of the decided shape on its mapping's assignment table,
+// instead of searching it (core.DecideProbe); Muse-D refutes its
+// one-copy retrieval on the tableau (core.DecideChoice). The leg checks
+// every such verdict against the reference evaluator on the same query:
+// a refuted query and one decided empty have no match, one decided
+// non-empty has one. Inputs come from the leg's own rand streams:
+// random scenarios under random keys and FDs, the multi-feed twins of
+// their mappings (each on its feed variant too), and random scenarios
+// over a source with a nested set and a set under two roles, on the
+// scenario's instance and on MutateInstance copies, which bring unset
+// slots, replaced values and FD violations. Each probe draws its probed, confirmed and decided-out
 // attributes from poss, and sometimes more attributes its copies must
 // differ on, which puts it outside the decided shape.
 func checkDecide(cfg Config) []Failure {
+	l := &decideLeg{seed: cfg.Seed, queries: cfg.Queries}
 	r := rand.New(rand.NewSource(cfg.Seed*37 + 11))
-	var fails []Failure
-	var probes, empty, outside, mappings int
 	for drawn, attempts := 0, 0; drawn < cfg.Cases && attempts < 20*cfg.Cases; attempts++ {
 		c, ok := RandomScenario(r, fmt.Sprintf("rnd-%d-%d", cfg.Seed, attempts))
 		if !ok {
 			continue
 		}
 		drawn++
-		d := constraints(r, c.Deps, c.Src)
-		base := []*instance.Instance{c.Src, MutateInstance(r, c.Src), MutateInstance(r, c.Src)}
-		type input struct {
-			m   *mapping.Mapping
-			ins []*instance.Instance
+		l.scenario(r, c, true)
+	}
+	// Scenarios over a source of both shapes random ones lack draw from
+	// a stream of their own, so the flat scenarios stay as they were.
+	rs := rand.New(rand.NewSource(cfg.Seed*37 + 12))
+	for drawn, attempts := 0, 0; drawn < cfg.Cases && attempts < 20*cfg.Cases; attempts++ {
+		c, ok := randomShapedScenario(rs, fmt.Sprintf("shaped-%d-%d", cfg.Seed, attempts))
+		if !ok {
+			continue
 		}
-		var inputs []input
-		for _, m := range c.Ms {
-			inputs = append(inputs, input{m, base})
-			if t := multiFeed(r, m); t != nil {
-				inputs = append(inputs, input{t, slices.Concat(base, []*instance.Instance{feedVariant(r, t, c.Src)})})
-			}
+		drawn++
+		l.scenario(rs, c, false)
+	}
+	cfg.logf("  query decide: %d probes on %d mappings, %d refuted, %d decided empty, %d non-empty, %d outside the decided shape; Muse-D: %d retrievals on %d ambiguous mappings, %d of them refuted",
+		l.probes, l.mappings, l.refuted, l.empty, l.probes-l.outside-l.empty, l.outside, l.choices, l.ambiguous, l.choicesRefuted)
+	return l.fails
+}
+
+// decideLeg accumulates the decide leg's failures and counts.
+type decideLeg struct {
+	seed                                      int64
+	queries                                   int
+	fails                                     []Failure
+	probes, refuted, empty, outside, mappings int
+	choices, choicesRefuted, ambiguous        int
+}
+
+// scenario checks the Muse-G probes of c's mappings, and of their
+// multi-feed twins when feeds is set (feedVariant copies flat instances
+// only), and the Muse-D retrievals of its ambiguous mappings, under
+// constraints drawn from r, on c's instance and two mutated copies.
+func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
+	d := constraints(r, c.Deps, c.Src)
+	base := []*instance.Instance{c.Src, MutateInstance(r, c.Src), MutateInstance(r, c.Src)}
+	type input struct {
+		m   *mapping.Mapping
+		ins []*instance.Instance
+	}
+	var inputs []input
+	for _, m := range c.Ms {
+		inputs = append(inputs, input{m, base})
+		if !feeds {
+			continue
 		}
-		for _, in := range inputs {
-			poss := in.m.Poss()
-			if len(poss) == 0 {
-				continue
-			}
-			mappings++
-			for _, src := range in.ins {
-				for k := 0; k < cfg.Queries; k++ {
-					confirmed, out, differ := probePattern(r, poss)
-					var dc core.ProbeDecision
-					var ok bool
-					err := guard(func() (err error) {
-						dc, ok, err = core.DecideProbe(in.m, d, src, confirmed, out, differ)
-						return err
-					})
-					name := fmt.Sprintf("decide/%s/%s/p%d", c.Name, in.m.Name, k)
-					fail := func(detail string) {
-						fails = append(fails, Failure{Oracle: "query", Case: name, Seed: cfg.Seed,
-							Detail: fmt.Sprintf("%s (probe %s, confirmed %s, decided out %s, differ %s)", detail, differ[0], exprs(confirmed), exprs(out), exprs(differ)),
-							Repro:  formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{in.m}}) + reproQuery(dc.Query, src)})
-					}
-					switch {
-					case err != nil:
-						fail(fmt.Sprintf("deciding the probe failed: %v", err))
-						continue
-					case !ok:
-						continue
-					}
-					probes++
-					if !dc.Shaped {
-						outside++
-						continue
-					}
-					ref, err := dc.Query.EvalNaive(src)
-					if err != nil {
-						fail(fmt.Sprintf("the reference evaluator failed: %v", err))
-						continue
-					}
-					if dc.Empty {
-						empty++
-					}
-					if dc.Empty != (len(ref) == 0) {
-						fail(fmt.Sprintf("the assignment table decided empty=%v, but the reference finds %d matches", dc.Empty, len(ref)))
-					}
+		if t := multiFeed(r, m); t != nil {
+			inputs = append(inputs, input{t, slices.Concat(base, []*instance.Instance{feedVariant(r, t, c.Src)})})
+		}
+	}
+	for _, in := range inputs {
+		poss := in.m.Poss()
+		if len(poss) == 0 {
+			continue
+		}
+		l.mappings++
+		for _, src := range in.ins {
+			for k := 0; k < l.queries; k++ {
+				confirmed, out, differ := probePattern(r, poss)
+				var dc core.ProbeDecision
+				ok := true
+				err := guard(func() (err error) {
+					dc, ok, err = core.DecideProbe(in.m, d, src, confirmed, out, differ)
+					return err
+				})
+				if !ok && err == nil {
+					continue
 				}
+				l.probes++
+				l.refuted += count(dc.Refuted)
+				l.outside += count(!dc.Shaped)
+				l.empty += count(dc.Shaped && dc.Empty)
+				l.check(fmt.Sprintf("decide/%s/%s/p%d", c.Name, in.m.Name, k), in.m, src, dc, err,
+					fmt.Sprintf(" (probe %s, confirmed %s, decided out %s, differ %s)", differ[0], exprs(confirmed), exprs(out), exprs(differ)))
 			}
 		}
 	}
-	cfg.logf("  query decide: %d probes on %d mappings, %d decided empty, %d non-empty, %d outside the decided shape", probes, mappings, empty, probes-outside-empty, outside)
-	return fails
+	for _, m := range c.Ambiguous {
+		l.ambiguous++
+		for _, src := range base {
+			var dc core.ProbeDecision
+			err := guard(func() error { dc = core.DecideChoice(m, d, src); return nil })
+			l.choices++
+			l.choicesRefuted += count(dc.Refuted)
+			l.check(fmt.Sprintf("decide/%s/%s/choice", c.Name, m.Name), m, src, dc, err, "")
+		}
+	}
+}
+
+// check records a failure when settling the retrieval of m failed, or
+// when a verdict of dc disagrees with the reference evaluator on
+// dc.Query over src: a refuted query and one decided empty have no
+// match, one decided non-empty has one.
+func (l *decideLeg) check(name string, m *mapping.Mapping, src *instance.Instance, dc core.ProbeDecision, err error, pattern string) {
+	var detail string
+	switch {
+	case err != nil:
+		detail = fmt.Sprintf("settling the retrieval failed: %v", err)
+	case dc.Refuted || dc.Shaped:
+		ref, err := dc.Query.EvalNaive(src)
+		switch {
+		case err != nil:
+			detail = fmt.Sprintf("the reference evaluator failed: %v", err)
+		case dc.Refuted && len(ref) > 0:
+			detail = fmt.Sprintf("the tableau refuted the retrieval, but the reference finds %d matches", len(ref))
+		case dc.Shaped && dc.Empty != (len(ref) == 0):
+			detail = fmt.Sprintf("the assignment table decided empty=%v, but the reference finds %d matches", dc.Empty, len(ref))
+		}
+	}
+	if detail == "" {
+		return
+	}
+	repro := formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{m}})
+	if dc.Query != nil {
+		repro += reproQuery(dc.Query, src)
+	}
+	l.fails = append(l.fails, Failure{Oracle: "query", Case: name, Seed: l.seed, Detail: detail + pattern, Repro: repro})
+}
+
+// count is 1 for true and 0 for false.
+func count(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// randomShapedScenario draws a scenario over a fixed source with the
+// two shapes random sources lack. S0 (a0, a1) nests C (c0, c1, c2), and
+// two references from one attribute of S0 into S1 (b0, b1, b2) reach S1
+// under two roles, so the mappings that read it are ambiguous (Sec.
+// IV). It draws correspondences into a random nested target, from C as
+// often as from S0 and S1 together, and a small instance whose S1
+// mostly holds b0 unique without a key saying so, and whose other
+// values come from a pool of two, so that tuples nested under
+// different parents often agree. ok is false when the correspondences
+// don't generate.
+func randomShapedScenario(r *rand.Rand, name string) (*Case, bool) {
+	str := nr.StringType()
+	cat := nr.MustCatalog(nr.MustSchema("ShapedSrc", nr.Record(
+		nr.F("S0", nr.SetOf(nr.Record(nr.F("a0", str), nr.F("a1", str),
+			nr.F("C", nr.SetOf(nr.Record(nr.F("c0", str), nr.F("c1", str), nr.F("c2", str))))))),
+		nr.F("S1", nr.SetOf(nr.Record(nr.F("b0", str), nr.F("b1", str), nr.F("b2", str)))),
+	)))
+	s0, ch, s1 := cat.ByPath(nr.ParsePath("S0")), cat.ByPath(nr.ParsePath("S0.C")), cat.ByPath(nr.ParsePath("S1"))
+	src := deps.NewSet(cat)
+	from := []string{s0.Atoms[r.Intn(2)]}
+	_ = src.AddRef("r0", "S0", from, "S1", []string{"b0"})
+	_ = src.AddRef("r1", "S0", from, "S1", []string{"b0"})
+	tgt := randomTargetSchema(r)
+	var corrs []cliogen.Corr
+	for _, ts := range tgt.Sets {
+		for _, ta := range ts.Atoms {
+			st := [...]*nr.SetType{s0, ch, ch, s1}[r.Intn(4)]
+			corrs = append(corrs, cliogen.C(st.Path.String(), st.Atoms[r.Intn(len(st.Atoms))], ts.Path.String(), ta))
+		}
+	}
+	set, err := cliogen.Generate(src, deps.NewSet(tgt), corrs)
+	if err != nil || len(set.Mappings) == 0 {
+		return nil, false
+	}
+	in := instance.New(cat)
+	keys := 1 + r.Intn(4)
+	key := func(k int) instance.Value { return instance.C("k" + strconv.Itoa(k)) }
+	pooled := func(st *nr.SetType) *instance.Tuple {
+		t := instance.NewTuple(st)
+		for _, a := range st.Atoms {
+			if r.Float64() < 0.9 {
+				t.Put(a, instance.C([...]string{"v0", "v1"}[r.Intn(2)]))
+			}
+		}
+		return t
+	}
+	for i := range keys {
+		if r.Float64() < 0.2 {
+			i = r.Intn(keys)
+		}
+		in.InsertTop(s1, pooled(s1).Put("b0", key(i)))
+	}
+	for i := 1 + r.Intn(4); i >= 0; i-- {
+		ref := instance.NewSetRef("SKC", key(i))
+		in.InsertTop(s0, instance.NewTuple(s0).Put("a0", key(r.Intn(keys))).Put("a1", key(r.Intn(keys))).Put("C", ref))
+		in.EnsureSet(ch, ref)
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			in.Insert(ch, ref, pooled(ch))
+		}
+	}
+	return generatedCase(name, in, src, set), true
+}
+
+// generatedCase is the case of set's mappings over in.
+func generatedCase(name string, in *instance.Instance, src *deps.Set, set *mapping.Set) *Case {
+	c := &Case{Name: name, Src: in, Ms: disambiguate(set), Deps: src}
+	for _, m := range set.Mappings {
+		if m.Ambiguous() {
+			c.Ambiguous = append(c.Ambiguous, m)
+		}
+	}
+	return c
 }
 
 // probePattern draws a probe's agreement pattern over poss: the probed

@@ -55,7 +55,7 @@ func FuzzRandomQuery(f *testing.F) {
 			if q == nil {
 				continue
 			}
-			if fail := checkOneQuery("fuzz", q, c.Src, nil, nil, r); fail != nil {
+			if fail := checkOneQuery("fuzz", q, c.Src, nil, r); fail != nil {
 				fail.Seed = seed
 				t.Errorf("%s", fail.String())
 			}

@@ -14,12 +14,15 @@ import (
 
 // Case is one chase-oracle input: a source instance plus an
 // unambiguous mapping set over it. Deps holds the source constraints
-// a random scenario was generated under (nil on the builtin cases).
+// a random scenario was generated under, and Ambiguous the generated
+// mappings that Ms holds at their first interpretation (both nil on
+// the builtin cases).
 type Case struct {
-	Name string
-	Src  *instance.Instance
-	Ms   []*mapping.Mapping
-	Deps *deps.Set
+	Name      string
+	Src       *instance.Instance
+	Ms        []*mapping.Mapping
+	Deps      *deps.Set
+	Ambiguous []*mapping.Mapping
 }
 
 // adversarialValues are constants the mutator injects alongside values
@@ -229,7 +232,7 @@ func RandomScenario(r *rand.Rand, name string) (*Case, bool) {
 			in.InsertTop(st, t)
 		}
 	}
-	return &Case{Name: name, Src: in, Ms: disambiguate(set), Deps: srcDeps}, true
+	return generatedCase(name, in, srcDeps, set), true
 }
 
 // randomSourceSchema draws a flat relational source schema: 1–3

@@ -8,7 +8,6 @@ import (
 
 	"muse/internal/instance"
 	"muse/internal/nr"
-	"muse/internal/obs"
 	"muse/internal/query"
 )
 
@@ -21,21 +20,19 @@ const queryCap = 100
 // over the base-case instances (and mutated variants), each evaluated
 // by the naive scan reference and by the cost-based planner — in full,
 // with Limit, and via First — and compared; then the decide leg, which
-// compares Muse-G's assignment-table decisions with the naive scan.
+// compares the wizards' refutations and assignment-table decisions with
+// the naive scan.
 func CheckQuery(cfg Config) []Failure {
-	fails, _ := checkQueries(cfg)
-	return append(fails, checkDecide(cfg.withDefaults())...)
+	return append(checkQueries(cfg), checkDecide(cfg.withDefaults())...)
 }
 
-// checkQueries is CheckQuery, also returning how many probes the
-// planned evaluation refuted without a search.
-func checkQueries(cfg Config) ([]Failure, int64) {
+// checkQueries is CheckQuery without the decide leg.
+func checkQueries(cfg Config) []Failure {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed + 1))
 	// The two-copy probes draw from their own stream, so the general
 	// probes are the same with and without them.
 	rc := rand.New(rand.NewSource(cfg.Seed + 2))
-	o := &obs.Obs{Reg: obs.NewRegistry()}
 	var fails []Failure
 	for _, c := range ChaseCases(cfg) {
 		// The naive reference scans without indexes, so bound the
@@ -52,13 +49,13 @@ func checkQueries(cfg Config) ([]Failure, int64) {
 		store := query.NewIndexStore(c.Src)
 		for qi := 0; qi < cfg.Queries; qi++ {
 			if q := RandomQuery(r, c.Src); q != nil {
-				if f := checkOneQuery(fmt.Sprintf("%s/q%d", c.Name, qi), q, c.Src, store, o, r); f != nil {
+				if f := checkOneQuery(fmt.Sprintf("%s/q%d", c.Name, qi), q, c.Src, store, r); f != nil {
 					f.Seed = cfg.Seed
 					fails = append(fails, *f)
 				}
 			}
 			if q := copyProbe(rc, c.Src); q != nil {
-				if f := checkOneQuery(fmt.Sprintf("%s/c%d", c.Name, qi), q, c.Src, store, o, rc); f != nil {
+				if f := checkOneQuery(fmt.Sprintf("%s/c%d", c.Name, qi), q, c.Src, store, rc); f != nil {
 					f.Seed = cfg.Seed
 					fails = append(fails, *f)
 				}
@@ -66,15 +63,12 @@ func checkQueries(cfg Config) ([]Failure, int64) {
 		}
 		cfg.logf("  query case %s: %d probes, %d two-copy probes", c.Name, cfg.Queries, cfg.Queries)
 	}
-	refuted := o.Reg.Get(obs.MQueryRefuted)
-	cfg.logf("  query: %d probes refuted without a search", refuted)
-	return fails, refuted
+	return fails
 }
 
 // checkOneQuery compares one probe's planned evaluations with the naive
-// reference. The full planned evaluation reports onto o (nil: not at
-// all).
-func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *query.IndexStore, o *obs.Obs, r *rand.Rand) *Failure {
+// reference.
+func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *query.IndexStore, r *rand.Rand) *Failure {
 	fail := func(detail string) *Failure {
 		return &Failure{Oracle: "query", Case: name, Detail: detail, Repro: reproQuery(q, in)}
 	}
@@ -82,7 +76,7 @@ func checkOneQuery(name string, q *query.Query, in *instance.Instance, store *qu
 	errRef := guard(func() error { var err error; ref, err = q.EvalNaive(in); return err })
 	errPlan := guard(func() error {
 		var err error
-		planned, err = q.Eval(in, query.Options{Store: store, Obs: o})
+		planned, err = q.Eval(in, query.Options{Store: store})
 		return err
 	})
 	if (errRef == nil) != (errPlan == nil) {
@@ -200,10 +194,10 @@ func RandomQuery(r *rand.Rand, in *instance.Instance) *query.Query {
 // Sec. III-A): a random top-level set twice, one shared variable per
 // attribute of a random subset, copy-specific variables on the other
 // attributes, and an inequality on one copy-specific pair. When the
-// shared attributes include a list the instance holds unique, the
-// query engine refutes the probe without a search. Returns nil when
-// the drawn set has no atomic attribute or the catalog no top-level
-// set.
+// shared attributes include a list the instance holds unique, the probe
+// has no match, which the planner must learn by searching. Returns nil
+// when the drawn set has no atomic attribute or the catalog no
+// top-level set.
 func copyProbe(r *rand.Rand, in *instance.Instance) *query.Query {
 	tops := in.Cat.TopLevel()
 	if len(tops) == 0 {

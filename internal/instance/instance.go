@@ -258,8 +258,14 @@ type Instance struct {
 // New creates an empty instance of the schema, with the top-level set
 // occurrences pre-created.
 func New(cat *nr.Catalog) *Instance {
-	inst := &Instance{Schema: cat.Schema, Cat: cat, tops: make(map[*nr.SetType]*SetVal)}
-	for _, st := range cat.TopLevel() {
+	top := cat.TopLevel()
+	inst := &Instance{
+		Schema: cat.Schema, Cat: cat,
+		sets:  hashMap[*SetVal]{first: make(map[uint64]*SetVal, len(top))},
+		order: make([]*SetVal, 0, len(top)),
+		tops:  make(map[*nr.SetType]*SetVal, len(top)),
+	}
+	for _, st := range top {
 		inst.tops[st] = inst.EnsureSet(st, TopID(st))
 	}
 	return inst

@@ -31,6 +31,9 @@ func CSV(in *instance.Instance, setPath string, r io.Reader, header bool) error 
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	// Records are read only within their iteration, and InternConst
+	// clones each string it keeps, so one record slice serves them all.
+	cr.ReuseRecord = true
 	cols := st.Atoms
 	slots := make([]int, len(cols))
 	for i, name := range cols {

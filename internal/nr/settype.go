@@ -2,6 +2,7 @@ package nr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -106,6 +107,7 @@ type Catalog struct {
 	// (the probe order Muse-G Step 1 uses on the target schema).
 	Sets   []*SetType
 	byPath map[string]*SetType
+	top    []*SetType // the top-level prefix of Sets, clipped
 }
 
 // NewCatalog walks the schema and builds its set-type catalog. It
@@ -134,6 +136,12 @@ func NewCatalog(s *Schema) (*Catalog, error) {
 			queue = append(queue, workItem{parent: st, prefix: st.Path, rec: st.Elem})
 		}
 	}
+	for _, st := range c.Sets {
+		if st.Parent == nil {
+			c.top = append(c.top, st)
+		}
+	}
+	c.top = slices.Clip(c.top)
 	c.assignSKNames()
 	for _, st := range c.Sets {
 		st.slots = make(map[string]int, st.NumSlots())
@@ -271,13 +279,6 @@ func (c *Catalog) ByName(name string) (*SetType, error) {
 	return found, nil
 }
 
-// TopLevel returns the top-level set types in declaration order.
-func (c *Catalog) TopLevel() []*SetType {
-	var out []*SetType
-	for _, st := range c.Sets {
-		if st.Parent == nil {
-			out = append(out, st)
-		}
-	}
-	return out
-}
+// TopLevel returns the top-level set types in declaration order. The
+// slice is the catalog's own, built once: callers only read it.
+func (c *Catalog) TopLevel() []*SetType { return c.top }

@@ -17,7 +17,7 @@ const (
 	MQueryAtomsCosted  = "muse_query_atoms_costed_total"  // atomCost invocations while planning
 	MQueryRowsScanned  = "muse_query_rows_scanned_total"  // candidate tuples considered
 	MQueryRowsReturned = "muse_query_rows_returned_total" // matches returned
-	MQueryRefuted      = "muse_query_refuted_total"       // Evals refuted before planning (no search)
+	MQueryRefuted      = "muse_query_refuted_total"       // Evals refuted on the tableau (no query built, no search)
 	MQueryDecided      = "muse_query_decided_total"       // Evals an assignment table proved empty (no plan, no search)
 	HQueryEvalSeconds  = "muse_query_eval_seconds"        // Eval latency histogram
 

@@ -14,10 +14,12 @@
 // plan into a slot-resolved kernel (kernel.go) whose backtracking
 // search reads tuple slots by position and binds variables in an array
 // indexed by variable id, so no name is looked up per candidate tuple.
-// Before planning, Eval tries to refute the query (refute.go): when two
-// top-level atoms over one set agree on an attribute list the instance
-// holds unique, they match one tuple, and an inequality that this
-// forces equal can never hold.
+// A caller that can settle a query without a search passes a Decider
+// to FirstDecided, which consults it before the query is even built:
+// Muse's wizards refute their probes on the example tableau and decide
+// the rest on assignment tables (internal/core). The package keeps the
+// query.eval span and the muse_query_* counters of every evaluation,
+// settled or searched.
 //
 // Invariants:
 //
@@ -25,10 +27,9 @@
 //     were warm; the match order is the order of the plan Explain
 //     shows. The naive reference (Query.EvalNaive) returns the same
 //     match set.
-//   - Refutation is exact: a refuted query has no match, and its Eval
-//     plans, scans and indexes nothing. Queries it does not refute
-//     run the same plan and kernel as without it. EvalNaive never
-//     refutes.
+//   - A settled query is built, planned, scanned and indexed by
+//     nothing: FirstDecided reports it not found. Queries the Decider
+//     does not settle run the same plan and kernel as without it.
 //   - Work, not time, bounds a search: past searchBudget candidate
 //     tuples Eval returns the matches so far and ErrBudget, so the same
 //     query on the same instance gives the same matches and the same

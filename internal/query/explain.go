@@ -9,9 +9,8 @@ import (
 // Plan is the exported view of a planned query, for EXPLAIN-style
 // inspection: Eval attaches its Explain to the query.eval span of a
 // trace that asks for detail. The planner is deterministic, so a plan
-// is a function of the query, store and instance. Eval skips planning
-// when refute proves the query empty (refute.go), so a plan exists
-// only for queries that are not refuted.
+// is a function of the query, store and instance. A query a Decider
+// settles is never planned (FirstDecided).
 type Plan struct {
 	p planned
 }

@@ -110,35 +110,40 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// A Decider proves, without planning or searching, that a query has no
-// match on the instance it is evaluated on. FirstDecided consults it
-// after refutation and before planning.
+// A Decider settles a query without building, planning or searching
+// it: it refutes the query from the instance's unique attributes, or
+// proves it empty some other way. FirstDecided consults it before it
+// builds the query.
 type Decider interface {
+	// Refuted reports whether the query is refuted from the unique
+	// attributes that store, an index store over the instance the query
+	// is evaluated on, holds.
+	Refuted(store *IndexStore) bool
 	// Empty reports whether the query is proved to have no match. ctx
 	// carries the query.eval span, so work Empty does can open spans
 	// beneath it.
 	Empty(ctx context.Context) bool
-	// Explain renders the proof of the last Empty that returned true,
-	// for the query.eval span of a trace that asks for detail.
+	// Explain renders the proof of the last Refuted or Empty that
+	// returned true, for the query.eval span of a trace that asks for
+	// detail.
 	Explain() string
+	// Atoms returns the number of atoms of the query, for the
+	// query.eval span of an evaluation that never builds it.
+	Atoms() int
 }
 
-// Eval evaluates the query over the instance. A query whose
-// inequalities the instance's unique attributes refute returns no
-// matches without a search. Otherwise atoms are internally reordered
-// by the cost-based planner (estimated candidate-set size from the
-// index store's statistics), which keeps the backtracking join
+// Eval evaluates the query over the instance. Atoms are internally
+// reordered by the cost-based planner (estimated candidate-set size
+// from the index store's statistics), which keeps the backtracking join
 // index-driven; results report tuples in the original atom order.
 func (q *Query) Eval(in *instance.Instance, opt Options) ([]Match, error) {
-	return q.eval(in, opt, nil)
+	return eval(in, opt, nil, func() *Query { return q })
 }
 
-// eval is Eval, with d (nil: none) consulted between refutation and
-// planning.
-func (q *Query) eval(in *instance.Instance, opt Options, d Decider) ([]Match, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+// eval evaluates the query build returns, under one query.eval span.
+// When d is non-nil it is consulted first, and build runs only when d
+// settles nothing.
+func eval(in *instance.Instance, opt Options, d Decider, build func() *Query) ([]Match, error) {
 	if opt.Ctx != nil {
 		// Fail fast on an already-cancelled request before planning or
 		// building indexes.
@@ -155,51 +160,51 @@ func (q *Query) eval(in *instance.Instance, opt Options, d Decider) ([]Match, er
 		sp, ctx = o.StartCtx(opt.Ctx, obs.SpanQueryEval)
 		o.Counter(obs.MQueryEvals).Inc()
 	}
-	out, scanned, err := q.evalPlanned(ctx, in, opt, sp, d)
+	out, atoms, scanned, err := evalPlanned(ctx, in, opt, sp, d, build)
 	if o != nil {
 		o.Counter(obs.MQueryRowsScanned).Add(scanned)
 		o.Counter(obs.MQueryRowsReturned).Add(int64(len(out)))
 		o.Histogram(obs.HQueryEvalSeconds).Observe(time.Since(evalStart).Seconds())
-		sp.Attr("atoms", len(q.Atoms)).Attr("matches", len(out)).Attr("scanned", scanned).End()
+		sp.Attr("atoms", atoms).Attr("matches", len(out)).Attr("scanned", scanned).End()
 	}
 	return out, err
 }
 
-// evalPlanned refutes the query from the instance's unique attributes
-// when it can (refute.go), then lets d decide it when d is non-nil, and
-// otherwise plans it, compiles the plan into its slot-resolved kernel,
-// and runs the backtracking search. ctx carries sp, the query.eval span.
-func (q *Query) evalPlanned(ctx context.Context, in *instance.Instance, opt Options, sp *obs.Span, d Decider) ([]Match, int64, error) {
-	if err := q.checkLayout(in); err != nil {
-		return nil, 0, err
-	}
+// evalPlanned lets d, when non-nil, refute the query and then decide
+// it; otherwise it builds the query, plans it, compiles the plan into
+// its slot-resolved kernel, and runs the backtracking search. ctx
+// carries sp, the query.eval span. atoms is the query's atom count.
+func evalPlanned(ctx context.Context, in *instance.Instance, opt Options, sp *obs.Span, d Decider, build func() *Query) (out []Match, atoms int, scanned int64, err error) {
 	store := opt.Store
 	if store == nil || store.Instance() != in {
 		store = NewIndexStore(in)
 	}
-	if r := q.refute(store); r != nil {
-		if o := opt.Obs; o != nil {
-			o.Counter(obs.MQueryRefuted).Inc()
+	if d != nil {
+		settled := ""
+		switch {
+		case d.Refuted(store):
+			settled = "refuted"
+			opt.Obs.Counter(obs.MQueryRefuted).Inc()
+		case d.Empty(ctx):
+			settled = "decided"
+			opt.Obs.Counter(obs.MQueryDecided).Inc()
 		}
-		if sp != nil {
-			sp.Attr("refuted", true)
-			if obs.DetailFromContext(opt.Ctx) {
-				sp.Attr("explain", r.explain())
+		if settled != "" {
+			if sp != nil {
+				sp.Attr(settled, true)
+				if obs.DetailFromContext(opt.Ctx) {
+					sp.Attr("explain", d.Explain())
+				}
 			}
+			return nil, d.Atoms(), 0, nil
 		}
-		return nil, 0, nil
 	}
-	if d != nil && d.Empty(ctx) {
-		if o := opt.Obs; o != nil {
-			o.Counter(obs.MQueryDecided).Inc()
-		}
-		if sp != nil {
-			sp.Attr("decided", true)
-			if obs.DetailFromContext(opt.Ctx) {
-				sp.Attr("explain", d.Explain())
-			}
-		}
-		return nil, 0, nil
+	q := build()
+	if err := q.Validate(); err != nil {
+		return nil, len(q.Atoms), 0, err
+	}
+	if err := q.checkLayout(in); err != nil {
+		return nil, len(q.Atoms), 0, err
 	}
 	p := q.plan(store)
 	if sp != nil && obs.DetailFromContext(opt.Ctx) {
@@ -214,8 +219,8 @@ func (q *Query) evalPlanned(ctx context.Context, in *instance.Instance, opt Opti
 		}
 	}
 	e := newEvalState(compile(&p, store, in), in, opt)
-	err := e.search(0)
-	return e.out, e.scanned, err
+	err = e.search(0)
+	return e.out, len(q.Atoms), e.scanned, err
 }
 
 // checkLayout guards the compiled kernel's slot positions: they are
@@ -239,15 +244,17 @@ func (q *Query) checkLayout(in *instance.Instance) error {
 // instance; a search that stops early also reports not-found, with the
 // error. opt.Limit is forced to 1.
 func (q *Query) First(in *instance.Instance, opt Options) (Match, bool, error) {
-	return q.FirstDecided(in, opt, nil)
+	return FirstDecided(in, opt, nil, func() *Query { return q })
 }
 
-// FirstDecided is First, with d consulted after refutation and before
-// planning: a query d proves empty reports not-found with no plan, no
-// index build and no search, and counts in muse_query_decided_total.
-func (q *Query) FirstDecided(in *instance.Instance, opt Options, d Decider) (Match, bool, error) {
+// FirstDecided is First for the query build returns, with d (nil:
+// none) consulted first, in the order refute, then decide: a query d
+// settles reports not-found without being built, planned, indexed or
+// searched, and counts in muse_query_refuted_total or
+// muse_query_decided_total. build runs only when d settles nothing.
+func FirstDecided(in *instance.Instance, opt Options, d Decider, build func() *Query) (Match, bool, error) {
 	opt.Limit = 1
-	ms, err := q.eval(in, opt, d)
+	ms, err := eval(in, opt, d, build)
 	if len(ms) > 0 {
 		return ms[0], true, nil
 	}

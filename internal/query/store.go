@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -137,6 +138,30 @@ func (s *IndexStore) unique(st *nr.SetType, attrs []string) bool {
 		return unset[0] == 0 && distinct[0] == set.Len()
 	})
 	return v
+}
+
+// UniqueAttrs returns an attribute list, drawn from attrs, that the
+// top-level set st holds unique: the first of st's atoms in attrs whose
+// distinct count equals the set's cardinality, else attrs itself when
+// the store's uniqueness pass confirms it; nil when neither holds.
+// Attrs must be in canonical (sorted) order. The list returned aliases
+// st.Atoms or attrs and is read-only; a warm call allocates nothing.
+func (s *IndexStore) UniqueAttrs(st *nr.SetType, attrs []string) []string {
+	if len(attrs) == 0 {
+		return nil
+	}
+	stats := s.Stats(st)
+	for i, a := range st.Atoms {
+		if stats.Distinct[a] == stats.Card {
+			if _, ok := slices.BinarySearch(attrs, a); ok {
+				return st.Atoms[i : i+1]
+			}
+		}
+	}
+	if len(attrs) > 1 && s.unique(st, attrs) {
+		return attrs
+	}
+	return nil
 }
 
 // Stats returns the statistics block for the set type, computing it on

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"muse/internal/instance"
@@ -291,5 +293,124 @@ func TestCompositeIndexProbe(t *testing.T) {
 	}
 	if reg.Get(obs.MIndexProbes) == 0 {
 		t.Error("no index probes recorded")
+	}
+}
+
+// companies builds a Companies-only instance from (cid, cname,
+// location) rows; an empty string leaves the slot unset.
+func companies(rows ...[3]string) *instance.Instance {
+	cat := compCat()
+	st := cat.ByPath(nr.ParsePath("Companies"))
+	in := instance.New(cat)
+	for _, r := range rows {
+		t := instance.NewTuple(st)
+		for i, attr := range st.Atoms {
+			if r[i] != "" {
+				t.Put(attr, instance.C(r[i]))
+			}
+		}
+		in.InsertTop(st, t)
+	}
+	return in
+}
+
+// TestUniqueAttrs: a shared attribute that is unique on its own is
+// reported alone, the first in the set's atom order; otherwise the
+// whole list when it is unique together, which an unset slot breaks.
+func TestUniqueAttrs(t *testing.T) {
+	keyed := compInstance(compCat())
+	st := keyed.Cat.ByPath(nr.ParsePath("Companies"))
+	store := NewIndexStore(keyed)
+	for _, c := range []struct {
+		attrs []string
+		want  string
+	}{
+		{[]string{"cid", "cname", "location"}, "[cid]"},
+		{[]string{"cname", "location"}, "[]"},
+		{[]string{"cname"}, "[]"},
+		{nil, "[]"},
+	} {
+		if got := fmt.Sprint(store.UniqueAttrs(st, c.attrs)); got != c.want {
+			t.Errorf("UniqueAttrs(%v) = %s, want %s", c.attrs, got, c.want)
+		}
+	}
+	composite := companies(
+		[3]string{"1", "A", "X"}, [3]string{"1", "B", "Y"},
+		[3]string{"2", "A", "Y"}, [3]string{"2", "B", "X"},
+	)
+	if got := fmt.Sprint(NewIndexStore(composite).UniqueAttrs(st, []string{"cname", "location"})); got != "[cname location]" {
+		t.Errorf("composite key: UniqueAttrs = %s, want [cname location]", got)
+	}
+	unset := companies(
+		[3]string{"1", "A", "X"}, [3]string{"1", "B", "Y"},
+		[3]string{"2", "A", "Y"}, [3]string{"2", "B", ""},
+	)
+	if got := NewIndexStore(unset).UniqueAttrs(st, []string{"cname", "location"}); got != nil {
+		t.Errorf("a list one tuple leaves unset is not unique: UniqueAttrs = %v", got)
+	}
+}
+
+// TestIndexStoreUniqueConcurrent asks 8 goroutines for the same and for
+// different attribute lists on a cold store, then on the warm one:
+// every answer matches a serial pass, the cold store decides each list
+// by one counting pass, and the warm one makes none.
+func TestIndexStoreUniqueConcurrent(t *testing.T) {
+	cat := compCat()
+	st := cat.ByPath(nr.ParsePath("Companies"))
+	var rows [][3]string
+	for i := 0; i < 300; i++ {
+		rows = append(rows, [3]string{fmt.Sprint(i), fmt.Sprint("n", i%7), fmt.Sprint("l", i%11)})
+	}
+	in := companies(rows...)
+	lists := [][]string{{"cid"}, {"cname"}, {"location"}, {"cid", "cname"}, {"cname", "location"}, {"cid", "location"}}
+
+	var passes atomic.Int64
+	prev := countDistinct
+	countDistinct = func(tuples []*instance.Tuple, lists [][]int) ([]int, []int) {
+		passes.Add(1)
+		return prev(tuples, lists)
+	}
+	t.Cleanup(func() { countDistinct = prev })
+
+	want := make([]bool, len(lists))
+	for i, l := range lists {
+		want[i] = NewIndexStore(in).unique(st, l)
+	}
+	passes.Store(0)
+	if want[0] != true || want[1] != false || want[4] != false {
+		t.Fatalf("serial verdicts %v: cid must be unique, cname and (cname, location) not", want)
+	}
+
+	store := NewIndexStore(in)
+	ask := func() {
+		var wg sync.WaitGroup
+		errs := make(chan string, 8*len(lists))
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Goroutines start at different lists, so some race for
+				// the same list while others ask different ones.
+				for k := range lists {
+					i := (g + k) % len(lists)
+					if got := store.unique(st, lists[i]); got != want[i] {
+						errs <- fmt.Sprintf("goroutine %d: unique(%v) = %v, want %v", g, lists[i], got, want[i])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+	ask() // cold
+	if got := passes.Load(); got != int64(len(lists)) {
+		t.Errorf("cold store made %d counting passes, want %d (one per list)", got, len(lists))
+	}
+	ask() // warm
+	if got := passes.Load(); got != int64(len(lists)) {
+		t.Errorf("warm store made %d more counting passes, want none", got-int64(len(lists)))
 	}
 }
