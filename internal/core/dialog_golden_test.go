@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,38 +21,46 @@ import (
 )
 
 // dialogRecorder answers every wizard question from a seeded rand
-// stream and hashes each question the designer sees, with its answer.
+// stream and hashes each question the designer sees, with its answer,
+// twice: q hashes the question stream without its example renderings
+// (sources, scenarios, partial targets, Muse-D choice values and join
+// examples), h the full stream.
 type dialogRecorder struct {
-	r *rand.Rand
-	h hash.Hash
-	n int
+	r    *rand.Rand
+	q, h hash.Hash
+	both io.Writer
+	n    int
 }
 
 func newDialogRecorder(seed int64) *dialogRecorder {
-	return &dialogRecorder{r: rand.New(rand.NewSource(seed)), h: sha256.New()}
+	d := &dialogRecorder{r: rand.New(rand.NewSource(seed)), q: sha256.New(), h: sha256.New()}
+	d.both = io.MultiWriter(d.q, d.h)
+	return d
 }
 
 func (d *dialogRecorder) ChooseScenario(q *core.GroupingQuestion) (int, error) {
 	ans := 1 + d.r.Intn(2)
 	d.n++
-	fmt.Fprintf(d.h, "grouping kind=%d mapping=%s sk=%s probe=%s real=%v\n", q.Kind, q.Mapping.Name, q.SK, q.Probe, q.Real)
-	fmt.Fprintf(d.h, "confirmed=%v include1=%v include2=%v\n", q.Confirmed, q.Include1, q.Include2)
+	fmt.Fprintf(d.both, "grouping kind=%d mapping=%s sk=%s probe=%s real=%v\n", q.Kind, q.Mapping.Name, q.SK, q.Probe, q.Real)
+	fmt.Fprintf(d.both, "confirmed=%v include1=%v include2=%v\n", q.Confirmed, q.Include1, q.Include2)
 	fmt.Fprintf(d.h, "source:\n%sscenario1:\n%sscenario2:\n%s", q.Source, q.Scenario1, q.Scenario2)
 	if q.Ranking != nil {
-		hashRanking(d.h, *q.Ranking)
+		hashRanking(d.both, *q.Ranking)
 	}
-	fmt.Fprintf(d.h, "answer %d\n", ans)
+	fmt.Fprintf(d.both, "answer %d\n", ans)
 	return ans, nil
 }
 
 func (d *dialogRecorder) SelectValues(q *core.ChoiceQuestion) ([][]int, error) {
 	d.n++
-	fmt.Fprintf(d.h, "choice mapping=%s real=%v\nsource:\n%starget:\n%s", q.Mapping.Name, q.Real, q.Source, q.Target)
+	fmt.Fprintf(d.both, "choice mapping=%s real=%v\n", q.Mapping.Name, q.Real)
+	fmt.Fprintf(d.h, "source:\n%starget:\n%s", q.Source, q.Target)
 	for _, ch := range q.Choices {
+		fmt.Fprintf(d.q, "element %s: %d values\n", ch.Element, len(ch.Values))
 		fmt.Fprintf(d.h, "element %s: %v\n", ch.Element, ch.Values)
 	}
 	for _, rk := range q.Rankings {
-		hashRanking(d.h, rk)
+		hashRanking(d.both, rk)
 	}
 	sel := make([][]int, len(q.Choices))
 	for gi, ch := range q.Choices {
@@ -64,41 +73,43 @@ func (d *dialogRecorder) SelectValues(q *core.ChoiceQuestion) ([][]int, error) {
 			sel[gi] = []int{d.r.Intn(len(ch.Values))}
 		}
 	}
-	fmt.Fprintf(d.h, "answer %v\n", sel)
+	fmt.Fprintf(d.both, "answer %v\n", sel)
 	return sel, nil
 }
 
 func (d *dialogRecorder) ChooseJoin(q *core.JoinQuestion) (bool, error) {
 	ans := d.r.Intn(2) == 0
 	d.n++
-	fmt.Fprintf(d.h, "join mapping=%s variant=%s keep=%v real=%v\n", q.Mapping.Name, q.Variant.Mapping.Name, q.Variant.Keep, q.Real)
+	fmt.Fprintf(d.both, "join mapping=%s variant=%s keep=%v real=%v\n", q.Mapping.Name, q.Variant.Mapping.Name, q.Variant.Keep, q.Real)
 	fmt.Fprintf(d.h, "source:\n%swith:\n%swithout:\n%s", q.Source, q.WithVariant, q.WithoutVariant)
-	fmt.Fprintf(d.h, "answer %v\n", ans)
+	fmt.Fprintf(d.both, "answer %v\n", ans)
 	return ans, nil
 }
 
-func hashRanking(h hash.Hash, rk rank.Ranking) {
+func hashRanking(h io.Writer, rk rank.Ranking) {
 	fmt.Fprintf(h, "ranking best=%d confidence=%v decisive=%v\n", rk.Best, rk.Confidence, rk.Decisive)
 	for _, s := range rk.Scores {
 		fmt.Fprintf(h, "score %d %v %s\n", s.Option, s.Value, s.Evidence)
 	}
 }
 
-// line closes the dialog: the result joins the hash, and the golden
-// line reads "name questions digest".
+// line closes the dialog: the result joins both hashes, and the golden
+// line reads "name questions question-digest full-digest".
 func (d *dialogRecorder) line(name string, result ...*mapping.Mapping) string {
 	for _, m := range result {
-		fmt.Fprintf(d.h, "result\n%s\n", parser.FormatMapping(m))
+		fmt.Fprintf(d.both, "result\n%s\n", parser.FormatMapping(m))
 	}
-	return fmt.Sprintf("%s %d %x", name, d.n, d.h.Sum(nil))
+	return fmt.Sprintf("%s %d %x %x", name, d.n, d.q.Sum(nil), d.h.Sum(nil))
 }
 
 // TestDialogGolden pins whole dialogs: every question each wizard poses
 // (kind, mapping, grouping function, probe, argument lists, source and
 // scenario renderings, real flag, choices, join variants and rankings),
 // every answer of a seeded random designer, and the refined mappings,
-// hashed per dialog into testdata/dialogs.golden. Record the file with
-// UPDATE_GOLDEN=1.
+// hashed per dialog into testdata/dialogs.golden. Each line holds two
+// digests: the first leaves out the example renderings, so a change
+// that only moves which real example a question shows keeps it, and the
+// second hashes everything. Record the file with UPDATE_GOLDEN=1.
 func TestDialogGolden(t *testing.T) {
 	var got []string
 	run := func(name string, seed int64, dialog func(d *dialogRecorder) ([]*mapping.Mapping, error)) {
