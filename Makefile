@@ -1,7 +1,7 @@
 # Development targets. `make ci` is the gate every change must pass:
 # vet (go vet plus a gofmt check), build, the full test suite under
 # the race detector, a focused race pass over the retrieval path
-# (concurrent index building in
+# (the shared store's statistics and uniqueness verdicts in
 # internal/query and the wizards, then the uniqueness verdicts and the
 # shared instance index and distinct counter repeated), a repeated race pass over the stepper's answer path, a
 # repeated race pass over concurrent reads of one shared
@@ -14,14 +14,15 @@
 # durable-resume smokes (a WAL-backed server killed mid-dialog must resume
 # byte-identically, standalone and under load), the cross-check
 # harness (differential oracles over every engine, see DESIGN.md §10),
-# a fuzz smoke pass (every fuzz target briefly), and the allocation
-# guard (serving-path allocs/op within 1.3x of the recorded baseline).
+# a fuzz smoke pass (every fuzz target briefly), the allocation
+# guard (serving-path allocs/op within 1.3x of the recorded baseline),
+# and a build and self-test of the perfbench benchmark.
 
 GO ?= go
 
-.PHONY: ci vet build test race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard bench loc
+.PHONY: ci vet build test race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard perfbench-smoke bench loc
 
-ci: vet build race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard
+ci: vet build race race-retrieval race-wizard race-instance bench-smoke bench-scaled-smoke obs-smoke auto-smoke server-smoke loadtest-smoke resume-smoke musestat-smoke crosscheck fuzz-smoke bench-guard perfbench-smoke
 
 # vet also fails on any tracked Go file gofmt would rewrite.
 vet:
@@ -100,15 +101,15 @@ fuzz-smoke:
 	$(GO) test ./internal/load -run '^$$' -fuzz '^FuzzXML$$' -fuzztime 10s
 	$(GO) test ./internal/instance -run '^$$' -fuzz '^FuzzInsertRow$$' -fuzztime 10s
 	$(GO) test ./internal/crosscheck -run '^$$' -fuzz '^FuzzMutatedChase$$' -fuzztime 10s
-	$(GO) test ./internal/crosscheck -run '^$$' -fuzz '^FuzzRandomQuery$$' -fuzztime 10s
+	$(GO) test ./internal/crosscheck -run '^$$' -fuzz '^FuzzRetrieval$$' -fuzztime 10s
 
 # End-to-end observability check, two halves. First: run a scripted
 # Muse-G session on the Fig. 1 scenario with -metrics and -trace, then
 # assert the headline counters (questions, refuted probes, chase
 # tuples) are non-zero and the trace contains chase spans. Every Fig. 1
-# probe is refuted before planning, so a scripted join-wizard run on
-# the same scenario, whose queries are searched, must move the planner
-# tier and index probe counters.
+# probe is refuted before a scan, so a scripted join-wizard run on the
+# same scenario, whose dangling examples are scanned, must count
+# retrievals and scanned rows.
 # Second: boot musesrv with the flight recorder capturing every step
 # (-slow-threshold 0), assert a client-supplied X-Muse-Request-Id
 # round-trips into the response header, and that GET /debug/slow
@@ -123,8 +124,8 @@ obs-smoke:
 		-instance I -mode joins -mapping m2 -metrics $$tmp/joins.txt >/dev/null && \
 	grep -q '^muse_museg_questions_total [1-9]' $$tmp/metrics.txt && \
 	grep -q '^muse_query_refuted_total [1-9]' $$tmp/metrics.txt && \
-	grep -q '^muse_plan_tier_.*_total [1-9]' $$tmp/joins.txt && \
-	grep -q '^muse_index_probes_total [1-9]' $$tmp/joins.txt && \
+	grep -q '^muse_query_evals_total [1-9]' $$tmp/joins.txt && \
+	grep -q '^muse_query_rows_scanned_total [1-9]' $$tmp/joins.txt && \
 	grep -q '^muse_chase_tuples_total [1-9]' $$tmp/metrics.txt && \
 	grep -q '"name":"chase"' $$tmp/trace.jsonl && \
 	echo "obs-smoke: metrics and trace OK"; st=$$?; rm -rf $$tmp; exit $$st
@@ -302,6 +303,11 @@ musestat-smoke:
 bench-guard:
 	GOMAXPROCS=1 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
 	GOMAXPROCS=4 MUSE_BENCH_GUARD=1 $(GO) test -run TestBenchGuard -count=1 -v .
+
+# The benchmark's own module: vet it and run its self-tests, so a change
+# that breaks its build or a metric name it reads fails here.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Production Go line count, the figure ROADMAP.md tracks: tracked
 # non-test .go files outside perfbench/, examples included.

@@ -10,11 +10,6 @@
 //	musebench -nokeys                 # ablation: no key-based reduction
 //	musebench -noreal                 # ablation: synthetic examples only
 //
-// The Muse-G table carries two retrieval columns: "indexes" is the
-// number of distinct hash indexes the session's shared index store
-// materialized (each built at most once per run), and "idx build" is
-// the total wall-clock spent building them.
-//
 //	musebench -cpuprofile cpu.out     # write a pprof CPU profile
 //	musebench -memprofile mem.out     # write a pprof heap profile
 package main
@@ -178,8 +173,7 @@ type counterDeltas struct {
 var deltaNames = []struct{ label, name string }{
 	{"questions", obs.MMuseGQuestions},
 	{"evals", obs.MQueryEvals},
-	{"idx builds", obs.MIndexBuilds},
-	{"idx hits", obs.MIndexHits},
+	{"scanned", obs.MQueryRowsScanned},
 	{"chase tuples", obs.MChaseTuples},
 }
 

@@ -10,7 +10,6 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
 	"muse/internal/scenarios"
 )
 
@@ -65,11 +64,6 @@ type MuseGRow struct {
 	// AvgExampleTime is the mean time to construct/retrieve one
 	// example.
 	AvgExampleTime time.Duration
-	// IndexesBuilt counts the distinct hash indexes the session's
-	// shared store materialized (each is built at most once per run).
-	IndexesBuilt int
-	// IndexBuildTime is the total wall-clock spent building them.
-	IndexBuildTime time.Duration
 
 	PaperAvgPoss float64
 }
@@ -108,14 +102,6 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 	if cfg.NoReal {
 		gw.Real = nil
 	}
-	// The index columns are this run's deltas on the registry the
-	// store counts on: the shared one under cfg.Obs, else its own.
-	reg := cfg.Obs.Registry()
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	gw.Store = query.NewIndexStore(in).Observe(reg)
-	builds, nanos := reg.Get(obs.MIndexBuilds), reg.Get(obs.MIndexBuildNanos)
 	for _, m := range ms {
 		if len(m.SKs) == 0 {
 			continue
@@ -135,8 +121,6 @@ func RunMuseG(s *scenarios.Scenario, strat designer.Strategy, cfg MuseGConfig) (
 		AvgQuestions:   gw.Stats.AvgQuestions(),
 		RealFraction:   gw.Stats.RealFraction(),
 		AvgExampleTime: gw.Stats.AvgExampleTime(),
-		IndexesBuilt:   int(reg.Get(obs.MIndexBuilds) - builds),
-		IndexBuildTime: time.Duration(reg.Get(obs.MIndexBuildNanos) - nanos),
 		PaperAvgPoss:   s.PaperAvgPoss,
 	}
 	return row, nil

@@ -22,19 +22,16 @@ func FormatCharacteristics(rows []Characteristics) string {
 }
 
 // FormatMuseG renders Fig. 5 (measured, with the paper's avg poss for
-// reference), plus the retrieval columns: how many hash indexes the
-// session's shared store built (each at most once per run) and the
-// total wall-clock spent building them.
+// reference).
 func FormatMuseG(rows []MuseGRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Muse-G results (Fig. 5)\n")
-	fmt.Fprintf(&b, "%-10s %-5s %12s %12s %12s %14s %8s %12s\n",
-		"Scenario", "strat", "avg|poss|", "avg quest.", "% real Ie", "avg time Ie", "indexes", "idx build")
+	fmt.Fprintf(&b, "%-10s %-5s %12s %12s %12s %14s\n",
+		"Scenario", "strat", "avg|poss|", "avg quest.", "% real Ie", "avg time Ie")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-5s %12.1f %12.1f %11.0f%% %14s %8d %12s\n",
+		fmt.Fprintf(&b, "%-10s %-5s %12.1f %12.1f %11.0f%% %14s\n",
 			r.Scenario, r.Strategy, r.AvgPoss, r.AvgQuestions,
-			r.RealFraction*100, r.AvgExampleTime.Round(10_000).String(),
-			r.IndexesBuilt, r.IndexBuildTime.Round(10_000).String())
+			r.RealFraction*100, r.AvgExampleTime.Round(10_000).String())
 	}
 	return b.String()
 }

@@ -2,30 +2,27 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
 	"muse/internal/chase"
-	"muse/internal/deps"
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
 )
 
 // assignTable is a mapping's one-copy assignment table over the real
 // instance: every assignment of its for clause that satisfies its
 // satisfy clause, in the order the chase fires them, less those that
-// leave an atom unset (the probe queries bind every atom, and an unset
-// value never binds). Row i is rows[i*vars:(i+1)*vars], one tuple per
+// leave an atom unset (an unset value equals nothing, so such a row
+// realizes no pattern). Row i is rows[i*vars:(i+1)*vars], one tuple per
 // for-clause generator.
 //
-// Two Muse-G decisions read it. A two-copy probe of the decided shape
-// is empty exactly when no two rows that keep its within-copy classes
-// agree on its cross-copy classes and differ on the probed slot
-// (probeDecision), and an instance-only probe is implied exactly when no
-// two rows that keep the satisfy and where equalities agree on the
-// confirmed attributes and differ on the probed one (dataImplied).
+// Muse-G's retrievals scan it for their witness pair (probeRetrieval),
+// and an instance-only probe is implied exactly when no two rows that
+// keep the satisfy and where equalities agree on the confirmed
+// attributes and differ on the probed one (dataImplied).
 type assignTable struct {
 	m    *mapping.Mapping
 	real *instance.Instance
@@ -60,6 +57,52 @@ type assignTables struct {
 	hash   rowHash
 }
 
+// rowLayout returns where each copy-1 slot of tb lies in a row of its
+// mapping's assignments, and the slot naming each one's class under the
+// satisfy clause.
+func rowLayout(tb *tableau) (cols []column, joined []int32) {
+	cols, joined = make([]column, tb.width), make([]int32, tb.width)
+	forSat := mapping.NewClasses(tb.m.ForSat)
+	for x, s := range tb.slot {
+		joined[s] = tb.slot[forSat.Find(x)]
+	}
+	for i := range tb.m.For {
+		for k := range tb.info.SrcVars[tb.m.For[i].Var].Atoms {
+			// Atoms take a tuple's first slots.
+			cols[tb.first[i]+int32(k)] = column{int32(i), int32(k)}
+		}
+	}
+	return cols, joined
+}
+
+// realProgram returns the chase of m, whose for clause is tb's, compiled
+// for the real instance's catalog: prog when it was compiled for m.Src
+// and the instance is of that catalog. An instance of another catalog
+// is read only where it lays each set out as m.Src does.
+func (e *Env) realProgram(tb *tableau, m *mapping.Mapping, prog *chase.Program) (*chase.Program, error) {
+	switch {
+	case e.Real.Cat == m.Src && prog != nil:
+		return prog, nil
+	case e.Real.Cat != m.Src && !tb.laidOutIn(e.Real.Cat):
+		return nil, fmt.Errorf("core: mapping %s's sets are laid out differently in the real instance", m.Name)
+	}
+	return chase.Compile(m, e.Real.Cat)
+}
+
+// eachRow calls fn with every assignment prog fires on over real that
+// sets every column of cols, in firing order. The row is reused across
+// calls.
+func eachRow(ctx context.Context, prog *chase.Program, real *instance.Instance, cols []column, fn func([]*instance.Tuple) error) error {
+	return prog.EachAssignment(ctx, real, func(asg []*instance.Tuple) error {
+		for _, c := range cols {
+			if c.of(asg) == nil {
+				return nil
+			}
+		}
+		return fn(asg)
+	})
+}
+
 // assignments returns the session's assignment table of tb's mapping
 // over the real instance, building it on first use, under a
 // museg.table span beneath ctx. A mapping keeps its table across its
@@ -71,29 +114,12 @@ func (e *Env) assignments(ctx context.Context, tb *tableau) (*assignTable, error
 	}
 	sp, ctx := e.Obs.StartCtx(ctx, obs.SpanMuseGTable)
 	defer sp.End()
-	prog := tb.scenarios
-	if e.Real.Cat != m.Src {
-		// Like the probe queries, read an instance of another catalog
-		// only where it lays each set out as m.Src does.
-		if !tb.laidOutIn(e.Real.Cat) {
-			return nil, fmt.Errorf("core: mapping %s's sets are laid out differently in the real instance", m.Name)
-		}
-		var err error
-		if prog, err = chase.Compile(m, e.Real.Cat); err != nil {
-			return nil, err
-		}
+	prog, err := e.realProgram(tb, m, tb.scenarios)
+	if err != nil {
+		return nil, err
 	}
-	t := &assignTable{m: m, real: e.Real, vars: len(m.For), cols: make([]column, tb.width), joined: make([]int32, tb.width)}
-	forSat := mapping.NewClasses(m.ForSat)
-	for x, s := range tb.slot {
-		t.joined[s] = tb.slot[forSat.Find(x)]
-	}
-	for i := range m.For {
-		for k := range tb.info.SrcVars[m.For[i].Var].Atoms {
-			// Atoms take a tuple's first slots.
-			t.cols[tb.first[i]+int32(k)] = column{int32(i), int32(k)}
-		}
-	}
+	t := &assignTable{m: m, real: e.Real, vars: len(m.For)}
+	t.cols, t.joined = rowLayout(tb)
 	for s := int32(0); s < tb.width; s++ {
 		r := s
 		for tb.sat[r] != r {
@@ -103,12 +129,7 @@ func (e *Env) assignments(ctx context.Context, tb *tableau) (*assignTable, error
 			t.eqs = append(t.eqs, s, r)
 		}
 	}
-	err := prog.EachAssignment(ctx, e.Real, func(asg []*instance.Tuple) error {
-		for _, c := range t.cols {
-			if c.of(asg) == nil {
-				return nil
-			}
-		}
+	err = eachRow(ctx, prog, e.Real, t.cols, func(asg []*instance.Tuple) error {
 		t.rows = append(t.rows, asg...)
 		return nil
 	})
@@ -132,11 +153,13 @@ func sameSource(a, b *mapping.Mapping) bool {
 		})
 }
 
-// witness reports whether two rows of t that keep every pair of eqs
-// equal agree on the keys slots and differ on slot p. It hashes each
-// such row on its keys into h and stops at the first two rows in one
-// bucket that differ on p; kept counts the rows it hashed.
-func (t *assignTable) witness(h *rowHash, keys, eqs []int32, p int32) (found bool, kept int) {
+// witness finds the least pair of rows of t, in the witness order
+// (DESIGN.md §7), that keep every pair of eqs equal, agree on the keys
+// slots and differ on slot p: it hashes each such row on its keys into
+// h, and stops at the first row that differs on p from its bucket's
+// head, which is then the least row it pairs with. a is that head and b
+// the row, or both are -1; scanned counts the rows it read.
+func (t *assignTable) witness(h *rowHash, keys, eqs []int32, p int32) (a, b, scanned int) {
 	h.reset(t.len())
 	mask := uint64(len(h.slots) - 1)
 	h.cols, h.eqs = h.cols[:0], h.eqs[:0]
@@ -149,15 +172,11 @@ func (t *assignTable) witness(h *rowHash, keys, eqs []int32, p int32) (found boo
 		}
 	}
 	pc := t.cols[p]
-rows:
 	for i := range t.len() {
 		r := t.row(i)
-		for k := 0; k < len(h.eqs); k += 2 {
-			if !instance.SameValue(h.eqs[k].of(r), h.eqs[k+1].of(r)) {
-				continue rows
-			}
+		if !keeps(r, h.eqs) {
+			continue
 		}
-		kept++
 		h.key = h.key[:0]
 		for _, c := range h.cols {
 			h.key = append(h.key, c.of(r))
@@ -171,19 +190,30 @@ rows:
 			}
 			if o := t.row(int(e - 1)); h.hashes[j] == hv && agree(o, h.key, h.cols) {
 				if !instance.SameValue(pc.of(o), pc.of(r)) {
-					return true, kept
+					return int(e - 1), i, i + 1
 				}
 				break
 			}
 		}
 	}
-	return false, kept
+	return -1, -1, t.len()
 }
 
 // agree reports whether row r carries key's values in cols.
 func agree(r []*instance.Tuple, key []instance.Value, cols []column) bool {
 	for k, c := range cols {
 		if !instance.SameValue(c.of(r), key[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keeps reports whether row r carries one value in each pair of
+// columns of eqs (flattened).
+func keeps(r []*instance.Tuple, eqs []column) bool {
+	for k := 0; k < len(eqs); k += 2 {
+		if !instance.SameValue(eqs[k].of(r), eqs[k+1].of(r)) {
 			return false
 		}
 	}
@@ -216,141 +246,152 @@ func (h *rowHash) reset(rows int) {
 	clear(h.slots)
 }
 
-// probeDecision settles a retrieval on its tableau tb, for
-// query.FirstDecided: it refutes the retrieval's query from the real
-// instance's unique attributes (tableau.refute), and decides a Muse-G
-// probe on its mapping's assignment table. A Muse-G probe query binds
-// every atom of both copies to its tableau class and requires the
-// probed slot's two classes to differ. When the probe has the decided
-// shape (decidedShape), a match is exactly two rows of the table that
-// keep the within-copy classes, agree on one slot of each cross-copy
-// class and differ on the probed slot, so the scan is exact.
-type probeDecision struct {
-	env *Env
-	tb  *tableau
-	// neq is the retrieval's must-differ slot pairs, flattened.
-	neq []int32
-	// probe is the copy-1 slot of the probed attribute, or -1 when the
-	// retrieval is no Muse-G probe whose copies differ on one attribute.
-	probe int32
-	// Whether the last verdict was a refutation, and the last scan's
-	// table and count of kept rows, for Explain.
-	refuted bool
-	t       *assignTable
-	kept    int
+// searchBudget bounds the general pair scan: past this many pair tests
+// it stops, and the retrieval falls back to its synthetic example. Work,
+// not time, bounds it, so a retrieval gives the same example on any
+// machine.
+const searchBudget = 1 << 21
+
+// errBudget reports a pair scan that spent its budget.
+var errBudget = errors.New("core: pair scan budget spent")
+
+// pairShape is a two-copy partition laid out for the general pair scan
+// (assignTable.pairs), in columns of t's rows: within[c] holds the
+// pairs a row must carry one value in to take copy c+1, key[c] one
+// column per class that spans both copies, read in the row of copy c+1,
+// and differ the must-differ pairs, each side the column and whether
+// the copy-2 row holds it.
+type pairShape struct {
+	within, key [2][]column
+	differ      []pairSide
 }
 
-// newProbeDecision prepares the decision of tb's current retrieval,
-// whose query requires the slot pairs of neq to differ. A Muse-G probe
-// whose copies differ on one attribute has one pair, its copy-1 slot
-// and that slot's twin.
-func newProbeDecision(env *Env, tb *tableau, neq []int32) probeDecision {
-	d := probeDecision{env: env, tb: tb, neq: neq, probe: -1}
-	if tb.copies == 2 && len(neq) == 2 {
-		d.probe = neq[0]
-	}
-	return d
+type pairSide struct {
+	col   column
+	copy2 bool
 }
 
-// Refuted implements query.Decider. The tableau only reads an instance
-// that lays the for clause's sets out as the mapping's source does; the
-// search reports any other.
-func (d *probeDecision) Refuted(store *query.IndexStore) bool {
-	d.refuted = d.tb.laidOutIn(store.Instance().Cat) && d.tb.refute(store, d.neq)
-	return d.refuted
+// pairShape lays out tb's current partition, and the must-differ slot
+// pairs of neq (flattened), for the general scan of t.
+func (t *assignTable) pairShape(tb *tableau, neq []int32) *pairShape {
+	sh := &pairShape{}
+	least := tb.leastSlots()
+	for s := int32(0); s < tb.width; s++ {
+		for c := range 2 {
+			if g := least[c][tb.find(tb.at(c+1, s))]; g != s && t.joined[s] != t.joined[g] {
+				sh.within[c] = append(sh.within[c], t.cols[s], t.cols[g])
+			}
+		}
+		if r := tb.find(s); least[0][r] == s && least[1][r] >= 0 {
+			sh.key[0] = append(sh.key[0], t.cols[s])
+			sh.key[1] = append(sh.key[1], t.cols[least[1][r]])
+		}
+	}
+	for _, x := range neq {
+		sh.differ = append(sh.differ, pairSide{t.cols[x%tb.width], x >= tb.width})
+	}
+	return sh
 }
 
-// Empty implements query.Decider. A probe it cannot decide, or whose
-// table it cannot build, is searched: the search sees the same
-// cancellation, or reports what the table could not.
-func (d *probeDecision) Empty(ctx context.Context) bool {
-	_, empty, _ := d.decide(ctx)
-	return empty
-}
-
-// decide reports whether the probe has the decided shape and, when it
-// has, whether the table proves its query empty.
-func (d *probeDecision) decide(ctx context.Context) (shaped, empty bool, err error) {
-	if d.probe < 0 || !d.tb.decidedShape() {
-		return false, false, nil
+// pairs finds the least valid pair of rows for sh, in the witness
+// order (DESIGN.md §7): a pair is valid when one row keeps copy 1's
+// within pairs, the other copy 2's, the two agree on every key and
+// differ on every differ pair. It hashes each row on its keys as either
+// copy and tests, for each row in order, the earlier rows of the
+// matching buckets in order, taking the earlier row as copy 1 first. a
+// and b are copy 1's and copy 2's rows, or both -1; scanned counts the
+// rows it read. Past searchBudget pair tests it stops with errBudget,
+// and every 256 tests it polls ctx.
+func (t *assignTable) pairs(ctx context.Context, sh *pairShape) (a, b, scanned int, err error) {
+	var buckets [2]map[uint64][]int32
+	buckets[0], buckets[1] = make(map[uint64][]int32), make(map[uint64][]int32)
+	var key []instance.Value
+	hash := func(r []*instance.Tuple, cols []column) uint64 {
+		key = key[:0]
+		for _, c := range cols {
+			key = append(key, c.of(r))
+		}
+		return instance.HashValues(key)
 	}
-	t, err := d.env.assignments(ctx, d.tb)
-	if err != nil {
-		return true, false, err
+	// valid reports whether r1 as copy 1 and r2 as copy 2 agree on the
+	// keys and differ on every differ pair.
+	valid := func(r1, r2 []*instance.Tuple) bool {
+		for k, c := range sh.key[0] {
+			if !instance.SameValue(c.of(r1), sh.key[1][k].of(r2)) {
+				return false
+			}
+		}
+		val := func(s pairSide) instance.Value {
+			if s.copy2 {
+				return s.col.of(r2)
+			}
+			return s.col.of(r1)
+		}
+		for k := 0; k < len(sh.differ); k += 2 {
+			if instance.SameValue(val(sh.differ[k]), val(sh.differ[k+1])) {
+				return false
+			}
+		}
+		return true
 	}
-	found, kept := t.witness(&d.env.tables.hash, d.tb.keys, d.tb.filter, d.probe)
-	d.t, d.kept = t, kept
-	return true, !found, nil
-}
-
-// Explain implements query.Decider, with the refutation's proof
-// (tableau.explainRefuted) or the decision's:
-//
-//	decided: x_1 != x_2; 120 of 4548 assignments of m5 keep 2 within-copy equalities, no two that agree on 6 classes differ
-func (d *probeDecision) Explain() string {
-	if d.refuted {
-		return d.tb.explainRefuted()
+	tests := 0
+	test := func(r1, r2 []*instance.Tuple) (bool, error) {
+		if tests == searchBudget {
+			return false, errBudget
+		}
+		if tests++; tests%256 == 0 && ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
+		return valid(r1, r2), nil
 	}
-	s := d.probe
-	return fmt.Sprintf("decided: %s != %s; %d of %d assignments of %s keep %d within-copy equalities, no two that agree on %d classes differ",
-		d.tb.classID(s), d.tb.classID(d.tb.at(2, s)), d.kept, d.t.len(), d.t.m.Name, len(d.tb.filter)/2, len(d.tb.keys))
-}
-
-// Atoms implements query.Decider: one atom per for-clause variable and
-// copy.
-func (d *probeDecision) Atoms() int { return d.tb.copies * len(d.tb.m.For) }
-
-// ProbeDecision is one retrieval settled on its tableau (DecideProbe,
-// DecideChoice).
-type ProbeDecision struct {
-	// Query is the retrieval's query, which the kernel searches when
-	// nothing settles it.
-	Query *query.Query
-	// Refuted reports whether the tableau refutes Query from the real
-	// instance's unique attributes.
-	Refuted bool
-	// Shaped reports whether the probe has the shape the assignment
-	// table decides, and Empty whether the table proves Query empty
-	// (false unless Shaped). DecideProbe decides refuted probes too.
-	Shaped, Empty bool
-}
-
-// DecideProbe sets up m's two-copy probe whose copies differ on differ
-// (the probed attribute first; differ is not empty), agree on confirmed
-// and leave decidedOut free, as the Muse-G probe loop does under the
-// source constraints src, refutes its query on the tableau and decides
-// it on real's assignment table of m. ok is false when the constraints
-// make the probe unconstructible. The crosscheck harness compares each
-// verdict with the reference evaluator.
-func DecideProbe(m *mapping.Mapping, src *deps.Set, real *instance.Instance, confirmed, decidedOut, differ []mapping.Expr) (d ProbeDecision, ok bool, err error) {
-	w := NewGroupingWizard(src, real)
-	tb, err := w.questionTableau(m)
-	if err != nil {
-		return d, false, err
+	for i := range t.len() {
+		r := t.row(i)
+		var fits [2]bool
+		var hv [2]uint64
+		// as[0] lists the earlier rows that may take copy 1 with r as
+		// copy 2, as[1] those that may take copy 2 with r as copy 1.
+		var as [2][]int32
+		for c := range 2 {
+			if fits[c] = keeps(r, sh.within[c]); fits[c] {
+				hv[c] = hash(r, sh.key[c])
+				as[1-c] = buckets[1-c][hv[c]]
+			}
+		}
+		for len(as[0])+len(as[1]) > 0 {
+			j := int32(-1)
+			for c := range 2 {
+				if len(as[c]) > 0 && (j < 0 || as[c][0] < j) {
+					j = as[c][0]
+				}
+			}
+			o := t.row(int(j))
+			for c := range 2 {
+				if len(as[c]) == 0 || as[c][0] != j {
+					continue
+				}
+				as[c] = as[c][1:]
+				r1, r2 := o, r
+				if c == 1 {
+					r1, r2 = r, o
+				}
+				ok, err := test(r1, r2)
+				switch {
+				case err != nil:
+					return -1, -1, i + 1, err
+				case ok && c == 0:
+					return int(j), i, i + 1, nil
+				case ok:
+					return i, int(j), i + 1, nil
+				}
+			}
+		}
+		for c := range 2 {
+			if fits[c] {
+				buckets[c][hv[c]] = append(buckets[c][hv[c]], int32(i))
+			}
+		}
 	}
-	out := make(map[mapping.Expr]bool, len(decidedOut))
-	for _, e := range decidedOut {
-		out[e] = true
-	}
-	if !probeSetup(tb, m.Poss(), confirmed, out, differ[0], differ[1:]) {
-		return d, false, nil
-	}
-	pd := newProbeDecision(&w.Env, tb, tb.differPairs(differ))
-	d.Query = tb.realQuery(pd.neq)
-	d.Refuted = pd.Refuted(query.NewIndexStore(real))
-	if d.Shaped, d.Empty, err = pd.decide(context.Background()); err != nil {
-		return d, false, err
-	}
-	return d, true, nil
-}
-
-// DecideChoice sets up the one-copy retrieval of Muse-D's example for
-// the ambiguous mapping m under the source constraints src, as
-// Disambiguate does, and refutes its query on the tableau from real's
-// unique attributes. Muse-D decides nothing on assignment tables, so
-// Shaped and Empty are false.
-func DecideChoice(m *mapping.Mapping, src *deps.Set, real *instance.Instance) ProbeDecision {
-	tb := compileTableau(m, src, 1)
-	pd := newProbeDecision(&Env{SrcDeps: src, Real: real}, tb, tb.choicePairs())
-	return ProbeDecision{Query: tb.realQuery(pd.neq), Refuted: pd.Refuted(query.NewIndexStore(real))}
+	return -1, -1, t.len(), nil
 }

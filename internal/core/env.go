@@ -21,9 +21,9 @@ type Env struct {
 	// Real is the actual source instance examples are drawn from when
 	// possible (may be nil: always synthetic).
 	Real *instance.Instance
-	// Store caches hash indexes and statistics over Real across the
-	// whole session, shared by every retrieval. Left nil, it is created
-	// lazily on the first retrieval.
+	// Store caches statistics and uniqueness verdicts over Real across
+	// the whole session, shared by every retrieval and the ranker. Left
+	// nil, it is created lazily on the first retrieval.
 	Store *query.IndexStore
 	// Ranker, when non-nil, scores each posed question's options
 	// against the real-instance evidence and attaches the ranking to
@@ -32,9 +32,8 @@ type Env struct {
 	// default adds no work (and no allocations) to the dialog path.
 	Ranker *rank.Scorer
 	// Obs, when non-nil, mirrors the wizard's stats onto its registry
-	// (muse_museg_*, muse_mused_*), threads through to the chase and
-	// query engines, and records the wizard's spans. Nil disables all
-	// of it.
+	// (muse_museg_*, muse_mused_*, muse_query_*), threads through to the
+	// chase, and records the wizard's spans. Nil disables all of it.
 	Obs *obs.Obs
 	// Ctx, when non-nil, bounds the wizard's work: example retrieval
 	// and chases abort with Ctx.Err() once it is cancelled or past its
@@ -57,13 +56,13 @@ func (e *Env) context() context.Context {
 	return context.Background()
 }
 
-// retrieval returns the query options for one real-example retrieval,
-// creating the session's index store on first use.
-func (e *Env) retrieval() query.Options {
-	if e.Real != nil && (e.Store == nil || e.Store.Instance() != e.Real) {
-		e.Store = query.NewIndexStore(e.Real).Observe(e.Obs.Registry())
+// store returns the session's index store over Real, creating it on
+// first use.
+func (e *Env) store() *query.IndexStore {
+	if e.Store == nil || e.Store.Instance() != e.Real {
+		e.Store = query.NewIndexStore(e.Real)
 	}
-	return query.Options{Ctx: e.Ctx, Store: e.Store, Obs: e.Obs}
+	return e.Store
 }
 
 // ranker returns the attached scorer with the session's index store

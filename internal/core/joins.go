@@ -9,7 +9,6 @@ import (
 	"muse/internal/homo"
 	"muse/internal/instance"
 	"muse/internal/mapping"
-	"muse/internal/query"
 )
 
 // This file implements the "More options" of Sec. IV: choosing between
@@ -287,45 +286,17 @@ func (w *DisambiguationWizard) joinQuestion(m *mapping.Mapping, v JoinVariant) (
 	}, nil
 }
 
-// danglingExample retrieves real tuples matching the variant that do
-// not extend to the full mapping, falling back to the variant's
-// canonical tableau (which trivially lacks the other relations).
+// danglingExample retrieves the first real assignment of the variant
+// that does not extend to the full mapping (danglingRetrieval), falling
+// back to the variant's canonical tableau, which trivially lacks the
+// other relations.
 func (w *DisambiguationWizard) danglingExample(m *mapping.Mapping, v JoinVariant) (*instance.Instance, bool) {
 	tb := compileTableau(v.Mapping, w.SrcDeps, 1)
 	if w.Real != nil {
-		q := tb.realQuery(nil)
-		opt := w.retrieval()
-		opt.Limit = 64
-		matches, err := q.Eval(w.Real, opt)
-		if err == nil && len(matches) > 0 {
-			full := compileTableau(m, w.SrcDeps, 1)
-			fq := full.realQuery(nil)
-			for _, match := range matches {
-				if !w.extends(full, fq, v, match) {
-					return tb.fromMatch(match, w.Real), true
-				}
-			}
+		r := danglingRetrieval{env: &w.Env, variant: tb, full: compileTableau(m, w.SrcDeps, 1)}
+		if w.retrieve(w.context(), &r) {
+			return tb.fromRows(r.row), true
 		}
 	}
 	return tb.synthetic(), false
-}
-
-// extends reports whether the matched variant tuples may extend to a
-// full assignment over the real instance: fq, the full tableau's
-// one-copy query, with each kept atom pinned to its matched tuple. A
-// search that does not finish proves nothing, so it counts as
-// extending.
-func (w *DisambiguationWizard) extends(full *tableau, fq *query.Query, v JoinVariant, match query.Match) bool {
-	for i, g := range v.Mapping.For {
-		atoms := full.info.SrcVars[g.Var].Atoms
-		pin := make(map[string]instance.Value, len(atoms))
-		for _, a := range atoms {
-			if val := match.Tuples[i].Get(a); val != nil {
-				pin[a] = val
-			}
-		}
-		fq.Atoms[full.atomIndex(1, g.Var)].Pin = pin
-	}
-	_, ok, err := fq.First(w.Real, w.retrieval())
-	return ok || err != nil
 }

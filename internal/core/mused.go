@@ -8,7 +8,6 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
 )
 
 // DisambiguationWizard is Muse-D: it resolves the or-predicates of an
@@ -81,29 +80,22 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 	sp, sctx := w.Obs.StartCtx(w.context(), obs.SpanMuseD)
 	defer sp.End()
 
-	// One copy of the canonical tableau; the or-group alternatives must
-	// be pairwise distinguishable, so they are left in distinct classes
-	// (the canonical tableau only merges what the satisfy clause
-	// forces) and the real-example query requires them to differ.
-	tb := compileTableau(m, w.SrcDeps, 1)
-	dc := newProbeDecision(&w.Env, tb, tb.choicePairs())
-	// Obtain the example: real when the pattern (with inequalities)
-	// exists, synthetic otherwise.
-	var ie *instance.Instance
-	real := false
-	var valueOf func(e mapping.Expr) instance.Value
-	if w.Real != nil {
-		opt := w.retrieval()
-		opt.Ctx = sctx
-		if match, ok, _ := query.FirstDecided(w.Real, opt, &dc, func() *query.Query { return tb.realQuery(dc.neq) }); ok {
-			ie = tb.fromMatch(match, w.Real)
-			real = true
-			valueOf = func(e mapping.Expr) instance.Value {
-				return match.Tuples[tb.atomIndex(1, e.Var)].Get(e.Attr)
-			}
-		}
+	r, err := w.choiceRetrieval(m)
+	if err != nil {
+		return nil, err
 	}
-	if ie == nil {
+	// Obtain the example: real when an assignment realizes the pattern,
+	// synthetic otherwise.
+	tb := r.tb
+	var ie *instance.Instance
+	real := w.Real != nil && w.retrieve(sctx, r)
+	var valueOf func(e mapping.Expr) instance.Value
+	if real {
+		ie = tb.fromRows(r.row)
+		valueOf = func(e mapping.Expr) instance.Value {
+			return r.row[tb.genIndex(e.Var)].Get(e.Attr)
+		}
+	} else {
 		ie = tb.synthetic()
 		valueOf = func(e mapping.Expr) instance.Value {
 			return tb.classValue[tb.slot[e]]
@@ -115,11 +107,9 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 		}
 	}
 
-	// The partial target: chase with the unambiguous part (or-groups
-	// dropped), leaving nulls in the ambiguous slots.
-	common := m.Clone()
-	common.OrGroups = nil
-	target, err := chase.ChaseCtx(sctx, ie, w.Obs, common)
+	// The partial target: the unambiguous part's chase, which left the
+	// ambiguous slots null.
+	target, err := r.prog.Run(sctx, ie, w.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +162,24 @@ func (w *DisambiguationWizard) Disambiguate(m *mapping.Mapping, d Disambiguation
 		r.Counter(obs.MMuseDSourceTuples).Add(int64(ie.TupleCount()))
 	}
 	return out, nil
+}
+
+// choiceRetrieval prepares the retrieval of the example for the
+// ambiguous mapping m: one copy of its canonical tableau, in which the
+// or-group alternatives stay in distinct classes (the tableau merges
+// only what the source equalities and FDs force) and must differ, and
+// common, m with its or-groups dropped, compiled once: its assignments
+// are the rows the example is drawn from, and its chase of the example
+// is the partial target.
+func (w *DisambiguationWizard) choiceRetrieval(m *mapping.Mapping) (*choiceRetrieval, error) {
+	common := m.Clone()
+	common.OrGroups = nil
+	prog, err := chase.Compile(common, m.Src)
+	if err != nil {
+		return nil, err
+	}
+	tb := compileTableau(m, w.SrcDeps, 1)
+	return &choiceRetrieval{env: &w.Env, tb: tb, common: common, prog: prog, neq: tb.choicePairs()}, nil
 }
 
 // DisambiguateAll runs Muse-D over every ambiguous mapping of a set,

@@ -10,7 +10,6 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
-	"muse/internal/query"
 	"muse/internal/rank"
 )
 
@@ -29,10 +28,9 @@ type GroupingWizard struct {
 	// Stats accumulates per-grouping-function effort.
 	Stats Stats
 
-	// decision settles each probe retrieval before the kernel would
-	// search it: refuted on the tableau, or decided on its mapping's
-	// assignment table (obtainExample).
-	decision probeDecision
+	// decision is the last probe's retrieval: refuted on the tableau, or
+	// scanned on its mapping's assignment table (obtainExample).
+	decision probeRetrieval
 }
 
 // finish records one designed grouping function, mirrors its
@@ -326,21 +324,18 @@ func probeSetup(tb *tableau, poss, confirmed []mapping.Expr, decidedOut map[mapp
 	return tb.probe(confirmed, tb.undecided, tb.mustDiffer)
 }
 
-// obtainExample retrieves a real example under ctx, falling back to
-// the synthetic instance when the probe is refuted on the tableau,
-// decided empty on the assignment table, or searched without a match
-// within its budget. The probe query is built only for the search.
+// obtainExample retrieves a real example under ctx: the witness of the
+// probe's retrieval (probeRetrieval), or the synthetic instance when the
+// probe is refuted on the tableau, its scan finds no witness, or the
+// scan stops early.
 func (w *GroupingWizard) obtainExample(ctx context.Context, tb *tableau, differ []mapping.Expr, stats *SKStats) (*instance.Instance, bool) {
 	start := time.Now()
 	defer func() { stats.ExampleTime += time.Since(start) }()
 	if w.Real != nil {
-		w.decision = newProbeDecision(&w.Env, tb, tb.differPairs(differ))
-		opt := w.retrieval()
-		opt.Ctx = ctx
-		match, ok, _ := query.FirstDecided(w.Real, opt, &w.decision, func() *query.Query { return tb.realQuery(w.decision.neq) })
-		if ok {
+		w.decision = newProbeRetrieval(&w.Env, tb, tb.differPairs(differ))
+		if w.retrieve(ctx, &w.decision) {
 			stats.RealExamples++
-			ie := tb.fromMatch(match, w.Real)
+			ie := tb.fromRows(w.decision.rows()...)
 			stats.ExampleTuples += ie.TupleCount()
 			return ie, true
 		}
@@ -366,8 +361,8 @@ func (w *GroupingWizard) dataImplied(tb *tableau, confirmed []mapping.Expr, prob
 	for i, e := range confirmed {
 		keys[i] = tb.slot[e]
 	}
-	found, _ := t.witness(&w.tables.hash, keys, t.eqs, tb.slot[probe])
-	return !found, nil
+	a, _, _ := t.witness(&w.tables.hash, keys, t.eqs, tb.slot[probe])
+	return a < 0, nil
 }
 
 // coversPoss reports whether the closure of the confirmed attributes

@@ -107,9 +107,9 @@ func exprs(ss ...string) []mapping.Expr {
 // retrieve sets up m's probe on probe that agrees on confirmed and
 // leaves decidedOut free, and obtains its example from real as the
 // wizard does, with metrics and a trace that asks for detail. It
-// requires the example to be real exactly when the reference evaluator
-// finds a match of the probe query, and returns the metrics, the
-// retrieval's query.eval span, and the wizard.
+// requires the example to be real exactly when the brute-force
+// reference finds a witness, and returns the metrics, the retrieval's
+// query.eval span, and the wizard.
 func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirmed, decidedOut []mapping.Expr, probe string) (*obs.Obs, obs.SpanRecord, *GroupingWizard) {
 	t.Helper()
 	o := obs.New()
@@ -128,13 +128,10 @@ func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirm
 	if !probeSetup(tb, m.Poss(), confirmed, out, differ[0], nil) {
 		t.Fatalf("probe %s is unconstructible", probe)
 	}
-	naive, err := tb.realQuery(tb.differPairs(differ)).EvalNaive(real)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bruteWitness(tb, tb.differPairs(differ), bruteRows(m, real))
 	var stats SKStats
-	if _, isReal := w.obtainExample(w.context(), tb, differ, &stats); isReal != (len(naive) > 0) {
-		t.Errorf("the example is real: %v, but the reference finds %d matches", isReal, len(naive))
+	if _, isReal := w.obtainExample(w.context(), tb, differ, &stats); isReal != (want != nil) {
+		t.Errorf("the example is real: %v, but the reference's witness is %v", isReal, want)
 	}
 	var span obs.SpanRecord
 	for _, rec := range o.Tr.Finished() {
@@ -152,9 +149,9 @@ func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirm
 // so they hold one project, hence one cid, hence (cid is unique) one
 // company, and the probed cname can never differ. The second merge
 // needs the first, so the rule must repeat. The retrieval gets its
-// synthetic example without building the query, scanning a row,
-// touching an index or building the assignment table, and its span
-// says why, naming the classes as the probe query does.
+// synthetic example without scanning a row or building the assignment
+// table, and its span
+// says why, naming the classes by their IDs.
 func TestRefuteTwoCopyProbe(t *testing.T) {
 	m := refuteMappings(t)["m"]
 	o, span, w := retrieve(t, m, ibm(m.Src), exprs("p.pid", "c.location"), exprs("c.cid", "p.pname", "p.cid"), "c.cname")
@@ -165,16 +162,13 @@ func TestRefuteTwoCopyProbe(t *testing.T) {
 	if got := reg.Get(obs.MQueryRowsScanned); got != 0 {
 		t.Errorf("refuted retrieval scanned %d rows", got)
 	}
-	if b, p := reg.Get(obs.MIndexBuilds), reg.Get(obs.MIndexProbes); b != 0 || p != 0 {
-		t.Errorf("refuted retrieval touched indexes: %d builds, %d probes", b, p)
-	}
 	if len(w.tables.byName) != 0 || reg.Get(obs.MQueryDecided) != 0 {
 		t.Error("refuted retrieval reached the assignment table")
 	}
 	attrs := span.AttrMap()
 	const want = "refuted: x_c_cname_1 != x_c_cname_2; Projects unique on (pid); Companies unique on (cid)"
-	if attrs["refuted"] != true || attrs["scanned"] != int64(0) || attrs["atoms"] != 4 || attrs["explain"] != want {
-		t.Errorf("span attrs = %v, want refuted, scanned 0, 4 atoms and explain %q", attrs, want)
+	if attrs["refuted"] != true || attrs["scanned"] != int64(0) || attrs["explain"] != want {
+		t.Errorf("span attrs = %v, want refuted, scanned 0 and explain %q", attrs, want)
 	}
 }
 
@@ -191,8 +185,8 @@ func TestRefuteCompositeKey(t *testing.T) {
 }
 
 // TestRefuteKeepsSearching lists probes the rule must not refute: each
-// is decided or searched, and its example is real exactly when the
-// reference evaluator finds a match.
+// is scanned, and its example is real exactly when the brute-force
+// reference finds a witness.
 func TestRefuteKeepsSearching(t *testing.T) {
 	ms := refuteMappings(t)
 	m1, nested := ms["m1"], ms["nested"]
@@ -234,7 +228,8 @@ func TestRefuteKeepsSearching(t *testing.T) {
 }
 
 // TestRefuteMatchesQueryClasses: a refutation names the refuted pair by
-// the value variables of the probe query the search would have run.
+// the IDs of their classes in the partition it started from, which it
+// leaves as it found it.
 func TestRefuteMatchesQueryClasses(t *testing.T) {
 	m := refuteMappings(t)["m"]
 	in := ibm(m.Src)
@@ -243,14 +238,14 @@ func TestRefuteMatchesQueryClasses(t *testing.T) {
 		t.Fatal("probe unconstructible")
 	}
 	neq := tb.differPairs(exprs("c.cname"))
-	q := tb.realQuery(neq)
+	ids := [2]string{tb.classID(neq[0]), tb.classID(neq[1])}
 	if !tb.refute(query.NewIndexStore(in), neq) {
 		t.Fatal("agreeing on the unique pid does not refute the cname probe")
 	}
-	if got, want := tb.neqIDs, q.Neq[0]; got != want {
-		t.Errorf("refutation names %v, the query %v", got, want)
+	if tb.neqIDs != ids {
+		t.Errorf("refutation names %v, the partition %v", tb.neqIDs, ids)
 	}
-	if again := tb.realQuery(neq); len(again.Neq) != 1 || again.Neq[0] != q.Neq[0] {
-		t.Errorf("refute left another partition: the query now requires %v", again.Neq)
+	if again := [2]string{tb.classID(neq[0]), tb.classID(neq[1])}; again != ids {
+		t.Errorf("refute left another partition: the pair is now %v", again)
 	}
 }

@@ -20,8 +20,8 @@ type Session struct {
 
 // NewSession builds a session over the source constraints and real
 // instance (both optional). Both wizards share one index store over
-// the instance, so indexes built while disambiguating are reused by
-// every grouping probe.
+// the instance, so statistics counted while disambiguating serve every
+// grouping probe.
 func NewSession(srcDeps *deps.Set, real *instance.Instance) *Session {
 	s := &Session{
 		Grouping:       NewGroupingWizard(srcDeps, real),
@@ -35,16 +35,12 @@ func NewSession(srcDeps *deps.Set, real *instance.Instance) *Session {
 	return s
 }
 
-// Observe attaches the observability bundle to both wizards and
-// mirrors the shared index store's counters onto its registry. Call
-// it before running the session; a nil o leaves the session
+// Observe attaches the observability bundle to both wizards. Call it
+// before running the session; a nil o leaves the session
 // uninstrumented. Returns the session for chaining.
 func (s *Session) Observe(o *obs.Obs) *Session {
 	s.Grouping.Obs = o
 	s.Disambiguation.Obs = o
-	if s.Grouping.Store != nil {
-		s.Grouping.Store.Observe(o.Registry())
-	}
 	return s
 }
 

@@ -51,8 +51,8 @@ type tableau struct {
 	// tableaux of retrieval and Muse-D.
 	scenarios *chase.Program
 
-	// keys and filter lay out the current probe for its decision on the
-	// assignment table (decidedShape); least is their scratch.
+	// keys and filter lay out the current probe for its scan of the
+	// assignment table (decidedShape); least is leastSlots' scratch.
 	keys, filter []int32
 	least        []int32
 
@@ -304,8 +304,8 @@ func (tb *tableau) differs() bool {
 // fixpoint, each union linking the first root under the second. Trials
 // merge in another order, which gives the same classes but not
 // necessarily the same roots, and a class is named after its root: the
-// root's ID is the query's value variable and its attribute prefixes
-// the synthetic constant. So names never depend on which trials ran.
+// root's ID names it in refutations and decisions, and its attribute
+// prefixes the synthetic constant. So names never depend on which trials ran.
 // Then, in slot order, each class gets a fresh readable constant.
 func (tb *tableau) name() {
 	copy(tb.parent, tb.sat)
@@ -331,14 +331,14 @@ func (tb *tableau) name() {
 	}
 }
 
-// refute reports whether, on the instance store indexes, the current
+// refute reports whether, on the instance store counts, the current
 // partition forces one of the slot pairs of neq (flattened) into one
 // class. Two top-level rows over one set that agree on an attribute
 // list the instance holds unique are one tuple, so all their atom slots
 // are merged, on the trail and to a fixpoint; the merges are undone
-// before refute returns. Every row binds each of its atoms and pins
-// none, so a retrieval with a match is never refuted. A refutation
-// keeps its proof for explainRefuted.
+// before refute returns. A witness sets every atom, so a retrieval with
+// a witness is never refuted. A refutation keeps its proof for
+// explainRefuted.
 func (tb *tableau) refute(store *query.IndexStore, neq []int32) bool {
 	mark := len(tb.trail)
 	clear(tb.merged)
@@ -379,15 +379,15 @@ func (tb *tableau) refute(store *query.IndexStore, neq []int32) bool {
 	}
 	tb.undo(mark)
 	if refuted >= 0 {
-		// The query names each side after its class in the partition
-		// the merges were undone to.
+		// Each side is named after its class in the partition the
+		// merges were undone to.
 		tb.neqIDs = [2]string{tb.classID(neq[refuted]), tb.classID(neq[refuted+1])}
 	}
 	return refuted >= 0
 }
 
 // explainRefuted renders the last refutation's proof, naming the pair
-// by the query's value variables and the facts in the order used:
+// by their classes' IDs and the facts in the order used:
 //
 //	refuted: x_1 != x_2; lineitem unique on (l_extendedprice)
 func (tb *tableau) explainRefuted() string {
@@ -413,35 +413,42 @@ func (tb *tableau) laidOutIn(cat *nr.Catalog) bool {
 	return true
 }
 
-// decidedShape reports whether the current partition has the shape the
-// assignment table decides: the slots of each copy fall into the same
-// within-copy groups, and a class that spans both copies joins a group of
-// copy-1 slots with the same group of copy-2 slots. It then fills keys
-// with the least copy-1 slot of each class that spans both copies, and
-// filter with each other copy-1 slot of a group paired with the group's
-// least slot, flattened. A probe query's match is then two assignments
-// that each carry one value per filter pair, agree on keys and differ on
-// the probed slot.
-func (tb *tableau) decidedShape() bool {
+// leastSlots returns, indexed by class root, the least copy-1 slot of
+// each class in copy 1 and in copy 2, or -1 where the class has none
+// there (the copy-2 half is all -1 on a one-copy tableau).
+func (tb *tableau) leastSlots() [2][]int32 {
 	n := len(tb.parent)
-	if tb.least == nil {
+	if len(tb.least) < 2*n {
 		tb.least = make([]int32, 2*n)
 	}
-	// least1[r] and least2[r] are the least copy-1 slot of class r in
-	// copy 1 and in copy 2, or -1 when it has none there.
-	least1, least2 := tb.least[:n], tb.least[n:]
 	for i := range tb.least {
 		tb.least[i] = -1
 	}
+	least := [2][]int32{tb.least[:n], tb.least[n : 2*n]}
 	for s := tb.width - 1; s >= 0; s-- {
-		least1[tb.find(s)] = s
-		least2[tb.find(tb.at(2, s))] = s
+		for c := 1; c <= tb.copies; c++ {
+			least[c-1][tb.find(tb.at(c, s))] = s
+		}
 	}
+	return least
+}
+
+// decidedShape reports whether the current partition has the shape
+// assignTable.witness scans: the slots of each copy fall into the same
+// within-copy groups, and a class that spans both copies joins a group
+// of copy-1 slots with the same group of copy-2 slots. It then fills
+// keys with the least copy-1 slot of each class that spans both copies,
+// and filter with each other copy-1 slot of a group paired with the
+// group's least slot, flattened. A witness is then two assignments that
+// each carry one value per filter pair, agree on keys and differ on the
+// probed slot.
+func (tb *tableau) decidedShape() bool {
+	least := tb.leastSlots()
 	tb.keys, tb.filter = tb.keys[:0], tb.filter[:0]
 	for s := int32(0); s < tb.width; s++ {
 		a, b := tb.find(s), tb.find(tb.at(2, s))
-		g := least1[a]
-		if g != least2[b] || a != b && (least2[a] >= 0 || least1[b] >= 0) {
+		g := least[0][a]
+		if g != least[1][b] || a != b && (least[1][a] >= 0 || least[0][b] >= 0) {
 			return false
 		}
 		switch {
@@ -454,8 +461,36 @@ func (tb *tableau) decidedShape() bool {
 	return true
 }
 
-// classID returns the stable identifier of slot s's class, used as the
-// query's value-variable name.
+// pattern renders the current partition and the must-differ slot pairs
+// of neq (flattened) as ProbeDecision's classes and pairs, classes in
+// order of their least slot.
+func (tb *tableau) pattern(neq []int32) (classes [][]Slot, differ [][2]Slot) {
+	atoms := make([]mapping.Expr, 0, tb.width)
+	for _, v := range tb.info.SrcOrder {
+		for _, a := range tb.info.SrcVars[v].Atoms {
+			atoms = append(atoms, mapping.E(v, a))
+		}
+	}
+	slot := func(x int32) Slot { return Slot{Copy: int(x/tb.width) + 1, Atom: atoms[x%tb.width]} }
+	at := make(map[int32]int)
+	for x := range int32(len(tb.parent)) {
+		r := tb.find(x)
+		k, ok := at[r]
+		if !ok {
+			k = len(classes)
+			at[r] = k
+			classes = append(classes, nil)
+		}
+		classes[k] = append(classes[k], slot(x))
+	}
+	for k := 0; k < len(neq); k += 2 {
+		differ = append(differ, [2]Slot{slot(neq[k]), slot(neq[k+1])})
+	}
+	return classes, differ
+}
+
+// classID returns the stable identifier of slot s's class, which
+// refutations and decisions name it by.
 func (tb *tableau) classID(s int32) string { return tb.ids[tb.find(s)] }
 
 // shortAttr abbreviates an attribute label for synthetic values, in
@@ -497,7 +532,7 @@ func (tb *tableau) synthetic() *instance.Instance {
 			}
 			// The parent tuple's field ref: recompute from the parent's
 			// classes (same derivation as above).
-			ref := instance.NewSetRef("Ie_"+st.SKName(), slices.Clone(tb.values(c, tb.atomIndex(1, g.Parent)))...)
+			ref := instance.NewSetRef("Ie_"+st.SKName(), slices.Clone(tb.values(c, tb.genIndex(g.Parent)))...)
 			in.Insert(st, ref, t)
 		}
 	}
@@ -509,34 +544,6 @@ func (tb *tableau) synthetic() *instance.Instance {
 func (tb *tableau) values(c, i int) []instance.Value {
 	s := tb.at(c, tb.first[i])
 	return tb.classValue[s : s+int32(len(tb.info.SrcVars[tb.m.For[i].Var].Atoms))]
-}
-
-// realQuery builds the Q_Ie retrieving tuples from the actual source
-// instance that realize the tableau's agree pattern, with the slot
-// pairs of neq (flattened) enforced as inequalities.
-func (tb *tableau) realQuery(neq []int32) *query.Query {
-	q := &query.Query{Src: tb.m.Src}
-	for c := 1; c <= tb.copies; c++ {
-		suffix := "__" + strconv.Itoa(c)
-		for i, g := range tb.m.For {
-			st := tb.info.SrcVars[g.Var]
-			atom := query.Atom{Var: g.Var + suffix, Bind: make(map[string]string, len(st.Atoms))}
-			if g.Root != nil {
-				atom.Set = g.Root
-			} else {
-				atom.Parent = g.Parent + suffix
-				atom.Field = g.Field
-			}
-			for k, a := range st.Atoms {
-				atom.Bind[a] = tb.classID(tb.at(c, tb.first[i]+int32(k)))
-			}
-			q.Atoms = append(q.Atoms, atom)
-		}
-	}
-	for k := 0; k < len(neq); k += 2 {
-		q.Neq = append(q.Neq, [2]string{tb.classID(neq[k]), tb.classID(neq[k+1])})
-	}
-	return q
 }
 
 // differPairs sets neq to the pairs a probe whose copies differ on
@@ -571,26 +578,21 @@ func (tb *tableau) choicePairs() []int32 {
 	return tb.neq
 }
 
-// fromMatch materializes the example instance from a real query match
-// (the match's atoms are ordered copy-major exactly as realQuery
-// emitted them).
-func (tb *tableau) fromMatch(m query.Match, realSrc *instance.Instance) *instance.Instance {
+// fromRows materializes the example instance from real assignments,
+// one row per copy, each holding one tuple per for-clause generator.
+func (tb *tableau) fromRows(rows ...[]*instance.Tuple) *instance.Instance {
 	in := instance.New(tb.m.Src)
-	idx := 0
-	for c := 1; c <= tb.copies; c++ {
-		for _, g := range tb.m.For {
+	for _, row := range rows {
+		for i, g := range tb.m.For {
 			st := tb.info.SrcVars[g.Var]
-			t := m.Tuples[idx]
-			idx++
 			if g.Root != nil {
-				in.InsertTop(st, t.Clone())
-			} else {
-				// Preserve the real nesting: the child lives in the
-				// occurrence its parent references.
-				parentTuple := m.Tuples[tb.atomIndex(c, g.Parent)]
-				ref, _ := parentTuple.Get(g.Field).(*instance.SetRef)
-				in.Insert(st, ref, t.Clone())
+				in.InsertTop(st, row[i].Clone())
+				continue
 			}
+			// Preserve the real nesting: the child lives in the
+			// occurrence its parent references.
+			ref, _ := row[tb.genIndex(g.Parent)].Get(g.Field).(*instance.SetRef)
+			in.Insert(st, ref, row[i].Clone())
 		}
 	}
 	// Carry over the (possibly empty) nested sets referenced by copied
@@ -609,12 +611,12 @@ func (tb *tableau) fromMatch(m query.Match, realSrc *instance.Instance) *instanc
 	return in
 }
 
-// atomIndex returns the position of (copy, var) in realQuery's atom
-// order.
-func (tb *tableau) atomIndex(c int, v string) int {
+// genIndex returns the position of the for-variable v in the for
+// clause.
+func (tb *tableau) genIndex(v string) int {
 	for i, g := range tb.m.For {
 		if g.Var == v {
-			return (c-1)*len(tb.m.For) + i
+			return i
 		}
 	}
 	panic(fmt.Sprintf("core: no for-variable %q", v))

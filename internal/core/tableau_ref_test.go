@@ -9,7 +9,6 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/nr"
-	"muse/internal/query"
 )
 
 // This file holds the reference for the compiled tableau of tableau.go:
@@ -17,7 +16,7 @@ import (
 // is rebuilt from scratch (satisfy merges, agreed attributes, FD chase)
 // for every trial merge. TestTableauMatchesReference requires the
 // compiled tableau to give the same verdicts, class IDs, synthetic
-// constants, real-example queries and synthetic examples.
+// constants, must-differ classes and synthetic examples.
 
 // term identifies one attribute slot of the two-copy probe tableau:
 // copy (1 or 2), for-variable, attribute.
@@ -158,8 +157,8 @@ func (tb *refTableau) chaseFDs(src *deps.Set) {
 }
 
 // finalize assigns one fresh readable constant per equivalence class
-// and a stable class identifier (used as the query's value-variable
-// names).
+// and a stable class identifier (which names it in refutations and
+// decisions).
 func (tb *refTableau) finalize() {
 	tb.classValue = make(map[term]instance.Value)
 	tb.classID = make(map[term]string)
@@ -222,39 +221,17 @@ func (tb *refTableau) synthetic() *instance.Instance {
 	return in
 }
 
-// realQuery builds the Q_Ie retrieving tuples from the actual source
-// instance that realize the tableau's agree pattern, with the given
-// disagreement pairs enforced as inequalities.
-func (tb *refTableau) realQuery(differ []mapping.Expr) *query.Query {
-	q := &query.Query{Src: tb.m.Src}
-	for c := 1; c <= tb.copies; c++ {
-		for _, g := range tb.m.For {
-			st := tb.info.SrcVars[g.Var]
-			atom := query.Atom{
-				Var:  fmt.Sprintf("%s__%d", g.Var, c),
-				Bind: make(map[string]string, len(st.Atoms)),
-			}
-			if g.Root != nil {
-				atom.Set = g.Root
-			} else {
-				atom.Parent = fmt.Sprintf("%s__%d", g.Parent, c)
-				atom.Field = g.Field
-			}
-			for _, a := range st.Atoms {
-				atom.Bind[a] = tb.classID[term{c, g.Var, a}]
-			}
-			q.Atoms = append(q.Atoms, atom)
-		}
-	}
+// differIDs names the pairs a retrieval's copies must differ on by
+// their class IDs: each differ attribute's copy-1 slot with its twin in
+// every other copy.
+func (tb *refTableau) differIDs(differ []mapping.Expr) [][2]string {
+	var ids [][2]string
 	for _, e := range differ {
 		for c := 2; c <= tb.copies; c++ {
-			q.Neq = append(q.Neq, [2]string{
-				tb.classID[term{1, e.Var, e.Attr}],
-				tb.classID[term{c, e.Var, e.Attr}],
-			})
+			ids = append(ids, [2]string{tb.classID[term{1, e.Var, e.Attr}], tb.classID[term{c, e.Var, e.Attr}]})
 		}
 	}
-	return q
+	return ids
 }
 
 // buildProbeTableau constructs the two-copy tableau for a probe: it

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 
 	"muse/internal/cliogen"
 	"muse/internal/core"
@@ -14,21 +15,31 @@ import (
 	"muse/internal/nr"
 )
 
+// CheckQuery runs the query oracle, the decide leg: every verdict a
+// wizard's retrieval reaches (a refutation on the tableau, a scan that
+// finds no witness, or its witness) is compared with a brute-force scan
+// of the retrieval's pattern.
+func CheckQuery(cfg Config) []Failure {
+	return checkDecide(cfg.withDefaults())
+}
+
 // checkDecide is the query family's decide leg. Muse-G refutes a probe
 // retrieval on its tableau from the instance's unique attributes, and
-// decides one of the decided shape on its mapping's assignment table,
-// instead of searching it (core.DecideProbe); Muse-D refutes its
-// one-copy retrieval on the tableau (core.DecideChoice). The leg checks
-// every such verdict against the reference evaluator on the same query:
-// a refuted query and one decided empty have no match, one decided
-// non-empty has one. Inputs come from the leg's own rand streams:
-// random scenarios under random keys and FDs, the multi-feed twins of
-// their mappings (each on its feed variant too), and random scenarios
-// over a source with a nested set and a set under two roles, on the
-// scenario's instance and on MutateInstance copies, which bring unset
-// slots, replaced values and FD violations. Each probe draws its probed, confirmed and decided-out
-// attributes from poss, and sometimes more attributes its copies must
-// differ on, which puts it outside the decided shape.
+// otherwise scans its mapping's assignment table for the witness pair
+// (core.DecideProbe); Muse-D refutes its one-copy retrieval and
+// otherwise streams the assignments for the first witness row
+// (core.DecideChoice). The leg checks every verdict against
+// bruteWitness over the same pattern, which shares no table-building or
+// scanning code with them: a refuted retrieval has no witness, and any
+// other finds exactly the least one in the witness order (DESIGN.md §7).
+// Inputs come from the leg's own rand streams: random scenarios under
+// random keys and FDs, the multi-feed twins of their mappings (each on
+// its feed variant too), and random scenarios over a source with a
+// nested set and a set under two roles, on the scenario's instance and
+// on MutateInstance copies, which bring unset slots, replaced values
+// and FD violations. Each probe draws its probed, confirmed and
+// decided-out attributes from poss, and sometimes more attributes its
+// copies must differ on, which puts it outside the decided shape.
 func checkDecide(cfg Config) []Failure {
 	l := &decideLeg{seed: cfg.Seed, queries: cfg.Queries}
 	r := rand.New(rand.NewSource(cfg.Seed*37 + 11))
@@ -51,18 +62,19 @@ func checkDecide(cfg Config) []Failure {
 		drawn++
 		l.scenario(rs, c, false)
 	}
-	cfg.logf("  query decide: %d probes on %d mappings, %d refuted, %d decided empty, %d non-empty, %d outside the decided shape; Muse-D: %d retrievals on %d ambiguous mappings, %d of them refuted",
-		l.probes, l.mappings, l.refuted, l.empty, l.probes-l.outside-l.empty, l.outside, l.choices, l.ambiguous, l.choicesRefuted)
+	cfg.logf("  query decide: %d probes on %d mappings, %d refuted, %d decided empty, %d with a witness, %d outside the decided shape (%d with a witness, %d spent); Muse-D: %d retrievals on %d ambiguous mappings, %d of them refuted, %d with a witness",
+		l.probes, l.mappings, l.refuted, l.empty, l.witness, l.outside, l.outsideWitness, l.spent, l.choices, l.ambiguous, l.choicesRefuted, l.choicesWitness)
 	return l.fails
 }
 
 // decideLeg accumulates the decide leg's failures and counts.
 type decideLeg struct {
-	seed                                      int64
-	queries                                   int
-	fails                                     []Failure
-	probes, refuted, empty, outside, mappings int
-	choices, choicesRefuted, ambiguous        int
+	seed                                               int64
+	queries                                            int
+	fails                                              []Failure
+	probes, refuted, empty, witness, mappings          int
+	outside, outsideWitness, spent                     int
+	choices, choicesRefuted, choicesWitness, ambiguous int
 }
 
 // scenario checks the Muse-G probes of c's mappings, and of their
@@ -105,9 +117,18 @@ func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 					continue
 				}
 				l.probes++
-				l.refuted += count(dc.Refuted)
-				l.outside += count(!dc.Shaped)
-				l.empty += count(dc.Shaped && dc.Empty)
+				switch {
+				case dc.Refuted:
+					l.refuted++
+				case !dc.Shaped:
+					l.outside++
+					l.outsideWitness += count(dc.Rows != nil)
+					l.spent += count(dc.Spent)
+				case dc.Rows != nil:
+					l.witness++
+				default:
+					l.empty++
+				}
 				l.check(fmt.Sprintf("decide/%s/%s/p%d", c.Name, in.m.Name, k), in.m, src, dc, err,
 					fmt.Sprintf(" (probe %s, confirmed %s, decided out %s, differ %s)", differ[0], exprs(confirmed), exprs(out), exprs(differ)))
 			}
@@ -117,42 +138,145 @@ func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 		l.ambiguous++
 		for _, src := range base {
 			var dc core.ProbeDecision
-			err := guard(func() error { dc = core.DecideChoice(m, d, src); return nil })
+			err := guard(func() (err error) { dc, err = core.DecideChoice(m, d, src); return err })
 			l.choices++
 			l.choicesRefuted += count(dc.Refuted)
+			l.choicesWitness += count(dc.Rows != nil)
 			l.check(fmt.Sprintf("decide/%s/%s/choice", c.Name, m.Name), m, src, dc, err, "")
 		}
 	}
 }
 
-// check records a failure when settling the retrieval of m failed, or
-// when a verdict of dc disagrees with the reference evaluator on
-// dc.Query over src: a refuted query and one decided empty have no
-// match, one decided non-empty has one.
+// check records a failure when retrieving m's example failed, or when
+// dc's verdict disagrees with bruteWitness over src: a refuted
+// retrieval has no witness, and any other has exactly dc.Rows, unless
+// its scan spent its budget.
 func (l *decideLeg) check(name string, m *mapping.Mapping, src *instance.Instance, dc core.ProbeDecision, err error, pattern string) {
 	var detail string
-	switch {
+	switch want := bruteWitness(m, src, dc); {
 	case err != nil:
-		detail = fmt.Sprintf("settling the retrieval failed: %v", err)
-	case dc.Refuted || dc.Shaped:
-		ref, err := dc.Query.EvalNaive(src)
-		switch {
-		case err != nil:
-			detail = fmt.Sprintf("the reference evaluator failed: %v", err)
-		case dc.Refuted && len(ref) > 0:
-			detail = fmt.Sprintf("the tableau refuted the retrieval, but the reference finds %d matches", len(ref))
-		case dc.Shaped && dc.Empty != (len(ref) == 0):
-			detail = fmt.Sprintf("the assignment table decided empty=%v, but the reference finds %d matches", dc.Empty, len(ref))
-		}
+		detail = fmt.Sprintf("the retrieval failed: %v", err)
+	case dc.Refuted && want != nil:
+		detail = fmt.Sprintf("the tableau refuted the retrieval, but the brute-force scan finds the witness %s", rowsString(want))
+	case !dc.Refuted && !dc.Spent && !sameRows(dc.Rows, want):
+		detail = fmt.Sprintf("the scan's witness is %s, the brute-force scan's %s", rowsString(dc.Rows), rowsString(want))
 	}
 	if detail == "" {
 		return
 	}
-	repro := formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{m}})
-	if dc.Query != nil {
-		repro += reproQuery(dc.Query, src)
-	}
+	repro := formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{m}}) + patternString(dc) + fmt.Sprintf("--- instance ---\n%s", src)
 	l.fails = append(l.fails, Failure{Oracle: "query", Case: name, Seed: l.seed, Detail: detail + pattern, Repro: repro})
+}
+
+// bruteWitness is the reference for a retrieval of m's example with
+// dc's pattern: it enumerates m's assignments over src by nested loops
+// (naiveEnumerate, the chase's firing order), keeps those that set
+// every atom, and tests them in the witness order. For a one-copy
+// pattern the witness is the first row that realizes it; for two the
+// valid pair whose later row is least, then whose earlier row is least,
+// copy 1 taking the earlier row when both fit. Nil when there is none.
+func bruteWitness(m *mapping.Mapping, src *instance.Instance, dc core.ProbeDecision) [][]*instance.Tuple {
+	info, err := m.Analyze()
+	if err != nil {
+		return nil
+	}
+	copies := 1
+	pos := make(map[string]int, len(m.For))
+	for i, g := range m.For {
+		pos[g.Var] = i
+	}
+	for _, cl := range dc.Classes {
+		for _, s := range cl {
+			copies = max(copies, s.Copy)
+		}
+	}
+	var rows [][]*instance.Tuple
+	asg := make(map[string]*instance.Tuple, len(m.For))
+	_ = naiveEnumerate(src, m, info, 0, asg, func() error {
+		row := make([]*instance.Tuple, len(m.For))
+		for i, g := range m.For {
+			row[i] = asg[g.Var]
+			for _, a := range info.SrcVars[g.Var].Atoms {
+				if row[i].Get(a) == nil {
+					return nil
+				}
+			}
+		}
+		rows = append(rows, row)
+		return nil
+	})
+	valid := func(cand [][]*instance.Tuple) bool {
+		val := func(s core.Slot) instance.Value { return cand[s.Copy-1][pos[s.Atom.Var]].Get(s.Atom.Attr) }
+		for _, cl := range dc.Classes {
+			for _, s := range cl[1:] {
+				if !instance.SameValue(val(cl[0]), val(s)) {
+					return false
+				}
+			}
+		}
+		for _, p := range dc.Differ {
+			if instance.SameValue(val(p[0]), val(p[1])) {
+				return false
+			}
+		}
+		return true
+	}
+	for b := range rows {
+		if copies == 1 {
+			if cand := [][]*instance.Tuple{rows[b]}; valid(cand) {
+				return cand
+			}
+			continue
+		}
+		for a := range b {
+			for _, cand := range [][][]*instance.Tuple{{rows[a], rows[b]}, {rows[b], rows[a]}} {
+				if valid(cand) {
+					return cand
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// sameRows reports whether two witnesses hold the same tuples.
+func sameRows(a, b [][]*instance.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y []*instance.Tuple) bool { return slices.Equal(x, y) })
+}
+
+// rowsString renders a witness, one row per copy.
+func rowsString(rows [][]*instance.Tuple) string {
+	if rows == nil {
+		return "none"
+	}
+	var b strings.Builder
+	for c, row := range rows {
+		fmt.Fprintf(&b, "\n  copy %d:", c+1)
+		for _, t := range row {
+			fmt.Fprintf(&b, " %s", t.Key())
+		}
+	}
+	return b.String()
+}
+
+// patternString renders a retrieval's pattern for a failure report.
+func patternString(dc core.ProbeDecision) string {
+	var b strings.Builder
+	b.WriteString("--- pattern ---\n")
+	for _, cl := range dc.Classes {
+		if len(cl) < 2 {
+			continue
+		}
+		b.WriteString("  agree:")
+		for _, s := range cl {
+			fmt.Fprintf(&b, " %d:%s", s.Copy, s.Atom)
+		}
+		b.WriteByte('\n')
+	}
+	for _, p := range dc.Differ {
+		fmt.Fprintf(&b, "  differ: %d:%s %d:%s\n", p[0].Copy, p[0].Atom, p[1].Copy, p[1].Atom)
+	}
+	return b.String()
 }
 
 // count is 1 for true and 0 for false.

@@ -3,9 +3,6 @@ package crosscheck
 import (
 	"math/rand"
 	"testing"
-
-	"muse/internal/instance"
-	"muse/internal/query"
 )
 
 // FuzzMutatedChase drives the chase differential from a fuzzed seed:
@@ -35,11 +32,11 @@ func FuzzMutatedChase(f *testing.F) {
 	})
 }
 
-// FuzzRandomQuery drives the query differential from a fuzzed seed:
-// a random scenario instance, a probe and a two-copy probe are drawn
-// from the seed's rand stream, and the naive scan, the planner, Limit,
-// and First must all agree on each probe.
-func FuzzRandomQuery(f *testing.F) {
+// FuzzRetrieval drives the decide leg from a fuzzed seed: a random
+// scenario is drawn from the seed's rand stream, and every retrieval of
+// one probe pattern per mapping and instance, and of each ambiguous
+// mapping's Muse-D example, must reach the brute-force scan's verdict.
+func FuzzRetrieval(f *testing.F) {
 	for _, s := range []int64{1, 2, 3, 42, 7919} {
 		f.Add(s)
 	}
@@ -49,16 +46,10 @@ func FuzzRandomQuery(f *testing.F) {
 		if !ok {
 			return
 		}
-		// A general probe, then a two-copy one from the same stream.
-		for _, draw := range []func(*rand.Rand, *instance.Instance) *query.Query{RandomQuery, copyProbe} {
-			q := draw(r, c.Src)
-			if q == nil {
-				continue
-			}
-			if fail := checkOneQuery("fuzz", q, c.Src, nil, r); fail != nil {
-				fail.Seed = seed
-				t.Errorf("%s", fail.String())
-			}
+		l := &decideLeg{seed: seed, queries: 1}
+		l.scenario(r, c, true)
+		for _, fail := range l.fails {
+			t.Errorf("%s", fail.String())
 		}
 	})
 }

@@ -191,11 +191,15 @@ func RandomScenario(r *rand.Rand, name string) (*Case, bool) {
 			_ = srcDeps.AddKey(sn, st.Atoms[0])
 		}
 	}
-	if len(srcNames) >= 2 && r.Float64() < 0.4 {
-		a, b := srcNames[r.Intn(len(srcNames))], srcNames[r.Intn(len(srcNames))]
-		if a != b {
-			sa, sb := srcCat.ByPath(nr.ParsePath(a)), srcCat.ByPath(nr.ParsePath(b))
-			_ = srcDeps.AddRef("r0", a, []string{sa.Atoms[r.Intn(len(sa.Atoms))]}, b, []string{sb.Atoms[0]})
+	if len(srcNames) >= 2 && r.Float64() < 0.6 {
+		i := r.Intn(len(srcNames))
+		a, b := srcNames[i], srcNames[(i+1+r.Intn(len(srcNames)-1))%len(srcNames)]
+		sa, sb := srcCat.ByPath(nr.ParsePath(a)), srcCat.ByPath(nr.ParsePath(b))
+		_ = srcDeps.AddRef("r0", a, []string{sa.Atoms[r.Intn(len(sa.Atoms))]}, b, []string{sb.Atoms[0]})
+		// A second reference into the same set reaches it under two
+		// roles, so cliogen emits or-groups (Sec. IV).
+		if r.Float64() < 0.75 {
+			_ = srcDeps.AddRef("r1", a, []string{sa.Atoms[r.Intn(len(sa.Atoms))]}, b, []string{sb.Atoms[0]})
 		}
 	}
 	tgtDeps := deps.NewSet(tgtCat)

@@ -12,28 +12,26 @@ const (
 	MChaseSetIDs      = "muse_chase_setids_total"      // SetID Skolem terms minted
 	GChaseWorkers     = "muse_chase_workers"           // workers of the last chase: always 1 (the chase is serial)
 
-	// query engine / planner
-	MQueryEvals        = "muse_query_evals_total"         // Eval calls
-	MQueryAtomsCosted  = "muse_query_atoms_costed_total"  // atomCost invocations while planning
-	MQueryRowsScanned  = "muse_query_rows_scanned_total"  // candidate tuples considered
-	MQueryRowsReturned = "muse_query_rows_returned_total" // matches returned
-	MQueryRefuted      = "muse_query_refuted_total"       // Evals refuted on the tableau (no query built, no search)
-	MQueryDecided      = "muse_query_decided_total"       // Evals an assignment table proved empty (no plan, no search)
-	HQueryEvalSeconds  = "muse_query_eval_seconds"        // Eval latency histogram
+	// real-example retrieval
+	MQueryEvals        = "muse_query_evals_total"         // retrievals run
+	MQueryRowsScanned  = "muse_query_rows_scanned_total"  // assignment-table rows the scans read
+	MQueryRowsReturned = "muse_query_rows_returned_total" // witnesses found, 1 per retrieval
+	MQueryRefuted      = "muse_query_refuted_total"       // retrievals refuted on the tableau (no scan)
+	MQueryDecided      = "muse_query_decided_total"       // retrievals whose scan proved them empty
+	HQueryEvalSeconds  = "muse_query_eval_seconds"        // retrieval latency histogram
 
-	// planner tier choice, one counter per access tier
+	// Never counted since retrieval scans assignment tables; kept
+	// because perfbench's layer metrics read them.
 	MPlanTierPinnedComposite = "muse_plan_tier_pinned_composite_total"
 	MPlanTierBoundComposite  = "muse_plan_tier_bound_composite_total"
 	MPlanTierBoundSingle     = "muse_plan_tier_bound_single_total"
 	MPlanTierScan            = "muse_plan_tier_scan_total"
 	MPlanTierNested          = "muse_plan_tier_nested_total"
-	MPlanTierNaive           = "muse_plan_tier_naive_total" // never counted; kept for perfbench's tier sum
-
-	// shared index store
-	MIndexBuilds     = "muse_index_builds_total"      // distinct (set, attrs) indexes materialized
-	MIndexBuildNanos = "muse_index_build_nanos_total" // wall-clock spent building indexes + stats
-	MIndexProbes     = "muse_index_probes_total"      // Index() lookups served
-	MIndexHits       = "muse_index_cache_hits_total"  // lookups answered by an existing entry
+	MPlanTierNaive           = "muse_plan_tier_naive_total"
+	MIndexBuilds             = "muse_index_builds_total"
+	MIndexBuildNanos         = "muse_index_build_nanos_total"
+	MIndexProbes             = "muse_index_probes_total"
+	MIndexHits               = "muse_index_cache_hits_total"
 
 	// Muse-G (grouping wizard)
 	MMuseGSKs               = "muse_museg_sks_designed_total"
@@ -95,7 +93,7 @@ var SrvStepSecondsBounds = []float64{
 const (
 	SpanChase        = "chase"              // one Chase call: mappings, workers
 	SpanChaseMapping = "chase.mapping"      // one mapping's chase: mapping, assignments, tuples, nulls
-	SpanQueryEval    = "query.eval"         // one Eval: atoms, matches, scanned, refuted, decided
+	SpanQueryEval    = "query.eval"         // one retrieval: matches, scanned, refuted, decided, explain
 	SpanMuseGSK      = "museg.design_sk"    // one grouping function: mapping, sk, questions
 	SpanMuseGProbe   = "museg.probe"        // one probe question's compute: probe, real
 	SpanMuseGTable   = "museg.table"        // one assignment-table build: mapping, rows

@@ -206,7 +206,7 @@ func BenchmarkWriteText(b *testing.B) {
 	for _, n := range []string{
 		MChaseRuns, MChaseTuples, MQueryEvals, MQueryRowsScanned,
 		MSrvRequests, MSrvAnswers, MSrvErrors, MSrvSlowSteps,
-		MMuseGQuestions, MMuseDQuestions, MGenMappings, MIndexProbes,
+		MMuseGQuestions, MMuseDQuestions, MGenMappings, MQueryRefuted,
 	} {
 		r.Counter(n).Add(12345)
 	}

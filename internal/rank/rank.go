@@ -70,7 +70,7 @@ type Scorer struct {
 	// Deps holds the source keys/FDs used for conformance scoring; may
 	// be nil.
 	Deps *deps.Set
-	// Store caches indexes and statistics over the real instance
+	// Store caches statistics over the real instance
 	// (shared with the wizards); may be nil when no real instance is
 	// available, in which case every option scores evenly.
 	Store *query.IndexStore
@@ -341,10 +341,10 @@ func (s *Scorer) ScoreChoices(m *mapping.Mapping) []Ranking {
 }
 
 // coverage returns the fraction of the set's tuples carrying a non-nil
-// value for alt, and the distinct ratio among those, via the shared
-// single-attribute index (warm after the first question over the set).
+// value for alt, and the distinct ratio among those, from the shared
+// store's statistics (warm after the first question over the set).
 func (s *Scorer) coverage(info *mapping.Info, alt mapping.Expr, ev attrEvidence) (cov, distinctRatio float64) {
-	nonNil := s.Store.Index(info.SrcVars[alt.Var], []string{alt.Attr}).Len()
+	nonNil := s.Store.Stats(info.SrcVars[alt.Var]).Set[alt.Attr]
 	if ev.card == 0 || nonNil == 0 {
 		return 0, 0
 	}

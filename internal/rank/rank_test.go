@@ -109,15 +109,12 @@ func TestRankerDeterministic(t *testing.T) {
 				}
 			}
 
-			// Warm store: pre-build every top-level set's stats and the
-			// single-attribute indexes the scorer consults.
+			// Warm store: pre-count every top-level set's statistics,
+			// which the scorer consults.
 			warm := query.NewIndexStore(sc.NewInstance(0.02))
 			for _, st := range sc.Src.Cat.Sets {
 				if st.Parent == nil {
 					warm.Stats(st)
-					for _, a := range st.Atoms {
-						warm.Index(st, []string{a})
-					}
 				}
 			}
 			if got := rankedDialog(t, sc, warm); got != ref {

@@ -37,12 +37,11 @@ type Scenario struct {
 }
 
 // sharedStore returns the scenario's index store, built lazily on the
-// first session (or eagerly by Manager.Prime) and attached to the
-// registry for index metrics.
-func (sc *Scenario) sharedStore(reg *obs.Registry) *query.IndexStore {
+// first session (or eagerly by Manager.Prime).
+func (sc *Scenario) sharedStore() *query.IndexStore {
 	sc.storeOnce.Do(func() {
 		if sc.Real != nil {
-			sc.store = query.NewIndexStore(sc.Real).Observe(reg)
+			sc.store = query.NewIndexStore(sc.Real)
 		}
 	})
 	return sc.store
@@ -221,7 +220,7 @@ func (mg *Manager) scenarioStep(scenario string) {
 // work.
 func (mg *Manager) Prime(ctx context.Context) {
 	for _, sc := range mg.Scenarios {
-		store := sc.sharedStore(mg.reg())
+		store := sc.sharedStore()
 		cs := core.NewSession(sc.Deps, sc.Real)
 		cs.Grouping.Store = store
 		cs.Disambiguation.Store = store
@@ -291,7 +290,7 @@ func (mg *Manager) Create(ctx context.Context, scenario string) (*Session, error
 // scenario-wide index store.
 func (mg *Manager) coreSession(sc *Scenario) *core.Session {
 	cs := core.NewSession(sc.Deps, sc.Real).Observe(mg.Obs)
-	store := sc.sharedStore(mg.reg())
+	store := sc.sharedStore()
 	cs.Grouping.Store = store
 	cs.Disambiguation.Store = store
 	if mg.AutoThreshold > 0 {
