@@ -155,20 +155,22 @@ func (r *probeRetrieval) scan(ctx context.Context) (bool, int, error) {
 //	witness: rows 12 and 40 of 4548 assignments of m5 agree on 6 classes
 //	decided: x_1 != x_2; no two of 4548 assignments of m5 that keep 2 within-copy equalities agree on 6 classes and differ
 func (r *probeRetrieval) explain() string {
-	t := r.t
-	switch {
-	case r.refuted:
+	if r.refuted {
 		return r.tb.explainRefuted()
-	case r.a >= 0 && r.shape == nil:
-		return fmt.Sprintf("witness: rows %d and %d of %d assignments of %s agree on %d classes", r.a+1, r.b+1, t.len(), t.m.Name, len(r.tb.keys))
+	}
+	t, classes := r.t, len(r.tb.keys)
+	if r.shape != nil {
+		classes = len(r.shape.key[0])
+	}
+	switch {
 	case r.a >= 0:
-		return fmt.Sprintf("witness: rows %d and %d of %d assignments of %s agree on %d classes", r.a+1, r.b+1, t.len(), t.m.Name, len(r.shape.key[0]))
+		return fmt.Sprintf("witness: rows %d and %d of %d assignments of %s agree on %d classes", r.a+1, r.b+1, t.len(), t.m.Name, classes)
 	case r.shape == nil:
 		s := r.probe
 		return fmt.Sprintf("decided: %s != %s; no two of %d assignments of %s that keep %d within-copy equalities agree on %d classes and differ",
-			r.tb.classID(s), r.tb.classID(r.tb.at(2, s)), t.len(), t.m.Name, len(r.tb.filter)/2, len(r.tb.keys))
+			r.tb.classID(s), r.tb.classID(r.tb.at(2, s)), t.len(), t.m.Name, len(r.tb.filter)/2, classes)
 	}
-	return fmt.Sprintf("decided: no two of %d assignments of %s agree on %d classes and differ on %d pairs", t.len(), t.m.Name, len(r.shape.key[0]), len(r.neq)/2)
+	return fmt.Sprintf("decided: no two of %d assignments of %s agree on %d classes and differ on %d pairs", t.len(), t.m.Name, classes, len(r.neq)/2)
 }
 
 // rows returns the witness, copy 1's row first.

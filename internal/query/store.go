@@ -44,16 +44,13 @@ type entry[T any] struct {
 	val  T
 }
 
-// SetStats are one set's statistics, collected in one pass over it.
+// SetStats are one top-level set's statistics, collected in one pass
+// over it.
 type SetStats struct {
-	// Card is the total tuple count (summed over occurrences for
-	// nested set types).
+	// Card is the tuple count.
 	Card int
-	// Occs is the number of occurrences (1 for top-level sets).
-	Occs int
 	// Distinct maps each atom attribute to its number of distinct
-	// non-nil values, and Set to the number of tuples that set it (both
-	// for top-level sets only).
+	// non-nil values, and Set to the number of tuples that set it.
 	Distinct, Set map[string]int
 }
 
@@ -110,22 +107,12 @@ func (s *IndexStore) UniqueAttrs(st *nr.SetType, attrs []string) []string {
 	return nil
 }
 
-// Stats returns the statistics block for the set type, computing it on
-// first use. For top-level sets one counting pass collects cardinality
-// and the per-attribute distinct and set counts; for nested set types
-// only the cardinality/occurrence aggregate is collected.
+// Stats returns the statistics block for the top-level set st,
+// computing it on first use by one counting pass.
 func (s *IndexStore) Stats(st *nr.SetType) *SetStats {
 	return cached(s, s.stats, st, nil, func() *SetStats {
-		stats := &SetStats{Distinct: make(map[string]int, len(st.Atoms)), Set: make(map[string]int, len(st.Atoms))}
-		if st.Parent != nil {
-			for _, occ := range s.in.Occurrences(st) {
-				stats.Card += occ.Len()
-				stats.Occs++
-			}
-			return stats
-		}
 		set := s.in.Top(st)
-		stats.Card, stats.Occs = set.Len(), 1
+		stats := &SetStats{Card: set.Len(), Distinct: make(map[string]int, len(st.Atoms)), Set: make(map[string]int, len(st.Atoms))}
 		lists := make([][]int, len(st.Atoms))
 		for i, slot := range slotsOf(set, st.Atoms) {
 			lists[i] = []int{slot}
