@@ -78,7 +78,7 @@ type MuseGConfig struct {
 	// NoReal disables real-example retrieval (ablation).
 	NoReal bool
 	// Obs, when non-nil, accumulates the run's metrics and spans
-	// (threaded through the wizards, the chase and the query engine).
+	// (threaded through the wizards, the chase and the retrievals).
 	Obs *obs.Obs
 }
 

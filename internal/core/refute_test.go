@@ -109,8 +109,8 @@ func exprs(ss ...string) []mapping.Expr {
 // wizard does, with metrics and a trace that asks for detail. It
 // requires the example to be real exactly when the brute-force
 // reference finds a witness, and returns the metrics, the retrieval's
-// query.eval span, and the wizard.
-func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirmed, decidedOut []mapping.Expr, probe string) (*obs.Obs, obs.SpanRecord, *GroupingWizard) {
+// query.eval span, the wizard and the example.
+func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirmed, decidedOut []mapping.Expr, probe string) (*obs.Obs, obs.SpanRecord, *GroupingWizard, *instance.Instance) {
 	t.Helper()
 	o := obs.New()
 	w := NewGroupingWizard(nil, real)
@@ -130,7 +130,8 @@ func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirm
 	}
 	want := bruteWitness(tb, tb.differPairs(differ), bruteRows(m, real))
 	var stats SKStats
-	if _, isReal := w.obtainExample(w.context(), tb, differ, &stats); isReal != (want != nil) {
+	ie, isReal := w.obtainExample(w.context(), tb, differ, &stats)
+	if isReal != (want != nil) {
 		t.Errorf("the example is real: %v, but the reference's witness is %v", isReal, want)
 	}
 	var span obs.SpanRecord
@@ -142,7 +143,7 @@ func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirm
 	if got := o.Reg.Get(obs.MQueryEvals); got != 1 || span.Name == "" {
 		t.Fatalf("%d query evaluations, span %q; want one query.eval", got, span.Name)
 	}
-	return o, span, w
+	return o, span, w, ie
 }
 
 // TestRefuteTwoCopyProbe: the copies agree on a project's unique pid,
@@ -154,7 +155,7 @@ func retrieve(t *testing.T, m *mapping.Mapping, real *instance.Instance, confirm
 // says why, naming the classes by their IDs.
 func TestRefuteTwoCopyProbe(t *testing.T) {
 	m := refuteMappings(t)["m"]
-	o, span, w := retrieve(t, m, ibm(m.Src), exprs("p.pid", "c.location"), exprs("c.cid", "p.pname", "p.cid"), "c.cname")
+	o, span, w, _ := retrieve(t, m, ibm(m.Src), exprs("p.pid", "c.location"), exprs("c.cid", "p.pname", "p.cid"), "c.cname")
 	reg := o.Reg
 	if got := reg.Get(obs.MQueryRefuted); got != 1 {
 		t.Errorf("refuted counter = %d, want 1", got)
@@ -177,7 +178,7 @@ func TestRefuteTwoCopyProbe(t *testing.T) {
 func TestRefuteCompositeKey(t *testing.T) {
 	m := refuteMappings(t)["m1"]
 	in := companies(m.Src, [][3]string{{"1", "A", "X"}, {"1", "B", "Y"}, {"2", "A", "Y"}, {"2", "B", "X"}})
-	o, span, _ := retrieve(t, m, in, exprs("c.cname", "c.location"), nil, "c.cid")
+	o, span, _, _ := retrieve(t, m, in, exprs("c.cname", "c.location"), nil, "c.cid")
 	const want = "refuted: x_c_cid_1 != x_c_cid_2; Companies unique on (cname, location)"
 	if o.Reg.Get(obs.MQueryRefuted) != 1 || span.AttrMap()["explain"] != want {
 		t.Errorf("refuted %d, span %v; want refuted with explain %q", o.Reg.Get(obs.MQueryRefuted), span.AttrMap(), want)
@@ -219,7 +220,7 @@ func TestRefuteKeepsSearching(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o, span, _ := retrieve(t, c.m, c.in, c.confirmed, c.decidedOut, c.probe)
+			o, span, _, _ := retrieve(t, c.m, c.in, c.confirmed, c.decidedOut, c.probe)
 			if got := o.Reg.Get(obs.MQueryRefuted); got != 0 || span.AttrMap()["refuted"] != nil {
 				t.Errorf("refuted %d retrievals, span %v; want none", got, span.AttrMap())
 			}

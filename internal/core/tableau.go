@@ -584,15 +584,21 @@ func (tb *tableau) fromRows(rows ...[]*instance.Tuple) *instance.Instance {
 	in := instance.New(tb.m.Src)
 	for _, row := range rows {
 		for i, g := range tb.m.For {
+			// A real instance of another catalog lays the set out as
+			// m.Src does (laidOutIn), so its slots copy by position.
 			st := tb.info.SrcVars[g.Var]
+			t := instance.NewTuple(st)
+			for k := range row[i].NumSlots() {
+				t.PutSlot(k, row[i].ValAt(k))
+			}
 			if g.Root != nil {
-				in.InsertTop(st, row[i].Clone())
+				in.InsertTop(st, t)
 				continue
 			}
 			// Preserve the real nesting: the child lives in the
 			// occurrence its parent references.
 			ref, _ := row[tb.genIndex(g.Parent)].Get(g.Field).(*instance.SetRef)
-			in.Insert(st, ref, row[i].Clone())
+			in.Insert(st, ref, t)
 		}
 	}
 	// Carry over the (possibly empty) nested sets referenced by copied

@@ -11,9 +11,10 @@
 //     isomorphism via internal/homo; and one compiled chase.Program per
 //     mapping, run as it stands and regrouped at random, vs ChaseCtx of
 //     the regrouped mapping, identical in insertion order.
-//   - query (CheckQuery): the cost-based planner (full, Limit, First,
-//     Neq pushdown) vs the naive scan evaluator on generated
-//     conjunctive probes.
+//   - query (CheckQuery): every retrieval verdict of the wizards (a
+//     refutation, a scan without a witness, or the witness) vs a
+//     brute-force scan of the retrieval's pattern in the witness order,
+//     on generated scenarios and probe patterns.
 //   - wizard (CheckWizard): Stepper dialogs vs Session.Run
 //     byte-identity under seeded valid and invalid answer sequences;
 //     its coincide leg requires every Muse-G question's two scenarios
@@ -41,5 +42,5 @@
 //
 // cmd/musecheck is the CLI driver (`make crosscheck` in CI); the
 // permanent regression surface lives in this package's tests plus the
-// promoted differential tests under internal/chase and internal/query.
+// promoted differential tests under internal/chase and internal/core.
 package crosscheck

@@ -4,10 +4,8 @@ import "slices"
 
 // This file holds the three ways the engines group by value vectors:
 // a hash index of a set's tuples over some slots (the chase's
-// generators and the query store's indexes, which serve the query
-// kernel's probes and the ranker's coverage), an exact distinct counter
-// (the planner's statistics and the uniqueness verdicts behind refuted
-// probes), and a map from value vectors to anything (homomorphism
+// generators), an exact distinct counter (the index store's statistics
+// and the uniqueness verdicts behind refuted probes), and a map from value vectors to anything (homomorphism
 // bindings, constraint checks, Muse-G's data-implied groups, compact
 // rendering's short names). All three key a value vector by its content
 // hash. The counter and the map confirm every hash hit with SameValue;

@@ -428,8 +428,8 @@ func LabeledName(base, label, value string) string {
 	return base + "{" + label + "=" + strconv.Quote(value) + "}"
 }
 
-// Obs bundles a Registry and a Tracer; the wizards, the chase engine
-// and the query engine each accept one. The nil *Obs (and the zero
+// Obs bundles a Registry and a Tracer; the wizards and the chase engine
+// each accept one. The nil *Obs (and the zero
 // value) disable all instrumentation at the cost of one branch per
 // touch point.
 type Obs struct {

@@ -54,7 +54,7 @@ func (tc TraceContext) WithCollector(col *SpanCollector) TraceContext {
 }
 
 // WithDetail marks the trace as wanting expensive diagnostic
-// attributes (planner Explain output on query spans). Off by default.
+// attributes (the explain attribute of retrieval spans). Off by default.
 func (tc TraceContext) WithDetail(on bool) TraceContext {
 	tc.detail = on
 	return tc

@@ -11,7 +11,7 @@
 // recently used idle sessions are evicted under pressure) and in age
 // (idle sessions past the TTL are swept). Distinct sessions of the
 // same scenario run concurrently and share one query.IndexStore, so
-// indexes built for one designer's retrievals serve every other.
+// statistics counted for one designer's retrievals serve every other.
 //
 // Sessions are durable through a pluggable SessionStore: every
 // accepted answer is persisted before it is acknowledged, and a token

@@ -19,8 +19,8 @@ const DefaultSlowThreshold = 250 * time.Millisecond
 const DefaultSlowCap = 64
 
 // SlowStep is one flight-recorded request: the identifying metadata
-// plus the complete span tree captured while it ran (chase, query —
-// with planner Explain output when detail was on — stepper and handler
+// plus the complete span tree captured while it ran (chase, retrieval —
+// with its explain attribute when detail was on — stepper and handler
 // spans, all sharing one trace id).
 type SlowStep struct {
 	RequestID string           `json:"request_id"`

@@ -150,7 +150,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if s.Flight != nil {
 			// Capture the request's spans as they finish — the shared
 			// ring may wrap under load before we decide the step was
-			// slow — and ask for expensive diagnostics (query Explain).
+			// slow — and ask for expensive diagnostics (retrieval explain).
 			col = obs.NewSpanCollector(0)
 			tc = tc.WithCollector(col).WithDetail(true)
 		}

@@ -134,8 +134,8 @@ type wireSlow struct {
 // TestDebugSlowCapturesTrace is the acceptance test for the flight
 // recorder: with the threshold at zero every step is captured, and the
 // captured record for a create carries the full span tree — handler →
-// stepper → chase/query, one shared trace id — plus planner Explain
-// output on the query spans.
+// stepper → chase/query, one shared trace id — plus the explain
+// attribute on the query spans.
 func TestDebugSlowCapturesTrace(t *testing.T) {
 	ts, _ := tracedServer(t, nil)
 
@@ -242,7 +242,7 @@ func TestDebugSlowCapturesTrace(t *testing.T) {
 		}
 	}
 	if explains == 0 {
-		t.Error("no query.eval span carried planner Explain output (detail flag lost?)")
+		t.Error("no query.eval span carried its explain attribute (detail flag lost?)")
 	}
 }
 

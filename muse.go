@@ -5,8 +5,8 @@
 // model of Clio, a constraint system (keys, functional dependencies,
 // referential constraints), the declarative mapping language, a chase
 // engine producing canonical universal solutions, homomorphism and
-// isomorphism checking, a conjunctive-query engine with inequalities,
-// and a simplified Clio-style mapping generator.
+// isomorphism checking, real-example retrieval over the chase's own
+// assignments, and a simplified Clio-style mapping generator.
 //
 // The two wizards are the paper's contribution:
 //
@@ -333,8 +333,8 @@ func ScenarioFromDocument(doc *Document, src, tgt, instName string) (*ServerScen
 // --- observability ---
 
 type (
-	// Obs bundles a metrics Registry and a span Tracer; the chase, the
-	// query engine and both wizards accept one. A nil *Obs disables all
+	// Obs bundles a metrics Registry and a span Tracer; the chase and
+	// both wizards accept one. A nil *Obs disables all
 	// instrumentation at the cost of one branch per touch point.
 	Obs = obs.Obs
 	// Registry holds named atomic counters, gauges and histograms with
