@@ -69,8 +69,8 @@ func (e *Env) store() *query.IndexStore {
 // installed (the store may have been created lazily after the scorer
 // was attached). Callers check e.Ranker != nil first.
 func (e *Env) ranker() *rank.Scorer {
-	if e.Ranker.Store == nil {
-		e.Ranker.Store = e.Store
+	if e.Ranker.Store == nil && e.Real != nil {
+		e.Ranker.Store = e.store()
 	}
 	return e.Ranker
 }

@@ -164,7 +164,8 @@ func (l *decideLeg) check(name string, m *mapping.Mapping, src *instance.Instanc
 	if detail == "" {
 		return
 	}
-	repro := formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{m}}) + patternString(dc) + fmt.Sprintf("--- instance ---\n%s", src)
+	repro := formatMappingSet(&mapping.Set{Mappings: []*mapping.Mapping{m}}) +
+		fmt.Sprintf("--- pattern ---\nagree %v\ndiffer %v\n--- instance ---\n%s", dc.Classes, dc.Differ, src)
 	l.fails = append(l.fails, Failure{Oracle: "query", Case: name, Seed: l.seed, Detail: detail + pattern, Repro: repro})
 }
 
@@ -255,26 +256,6 @@ func rowsString(rows [][]*instance.Tuple) string {
 		for _, t := range row {
 			fmt.Fprintf(&b, " %s", t.Key())
 		}
-	}
-	return b.String()
-}
-
-// patternString renders a retrieval's pattern for a failure report.
-func patternString(dc core.ProbeDecision) string {
-	var b strings.Builder
-	b.WriteString("--- pattern ---\n")
-	for _, cl := range dc.Classes {
-		if len(cl) < 2 {
-			continue
-		}
-		b.WriteString("  agree:")
-		for _, s := range cl {
-			fmt.Fprintf(&b, " %d:%s", s.Copy, s.Atom)
-		}
-		b.WriteByte('\n')
-	}
-	for _, p := range dc.Differ {
-		fmt.Fprintf(&b, "  differ: %d:%s %d:%s\n", p[0].Copy, p[0].Atom, p[1].Copy, p[1].Atom)
 	}
 	return b.String()
 }
