@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -16,9 +15,7 @@ import (
 // TestWitnessFig3a: the Q_Ie of Fig. 3(a), two companies that agree on
 // cname and location and differ on cid, each with a project. Its
 // witness is the least pair in firing order, companies 11 and 12 with
-// their projects, and the span names it. Once the two companies' only
-// projects share a name, no pair differs on pname and the scan proves
-// that probe empty.
+// their projects, and the span names it.
 func TestWitnessFig3a(t *testing.T) {
 	m := refuteMappings(t)["m"]
 	o, span, _, ie := retrieve(t, m, ibm(m.Src), exprs("c.cname", "c.location"), exprs("p.pid", "p.pname", "p.cid"), "c.cid")
@@ -29,10 +26,17 @@ func TestWitnessFig3a(t *testing.T) {
 	if got := ie.String(); !strings.Contains(got, "11") || !strings.Contains(got, "12") || !strings.Contains(got, "p1") || !strings.Contains(got, "p2") || strings.Contains(got, "14") {
 		t.Errorf("example holds\n%s\nwant companies 11 and 12 with projects p1 and p2", got)
 	}
+}
+
+// TestWitnessAbsentPattern: once the two companies of Fig. 3(a) that
+// agree on cname and location have projects of one name, no pair
+// differs on pname, and the scan proves that probe empty.
+func TestWitnessAbsentPattern(t *testing.T) {
+	m := refuteMappings(t)["m"]
 	same := companies(m.Src, [][3]string{{"11", "IBM", "NY"}, {"12", "IBM", "NY"}, {"14", "SBC", "NY"}},
 		[3]string{"p1", "DB", "11"}, [3]string{"p2", "DB", "12"}, [3]string{"p4", "WiFi", "14"})
-	o, span, _, _ = retrieve(t, m, same, exprs("c.cname", "c.location"), exprs("c.cid", "p.pid", "p.cid"), "p.pname")
-	if o.Reg.Get(obs.MQueryDecided) != 1 || !strings.HasPrefix(span.AttrMap()["explain"].(string), "decided: ") {
+	o, span, _, _ := retrieve(t, m, same, exprs("c.cname", "c.location"), exprs("c.cid", "p.pid", "p.cid"), "p.pname")
+	if o.Reg.Get(obs.MQueryDecided) != 1 || o.Reg.Get(obs.MQueryRowsReturned) != 0 || !strings.HasPrefix(span.AttrMap()["explain"].(string), "decided: ") {
 		t.Errorf("span %v; want the probe decided empty", span.AttrMap())
 	}
 }
@@ -114,25 +118,10 @@ func TestRetrievalCatalogLayout(t *testing.T) {
 	}
 }
 
-// pollCountdown is a context whose Err turns to Canceled after it has
-// been polled n times.
-type pollCountdown struct {
-	context.Context
-	n int
-}
-
-func (c *pollCountdown) Err() error {
-	if c.n--; c.n < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestRetrievalContext: a retrieval under a dead context scans nothing
-// and opens no span, and a context that dies during the general pair
-// scan stops it within 256 pair tests, before it reaches the end of
-// its one bucket.
-func TestRetrievalContext(t *testing.T) {
+// TestRetrievalDeadContext: a retrieval under a dead context scans
+// nothing and opens no span, and the question shows its synthetic
+// example.
+func TestRetrievalDeadContext(t *testing.T) {
 	m := refuteMappings(t)["m1"]
 	in := companies(m.Src, [][3]string{{"1", "A", "X"}, {"2", "A", "X"}})
 	dead, cancel := context.WithCancel(context.Background())
@@ -147,21 +136,8 @@ func TestRetrievalContext(t *testing.T) {
 	if !probeSetup(tb, m.Poss(), exprs("c.cname"), nil, differ[0], differ[1:]) {
 		t.Fatal("probe unconstructible")
 	}
-	if _, real := w.obtainExample(dead, tb, differ, &SKStats{}); real || w.Obs.Reg.Get(obs.MQueryEvals) != 0 {
-		t.Errorf("a dead context retrieved (real %v, %d evals); want nothing", real, w.Obs.Reg.Get(obs.MQueryEvals))
-	}
-	// A table of one bucket whose rows never differ on location: every
-	// pair is tested, twice.
-	table := &assignTable{m: m, real: in, vars: 1}
-	table.cols, table.joined = rowLayout(tb)
-	st := tb.info.SrcVars["c"]
-	for range 100 {
-		table.rows = append(table.rows, instance.NewTuple(st).Put("cid", instance.C("1")).Put("cname", instance.C("A")).Put("location", instance.C("X")))
-	}
-	_, _, scanned, err := table.pairs(&pollCountdown{Context: context.Background(), n: 1}, table.pairShape(tb, tb.differPairs(differ)))
-	// The second poll, after 512 tests, cancels: rows 0..22 take 506.
-	if !errors.Is(err, context.Canceled) || scanned != 24 {
-		t.Errorf("scan stopped after %d rows with %v; want row 24 and context.Canceled", scanned, err)
+	if _, real := w.obtainExample(dead, tb, differ, &SKStats{}); real || w.Obs.Reg.Get(obs.MQueryEvals) != 0 || len(w.Obs.Tr.Finished()) != 0 {
+		t.Errorf("a dead context retrieved (real %v, %d evals, %d spans); want nothing", real, w.Obs.Reg.Get(obs.MQueryEvals), len(w.Obs.Tr.Finished()))
 	}
 }
 
