@@ -39,10 +39,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The index store's verdicts and the instance's counter under the race
+# detector, repeated. go test -run passes when its pattern matches no
+# test, so each pattern must first list one.
 race-retrieval:
 	$(GO) test -race -count=1 ./internal/query ./internal/core
+	@$(GO) test -list 'Unique' ./internal/query | grep -q '^Test' || { echo "race-retrieval: -run 'Unique' matches no test in ./internal/query"; exit 1; }
 	$(GO) test -race -count=10 -run 'Unique' ./internal/query
-	$(GO) test -race -count=10 -run 'Index|CountDistinct' ./internal/instance
+	@$(GO) test -list 'Index|Counter' ./internal/instance | grep -q '^Test' || { echo "race-retrieval: -run 'Index|Counter' matches no test in ./internal/instance"; exit 1; }
+	$(GO) test -race -count=10 -run 'Index|Counter' ./internal/instance
 
 # The stepper's answer path under the race detector, repeated at two
 # core counts: an answer under a cancelled context must never report

@@ -77,7 +77,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "directory for per-session write-ahead logs (with -store wal)")
 	fsync := flag.Bool("fsync", true, "fsync each WAL append before acknowledging the answer (with -store wal)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
-	prime := flag.Bool("prime", true, "build scenario indexes and warm the first question before serving")
+	prime := flag.Bool("prime", true, "count every scenario set's statistics before serving")
 	autoThreshold := flag.Float64("auto-threshold", 0, "attach evidence rankings to every question, marked decisive at this confidence (0 disables)")
 	docPath := flag.String("doc", "", "Muse document to serve as a scenario (optional)")
 	src := flag.String("src", "", "source schema name (with -doc)")

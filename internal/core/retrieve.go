@@ -12,6 +12,7 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/obs"
+	"muse/internal/query"
 )
 
 // A retriever is one real-example retrieval (the Q_Ie of Sec. III-A and
@@ -383,11 +384,12 @@ type ProbeDecision struct {
 // DecideProbe sets up m's two-copy probe whose copies differ on differ
 // (the probed attribute first; differ is not empty), agree on confirmed
 // and leave decidedOut free, as the Muse-G probe loop does under the
-// source constraints src, and retrieves its witness from real as the
-// wizard does. ok is false when the constraints make the probe
-// unconstructible.
-func DecideProbe(m *mapping.Mapping, src *deps.Set, real *instance.Instance, confirmed, decidedOut, differ []mapping.Expr) (d ProbeDecision, ok bool, err error) {
-	w := NewGroupingWizard(src, real)
+// source constraints src, and retrieves its witness from the store's
+// instance as the wizard does, refuting it from the store's verdicts.
+// ok is false when the constraints make the probe unconstructible.
+func DecideProbe(m *mapping.Mapping, src *deps.Set, store *query.IndexStore, confirmed, decidedOut, differ []mapping.Expr) (d ProbeDecision, ok bool, err error) {
+	w := NewGroupingWizard(src, store.Instance())
+	w.Store = store
 	tb, err := w.questionTableau(m)
 	if err != nil {
 		return d, false, err
@@ -419,9 +421,11 @@ func DecideProbe(m *mapping.Mapping, src *deps.Set, real *instance.Instance, con
 
 // DecideChoice sets up the one-copy retrieval of Muse-D's example for
 // the ambiguous mapping m under the source constraints src, as
-// Disambiguate does, and retrieves its witness from real.
-func DecideChoice(m *mapping.Mapping, src *deps.Set, real *instance.Instance) (ProbeDecision, error) {
-	w := NewDisambiguationWizard(src, real)
+// Disambiguate does, and retrieves its witness from the store's
+// instance, refuting it from the store's verdicts.
+func DecideChoice(m *mapping.Mapping, src *deps.Set, store *query.IndexStore) (ProbeDecision, error) {
+	w := NewDisambiguationWizard(src, store.Instance())
+	w.Store = store
 	r, err := w.choiceRetrieval(m)
 	if err != nil {
 		return ProbeDecision{}, err

@@ -13,6 +13,7 @@ import (
 	"muse/internal/instance"
 	"muse/internal/mapping"
 	"muse/internal/nr"
+	"muse/internal/query"
 )
 
 // CheckQuery runs the query oracle, the decide leg: every verdict a
@@ -81,12 +82,18 @@ type decideLeg struct {
 // multi-feed twins when feeds is set (feedVariant copies flat instances
 // only), and the Muse-D retrievals of its ambiguous mappings, under
 // constraints drawn from r, on c's instance and two mutated copies.
+// Every retrieval over one instance refutes from one shared store, so
+// the store reuses its verdicts under the brute-force reference.
 func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 	d := constraints(r, c.Deps, c.Src)
-	base := []*instance.Instance{c.Src, MutateInstance(r, c.Src), MutateInstance(r, c.Src)}
+	base := []*query.IndexStore{
+		query.NewIndexStore(c.Src),
+		query.NewIndexStore(MutateInstance(r, c.Src)),
+		query.NewIndexStore(MutateInstance(r, c.Src)),
+	}
 	type input struct {
 		m   *mapping.Mapping
-		ins []*instance.Instance
+		ins []*query.IndexStore
 	}
 	var inputs []input
 	for _, m := range c.Ms {
@@ -95,7 +102,7 @@ func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 			continue
 		}
 		if t := multiFeed(r, m); t != nil {
-			inputs = append(inputs, input{t, slices.Concat(base, []*instance.Instance{feedVariant(r, t, c.Src)})})
+			inputs = append(inputs, input{t, slices.Concat(base, []*query.IndexStore{query.NewIndexStore(feedVariant(r, t, c.Src))})})
 		}
 	}
 	for _, in := range inputs {
@@ -104,13 +111,14 @@ func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 			continue
 		}
 		l.mappings++
-		for _, src := range in.ins {
+		for _, store := range in.ins {
+			src := store.Instance()
 			for k := 0; k < l.queries; k++ {
 				confirmed, out, differ := probePattern(r, poss)
 				var dc core.ProbeDecision
 				ok := true
 				err := guard(func() (err error) {
-					dc, ok, err = core.DecideProbe(in.m, d, src, confirmed, out, differ)
+					dc, ok, err = core.DecideProbe(in.m, d, store, confirmed, out, differ)
 					return err
 				})
 				if !ok && err == nil {
@@ -136,13 +144,13 @@ func (l *decideLeg) scenario(r *rand.Rand, c *Case, feeds bool) {
 	}
 	for _, m := range c.Ambiguous {
 		l.ambiguous++
-		for _, src := range base {
+		for _, store := range base {
 			var dc core.ProbeDecision
-			err := guard(func() (err error) { dc, err = core.DecideChoice(m, d, src); return err })
+			err := guard(func() (err error) { dc, err = core.DecideChoice(m, d, store); return err })
 			l.choices++
 			l.choicesRefuted += count(dc.Refuted)
 			l.choicesWitness += count(dc.Rows != nil)
-			l.check(fmt.Sprintf("decide/%s/%s/choice", c.Name, m.Name), m, src, dc, err, "")
+			l.check(fmt.Sprintf("decide/%s/%s/choice", c.Name, m.Name), m, store.Instance(), dc, err, "")
 		}
 	}
 }

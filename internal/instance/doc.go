@@ -20,8 +20,9 @@
 //     sharing a hash are told apart structurally, never by the hash alone.
 //   - Value vectors are grouped in one of three ways (index.go): an
 //     Index of a set's tuples, whose buckets may mix hash-colliding
-//     tuples that its callers reject by SameValue; CountDistinct, which
-//     confirms every hash hit by SameValue and so counts exactly; and a
+//     tuples that its callers reject by SameValue; the counter behind
+//     Distinct and Unique, which confirms every hash hit by SameValue
+//     and so counts exactly, and which a pool lends to each pass; and a
 //     VecMap from value vectors to anything, which confirms every hit
 //     the same way. No table of values is keyed by a rendered key.
 //   - Keys are the rendering and ordering encoding, not the identity:

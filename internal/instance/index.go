@@ -1,19 +1,23 @@
 package instance
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // This file holds the three ways the engines group by value vectors:
 // a hash index of a set's tuples over some slots (the chase's
 // generators), an exact distinct counter (the index store's statistics
-// and the uniqueness verdicts behind refuted probes), and a map from value vectors to anything (homomorphism
-// bindings, constraint checks, Muse-G's data-implied groups, compact
-// rendering's short names). All three key a value vector by its content
-// hash. The counter and the map confirm every hash hit with SameValue;
-// an index leaves collisions in its buckets for the SameValue checks
-// that its callers make on every indexed slot.
+// and the uniqueness verdicts behind refuted probes), and a map from
+// value vectors to anything (homomorphism bindings, constraint checks,
+// Muse-G's data-implied groups, compact rendering's short names). All
+// three key a value vector by its content hash. The counter and the map
+// confirm every hash hit with SameValue; an index leaves collisions in
+// its buckets for the SameValue checks that its callers make on every
+// indexed slot.
 
-// hashVector hashes the value vectors of Index, CountDistinct and
-// VecMap. Tests replace it to force every hash equal.
+// hashVector hashes the value vectors of Index, the counter and VecMap.
+// Tests replace it to force every hash equal.
 var hashVector = HashValues
 
 // VecMap maps value vectors to values of type T by content: two keys
@@ -137,37 +141,94 @@ func (x *Index) Lookup(vals []Value) []*Tuple {
 // indexed slot.
 func (x *Index) Len() int { return x.n }
 
-// CountDistinct counts, in one pass over tuples, the distinct value
-// vectors on each slot list, and the tuples that leave some slot of a
-// list unset (they count toward no vector). A hash hit counts as a
-// repeat only when SameValue confirms every slot, so the counts are
-// exact.
-func CountDistinct(tuples []*Tuple, lists [][]int) (distinct, unset []int) {
-	distinct, unset = make([]int, len(lists)), make([]int, len(lists))
-	// Each table is sized for all-distinct vectors, which a uniqueness
-	// verdict expects, so none grows during the pass.
-	seen := make([]hashMap[*Tuple], len(lists))
-	for i := range seen {
-		seen[i].first = make(map[uint64]*Tuple, len(tuples))
+// Distinct counts, in one pass over tuples, the distinct value vectors
+// they hold on slots, and the tuples that leave one of slots unset
+// (they hold no vector). A hash hit counts as a repeat only when
+// SameValue confirms every slot, so the counts are exact. A call
+// allocates nothing once the pool holds a counter large enough.
+func Distinct(tuples []*Tuple, slots []int) (distinct, unset int) {
+	c := counters.Get().(*counter)
+	distinct, unset = c.count(tuples, slots, false)
+	c.release()
+	return distinct, unset
+}
+
+// Unique reports whether every tuple sets each of slots and no two
+// tuples agree on all of them. It stops at the first tuple that leaves
+// a slot unset or repeats an earlier tuple's vector.
+func Unique(tuples []*Tuple, slots []int) bool {
+	c := counters.Get().(*counter)
+	distinct, unset := c.count(tuples, slots, true)
+	c.release()
+	return unset == 0 && distinct == len(tuples)
+}
+
+// counters lends a counter to each pass of Distinct and Unique, so
+// passes that run at once count apart and a warm pass allocates
+// nothing.
+var counters = sync.Pool{New: func() any { return new(counter) }}
+
+// counter is an open-addressing hash table of tuple numbers, cleared
+// and reused by every pass it is lent to.
+type counter struct {
+	// slots holds, in each occupied slot, the tuple number + 1 in the
+	// high half and the low half of its vector hash, so a probe reads
+	// one word; 0 is empty.
+	slots []uint64
+	key   []Value // the current tuple's vector
+}
+
+// count counts the distinct vectors tuples hold on slots and the tuples
+// that leave a slot unset; with stop set it returns at the first tuple
+// that leaves a slot unset or repeats a vector.
+func (c *counter) count(tuples []*Tuple, slots []int, stop bool) (distinct, unset int) {
+	// A load of at most one half.
+	n := 8
+	for n < 2*len(tuples) {
+		n <<= 1
 	}
-	var vals []Value
-	for _, t := range tuples {
-	next:
-		for i, slots := range lists {
-			vals = vals[:0]
-			for _, sl := range slots {
-				if t.vals[sl] == nil {
-					unset[i]++
-					continue next
+	if cap(c.slots) < n {
+		c.slots = make([]uint64, n)
+	}
+	c.slots = c.slots[:n]
+	clear(c.slots)
+	mask := uint64(n - 1)
+next:
+	for i, t := range tuples {
+		c.key = c.key[:0]
+		for _, sl := range slots {
+			if t.vals[sl] == nil {
+				unset++
+				if stop {
+					return distinct, unset
 				}
-				vals = append(vals, t.vals[sl])
+				continue next
 			}
-			if _, repeat := seen[i].intern(hashVector(vals), func(p *Tuple) bool { return sameOn(p, t, slots) }, func() *Tuple { return t }); !repeat {
-				distinct[i]++
+			c.key = append(c.key, t.vals[sl])
+		}
+		h := hashVector(c.key)
+		for j := h & mask; ; j = (j + 1) & mask {
+			e := c.slots[j]
+			if e == 0 {
+				c.slots[j] = uint64(i+1)<<32 | h&0xffffffff
+				distinct++
+				break
+			}
+			if uint32(e) == uint32(h) && sameOn(tuples[e>>32-1], t, slots) {
+				if stop {
+					return distinct, unset
+				}
+				break
 			}
 		}
 	}
 	return distinct, unset
+}
+
+// release returns the counter to the pool, holding no value.
+func (c *counter) release() {
+	clear(c.key[:cap(c.key)])
+	counters.Put(c)
 }
 
 // sameOn reports whether tuples a and b agree on every slot.

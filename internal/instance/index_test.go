@@ -25,7 +25,7 @@ func companyRows(rows ...[3]string) []*Tuple {
 }
 
 // forEachHash runs fn with the real vector hash, then with every vector
-// of Index and CountDistinct forced under one hash.
+// of Index and the counter forced under one hash.
 func forEachHash(t *testing.T, fn func(t *testing.T, forced bool)) {
 	t.Run("real", func(t *testing.T) { fn(t, false) })
 	t.Run("forced", func(t *testing.T) {
@@ -36,10 +36,10 @@ func forEachHash(t *testing.T, fn func(t *testing.T, forced bool)) {
 	})
 }
 
-// TestCountDistinctCollisions: the counter tells vectors apart by
-// SameValue, so its uniqueness verdicts and per-list counts are the
-// same whether hashes are real or all equal.
-func TestCountDistinctCollisions(t *testing.T) {
+// TestCounterCollisions: the counter tells vectors apart by SameValue,
+// so its uniqueness verdicts and counts are the same whether hashes are
+// real or all equal, and a uniqueness pass agrees with a counting one.
+func TestCounterCollisions(t *testing.T) {
 	const cid, cname, location = 0, 1, 2
 	keyed := companyRows([3]string{"1", "A", "X"}, [3]string{"1", "B", "Y"}, [3]string{"2", "A", "Y"}, [3]string{"2", "B", "X"})
 	comp := companyRows([3]string{"11", "IBM", "NY"}, [3]string{"12", "IBM", "NY"}, [3]string{"13", "IBM", "SF"}, [3]string{"14", "SBC", "NY"})
@@ -59,19 +59,20 @@ func TestCountDistinctCollisions(t *testing.T) {
 			{comp, []int{cid}, true},
 			{holey, []int{cname, location}, false}, // location unset
 		} {
-			d, u := CountDistinct(c.tuples, [][]int{c.slots})
-			if got := u[0] == 0 && d[0] == len(c.tuples); got != c.want {
-				t.Errorf("unique on %v = %v (%d distinct, %d unset of %d), want %v",
-					c.slots, got, d[0], u[0], len(c.tuples), c.want)
+			d, u := Distinct(c.tuples, c.slots)
+			if got := u == 0 && d == len(c.tuples); got != c.want {
+				t.Errorf("distinct on %v = %d, unset %d of %d; unique must be %v", c.slots, d, u, len(c.tuples), c.want)
+			}
+			if got := Unique(c.tuples, c.slots); got != c.want {
+				t.Errorf("Unique on %v = %v, want %v", c.slots, got, c.want)
 			}
 		}
-		// Several lists in one pass.
-		d, u := CountDistinct(append(slices.Clone(comp), holey...), [][]int{{cid}, {cname}, {location}, {cname, location}})
-		if want := []int{6, 3, 3, 4}; !slices.Equal(d, want) {
-			t.Errorf("distinct = %v, want %v", d, want)
-		}
-		if want := []int{0, 0, 1, 1}; !slices.Equal(u, want) {
-			t.Errorf("unset = %v, want %v", u, want)
+		all := append(slices.Clone(comp), holey...)
+		for i, slots := range [][]int{{cid}, {cname}, {location}, {cname, location}} {
+			wantD, wantU := []int{6, 3, 3, 4}[i], []int{0, 0, 1, 1}[i]
+			if d, u := Distinct(all, slots); d != wantD || u != wantU {
+				t.Errorf("on %v: %d distinct, %d unset; want %d, %d", slots, d, u, wantD, wantU)
+			}
 		}
 	})
 }
@@ -120,30 +121,20 @@ func TestIndexCollisions(t *testing.T) {
 	})
 }
 
-// TestIndexConcurrent probes one shared index and counts over one
-// shared tuple list from 8 goroutines, as server sessions over one
-// scenario's store do, with the hash caches of the probed and counted
-// terms cold: every goroutine sees the serial answers. Run under -race
-// (make race-retrieval).
+// TestIndexConcurrent probes one shared index from 8 goroutines, as
+// server sessions over one scenario's instance do, with the hash caches
+// of the probed terms cold: every goroutine sees the serial buckets.
+// Run under -race (make race-retrieval).
 func TestIndexConcurrent(t *testing.T) {
 	projs := orgCat().ByPath(nr.ParsePath("Orgs.Projects"))
 	const n, managers = 60, 10
 	mgr := func(i int) *Null { return NewNull("N_m_p.manager", CI(i%managers), C("x")) }
-	rows := func() []*Tuple {
-		out := make([]*Tuple, n)
-		for i := range out {
-			out[i] = NewTuple(projs).Put("pname", CI(i%7)).Put("manager", mgr(i))
-		}
-		return out
+	rows := make([]*Tuple, n)
+	for i := range rows {
+		rows[i] = NewTuple(projs).Put("pname", CI(i%7)).Put("manager", mgr(i))
 	}
-	lists := [][]int{{projs.Slot("pname")}, {projs.Slot("manager")}, {projs.Slot("pname"), projs.Slot("manager")}}
-	wantD, wantU := CountDistinct(rows(), lists)
-	if !slices.Equal(wantD, []int{7, managers, n}) || !slices.Equal(wantU, []int{0, 0, 0}) {
-		t.Fatalf("serial counts %v/%v, want [7 %d %d]/[0 0 0]", wantD, wantU, managers, n)
-	}
-	x := NewIndex(rows(), lists[1])
+	x := NewIndex(rows, []int{projs.Slot("manager")})
 	// Built afresh and shared by all goroutines, caches cold.
-	counted := rows()
 	probes := make([]*Null, managers)
 	for i := range probes {
 		probes[i] = mgr(i)
@@ -161,12 +152,44 @@ func TestIndexConcurrent(t *testing.T) {
 					return
 				}
 			}
-			if d, u := CountDistinct(counted, lists); !slices.Equal(d, wantD) || !slices.Equal(u, wantU) {
-				t.Errorf("goroutine %d: counts %v/%v, want %v/%v", g, d, u, wantD, wantU)
-			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCounterConcurrent counts over one shared tuple list from 8
+// goroutines at once, each pass on a counter of its own from the pool,
+// with real hashes and with every hash forced equal: every goroutine
+// sees the serial counts and verdicts. Run under -race (make
+// race-retrieval).
+func TestCounterConcurrent(t *testing.T) {
+	projs := orgCat().ByPath(nr.ParsePath("Orgs.Projects"))
+	const n, managers = 60, 10
+	rows := make([]*Tuple, n)
+	for i := range rows {
+		rows[i] = NewTuple(projs).Put("pname", CI(i%7)).Put("manager", NewNull("N_m_p.manager", CI(i%managers), C("x")))
+	}
+	lists := [][]int{{projs.Slot("pname")}, {projs.Slot("manager")}, {projs.Slot("pname"), projs.Slot("manager")}}
+	want := []int{7, managers, n}
+	forEachHash(t, func(t *testing.T, _ bool) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range lists {
+					i := (k + g) % len(lists)
+					if d, u := Distinct(rows, lists[i]); d != want[i] || u != 0 {
+						t.Errorf("goroutine %d: %d distinct, %d unset on %v; want %d, 0", g, d, u, lists[i], want[i])
+					}
+					if got := Unique(rows, lists[i]); got != (want[i] == n) {
+						t.Errorf("goroutine %d: Unique on %v = %v, want %v", g, lists[i], got, want[i] == n)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestVecMapCollisions: a VecMap tells keys apart by SameValue, so Get,

@@ -8,10 +8,10 @@ import (
 
 // TestStatsMatchRenderedKeys holds the store's counts to the
 // rendered-key definition they replaced, on every Sec. VI scenario at
-// scale 0.1: a top-level set's Distinct[a] is the number of distinct
-// Value.Key strings among its non-nil values of a, and an attribute
-// pair is unique when every tuple sets both and no two tuples render
-// the same pair of keys.
+// scale 0.1: a top-level set's Distinct[i] is the number of distinct
+// Value.Key strings among the non-nil values of its atom i, and an
+// attribute pair is unique when every tuple sets both and no two tuples
+// render the same pair of keys.
 func TestStatsMatchRenderedKeys(t *testing.T) {
 	var verdicts [2]int // pairs judged not unique, unique
 	for _, sc := range scenarios.All() {
@@ -23,15 +23,15 @@ func TestStatsMatchRenderedKeys(t *testing.T) {
 			}
 			tuples := in.Top(st).View()
 			stats := store.Stats(st)
-			for _, a := range st.Atoms {
+			for i, a := range st.Atoms {
 				keys := make(map[string]bool)
 				for _, tp := range tuples {
 					if v := tp.Get(a); v != nil {
 						keys[v.Key()] = true
 					}
 				}
-				if stats.Distinct[a] != len(keys) {
-					t.Errorf("%s %s.%s: Distinct = %d, want %d", sc.Name, st.Path, a, stats.Distinct[a], len(keys))
+				if stats.Distinct[i] != len(keys) {
+					t.Errorf("%s %s.%s: Distinct = %d, want %d", sc.Name, st.Path, a, stats.Distinct[i], len(keys))
 				}
 			}
 			for i, a := range st.Atoms {

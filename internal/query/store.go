@@ -8,14 +8,16 @@ import (
 	"muse/internal/nr"
 )
 
-// IndexStore caches statistics and uniqueness verdicts over one source
-// instance, so a whole design session (both wizards, the ranker) counts
+// IndexStore holds the statistics and uniqueness verdicts of one
+// source instance, so a whole design session (both wizards, the
+// ranker), or every session a server hosts over one scenario, counts
 // each set once: the wizards refute probes from the unique attributes,
 // and the ranker scores options from the statistics. It is safe for
-// concurrent use; every statistics block and verdict is built exactly
-// once (singleflight per key) even when several callers race for it.
-// Every count comes from instance.CountDistinct, so the store renders
-// no value keys.
+// concurrent use. One mutex serializes its passes, so each statistics
+// block and each verdict is counted once even when several callers race
+// for it. Every count comes from the instance's exact counter
+// (instance.Distinct, instance.Unique), so the store renders no value
+// keys.
 //
 // The store assumes the instance is immutable while it is shared — the
 // wizards only ever read the real source instance, and DESIGN.md §7
@@ -23,142 +25,166 @@ import (
 type IndexStore struct {
 	in *instance.Instance
 
-	mu      sync.Mutex
-	stats   map[cacheKey]*entry[*SetStats]
-	uniques map[cacheKey]*entry[bool]
-	keyBuf  []byte // attr-list key scratch, guarded by mu
+	// mu serializes the passes and guards the fields below.
+	mu     sync.Mutex
+	sets   map[*nr.SetType]*setFacts
+	slots  []int // the slot list of the current pass
+	passes Passes
 }
 
-// cacheKey names a cache slot: a set type and an attribute list, each
-// attribute followed by 0x00 (empty for a statistics block).
-type cacheKey struct {
-	st    *nr.SetType
-	attrs string
+// Passes counts the counting passes a store has run.
+type Passes struct {
+	// Stats counts statistics passes: one per set, over all its atoms.
+	Stats int
+	// Unique counts uniqueness passes: one per attribute list that
+	// neither the statistics nor a known verdict decides.
+	Unique int
 }
 
-// entry is one cache slot (a statistics block, a uniqueness verdict),
-// built exactly once: the goroutine that registers the entry builds val
-// and closes done; everyone else blocks on done.
-type entry[T any] struct {
-	done chan struct{}
-	val  T
+// setFacts is what the store knows of one top-level set: its
+// statistics, and the verdicts of its uniqueness passes as bitmasks of
+// atom positions.
+type setFacts struct {
+	stats SetStats
+	// unique holds lists found unique; repeated holds lists that every
+	// tuple sets and two tuples agree on.
+	unique, repeated []uint64
 }
 
-// SetStats are one top-level set's statistics, collected in one pass
-// over it.
+// maskAtoms is the most atoms a set may have for the store to keep its
+// verdicts; a list of a wider set is decided by a pass each time.
+const maskAtoms = 64
+
+// SetStats are one top-level set's statistics, collected by one
+// statistics pass: a counter pass over its tuples per atom.
 type SetStats struct {
 	// Card is the tuple count.
 	Card int
-	// Distinct maps each atom attribute to its number of distinct
-	// non-nil values, and Set to the number of tuples that set it.
-	Distinct, Set map[string]int
+	// Distinct holds, for each atom of the set in order, its number of
+	// distinct non-nil values, and Set the number of tuples that set it.
+	Distinct, Set []int
 }
 
 // NewIndexStore creates an empty store over the instance.
 func NewIndexStore(in *instance.Instance) *IndexStore {
-	return &IndexStore{
-		in:      in,
-		stats:   make(map[cacheKey]*entry[*SetStats]),
-		uniques: make(map[cacheKey]*entry[bool]),
-	}
+	return &IndexStore{in: in, sets: make(map[*nr.SetType]*setFacts)}
 }
 
 // Instance returns the instance the store counts.
 func (s *IndexStore) Instance() *instance.Instance { return s.in }
 
-// countDistinct is the counting pass behind Stats and unique. Tests
-// wrap it to count passes.
-var countDistinct = instance.CountDistinct
+// Passes returns the counting passes the store has run so far.
+func (s *IndexStore) Passes() Passes {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.passes
+}
 
-// unique reports whether the top-level set st holds the attribute list
-// unique: every tuple sets each attribute and no two tuples agree on
-// all of them. Attrs must be in canonical (sorted) order. Each list is
-// decided once, by one counting pass over the set, and only the
-// verdict is kept.
-func (s *IndexStore) unique(st *nr.SetType, attrs []string) bool {
-	return cached(s, s.uniques, st, attrs, func() bool {
-		set := s.in.Top(st)
-		distinct, unset := countDistinct(set.View(), [][]int{slotsOf(set, attrs)})
-		return unset[0] == 0 && distinct[0] == set.Len()
-	})
+// Stats returns the statistics block of the top-level set st,
+// computing it on first use by one statistics pass. The block is
+// read-only.
+func (s *IndexStore) Stats(st *nr.SetType) *SetStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &s.facts(st).stats
 }
 
 // UniqueAttrs returns an attribute list, drawn from attrs, that the
 // top-level set st holds unique: the first of st's atoms in attrs whose
 // distinct count equals the set's cardinality, else attrs itself when
-// the store's uniqueness pass confirms it; nil when neither holds.
-// Attrs must be in canonical (sorted) order. The list returned aliases
-// st.Atoms or attrs and is read-only; a warm call allocates nothing.
+// the store decides it unique; nil when neither holds. Attrs must be
+// atoms of st in canonical (sorted) order. The list returned aliases
+// st.Atoms or attrs and is read-only; a call that runs no pass
+// allocates nothing.
 func (s *IndexStore) UniqueAttrs(st *nr.SetType, attrs []string) []string {
 	if len(attrs) == 0 {
 		return nil
 	}
-	stats := s.Stats(st)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.facts(st)
 	for i, a := range st.Atoms {
-		if stats.Distinct[a] == stats.Card {
+		if f.stats.Distinct[i] == f.stats.Card {
 			if _, ok := slices.BinarySearch(attrs, a); ok {
 				return st.Atoms[i : i+1]
 			}
 		}
 	}
-	if len(attrs) > 1 && s.unique(st, attrs) {
+	if len(attrs) > 1 && s.decide(st, f, attrs) {
 		return attrs
 	}
 	return nil
 }
 
-// Stats returns the statistics block for the top-level set st,
-// computing it on first use by one counting pass.
-func (s *IndexStore) Stats(st *nr.SetType) *SetStats {
-	return cached(s, s.stats, st, nil, func() *SetStats {
-		set := s.in.Top(st)
-		stats := &SetStats{Card: set.Len(), Distinct: make(map[string]int, len(st.Atoms)), Set: make(map[string]int, len(st.Atoms))}
-		lists := make([][]int, len(st.Atoms))
-		for i, slot := range slotsOf(set, st.Atoms) {
-			lists[i] = []int{slot}
-		}
-		distinct, unset := countDistinct(set.View(), lists)
-		for i, a := range st.Atoms {
-			stats.Distinct[a] = distinct[i]
-			stats.Set[a] = stats.Card - unset[i]
-		}
-		return stats
-	})
+// facts returns what the store knows of the top-level set st, counting
+// its statistics on first use: one counter pass per atom, which
+// allocates nothing beyond the block. s.mu must be held.
+func (s *IndexStore) facts(st *nr.SetType) *setFacts {
+	if f := s.sets[st]; f != nil {
+		return f
+	}
+	s.passes.Stats++
+	tuples := s.in.Top(st).View()
+	n := len(st.Atoms)
+	counts := make([]int, 2*n)
+	f := &setFacts{stats: SetStats{Card: len(tuples), Distinct: counts[:n:n], Set: counts[n:]}}
+	for i := range n {
+		// Atoms take a tuple's first slots.
+		s.slots = append(s.slots[:0], i)
+		d, unset := instance.Distinct(tuples, s.slots)
+		f.stats.Distinct[i], f.stats.Set[i] = d, len(tuples)-unset
+	}
+	s.sets[st] = f
+	return f
 }
 
-// cached returns the (set, attribute list) entry of cache, building it
-// with build on first use while concurrent callers for the same entry
-// wait.
-func cached[T any](s *IndexStore, cache map[cacheKey]*entry[T], st *nr.SetType, attrs []string, build func() T) T {
-	s.mu.Lock()
-	// The attribute list is composed in the store's buffer, so a hit
-	// allocates nothing.
-	key := s.keyBuf[:0]
+// decide reports whether st holds the atom list attrs unique: every
+// tuple sets each atom and no two tuples agree on all of them. It
+// decides without a pass where it can: a list with an atom some tuple
+// leaves unset is not unique, and one with an atom whose values are
+// distinct is unique.
+// Every atom of any other list is set in every tuple, so it is unique
+// when it holds a list found unique, and not unique when a list found
+// repeated holds it. Else one uniqueness pass decides it, stopping at
+// the first repeat, and its verdict is kept. s.mu must be held, and f
+// is st's facts.
+func (s *IndexStore) decide(st *nr.SetType, f *setFacts, attrs []string) bool {
+	var list uint64
+	distinctAtom := false
+	s.slots = s.slots[:0]
 	for _, a := range attrs {
-		key = append(append(key, a...), '\x00')
+		i := st.Slot(a)
+		if f.stats.Set[i] < f.stats.Card {
+			return false
+		}
+		distinctAtom = distinctAtom || f.stats.Distinct[i] == f.stats.Card
+		s.slots = append(s.slots, i)
+		list |= 1 << i
 	}
-	s.keyBuf = key
-	e, hit := cache[cacheKey{st, string(key)}]
-	if !hit {
-		e = &entry[T]{done: make(chan struct{})}
-		cache[cacheKey{st, string(key)}] = e
+	if distinctAtom || len(attrs) == 1 {
+		return distinctAtom
 	}
-	s.mu.Unlock()
-	if hit {
-		<-e.done
-		return e.val
+	keep := len(st.Atoms) <= maskAtoms
+	if keep {
+		for _, u := range f.unique {
+			if u&^list == 0 {
+				return true
+			}
+		}
+		for _, r := range f.repeated {
+			if list&^r == 0 {
+				return false
+			}
+		}
 	}
-	e.val = build()
-	close(e.done)
-	return e.val
-}
-
-// slotsOf resolves attrs to slot positions in the layout of the set's
-// own tuples.
-func slotsOf(set *instance.SetVal, attrs []string) []int {
-	slots := make([]int, len(attrs))
-	for i, a := range attrs {
-		slots[i] = set.Type.Slot(a)
+	s.passes.Unique++
+	unique := instance.Unique(s.in.Top(st).View(), s.slots)
+	switch {
+	case !keep:
+	case unique:
+		f.unique = append(f.unique, list)
+	default:
+		f.repeated = append(f.repeated, list)
 	}
-	return slots
+	return unique
 }

@@ -2,8 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"muse/internal/instance"
@@ -37,6 +37,14 @@ func compInstance(cat *nr.Catalog) *instance.Instance {
 	return in
 }
 
+// unique decides one attribute list as UniqueAttrs does past its
+// single-atom check.
+func (s *IndexStore) unique(st *nr.SetType, attrs []string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.decide(st, s.facts(st), attrs)
+}
+
 // TestSharedStoreConcurrent asks 16 goroutines for the statistics of
 // both sets of one shared store (server sessions over one scenario):
 // every goroutine sees the same blocks, and each set is counted by
@@ -44,13 +52,6 @@ func compInstance(cat *nr.Catalog) *instance.Instance {
 func TestSharedStoreConcurrent(t *testing.T) {
 	cat := compCat()
 	in := compInstance(cat)
-	var passes atomic.Int64
-	prev := countDistinct
-	countDistinct = func(tuples []*instance.Tuple, lists [][]int) ([]int, []int) {
-		passes.Add(1)
-		return prev(tuples, lists)
-	}
-	t.Cleanup(func() { countDistinct = prev })
 	store := NewIndexStore(in)
 	sets := cat.TopLevel()
 	got := make([][]*SetStats, 16)
@@ -72,13 +73,13 @@ func TestSharedStoreConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if n := passes.Load(); n != int64(len(sets)) {
-		t.Errorf("%d counting passes for %d sets; want one each", n, len(sets))
+	if n := store.Passes().Stats; n != len(sets) {
+		t.Errorf("%d statistics passes for %d sets; want one each", n, len(sets))
 	}
 }
 
 // TestStoreStats sanity-checks the store's statistics: cardinality,
-// distinct values and set counts per attribute, computed once.
+// distinct values and set counts per atom, computed once.
 func TestStoreStats(t *testing.T) {
 	in := companies([3]string{"11", "IBM", "NY"}, [3]string{"12", "IBM", ""}, [3]string{"13", "IBM", "SF"}, [3]string{"14", "SBC", "NY"})
 	store := NewIndexStore(in)
@@ -87,23 +88,22 @@ func TestStoreStats(t *testing.T) {
 	if stats.Card != 4 {
 		t.Errorf("Card = %d, want 4", stats.Card)
 	}
-	if stats.Distinct["cid"] != 4 || stats.Distinct["cname"] != 2 || stats.Distinct["location"] != 2 {
-		t.Errorf("Distinct = %v", stats.Distinct)
+	// Atoms in order: cid, cname, location.
+	if !slices.Equal(stats.Distinct, []int{4, 2, 2}) {
+		t.Errorf("Distinct = %v, want [4 2 2]", stats.Distinct)
 	}
-	if stats.Set["cid"] != 4 || stats.Set["cname"] != 4 || stats.Set["location"] != 3 {
-		t.Errorf("Set = %v", stats.Set)
+	if !slices.Equal(stats.Set, []int{4, 4, 3}) {
+		t.Errorf("Set = %v, want [4 4 3]", stats.Set)
 	}
-	if again := store.Stats(st); again != stats {
+	if again := store.Stats(st); again != stats || store.Passes().Stats != 1 {
 		t.Error("Stats recomputed instead of cached")
 	}
 }
 
-// companies builds a Companies-only instance from (cid, cname,
-// location) rows; an empty string leaves the slot unset.
-func companies(rows ...[3]string) *instance.Instance {
-	cat := compCat()
-	st := cat.ByPath(nr.ParsePath("Companies"))
-	in := instance.New(cat)
+// fill inserts (three-atom) rows into the top-level set at path; an
+// empty string leaves the slot unset.
+func fill(in *instance.Instance, path string, rows ...[3]string) {
+	st := in.Cat.ByPath(nr.ParsePath(path))
 	for _, r := range rows {
 		t := instance.NewTuple(st)
 		for i, attr := range st.Atoms {
@@ -113,6 +113,13 @@ func companies(rows ...[3]string) *instance.Instance {
 		}
 		in.InsertTop(st, t)
 	}
+}
+
+// companies builds a Companies-only instance from (cid, cname,
+// location) rows; an empty string leaves the slot unset.
+func companies(rows ...[3]string) *instance.Instance {
+	in := instance.New(compCat())
+	fill(in, "Companies", rows...)
 	return in
 }
 
@@ -152,35 +159,51 @@ func TestUniqueAttrs(t *testing.T) {
 	}
 }
 
+// concurrentInstance holds 300 Companies whose cid is unique and 300
+// Projects none of whose atoms is: of their 14 non-empty atom lists,
+// exactly 5 are decided neither by the statistics nor by another list's
+// verdict. Companies' (cname, location) repeats; every pair of Projects'
+// atoms repeats, and the three together are unique.
+func concurrentInstance() (*instance.Instance, [][]string) {
+	var comps, projs [][3]string
+	for i := range 300 {
+		comps = append(comps, [3]string{fmt.Sprint(i), fmt.Sprint("n", i%7), fmt.Sprint("l", i%11)})
+		projs = append(projs, [3]string{fmt.Sprint("p", i%13), fmt.Sprint("n", i%17), fmt.Sprint(i % 7)})
+	}
+	in := instance.New(compCat())
+	fill(in, "Companies", comps...)
+	fill(in, "Projects", projs...)
+	var lists [][]string
+	for _, st := range in.Cat.TopLevel() {
+		for bits := 1; bits < 1<<len(st.Atoms); bits++ {
+			var l []string
+			for i, a := range st.Atoms {
+				if bits&(1<<i) != 0 {
+					l = append(l, a)
+				}
+			}
+			slices.Sort(l)
+			lists = append(lists, append([]string{st.Name}, l...))
+		}
+	}
+	return in, lists
+}
+
 // TestIndexStoreUniqueConcurrent asks 8 goroutines for the same and for
 // different attribute lists on a cold store, then on the warm one:
-// every answer matches a serial pass, the cold store decides each list
-// by one counting pass, and the warm one makes none.
+// every answer matches a fresh store's, the cold store counts each set
+// once and runs one uniqueness pass per list nothing else decides, and
+// the warm one runs no pass.
 func TestIndexStoreUniqueConcurrent(t *testing.T) {
-	cat := compCat()
-	st := cat.ByPath(nr.ParsePath("Companies"))
-	var rows [][3]string
-	for i := 0; i < 300; i++ {
-		rows = append(rows, [3]string{fmt.Sprint(i), fmt.Sprint("n", i%7), fmt.Sprint("l", i%11)})
-	}
-	in := companies(rows...)
-	lists := [][]string{{"cid"}, {"cname"}, {"location"}, {"cid", "cname"}, {"cname", "location"}, {"cid", "location"}}
-
-	var passes atomic.Int64
-	prev := countDistinct
-	countDistinct = func(tuples []*instance.Tuple, lists [][]int) ([]int, []int) {
-		passes.Add(1)
-		return prev(tuples, lists)
-	}
-	t.Cleanup(func() { countDistinct = prev })
-
+	in, lists := concurrentInstance()
+	const undecided = 5
+	set := func(l []string) *nr.SetType { return in.Cat.ByPath(nr.ParsePath(l[0])) }
 	want := make([]bool, len(lists))
 	for i, l := range lists {
-		want[i] = NewIndexStore(in).unique(st, l)
+		want[i] = NewIndexStore(in).unique(set(l), l[1:])
 	}
-	passes.Store(0)
-	if want[0] != true || want[1] != false || want[4] != false {
-		t.Fatalf("serial verdicts %v: cid must be unique, cname and (cname, location) not", want)
+	if fmt.Sprint(want) != "[true false true false true false true false false false false false false true]" {
+		t.Fatalf("fresh-store verdicts %v: cid must be unique, every Projects pair repeated and the triple unique", want)
 	}
 
 	store := NewIndexStore(in)
@@ -195,7 +218,7 @@ func TestIndexStoreUniqueConcurrent(t *testing.T) {
 				// the same list while others ask different ones.
 				for k := range lists {
 					i := (g + k) % len(lists)
-					if got := store.unique(st, lists[i]); got != want[i] {
+					if got := store.unique(set(lists[i]), lists[i][1:]); got != want[i] {
 						errs <- fmt.Sprintf("goroutine %d: unique(%v) = %v, want %v", g, lists[i], got, want[i])
 					}
 				}
@@ -207,12 +230,52 @@ func TestIndexStoreUniqueConcurrent(t *testing.T) {
 			t.Error(e)
 		}
 	}
-	ask() // cold
-	if got := passes.Load(); got != int64(len(lists)) {
-		t.Errorf("cold store made %d counting passes, want %d (one per list)", got, len(lists))
+	cold := Passes{Stats: 2, Unique: undecided}
+	ask()
+	if got := store.Passes(); got != cold {
+		t.Errorf("cold store ran %+v passes, want %+v (one per set, one per undecided list)", got, cold)
 	}
-	ask() // warm
-	if got := passes.Load(); got != int64(len(lists)) {
-		t.Errorf("warm store made %d more counting passes, want none", got-int64(len(lists)))
+	ask()
+	if got := store.Passes(); got != cold {
+		t.Errorf("warm store ran %+v passes in all, want no more than the cold %+v", got, cold)
+	}
+}
+
+// TestPassAllocs: once the instance's counter pool is warm, a
+// uniqueness pass allocates nothing, and a statistics pass allocates
+// only the block it returns: the set's facts and their counts.
+func TestPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled counters at random")
+	}
+	in, _ := concurrentInstance()
+	st := in.Cat.ByPath(nr.ParsePath("Projects"))
+	store := NewIndexStore(in)
+	store.Stats(st)
+	for _, list := range [][]string{{"cid", "pid"}, {"cid", "pid", "pname"}} {
+		before := store.Passes().Unique
+		n := testing.AllocsPerRun(50, func() {
+			store.mu.Lock()
+			// Forget the verdicts, so each run is a pass.
+			f := store.sets[st]
+			f.unique, f.repeated = f.unique[:0], f.repeated[:0]
+			store.decide(st, f, list)
+			store.mu.Unlock()
+		})
+		if n != 0 {
+			t.Errorf("a uniqueness pass on %v allocates %v times, want 0", list, n)
+		}
+		if passes := store.Passes().Unique - before; passes != 51 {
+			t.Errorf("%d uniqueness passes on %v, want one per run (51)", passes, list)
+		}
+	}
+	n := testing.AllocsPerRun(50, func() {
+		store.mu.Lock()
+		delete(store.sets, st)
+		store.facts(st)
+		store.mu.Unlock()
+	})
+	if n != 2 {
+		t.Errorf("a statistics pass allocates %v times, want 2 (the facts and their counts)", n)
 	}
 }

@@ -6,10 +6,11 @@
 // conformance, support counts (how many real tuples witness the
 // grouping), and duplication penalties.
 //
-// The scorer reuses the session's shared query.IndexStore, so every
-// statistic it consults is collected at most once per set and scoring
-// a question after the first costs no instance passes. Scores are
-// quantized to four decimals, which makes them stable across
+// The scorer reads the statistics of the session's shared
+// query.IndexStore, indexed by atom, so every statistic it consults is
+// collected at most once per set; on a server, Manager.Prime counts
+// them before the first session, and scoring costs no instance pass.
+// Scores are quantized to four decimals, which makes them stable across
 // GOMAXPROCS settings and warm/cold stores, and keeps their JSON
 // rendering short and renderer-independent.
 //
@@ -166,12 +167,13 @@ func (s *Scorer) evidenceFor(info *mapping.Info, e mapping.Expr) attrEvidence {
 	if st == nil || st.Parent != nil {
 		return attrEvidence{}
 	}
-	stats := s.Store.Stats(st)
-	d, ok := stats.Distinct[e.Attr]
-	if !ok {
+	// Atoms take a set's first slots, and the statistics index them.
+	i := st.Slot(e.Attr)
+	if i < 0 || i >= len(st.Atoms) {
 		return attrEvidence{}
 	}
-	return attrEvidence{ok: true, card: stats.Card, distinct: d}
+	stats := s.Store.Stats(st)
+	return attrEvidence{ok: true, card: stats.Card, distinct: stats.Distinct[i]}
 }
 
 // keyAttr reports whether e belongs to a candidate key of its
@@ -344,7 +346,8 @@ func (s *Scorer) ScoreChoices(m *mapping.Mapping) []Ranking {
 // value for alt, and the distinct ratio among those, from the shared
 // store's statistics (warm after the first question over the set).
 func (s *Scorer) coverage(info *mapping.Info, alt mapping.Expr, ev attrEvidence) (cov, distinctRatio float64) {
-	nonNil := s.Store.Stats(info.SrcVars[alt.Var]).Set[alt.Attr]
+	st := info.SrcVars[alt.Var]
+	nonNil := s.Store.Stats(st).Set[st.Slot(alt.Attr)]
 	if ev.card == 0 || nonNil == 0 {
 		return 0, 0
 	}

@@ -10,8 +10,10 @@
 // token, serialized by a per-session mutex, bounded in count (least
 // recently used idle sessions are evicted under pressure) and in age
 // (idle sessions past the TTL are swept). Distinct sessions of the
-// same scenario run concurrently and share one query.IndexStore, so
-// statistics counted for one designer's retrievals serve every other.
+// same scenario run concurrently and share one query.IndexStore:
+// Manager.Prime counts the statistics of every set the scenario's
+// mappings range over before traffic arrives, and a uniqueness verdict
+// one designer's retrieval decides serves every other.
 //
 // Sessions are durable through a pluggable SessionStore: every
 // accepted answer is persisted before it is acknowledged, and a token

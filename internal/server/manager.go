@@ -21,8 +21,9 @@ import (
 // Scenario is one design problem the server can host sessions over:
 // the mapping set under design, plus the optional source constraints
 // and real instance the wizards draw examples from. All sessions of a
-// scenario share one index store over Real, so retrieval indexes are
-// built once per server, not once per session.
+// scenario share one index store over Real, so the statistics and
+// uniqueness verdicts that refute probes and rank options are counted
+// once per server, not once per session.
 type Scenario struct {
 	// Deps holds the source constraints (may be nil).
 	Deps *deps.Set
@@ -36,8 +37,8 @@ type Scenario struct {
 	store     *query.IndexStore
 }
 
-// sharedStore returns the scenario's index store, built lazily on the
-// first session (or eagerly by Manager.Prime).
+// sharedStore returns the scenario's index store, built on the first
+// session or by Manager.Prime; nil without a real instance.
 func (sc *Scenario) sharedStore() *query.IndexStore {
 	sc.storeOnce.Do(func() {
 		if sc.Real != nil {
@@ -211,22 +212,31 @@ func (mg *Manager) scenarioStep(scenario string) {
 	mg.scSteps[scenario].Inc()
 }
 
-// Prime eagerly pays each scenario's first-session costs before
-// traffic arrives: the scenario-wide index store is built, and a
-// throwaway dialog is run up to its first question so the retrieval
-// indexes behind the opening probes are warm in the shared store. The
-// throwaway session is never registered (no token, no counters) and
-// leaves no state beyond the warmed store. ctx bounds the warm-up
-// work.
+// Prime counts, before traffic arrives, the statistics every session
+// of a scenario reads: it builds each scenario's shared index store and
+// counts every top-level set the scenario's mappings range over, so no
+// served step runs a statistics pass. It registers no session and
+// stops when ctx is done.
 func (mg *Manager) Prime(ctx context.Context) {
 	for _, sc := range mg.Scenarios {
 		store := sc.sharedStore()
-		cs := core.NewSession(sc.Deps, sc.Real)
-		cs.Grouping.Store = store
-		cs.Disambiguation.Store = store
-		st := core.NewStepper(ctx, cs, sc.Set)
-		_, _ = st.Step(ctx)
-		st.Close()
+		if store == nil {
+			continue
+		}
+		for _, m := range sc.Set.Mappings {
+			info, err := m.Analyze()
+			if err != nil {
+				continue
+			}
+			for _, v := range info.SrcOrder {
+				if ctx.Err() != nil {
+					return
+				}
+				if st := info.SrcVars[v]; st.Parent == nil {
+					store.Stats(st)
+				}
+			}
+		}
 	}
 }
 

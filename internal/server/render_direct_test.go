@@ -9,6 +9,7 @@ import (
 
 	"muse/internal/core"
 	"muse/internal/obs"
+	"muse/internal/query"
 )
 
 // encodeRef renders body the way writeJSON does — compact
@@ -186,29 +187,77 @@ func TestWriteEscaped(t *testing.T) {
 }
 
 // TestPrime checks that priming builds the shared stores up front and
-// that primed scenarios serve sessions normally.
+// counts every statistic a dialog reads, so that a full ranked dialog on
+// each builtin scenario runs no statistics pass, and that Prime under a
+// done context counts nothing.
 func TestPrime(t *testing.T) {
+	ctx := context.Background()
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	idle := NewManager(Builtin(), nil)
+	defer idle.Close()
+	idle.Prime(dead)
+	for name, sc := range idle.Scenarios {
+		if sc.store == nil {
+			continue
+		}
+		if p := sc.store.Passes(); p != (query.Passes{}) {
+			t.Errorf("scenario %s: Prime under a done context ran %+v passes", name, p)
+		}
+	}
+
 	mg := NewManager(Builtin(), obs.New())
+	mg.AutoThreshold = 0.1
 	defer mg.Close()
-	mg.Prime(context.Background())
+	mg.Prime(ctx)
+	primed := make(map[string]query.Passes)
 	for name, sc := range mg.Scenarios {
 		if sc.Real != nil && sc.store == nil {
-			t.Errorf("scenario %s: store not built by Prime", name)
+			t.Fatalf("scenario %s: store not built by Prime", name)
+		}
+		if primed[name] = sc.store.Passes(); primed[name].Stats == 0 || primed[name].Unique != 0 {
+			t.Errorf("scenario %s: Prime ran %+v passes, want statistics passes only", name, primed[name])
 		}
 	}
 	if n := mg.Len(); n != 0 {
 		t.Errorf("Prime registered %d sessions, want 0", n)
 	}
-	s, err := mg.Create(context.Background(), "fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	step, err := s.Stepper.Step(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step.Grouping == nil {
-		t.Fatalf("first fig1 step = %+v, want grouping question", step)
+	for _, name := range []string{"fig1", "fig4"} {
+		s, err := mg.Create(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step, err := s.Stepper.Step(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "fig1" && step.Grouping == nil {
+			t.Fatalf("first fig1 step = %+v, want grouping question", step)
+		}
+		for n := 0; !step.Done; n++ {
+			if n > 100 {
+				t.Fatal("dialog did not terminate")
+			}
+			var a core.Answer
+			switch {
+			case step.Grouping != nil:
+				a.Scenario = 1 + n%2
+			case step.Choice != nil:
+				a.Choices = make([][]int, len(step.Choice.Choices))
+				for i := range a.Choices {
+					a.Choices[i] = []int{0}
+				}
+			}
+			if step, err = s.Stepper.Answer(ctx, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Release()
+		if step.Err != nil || step.Seq == 0 {
+			t.Fatalf("scenario %s: dialog ended after %d questions with %v", name, step.Seq, step.Err)
+		}
+		if got := mg.Scenarios[name].store.Passes().Stats - primed[name].Stats; got != 0 {
+			t.Errorf("scenario %s: a full dialog after Prime ran %d statistics passes, want 0", name, got)
+		}
 	}
 }
